@@ -120,6 +120,8 @@ def sample_corpus(
     ints for derived sub-corpora).  The scale stream is drawn before the
     angle stream so stratum rejection never shifts it.
     """
+    if n < 0:
+        raise ValueError(f"n must be a non-negative number of triangles, got {n}")
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; expected one of {STRATA}")
     rng = np.random.default_rng(seed)

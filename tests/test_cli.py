@@ -199,6 +199,14 @@ def test_sweep_empty(capsys):
     assert "no samples" in capsys.readouterr().out
 
 
+def test_sweep_negative_n_exits_two(capsys):
+    assert main(["sweep", "--n", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "n must be" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_minimize_global(capsys):
     assert main(["minimize", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -19,7 +19,8 @@ from perptri.extremal import (
     slice_argmin,
     slice_min_value,
 )
-from perptri.sweep import run_sweep
+from perptri.sampling import sample_corpus
+from perptri.sweep import evaluate_corpus
 
 SQRT3 = math.sqrt(3.0)
 
@@ -165,7 +166,7 @@ def test_search_interval_is_inside_open_quadrant():
 # ---------------------------------------------------------------------------
 
 def test_cot_sum_bound_over_corpus():
-    result = run_sweep(2000, seed=[2203, 1])
+    result = evaluate_corpus(sample_corpus(2000, seed=[2203, 1]))
     assert result.min_cot_sum >= SQRT3 - 1e-12
     near = result.cot_sum < SQRT3 + 1e-3
     if near.any():

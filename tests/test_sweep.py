@@ -3,7 +3,9 @@
 The vectorized evaluator re-implements the scalar formulas with arrays; the
 bridge test below is what makes that duplication safe: every residual and
 every summary value must agree with the one-triangle-at-a-time route to
-near machine precision on a shared mixed-strata sample.
+near machine precision on a shared mixed-strata sample.  The chunked,
+threaded `run_sweep` is in turn pinned to the one-shot reduction of
+`evaluate_corpus` over the whole corpus, exactly.
 """
 
 import math
@@ -15,8 +17,9 @@ from perptri.construction import construct
 from perptri.geom import metrics
 from perptri.identities import cot_sum
 from perptri.ratio import CHECK_ORDER, STRICT_TOLERANCES, identity_report
-from perptri.sampling import concat_corpora, sample_corpus
-from perptri.sweep import RESIDUAL_KEYS, evaluate_corpus, run_sweep
+from perptri import sweep
+from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
+from perptri.sweep import CHUNK, RESIDUAL_KEYS, evaluate_corpus, run_sweep
 
 BRIDGE_ABS = 1e-13
 
@@ -75,12 +78,63 @@ def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_result):
 # ---------------------------------------------------------------------------
 
 def test_sweep_is_deterministic():
-    r1 = run_sweep(200, seed=3)
-    r2 = run_sweep(200, seed=3)
+    r1 = evaluate_corpus(sample_corpus(200, seed=3))
+    r2 = evaluate_corpus(sample_corpus(200, seed=3))
     assert r1.max_residuals == r2.max_residuals
     for key in RESIDUAL_KEYS:
         assert np.array_equal(r1.residuals[key], r2.residuals[key])
     assert np.array_equal(r1.cot_sum, r2.cot_sum)
+    assert run_sweep(200, seed=3) == run_sweep(200, seed=3)
+
+
+def _same(chunked: float, reference: float) -> bool:
+    return chunked == reference or (math.isnan(chunked) and math.isnan(reference))
+
+
+def _assert_one_shot_reductions(summary, corpus):
+    """The chunked summary equals the reductions of evaluate_corpus(corpus), exactly."""
+    reference = evaluate_corpus(corpus)
+    assert len(summary) == len(corpus)
+    assert summary.case_counts == reference.case_counts
+    assert summary.argmin_index == reference.argmin_index
+    assert _same(summary.min_cot_sum, reference.min_cot_sum)
+    assert summary.max_residuals.keys() == reference.max_residuals.keys()
+    for key, value in reference.max_residuals.items():
+        assert _same(summary.max_residuals[key], value), key
+
+
+@pytest.mark.parametrize("stratum", STRATA)
+@pytest.mark.parametrize("n", [0, 1, CHUNK, 3 * CHUNK + 17])
+def test_chunked_sweep_equals_one_shot_reduction(n, stratum):
+    seed = [41, n]
+    _assert_one_shot_reductions(run_sweep(n, seed, stratum), sample_corpus(n, seed, stratum))
+
+
+def _sweep_of(monkeypatch, corpus):
+    """run_sweep over a given corpus instead of a sampled one."""
+    monkeypatch.setattr(sweep, "sample_corpus", lambda n, seed, stratum, delta: corpus)
+    summary = run_sweep(len(corpus), seed=0)
+    _assert_one_shot_reductions(summary, corpus)
+    return summary
+
+
+def test_chunk_merge_keeps_first_of_ties(monkeypatch):
+    # Every chunk repeats the first, so every extreme ties across chunks and
+    # the earliest index must win, as np.argmin's does.
+    base = sample_corpus(CHUNK, seed=43)
+    summary = _sweep_of(monkeypatch, concat_corpora(base, base, base))
+    assert summary.argmin_index < CHUNK
+
+
+def test_chunk_merge_propagates_nan(monkeypatch):
+    corpus = sample_corpus(3 * CHUNK + 9, seed=44)
+    scale = corpus.scale.copy()
+    scale[2 * CHUNK + 5] = math.nan
+    summary = _sweep_of(
+        monkeypatch, TriangleCorpus(ang_b=corpus.ang_b, ang_g=corpus.ang_g, scale=scale)
+    )
+    assert summary.argmin_index == 2 * CHUNK + 5
+    assert all(math.isnan(value) for value in summary.max_residuals.values())
 
 
 def test_sweep_residuals_within_tolerances(bridge_result):
@@ -96,7 +150,7 @@ def test_min_cot_sum_and_argmin(bridge_result):
 
 
 def test_right_stratum_gamma_prime_collapse():
-    result = run_sweep(500, seed=29, stratum="right")
+    result = evaluate_corpus(sample_corpus(500, seed=29, stratum="right"))
     assert result.case_counts == {"acute": 0, "right": 500, "obtuse": 0}
     assert float(result.gamma_prime_offset.max()) < 1e-12
 
@@ -108,7 +162,7 @@ def test_obtuse_stratum_ratio_holds():
 
 
 def test_empty_sweep():
-    result = run_sweep(0, seed=0)
+    result = evaluate_corpus(sample_corpus(0, seed=0))
     assert len(result) == 0
     assert result.argmin_index is None
     assert math.isnan(result.min_cot_sum)
