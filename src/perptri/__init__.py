@@ -62,15 +62,7 @@ from .identities import (
     heron_area,
     sixteen_area_squared,
 )
-from .ratio import (
-    VerifyReport,
-    area_increment_residual,
-    area_quadratic_residual,
-    area_ratio_residual,
-    chain_sum_residual,
-    cot_term_residuals,
-    identity_report,
-)
+from .ratio import VerifyReport, identity_report
 from .sampling import (
     DELTA_MAIN,
     DELTA_STRESS,
@@ -107,11 +99,7 @@ __all__ = [
     "ZeroDirectionError",
     "angle_at",
     "area_from_cots",
-    "area_increment_residual",
-    "area_quadratic_residual",
-    "area_ratio_residual",
     "area_sine",
-    "chain_sum_residual",
     "classify_angle",
     "concat_corpora",
     "construct",
@@ -123,7 +111,6 @@ __all__ = [
     "cot_sum_slice",
     "cot_sum_slice_deriv",
     "cot_sum_two_angles",
-    "cot_term_residuals",
     "evaluate_corpus",
     "global_cot_sum_min",
     "golden_section_min",

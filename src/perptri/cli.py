@@ -31,10 +31,10 @@ from .extremal import (
 )
 from .geom import Point2, Triangle, clamp_unit, metrics
 from .identities import area_from_cots, area_sine, heron_area, sixteen_area_squared
-from .ratio import identity_report
+from .ratio import CHECK_ORDER, identity_report
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
-from .sweep import RESIDUAL_KEYS, run_sweep
+from .sweep import run_sweep
 
 
 def fmt(value: float) -> str:
@@ -204,9 +204,6 @@ def cmd_construct(args) -> int:
     phi = math.radians(args.phi)
     d = construct(t, phi)
     disc = similarity_check(t, d)
-    coincident = (
-        math.hypot(d.gp.x - t.b.x, d.gp.y - t.b.y) <= 1e-9 * t.longest_side()
-    )
     if args.out:
         render_svg(d, args.out)
     if args.json:
@@ -224,7 +221,7 @@ def cmd_construct(args) -> int:
             "ratio_formula_sq_cot_sum": d.ratio_formula,
             "ratio_formula_applies": d.phi == 0.5 * math.pi,
             "similarity_discrepancies_rad": list(disc),
-            "gamma_prime_coincides_with_b": coincident,
+            "gamma_prime_coincides_with_b": d.gamma_prime_on_b,
         }
         if args.out:
             payload["svg"] = args.out
@@ -235,7 +232,7 @@ def cmd_construct(args) -> int:
     print(f"  A':     ({fmt(d.ap.x)}, {fmt(d.ap.y)})")
     print(f"  B':     ({fmt(d.bp.x)}, {fmt(d.bp.y)})")
     print(f"  Gamma': ({fmt(d.gp.x)}, {fmt(d.gp.y)})")
-    if coincident:
+    if d.gamma_prime_on_b:
         print("  note: Gamma' coincides with B")
     print(f"area source:  {fmt(metrics(t).area)}")
     print(f"area derived: {fmt(d.area_derived)}")
@@ -299,7 +296,7 @@ def cmd_sweep(args) -> int:
         print("no samples")
         return 0
     print("max residuals")
-    for key in RESIDUAL_KEYS:
+    for key in CHECK_ORDER:
         print(f"  {key:<22} {fmt(result.max_residuals[key])}")
     argmin = _argmin_payload(result)
     print(f"min cot sum: {fmt(argmin['cot_sum'])}")

@@ -34,6 +34,10 @@ from .identities import cot_sum
 #: rendering and reporting only, never arithmetic.
 CASE_BAND = 1e-9
 
+#: Gamma' counts as coinciding with B when their distance is at most this
+#: fraction of the longest source side.  Like CASE_BAND, it feeds reporting only.
+COINCIDENCE_BAND = 1e-9
+
 
 class AngleCase(enum.Enum):
     """Qualitative picture, determined by angle A."""
@@ -71,6 +75,14 @@ class DerivedConstruction:
     area_derived: float
     ratio_geometric: float
     ratio_formula: float
+
+    @property
+    def gamma_prime_on_b(self) -> bool:
+        """Whether Gamma' coincides with B (within COINCIDENCE_BAND), as when A is right."""
+        b = self.source.b
+        return math.hypot(self.gp.x - b.x, self.gp.y - b.y) <= (
+            COINCIDENCE_BAND * self.source.longest_side()
+        )
 
 
 def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:

@@ -14,10 +14,6 @@ from pathlib import Path
 from .construction import DerivedConstruction
 from .geom import Point2
 
-#: Offset below which Gamma' is annotated as coinciding with B, as a fraction
-#: of the longest source side.
-COINCIDENCE_EPS = 1e-9
-
 
 def _fmt(value: float) -> str:
     return f"{value + 0.0:.6g}"
@@ -109,12 +105,7 @@ def svg_document(d: DerivedConstruction) -> str:
     src_centroid = (sum(p[0] for p in src) / 3.0, sum(p[1] for p in src) / 3.0)
     der_centroid = (sum(p[0] for p in der) / 3.0, sum(p[1] for p in der) / 3.0)
 
-    longest = d.source.longest_side()
-    coincident = (
-        math.hypot(d.gp.x - d.source.b.x, d.gp.y - d.source.b.y)
-        <= COINCIDENCE_EPS * longest
-    )
-    gp_text = "Γ′ = B" if coincident else "Γ′"
+    gp_text = "Γ′ = B" if d.gamma_prime_on_b else "Γ′"
 
     b_flip, g_flip, a_flip = src[1], src[2], src[0]
     lines = [

@@ -119,6 +119,24 @@ def test_verify_json(tmp_path, capsys):
     assert set(payload["residuals"]) == set(payload["tolerances"])
 
 
+def test_verify_far_from_origin_passes(tmp_path, capsys):
+    spec = {"vertices": {"A": [1e8, 1e8], "B": [1e8 + 1, 1e8], "Gamma": [1e8, 1e8 + 1]}}
+    code = main(["verify", write_spec(tmp_path, spec)])
+    assert code == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_verify_zero_computed_angle_exits_two(tmp_path, capsys):
+    # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives A = 0.0.
+    spec = {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
+    code = main(["verify", write_spec(tmp_path, spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_construct_json_matches_frozen_oracle(tmp_path, capsys):
     code = main(["construct", "--json", write_spec(tmp_path, SPEC_VERTICES)])
     assert code == 0
@@ -148,6 +166,7 @@ def test_construct_at_partial_phi(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ratio_formula_applies"] is False
     assert max(payload["similarity_discrepancies_rad"]) < 1e-9
+    assert payload["gamma_prime_coincides_with_b"] is False
 
 
 def test_construct_phi_out_of_range(tmp_path, capsys):

@@ -7,20 +7,21 @@ import pytest
 import perptri.ratio as ratio_mod
 from perptri.construction import AngleCase
 from perptri.geom import metrics
+from perptri.geom import Point2, Triangle
 from perptri.ratio import (
     CHECK_ORDER,
     STRESS_MIN_ANGLE,
     STRESS_TOLERANCE,
     STRICT_TOLERANCES,
-    area_increment_residual,
-    area_quadratic_residual,
-    area_ratio_residual,
-    chain_sum_residual,
-    cot_term_residuals,
     identity_report,
-    squared_sum_expansion_residual,
 )
 from perptri.sampling import triangle_from_angles
+
+COT_TERMS = ("cot_term_a", "cot_term_g", "cot_term_b")
+
+
+def residuals(t):
+    return identity_report(t).residuals
 
 
 def test_check_order_covers_all_tolerance_keys():
@@ -56,38 +57,50 @@ def test_345_chain_values_are_exact(t345):
 
 
 def test_345_residuals_tiny(t345):
-    assert area_ratio_residual(t345) < 1e-12
-    assert area_increment_residual(t345) < 1e-12
-    assert area_quadratic_residual(t345) < 1e-12
-    assert chain_sum_residual(t345) < 1e-12
-    r_a, r_g, r_b = cot_term_residuals(t345)
+    r = residuals(t345)
+    assert r["area_ratio"] < 1e-12
+    assert r["area_increment"] < 1e-12
+    assert r["area_quadratic"] < 1e-12
+    assert r["chain_sum"] < 1e-12
     # cot A is an exact zero and so is the opposing polynomial: 25 = 9 + 16
-    assert r_a == 0.0
-    assert r_g < 1e-13
-    assert r_b < 1e-13
+    assert r["cot_term_a"] == 0.0
+    assert r["cot_term_g"] < 1e-13
+    assert r["cot_term_b"] < 1e-13
 
 
-def test_squared_sum_expansion_exact_on_integers():
+def test_squared_sum_expansion_exact_on_integers(t345):
     # -(50)^2 = -2*(144 + 400 + 225) - (81 + 256 + 625), exactly, in float
-    assert squared_sum_expansion_residual(3.0, 4.0, 5.0) == 0.0
+    assert residuals(t345)["squared_sum_expansion"] == 0.0
 
 
 def test_residuals_tiny_on_all_cases(t345, equilateral, obtuse_iso):
     for t in (t345, equilateral, obtuse_iso):
-        assert area_ratio_residual(t) < 1e-12
-        assert chain_sum_residual(t) < 1e-12
-        assert max(cot_term_residuals(t)) < 1e-12
+        r = residuals(t)
+        assert r["area_ratio"] < 1e-12
+        assert r["chain_sum"] < 1e-12
+        assert max(r[key] for key in COT_TERMS) < 1e-12
 
 
 def test_cot_term_scaling_survives_large_right_triangles():
     # A near-degenerate right triangle at scale 100: both sides of the
     # cot-A identity cancel to roundoff of huge monomials.  The residual
     # must stay at noise level rather than reporting the cancellation.
-    t = triangle_from_angles(1.56, 0.5 * math.pi - 1.56, 100.0)
-    r_a, r_g, r_b = cot_term_residuals(t)
-    assert r_a < 1e-11
-    assert r_g < 1e-11
-    assert r_b < 1e-11
+    r = residuals(triangle_from_angles(1.56, 0.5 * math.pi - 1.56, 100.0))
+    for key in COT_TERMS:
+        assert r[key] < 1e-11
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1e12])
+def test_verdict_does_not_depend_on_position(offset):
+    # The unit right isosceles triangle far from the origin: absolute line
+    # offsets would lose the digits the area ratio needs (1.2e-8 at 1e8).
+    t = Triangle(
+        Point2(offset, offset), Point2(offset + 1.0, offset), Point2(offset, offset + 1.0)
+    )
+    report = identity_report(t)
+    assert report.passed, report.first_failing
+    assert report.case is AngleCase.RIGHT
+    assert report.residuals["area_ratio"] < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,16 @@ def test_all_failing_blames_first_link(t345, monkeypatch):
     )
     report = identity_report(t345)
     assert report.first_failing == CHECK_ORDER[0]
+
+
+def test_nan_residual_fails_the_verdict():
+    # At 1e150 the squared sides overflow and some residuals come out NaN;
+    # the verdict must agree with every residual's own comparison.
+    t = Triangle(Point2(0.0, 0.0), Point2(4e150, 0.0), Point2(0.0, 3e150))
+    report = identity_report(t)
+    within = [report.residuals[k] <= report.tolerances[k] for k in CHECK_ORDER]
+    assert report.passed == all(within)
+    assert report.first_failing == (None if all(within) else CHECK_ORDER[within.index(False)])
 
 
 def test_report_is_frozen(t345):

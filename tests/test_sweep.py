@@ -1,9 +1,9 @@
-"""Vectorized sweeps, and the bridge pinning them to the scalar path.
+"""Vectorized sweeps: the shared identity chain on arrays, and its reductions.
 
-The vectorized evaluator re-implements the scalar formulas with arrays; the
-bridge test below is what makes that duplication safe: every residual and
-every summary value must agree with the one-triangle-at-a-time route to
-near machine precision on a shared mixed-strata sample.  The chunked,
+`evaluate_corpus` and `identity_report` run the same kernel, on arrays and on
+one triangle's floats; the row test below pins the two entries together, and
+holds the sweep's cot sum, ratio and Gamma' offset against the independent
+routes (`identities.cot_sum`, `construction.construct`).  The chunked,
 threaded `run_sweep` is in turn pinned to the one-shot reduction of
 `evaluate_corpus` over the whole corpus, exactly.
 """
@@ -19,7 +19,7 @@ from perptri.identities import cot_sum
 from perptri.ratio import CHECK_ORDER, STRICT_TOLERANCES, identity_report
 from perptri import sweep
 from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
-from perptri.sweep import CHUNK, RESIDUAL_KEYS, evaluate_corpus, run_sweep
+from perptri.sweep import CHUNK, evaluate_corpus, run_sweep
 
 BRIDGE_ABS = 1e-13
 
@@ -39,22 +39,20 @@ def bridge_result(bridge_corpus):
 
 
 def test_residual_keys_complete(bridge_result):
-    assert set(bridge_result.residuals) == set(RESIDUAL_KEYS)
-    assert set(CHECK_ORDER) < set(RESIDUAL_KEYS)
+    assert set(bridge_result.residuals) == set(CHECK_ORDER)
 
 
-def test_bridge_residuals_match_scalar(bridge_corpus, bridge_result):
+def test_verify_matches_sweep_row(bridge_corpus, bridge_result):
+    counts = {"acute": 0, "right": 0, "obtuse": 0}
     for i in range(len(bridge_corpus)):
-        report = identity_report(bridge_corpus.triangle(i))
+        t = bridge_corpus.triangle(i)
+        report = identity_report(t)
         for key in CHECK_ORDER:
             scalar = report.residuals[key]
             vector = float(bridge_result.residuals[key][i])
             assert abs(scalar - vector) < BRIDGE_ABS, (i, key)
+        counts[report.case.value] += 1
 
-
-def test_bridge_values_match_scalar(bridge_corpus, bridge_result):
-    for i in range(len(bridge_corpus)):
-        t = bridge_corpus.triangle(i)
         m = metrics(t)
         d = construct(t)
         total = cot_sum(m.ang_a, m.ang_b, m.ang_g)
@@ -64,12 +62,6 @@ def test_bridge_values_match_scalar(bridge_corpus, bridge_result):
         )
         offset = math.hypot(d.gp.x - t.b.x, d.gp.y - t.b.y) / t.longest_side()
         assert abs(float(bridge_result.gamma_prime_offset[i]) - offset) < 1e-12
-
-
-def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_result):
-    counts = {"acute": 0, "right": 0, "obtuse": 0}
-    for i in range(len(bridge_corpus)):
-        counts[identity_report(bridge_corpus.triangle(i)).case.value] += 1
     assert bridge_result.case_counts == counts
 
 
@@ -81,7 +73,7 @@ def test_sweep_is_deterministic():
     r1 = evaluate_corpus(sample_corpus(200, seed=3))
     r2 = evaluate_corpus(sample_corpus(200, seed=3))
     assert r1.max_residuals == r2.max_residuals
-    for key in RESIDUAL_KEYS:
+    for key in CHECK_ORDER:
         assert np.array_equal(r1.residuals[key], r2.residuals[key])
     assert np.array_equal(r1.cot_sum, r2.cot_sum)
     assert run_sweep(200, seed=3) == run_sweep(200, seed=3)
