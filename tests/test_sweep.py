@@ -1,8 +1,8 @@
 """Vectorized sweeps: the shared identity chain on arrays, and its reductions.
 
 `evaluate_corpus` and `identity_report` run the same kernel, on arrays and on
-one triangle's floats; the row test below pins the two entries together, and
-holds the sweep's cot sum, ratio and Gamma' offset against the independent
+one triangle's floats; the bridge tests below pin the two entries together,
+and hold the sweep's cot sum, ratio and Gamma' offset against the independent
 routes (`identities.cot_sum`, `construction.construct`).  The chunked,
 threaded `run_sweep` is in turn pinned to the one-shot reduction of
 `evaluate_corpus` over the whole corpus, exactly.
@@ -42,17 +42,18 @@ def test_residual_keys_complete(bridge_result):
     assert set(bridge_result.residuals) == set(CHECK_ORDER)
 
 
-def test_verify_matches_sweep_row(bridge_corpus, bridge_result):
-    counts = {"acute": 0, "right": 0, "obtuse": 0}
+def test_bridge_residuals_match_scalar(bridge_corpus, bridge_result):
     for i in range(len(bridge_corpus)):
-        t = bridge_corpus.triangle(i)
-        report = identity_report(t)
+        report = identity_report(bridge_corpus.triangle(i))
         for key in CHECK_ORDER:
             scalar = report.residuals[key]
             vector = float(bridge_result.residuals[key][i])
             assert abs(scalar - vector) < BRIDGE_ABS, (i, key)
-        counts[report.case.value] += 1
 
+
+def test_bridge_values_match_scalar(bridge_corpus, bridge_result):
+    for i in range(len(bridge_corpus)):
+        t = bridge_corpus.triangle(i)
         m = metrics(t)
         d = construct(t)
         total = cot_sum(m.ang_a, m.ang_b, m.ang_g)
@@ -62,6 +63,12 @@ def test_verify_matches_sweep_row(bridge_corpus, bridge_result):
         )
         offset = math.hypot(d.gp.x - t.b.x, d.gp.y - t.b.y) / t.longest_side()
         assert abs(float(bridge_result.gamma_prime_offset[i]) - offset) < 1e-12
+
+
+def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_result):
+    counts = {"acute": 0, "right": 0, "obtuse": 0}
+    for i in range(len(bridge_corpus)):
+        counts[identity_report(bridge_corpus.triangle(i)).case.value] += 1
     assert bridge_result.case_counts == counts
 
 
