@@ -22,7 +22,6 @@ from .errors import (
     DegenerateTriangleError,
     GeometryError,
     NotATriangleError,
-    ParallelLinesError,
     ParseError,
     PhiRangeError,
     ZeroDirectionError,
@@ -41,13 +40,10 @@ from .extremal import (
     slice_min_value,
 )
 from .geom import (
-    Line2,
     Point2,
     Triangle,
     TriangleMetrics,
     angle_at,
-    intersect,
-    line_through_at_angle,
     metrics,
     signed_area,
 )
@@ -55,7 +51,6 @@ from .identities import (
     area_from_cots,
     area_sine,
     cot,
-    cot_double,
     cot_half_angles,
     cot_sum,
     cot_sum_two_angles,
@@ -85,9 +80,7 @@ __all__ = [
     "DerivedConstruction",
     "ExtremalReport",
     "GeometryError",
-    "Line2",
     "NotATriangleError",
-    "ParallelLinesError",
     "ParseError",
     "PhiRangeError",
     "Point2",
@@ -104,7 +97,6 @@ __all__ = [
     "concat_corpora",
     "construct",
     "cot",
-    "cot_double",
     "cot_half_angles",
     "cot_sum",
     "cot_sum_lattice_min",
@@ -116,8 +108,6 @@ __all__ = [
     "golden_section_min",
     "heron_area",
     "identity_report",
-    "intersect",
-    "line_through_at_angle",
     "metrics",
     "minimize_slice",
     "render_svg",

@@ -10,7 +10,8 @@ argument is "-" or omitted) in exactly one of three forms:
 
 Sides are laid out with A at the origin and B at (gamma, 0); the angle form
 places A at the origin and B at (scale, 0).  Angles are degrees at this
-boundary only.  Exit codes: 0 success, 1 verification failure, 2 bad input.
+boundary only.  Exit codes: 0 success, 1 verification failure, 2 bad input,
+3 internal error (any other exception, reported on one line).
 All floating-point text output uses fixed 12-significant-digit formatting so
 identical invocations are byte-identical.
 """
@@ -440,6 +441,9 @@ def main(argv=None) -> int:
     except (ParseError, GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect of the package, not of the input
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,14 +17,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import PhiRangeError
+from .errors import AngleSumError, PhiRangeError
 from .geom import (
-    Line2,
     Point2,
     Triangle,
     angle_at,
-    intersect,
-    line_through_at_angle,
+    derived_vertices,
     metrics,
     signed_area,
 )
@@ -47,15 +45,32 @@ class AngleCase(enum.Enum):
     OBTUSE = "obtuse"    # partial overlap; cot A < 0 compensates in the ratio
 
 
+def angle_cases(ang_a):
+    """Masks (acute, right, obtuse) of angle A, a float or an array; NaN is in none."""
+    off_right = abs(ang_a - 0.5 * math.pi)
+    return (
+        (ang_a < 0.5 * math.pi) & (off_right >= CASE_BAND),
+        off_right < CASE_BAND,
+        (ang_a > 0.5 * math.pi) & (off_right >= CASE_BAND),
+    )
+
+
 def classify_angle(ang_a: float) -> AngleCase:
-    if abs(ang_a - 0.5 * math.pi) < CASE_BAND:
-        return AngleCase.RIGHT
-    return AngleCase.ACUTE if ang_a < 0.5 * math.pi else AngleCase.OBTUSE
+    """The case of one angle A; a NaN angle, which has none, raises AngleSumError."""
+    acute, right, obtuse = angle_cases(ang_a)
+    if not (acute or right or obtuse):
+        raise AngleSumError(f"angle A {ang_a!r} falls in no case")
+    return AngleCase.RIGHT if right else AngleCase.ACUTE if acute else AngleCase.OBTUSE
 
 
 @dataclass(frozen=True)
 class DerivedConstruction:
-    """Three rotated side lines, the triangle they bound, and both ratio routes.
+    """The triangle bounded by three rotated side lines, and both ratio routes.
+
+    ap_rel, bp_rel and gp_rel are A', B' and Gamma' relative to the source's
+    vertex A; every measurement reads them, so it depends on the triangle's
+    shape, not its position.  ap, bp and gp are the same vertices in the
+    source's coordinates, for output.
 
     ratio_geometric is derived area / source area, both measured by shoelace.
     ratio_formula is (cot A + cot B + cot Gamma)^2; the two are equal exactly
@@ -64,12 +79,9 @@ class DerivedConstruction:
     """
 
     source: Triangle
-    line_ab: Line2
-    line_bg: Line2
-    line_ga: Line2
-    ap: Point2
-    bp: Point2
-    gp: Point2
+    ap_rel: Point2
+    bp_rel: Point2
+    gp_rel: Point2
     phi: float
     case: AngleCase
     area_derived: float
@@ -77,10 +89,21 @@ class DerivedConstruction:
     ratio_formula: float
 
     @property
+    def ap(self) -> Point2:
+        return self.ap_rel + self.source.a
+
+    @property
+    def bp(self) -> Point2:
+        return self.bp_rel + self.source.a
+
+    @property
+    def gp(self) -> Point2:
+        return self.gp_rel + self.source.a
+
+    @property
     def gamma_prime_on_b(self) -> bool:
         """Whether Gamma' coincides with B (within COINCIDENCE_BAND), as when A is right."""
-        b = self.source.b
-        return math.hypot(self.gp.x - b.x, self.gp.y - b.y) <= (
+        return self.gp_rel.dist(self.source.b - self.source.a) <= (
             COINCIDENCE_BAND * self.source.longest_side()
         )
 
@@ -96,22 +119,16 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     if not 0.0 < phi <= 0.5 * math.pi:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
     m = metrics(t)
-    line_ab = line_through_at_angle(t.b, t.a, t.b, phi)
-    line_bg = line_through_at_angle(t.g, t.b, t.g, phi)
-    line_ga = line_through_at_angle(t.a, t.g, t.a, phi)
-    ap = intersect(line_ab, line_bg)
-    bp = intersect(line_bg, line_ga)
-    gp = intersect(line_ga, line_ab)
+    b, g = t.b - t.a, t.g - t.a
+    rel = derived_vertices(math.hypot, b.x, b.y, g.x, g.y, math.cos(phi), math.sin(phi))
+    ap, bp, gp = (Point2(x, y) for x, y in rel)
     area_derived = abs(signed_area(ap, bp, gp))
     total = cot_sum(m.ang_a, m.ang_b, m.ang_g)
     return DerivedConstruction(
         source=t,
-        line_ab=line_ab,
-        line_bg=line_bg,
-        line_ga=line_ga,
-        ap=ap,
-        bp=bp,
-        gp=gp,
+        ap_rel=ap,
+        bp_rel=bp,
+        gp_rel=gp,
         phi=phi,
         case=classify_angle(m.ang_a),
         area_derived=area_derived,
@@ -128,9 +145,9 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
     vertex.
     """
     m = metrics(t)
-    ang_ap = angle_at(d.ap, d.bp, d.gp)
-    ang_bp = angle_at(d.bp, d.gp, d.ap)
-    ang_gp = angle_at(d.gp, d.ap, d.bp)
+    ang_ap = angle_at(d.ap_rel, d.bp_rel, d.gp_rel)
+    ang_bp = angle_at(d.bp_rel, d.gp_rel, d.ap_rel)
+    ang_gp = angle_at(d.gp_rel, d.ap_rel, d.bp_rel)
     return (
         abs(ang_ap - m.ang_b),
         abs(ang_bp - m.ang_g),

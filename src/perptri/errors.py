@@ -22,10 +22,6 @@ class ZeroDirectionError(GeometryError):
     """A direction vector with numerically zero length was supplied."""
 
 
-class ParallelLinesError(GeometryError):
-    """Two lines required to intersect are parallel within tolerance."""
-
-
 class AngleSumError(GeometryError):
     """An angle triple does not describe a triangle (range or sum violation)."""
 

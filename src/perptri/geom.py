@@ -1,4 +1,4 @@
-"""Plane geometry primitives: points, lines in normal form, triangles, metrics.
+"""Plane geometry primitives: points, triangles, metrics, the rotated-line step.
 
 Angles are radians everywhere in the library; degrees exist only at the CLI
 boundary.  All arithmetic is plain binary64 floating point -- identities built
@@ -10,14 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTriangleError, ParallelLinesError, ZeroDirectionError
+from .errors import DegenerateTriangleError, ZeroDirectionError
 
 #: A triangle is rejected as degenerate when its area falls below this factor
 #: times the squared longest side (scale invariant: both sides are length^2).
 DEGENERACY_FACTOR = 1e-9
-
-#: Unit-normal cross products below this magnitude count as parallel.
-PARALLEL_EPS = 1e-12
 
 #: Direction vectors shorter than this count as zero.
 ZERO_DIRECTION_EPS = 1e-12
@@ -59,66 +56,37 @@ def signed_area(p: Point2, q: Point2, s: Point2) -> float:
     return 0.5 * cross(p, q, s)
 
 
-@dataclass(frozen=True)
-class Line2:
-    """Infinite line {(x, y) : a*x + b*y = c} with unit normal (a, b)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if abs(self.a * self.a + self.b * self.b - 1.0) > 1e-12:
-            raise ValueError("line coefficients must satisfy a^2 + b^2 = 1")
-
-    @classmethod
-    def through(cls, p: Point2, dx: float, dy: float) -> Line2:
-        """Line through p with direction (dx, dy)."""
-        norm = math.hypot(dx, dy)
-        if norm < ZERO_DIRECTION_EPS:
-            raise ZeroDirectionError("cannot build a line from a zero direction")
-        a = -dy / norm
-        b = dx / norm
-        return cls(a, b, a * p.x + b * p.y)
-
-    def distance_to(self, p: Point2) -> float:
-        """Unsigned distance from p; the unit normal makes the residual metric."""
-        return abs(self.a * p.x + self.b * p.y - self.c)
-
-    def direction(self) -> tuple[float, float]:
-        """A unit direction vector along the line."""
-        return self.b, -self.a
+def _rotated_line(hypot, cos_phi, sin_phi, px, py, dx, dy):
+    """Line (a, b, c) through (px, py) along (dx, dy) turned by phi: unit normal (a, b)."""
+    rx = cos_phi * dx - sin_phi * dy
+    ry = sin_phi * dx + cos_phi * dy
+    norm = hypot(rx, ry)
+    a, b = -ry / norm, rx / norm
+    return a, b, a * px + b * py
 
 
-def rotate_dir(dx: float, dy: float, phi: float) -> tuple[float, float]:
-    """Rotate the vector (dx, dy) by +phi, counterclockwise."""
-    c, s = math.cos(phi), math.sin(phi)
-    return c * dx - s * dy, s * dx + c * dy
+def _crossing(l1, l2):
+    """The point where two lines in normal form cross."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    det = a1 * b2 - a2 * b1
+    return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
 
 
-def line_through_at_angle(p: Point2, tail: Point2, head: Point2, phi: float) -> Line2:
-    """Line through p along the direction tail -> head rotated by +phi.
+def derived_vertices(hypot, bx, by, gx, gy, cos_phi, sin_phi):
+    """A', B' and Gamma' relative to A, for B and Gamma given relative to A.
 
-    Callers are expected to feed counterclockwise-oriented triangles so the
-    positive rotation sense is meaningful; at phi = pi/2 the result is the
-    perpendicular, which is orientation independent.
+    The lines run through B along A->B, through Gamma along B->Gamma and
+    through A along Gamma->A, each direction turned counterclockwise by phi,
+    given as (cos_phi, sin_phi); at phi = pi/2 they are the perpendiculars
+    whatever the orientation.  A' joins the lines at B and Gamma, B' those at
+    Gamma and A, Gamma' those at A and B.  Anchored at A, the line offsets are
+    of the size of the triangle, not of its position.  Coordinates are floats
+    (hypot = math.hypot) or numpy arrays (hypot = np.hypot).
     """
-    dx = head.x - tail.x
-    dy = head.y - tail.y
-    if math.hypot(dx, dy) < ZERO_DIRECTION_EPS:
-        raise ZeroDirectionError("segment endpoints coincide; direction undefined")
-    rx, ry = rotate_dir(dx, dy, phi)
-    return Line2.through(p, rx, ry)
-
-
-def intersect(l1: Line2, l2: Line2) -> Point2:
-    """The unique intersection point of two non-parallel lines."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) < PARALLEL_EPS:
-        raise ParallelLinesError("lines are parallel within tolerance")
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return Point2(x, y)
+    line_ab = _rotated_line(hypot, cos_phi, sin_phi, bx, by, bx, by)
+    line_bg = _rotated_line(hypot, cos_phi, sin_phi, gx, gy, gx - bx, gy - by)
+    line_ga = _rotated_line(hypot, cos_phi, sin_phi, 0.0, 0.0, -gx, -gy)
+    return _crossing(line_ab, line_bg), _crossing(line_bg, line_ga), _crossing(line_ga, line_ab)
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,6 @@ def sixteen_area_squared(alpha: float, beta: float, gamma: float) -> float:
     return 2.0 * (a2 * b2 + b2 * g2 + g2 * a2) - (a2 * a2 + b2 * b2 + g2 * g2)
 
 
-def cot_double(cot_theta: float) -> float:
-    """cot(2 theta) from cot(theta): (cot^2 - 1) / (2 cot)."""
-    if abs(cot_theta) < 1e-300:
-        raise ZeroDivisionError("cot(2 theta) undefined where cot(theta) = 0")
-    return (cot_theta * cot_theta - 1.0) / (2.0 * cot_theta)
-
-
 def cot_half_angles(m: TriangleMetrics) -> tuple[float, float, float]:
     """Half-angle cotangents in radical form.
 

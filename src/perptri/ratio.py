@@ -43,7 +43,7 @@ import numpy as np
 
 from .construction import AngleCase, classify_angle
 from .errors import AngleSumError, NotATriangleError
-from .geom import Triangle, TriangleMetrics, clamp_unit
+from .geom import Triangle, TriangleMetrics, clamp_unit, derived_vertices
 from .identities import RIGHT_ANGLE_BAND
 
 #: Strict (main-tier) tolerance per named residual, in the order in which
@@ -112,21 +112,6 @@ def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
     return abs(lhs - rhs) / (1.0 + dominant)
 
 
-def _perpendicular(hypot, px, py, dx, dy):
-    """Line (a, b, c) through (px, py) with unit normal along (dx, dy): exactly perpendicular."""
-    norm = hypot(dx, dy)
-    a = dx / norm
-    b = dy / norm
-    return a, b, a * px + b * py
-
-
-def _meet(l1, l2):
-    """Intersection of two lines in normal form (same formula as geom.intersect)."""
-    (a1, b1, c1), (a2, b2, c2) = l1, l2
-    det = a1 * b2 - a2 * b1
-    return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
-
-
 @dataclass(frozen=True)
 class IdentityChain:
     """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER."""
@@ -171,14 +156,8 @@ def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
     csum = cot_a + cot_b + cot_g
 
     # Geometric route: the perpendicular through B to AB, through Gamma to
-    # B-Gamma and through A to Gamma-A.  A' joins the lines at B and Gamma,
-    # B' those at Gamma and A, Gamma' those at A and B.
-    line_ab = _perpendicular(hypot, bx, by, bx, by)
-    line_bg = _perpendicular(hypot, gx, gy, gx - bx, gy - by)
-    line_ga = _perpendicular(hypot, 0.0, 0.0, -gx, -gy)
-    apx, apy = _meet(line_ab, line_bg)
-    bpx, bpy = _meet(line_bg, line_ga)
-    gpx, gpy = _meet(line_ga, line_ab)
+    # B-Gamma and through A to Gamma-A, with (cos, sin) of pi/2 exact.
+    (apx, apy), (bpx, bpy), (gpx, gpy) = derived_vertices(hypot, bx, by, gx, gy, 0.0, 1.0)
     area_derived = 0.5 * abs((bpx - apx) * (gpy - apy) - (bpy - apy) * (gpx - apx))
     ratio_geometric = area_derived / area
     ratio_formula = csum * csum

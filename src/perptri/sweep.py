@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .construction import CASE_BAND
+from .construction import AngleCase, angle_cases
 from .ratio import CHECK_ORDER, identity_chain
 from .sampling import DELTA_MAIN, TriangleCorpus, sample_corpus
 
@@ -73,12 +73,9 @@ def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
     zeros = np.zeros(len(corpus))
     chain = identity_chain(zeros, zeros, bx, zeros, gx, gy)
 
-    ang_a = chain.metrics.ang_a
-    near_right = np.abs(ang_a - 0.5 * math.pi) < CASE_BAND
     case_counts = {
-        "acute": int(np.count_nonzero(~near_right & (ang_a < 0.5 * math.pi))),
-        "right": int(np.count_nonzero(near_right)),
-        "obtuse": int(np.count_nonzero(~near_right & (ang_a > 0.5 * math.pi))),
+        case.value: int(np.count_nonzero(mask))
+        for case, mask in zip(AngleCase, angle_cases(chain.metrics.ang_a))
     }
 
     return SweepResult(

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -273,3 +275,20 @@ def test_invalid_json_exits_two(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["metrics", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# an unexpected exception is an internal error: exit 3, never 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_unexpected_exception_exits_three(scale):
+    # At 1e200 the squared sides overflow in Triangle, at 1e-200 the
+    # law-of-cosines denominators underflow to zero.
+    doc = {"vertices": {"A": [0, 0], "B": [4 * scale, 0], "Gamma": [0, 3 * scale]}}
+    run = subprocess.run([sys.executable, "-m", "perptri", "verify", "-"],
+                         input=json.dumps(doc), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: internal: ")
+    assert run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr

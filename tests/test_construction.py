@@ -2,17 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perptri.construction import (
     AngleCase,
+    angle_cases,
     classify_angle,
     construct,
     similarity_check,
 )
-from perptri.errors import PhiRangeError
+from perptri.errors import AngleSumError, PhiRangeError
 from perptri.geom import Point2, Triangle, metrics
 
 SQRT3 = math.sqrt(3.0)
@@ -24,6 +26,21 @@ def test_classify_angle():
     assert classify_angle(HALF_PI) is AngleCase.RIGHT
     assert classify_angle(HALF_PI + 1e-12) is AngleCase.RIGHT
     assert classify_angle(2.0) is AngleCase.OBTUSE
+
+
+def test_angle_cases_arrays_match_classify_angle():
+    angles = np.array([1.0, HALF_PI - 2e-9, HALF_PI - 1e-12, HALF_PI, HALF_PI + 1e-12, 2.0])
+    masks = np.array(angle_cases(angles))
+    assert (masks.sum(axis=0) == 1).all()
+    for column, ang in zip(masks.T, angles):
+        assert list(AngleCase)[int(np.argmax(column))] is classify_angle(float(ang))
+
+
+def test_nan_angle_is_in_no_case():
+    # A NaN angle is not counted by the sweep and has no scalar case either.
+    assert not np.array(angle_cases(np.array([math.nan]))).any()
+    with pytest.raises(AngleSumError):
+        classify_angle(math.nan)
 
 
 def test_phi_out_of_range_raises(t345):
@@ -78,29 +95,69 @@ def test_obtuse_case_120_30_30(obtuse_iso):
     assert d.ratio_formula == pytest.approx(25.0 / 3.0, rel=1e-12)
 
 
+def _rotated(dx: float, dy: float, phi: float) -> tuple[float, float]:
+    return math.cos(phi) * dx - math.sin(phi) * dy, math.sin(phi) * dx + math.cos(phi) * dy
+
+
+def _distance_to_perpendicular(p: Point2, anchor: Point2, side: Point2) -> float:
+    # The perpendicular to `side` through `anchor` has unit normal side / |side|.
+    return abs((p.x - anchor.x) * side.x + (p.y - anchor.y) * side.y) / math.hypot(side.x, side.y)
+
+
 def test_lines_pass_through_their_anchors(t345):
+    # At the default phi = pi/2 each line is the perpendicular to a side
+    # through its anchor; every derived vertex sits on both of its lines.
     d = construct(t345)
     scale = t345.longest_side()
-    assert d.line_ab.distance_to(t345.b) < 1e-13 * scale
-    assert d.line_bg.distance_to(t345.g) < 1e-13 * scale
-    assert d.line_ga.distance_to(t345.a) < 1e-13 * scale
-    # each derived vertex sits on both of its defining lines
-    assert d.line_ab.distance_to(d.ap) < 1e-12 * scale
-    assert d.line_bg.distance_to(d.ap) < 1e-12 * scale
-    assert d.line_bg.distance_to(d.bp) < 1e-12 * scale
-    assert d.line_ga.distance_to(d.bp) < 1e-12 * scale
-    assert d.line_ga.distance_to(d.gp) < 1e-12 * scale
-    assert d.line_ab.distance_to(d.gp) < 1e-12 * scale
+    ab, bg, ga = t345.b - t345.a, t345.g - t345.b, t345.a - t345.g
+    assert _distance_to_perpendicular(d.ap, t345.b, ab) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.ap, t345.g, bg) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.bp, t345.g, bg) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.bp, t345.a, ga) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.gp, t345.a, ga) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.gp, t345.b, ab) < 1e-12 * scale
 
 
 def test_perpendicularity_at_phi_90(equilateral):
+    # A' and Gamma' share the line anchored at B, which at phi = pi/2 is
+    # perpendicular to AB.
     d = construct(equilateral)
-    side = (
-        equilateral.b.x - equilateral.a.x,
-        equilateral.b.y - equilateral.a.y,
-    )
-    dx, dy = d.line_ab.direction()
-    assert abs(side[0] * dx + side[1] * dy) < 1e-14
+    side = equilateral.b - equilateral.a
+    dx, dy = d.gp.x - d.ap.x, d.gp.y - d.ap.y
+    norm = math.hypot(dx, dy)
+    assert abs(side.x * dx + side.y * dy) / norm < 1e-14
+
+
+@pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 4, math.pi / 3, 1.0, HALF_PI])
+def test_derived_vertices_lie_on_their_rotated_lines(t345, equilateral, obtuse_iso, phi):
+    # Each line runs through its anchor along a side turned by phi; at
+    # phi = pi/2 that is the perpendicular to the side.
+    for t in (t345, equilateral, obtuse_iso):
+        d = construct(t, phi)
+        bound = 1e-12 * t.longest_side() ** 2
+        lines = (
+            (t.b, _rotated(t.b.x - t.a.x, t.b.y - t.a.y, phi), (d.ap, d.gp)),
+            (t.g, _rotated(t.g.x - t.b.x, t.g.y - t.b.y, phi), (d.ap, d.bp)),
+            (t.a, _rotated(t.a.x - t.g.x, t.a.y - t.g.y, phi), (d.bp, d.gp)),
+        )
+        for anchor, (ux, uy), on_line in lines:
+            for p in on_line:
+                assert abs((p.x - anchor.x) * uy - (p.y - anchor.y) * ux) <= bound
+
+
+@pytest.mark.parametrize("phi", [math.pi / 3, HALF_PI])
+def test_construction_does_not_depend_on_position(phi):
+    # Offsets are whole multiples of the base 4, so every shifted vertex is
+    # exact and the shifted triangles have exactly the same shape.
+    base = construct(Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 3.0)), phi)
+    for k in (0.0, 1e6, 1e8, 1e12):
+        dx, dy = 4.0 * k, -8.0 * k
+        t = Triangle(Point2(dx, dy), Point2(dx + 4.0, dy), Point2(dx + 1.0, dy + 3.0))
+        d = construct(t, phi)
+        for name in ("ap_rel", "bp_rel", "gp_rel"):
+            got, want = getattr(d, name), getattr(base, name)
+            assert got.dist(want) <= 1e-12 * math.hypot(want.x, want.y)
+        assert max(similarity_check(t, d)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,20 @@
-"""Geometry primitives: points, lines, intersections, triangle metrics."""
+"""Geometry primitives: points, the rotated-line step, triangle metrics."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perptri.errors import (
-    DegenerateTriangleError,
-    ParallelLinesError,
-    ZeroDirectionError,
-)
+from perptri.errors import DegenerateTriangleError, ZeroDirectionError
 from perptri.geom import (
-    Line2,
     Point2,
     Triangle,
     angle_at,
     clamp_unit,
     cross,
-    intersect,
-    line_through_at_angle,
+    derived_vertices,
     metrics,
     signed_area,
 )
@@ -61,73 +56,30 @@ def test_clamp_unit():
 
 
 # ---------------------------------------------------------------------------
-# lines
+# the rotated-line step
 # ---------------------------------------------------------------------------
 
-def test_line_constructor_requires_unit_normal():
-    with pytest.raises(ValueError):
-        Line2(1.0, 1.0, 0.0)
+def test_derived_vertices_at_phi_90_345():
+    # The perpendiculars to AB at B (x = 4), to A-Gamma at A (y = 0) and to
+    # B-Gamma at Gamma (4x - 3y = -9) meet in A' = (4, 25/3), B' = (-9/4, 0)
+    # and Gamma' = B = (4, 0).
+    ap, bp, gp = derived_vertices(math.hypot, 4.0, 0.0, 0.0, 3.0, 0.0, 1.0)
+    assert ap == pytest.approx((4.0, 25.0 / 3.0), abs=1e-14)
+    assert bp == pytest.approx((-2.25, 0.0), abs=1e-14)
+    assert gp == pytest.approx((4.0, 0.0), abs=1e-14)
 
 
-def test_vertical_line_through_point():
-    # Direction (0, 1) through (4, 0): the line x = 4 as -x = -4.
-    line = Line2.through(Point2(4.0, 0.0), 0.0, 1.0)
-    assert (line.a, line.b, line.c) == (-1.0, 0.0, -4.0)
-    assert line.distance_to(Point2(5.0, 7.0)) == 1.0
-    assert line.distance_to(Point2(4.0, -3.0)) == 0.0
-
-
-def test_line_direction_is_unit_and_parallel():
-    line = Line2.through(Point2(1.0, 2.0), 3.0, 4.0)
-    dx, dy = line.direction()
-    assert math.hypot(dx, dy) == pytest.approx(1.0, abs=1e-15)
-    # direction must be orthogonal to the normal
-    assert abs(line.a * dx + line.b * dy) < 1e-15
-
-
-def test_zero_direction_raises():
-    with pytest.raises(ZeroDirectionError):
-        Line2.through(Point2(0.0, 0.0), 0.0, 0.0)
-    with pytest.raises(ZeroDirectionError):
-        line_through_at_angle(
-            Point2(1.0, 1.0), Point2(2.0, 2.0), Point2(2.0, 2.0), 0.5
-        )
-
-
-def test_line_at_sixty_degrees():
-    # Through B = (4,0), direction A->B = (4,0) rotated by 60 degrees is
-    # (2, 2*sqrt(3)); normal form coefficients follow directly.
-    line = line_through_at_angle(
-        Point2(4.0, 0.0), Point2(0.0, 0.0), Point2(4.0, 0.0), math.pi / 3.0
-    )
-    assert line.a == pytest.approx(-SQRT3 / 2.0, abs=1e-15)
-    assert line.b == pytest.approx(0.5, abs=1e-15)
-    assert line.c == pytest.approx(-2.0 * SQRT3, abs=1e-14)
-    assert line.distance_to(Point2(4.0, 0.0)) < 1e-14
-
-
-def test_intersect_perpendicular_axes():
-    vertical = Line2.through(Point2(4.0, 0.0), 0.0, 1.0)
-    horizontal = Line2.through(Point2(0.0, 0.0), 1.0, 0.0)
-    p = intersect(vertical, horizontal)
-    assert p == Point2(4.0, 0.0)
-
-
-def test_intersect_oblique():
-    # x = 1 meets the line through the origin with direction (sqrt(3), -1)
-    # at (1, -1/sqrt(3)).
-    vertical = Line2.through(Point2(1.0, 0.0), 0.0, 1.0)
-    oblique = Line2.through(Point2(0.0, 0.0), SQRT3, -1.0)
-    p = intersect(vertical, oblique)
-    assert p.x == pytest.approx(1.0, abs=1e-15)
-    assert p.y == pytest.approx(-1.0 / SQRT3, abs=1e-15)
-
-
-def test_parallel_lines_raise():
-    l1 = Line2.through(Point2(0.0, 0.0), 1.0, 0.0)
-    l2 = Line2.through(Point2(0.0, 1.0), 1.0, 0.0)
-    with pytest.raises(ParallelLinesError):
-        intersect(l1, l2)
+def test_derived_vertices_arrays_match_floats():
+    # One routine serves one triangle's floats and a corpus's arrays.
+    rng = np.random.default_rng(3)
+    bx, by, gx, gy = rng.uniform(-5.0, 5.0, (4, 200))
+    for phi in (math.pi / 6, 1.0, 0.5 * math.pi):
+        c, s = math.cos(phi), math.sin(phi)
+        arrays = derived_vertices(np.hypot, bx, by, gx, gy, c, s)
+        for i in range(200):
+            floats = derived_vertices(math.hypot, bx[i], by[i], gx[i], gy[i], c, s)
+            for (x, y), (xs, ys) in zip(floats, arrays):
+                assert (x, y) == pytest.approx((xs[i], ys[i]), rel=1e-15, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from perptri.identities import (
     area_from_cots,
     area_sine,
     cot,
-    cot_double,
     cot_half_angles,
     cot_sum,
     cot_sum_two_angles,
@@ -70,19 +69,6 @@ def test_sixteen_area_squared_345():
 
 def test_sixteen_area_squared_negative_for_bad_sides():
     assert sixteen_area_squared(1.0, 1.0, 3.0) < 0.0
-
-
-class TestCotDouble:
-    def test_halving_sixty(self):
-        # cot(30 deg) = sqrt(3) feeds out cot(60 deg) = 1/sqrt(3).
-        assert cot_double(SQRT3) == pytest.approx(1.0 / SQRT3, abs=1e-15)
-
-    def test_forty_five(self):
-        assert cot_double(1.0) == 0.0
-
-    def test_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            cot_double(0.0)
 
 
 def test_cot_half_angles_345(t345):
