@@ -3,20 +3,14 @@
 The package never trusts a single formula: the shoelace value (pure
 coordinate geometry) is cross-checked against Heron's radical, the
 polynomial form of 16 E^2, the cotangent-sum formula, and the two-sides-
-and-included-angle sine formula.
+and-included-angle sine formula.  The identity chain computes all five and
+returns them by name.
 """
 
 import math
 
-from perptri import (
-    Point2,
-    Triangle,
-    area_from_cots,
-    area_sine,
-    heron_area,
-    metrics,
-    sixteen_area_squared,
-)
+from perptri import Point2, Triangle
+from perptri.ratio import identity_chain
 
 TRIANGLES = {
     "right 3-4-5": Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3)),
@@ -28,18 +22,12 @@ TRIANGLES = {
 
 def main() -> None:
     for name, t in TRIANGLES.items():
-        m = metrics(t)
-        routes = {
-            "shoelace": m.area,
-            "heron": heron_area(m.alpha, m.beta, m.gamma),
-            "16E^2 polynomial": math.sqrt(sixteen_area_squared(m.alpha, m.beta, m.gamma)) / 4,
-            "cotangent sum": area_from_cots(m),
-            "sine formula": area_sine(m.beta, m.gamma, m.ang_a),
-        }
+        chain = identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
+        m, areas = chain.metrics, chain.areas
         print(f"{name}  (alpha={m.alpha:.6g}, beta={m.beta:.6g}, gamma={m.gamma:.6g})")
-        for label, value in routes.items():
+        for label, value in areas.items():
             print(f"    {label:<18} {value:.15g}")
-        spread = max(routes.values()) - min(routes.values())
+        spread = max(areas.values()) - min(areas.values())
         print(f"    spread: {spread:.3e}")
         print()
 

@@ -24,7 +24,6 @@ from .errors import (
     NotATriangleError,
     ParseError,
     PhiRangeError,
-    ZeroDirectionError,
 )
 from .extremal import (
     ExtremalReport,
@@ -43,19 +42,8 @@ from .geom import (
     Point2,
     Triangle,
     TriangleMetrics,
-    angle_at,
     metrics,
     signed_area,
-)
-from .identities import (
-    area_from_cots,
-    area_sine,
-    cot,
-    cot_half_angles,
-    cot_sum,
-    cot_sum_two_angles,
-    heron_area,
-    sixteen_area_squared,
 )
 from .ratio import VerifyReport, identity_report
 from .sampling import (
@@ -89,24 +77,15 @@ __all__ = [
     "TriangleCorpus",
     "TriangleMetrics",
     "VerifyReport",
-    "ZeroDirectionError",
-    "angle_at",
-    "area_from_cots",
-    "area_sine",
     "classify_angle",
     "concat_corpora",
     "construct",
-    "cot",
-    "cot_half_angles",
-    "cot_sum",
     "cot_sum_lattice_min",
     "cot_sum_slice",
     "cot_sum_slice_deriv",
-    "cot_sum_two_angles",
     "evaluate_corpus",
     "global_cot_sum_min",
     "golden_section_min",
-    "heron_area",
     "identity_report",
     "metrics",
     "minimize_slice",
@@ -117,7 +96,6 @@ __all__ = [
     "sample_corpus",
     "signed_area",
     "similarity_check",
-    "sixteen_area_squared",
     "slice_argmin",
     "slice_min_value",
     "svg_document",

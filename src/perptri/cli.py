@@ -24,15 +24,14 @@ import math
 import sys
 
 from .construction import AngleCase, construct, similarity_check
-from .errors import GeometryError, ParseError
+from .errors import GeometryError, NotATriangleError, ParseError
 from .extremal import (
     global_cot_sum_min,
     minimize_slice,
     right_triangle_min,
 )
-from .geom import Point2, Triangle, clamp_unit, metrics
-from .identities import area_from_cots, area_sine, heron_area, sixteen_area_squared
-from .ratio import CHECK_ORDER, identity_report
+from .geom import Point2, Triangle, clamp_unit
+from .ratio import CHECK_ORDER, identity_chain, identity_report
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
 from .sweep import run_sweep
@@ -51,9 +50,20 @@ def _require(condition: bool, message: str) -> None:
 def _as_number(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{name} must be a number")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an integer too large for a float
+        result = math.inf
     _require(math.isfinite(result), f"{name} must be finite")
     return result
+
+
+def non_negative_int(text: str) -> int:
+    """The value of --n: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"n must be non-negative, got {n}")
+    return n
 
 
 def _as_point(value, name: str) -> Point2:
@@ -89,7 +99,10 @@ def triangle_from_spec(doc) -> Triangle:
         beta = _as_number(body["beta"], "beta")
         gamma = _as_number(body["gamma"], "gamma")
         _require(min(alpha, beta, gamma) > 0.0, "side lengths must be positive")
-        heron_area(alpha, beta, gamma)  # raises NotATriangleError when impossible
+        if not max(alpha, beta, gamma) < 0.5 * (alpha + beta + gamma):
+            raise NotATriangleError(
+                f"sides ({alpha}, {beta}, {gamma}) violate the strict triangle inequality"
+            )
         cos_a = clamp_unit((beta**2 + gamma**2 - alpha**2) / (2.0 * beta * gamma))
         ang_a = math.acos(cos_a)
         return Triangle(
@@ -110,14 +123,17 @@ def triangle_from_spec(doc) -> Triangle:
 
 
 def load_triangle(spec_arg: str | None) -> Triangle:
-    if spec_arg in (None, "-"):
-        raw = sys.stdin.read()
-    else:
-        with open(spec_arg, "r", encoding="utf-8") as handle:
-            raw = handle.read()
+    try:
+        if spec_arg in (None, "-"):
+            raw = sys.stdin.read()
+        else:
+            with open(spec_arg, "r", encoding="utf-8") as handle:
+                raw = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"specification is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, > 4300 digits, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     return triangle_from_spec(doc)
 
@@ -128,17 +144,8 @@ def _emit_json(payload) -> None:
 
 def cmd_metrics(args) -> int:
     t = load_triangle(args.spec)
-    m = metrics(t)
-    areas = {
-        "shoelace": m.area,
-        "heron": heron_area(m.alpha, m.beta, m.gamma),
-        "sixteen_sq_poly": math.sqrt(
-            max(sixteen_area_squared(m.alpha, m.beta, m.gamma), 0.0)
-        )
-        / 4.0,
-        "cot_formula": area_from_cots(m),
-        "sine_formula": area_sine(m.beta, m.gamma, m.ang_a),
-    }
+    chain = identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
+    m, areas = chain.metrics, chain.areas
     if args.json:
         _emit_json(
             {
@@ -216,7 +223,7 @@ def cmd_construct(args) -> int:
                 "B_prime": [d.bp.x, d.bp.y],
                 "Gamma_prime": [d.gp.x, d.gp.y],
             },
-            "area_source": metrics(t).area,
+            "area_source": d.metrics.area,
             "area_derived": d.area_derived,
             "ratio_geometric": d.ratio_geometric,
             "ratio_formula_sq_cot_sum": d.ratio_formula,
@@ -235,7 +242,7 @@ def cmd_construct(args) -> int:
     print(f"  Gamma': ({fmt(d.gp.x)}, {fmt(d.gp.y)})")
     if d.gamma_prime_on_b:
         print("  note: Gamma' coincides with B")
-    print(f"area source:  {fmt(metrics(t).area)}")
+    print(f"area source:  {fmt(d.metrics.area)}")
     print(f"area derived: {fmt(d.area_derived)}")
     print(f"ratio (geometric): {fmt(d.ratio_geometric)}")
     if d.phi == 0.5 * math.pi:
@@ -382,8 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
             "Derived triangles from rotated side lines: metrics, identity "
             "verification, extremal values, figures."
         ),
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # An invalid option value raises ArgumentError, which main reports as bad input.
+    def add_parser(name, help):
+        return sub.add_parser(name, help=help, exit_on_error=False)
 
     def add_spec(p):
         p.add_argument(
@@ -396,36 +408,37 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("metrics", help="sides, angles, and area by five routes")
+    p = add_parser("metrics", help="sides, angles, and area by five routes")
     add_spec(p)
     add_json(p)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("verify", help="check every identity residual for one triangle")
+    p = add_parser("verify", help="check every identity residual for one triangle")
     add_spec(p)
     add_json(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("construct", help="build the derived triangle")
+    p = add_parser("construct", help="build the derived triangle")
     add_spec(p)
     add_json(p)
     p.add_argument("--phi", type=float, default=90.0, help="rotation angle in degrees (default 90)")
     p.add_argument("--out", help="also write an SVG figure to this path")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("sweep", help="residual sweep over a seeded random corpus")
+    p = add_parser("sweep", help="residual sweep over a seeded random corpus")
     add_json(p)
-    p.add_argument("--n", type=int, default=1000, help="number of triangles (default 1000)")
+    p.add_argument("--n", type=non_negative_int, default=1000,
+                   help="number of triangles (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--stratum", choices=STRATA, default="all", help="angle-A stratum")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("minimize", help="extremal values of the ratio")
+    p = add_parser("minimize", help="extremal values of the ratio")
     add_json(p)
     p.add_argument("--right", action="store_true", help="restrict to right triangles")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("render", help="write an SVG figure of the construction")
+    p = add_parser("render", help="write an SVG figure of the construction")
     add_spec(p)
     p.add_argument("--phi", type=float, default=90.0, help="rotation angle in degrees (default 90)")
     p.add_argument("--out", required=True, help="output SVG path")
@@ -435,10 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, GeometryError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, ParseError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect of the package, not of the input

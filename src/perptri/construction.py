@@ -19,14 +19,15 @@ from dataclasses import dataclass
 
 from .errors import AngleSumError, PhiRangeError
 from .geom import (
+    MATH,
     Point2,
     Triangle,
-    angle_at,
+    TriangleMetrics,
+    anchored_metrics,
+    cot,
     derived_vertices,
-    metrics,
     signed_area,
 )
-from .identities import cot_sum
 
 #: Half-width of the angle-A band classified as right.  Classification feeds
 #: rendering and reporting only, never arithmetic.
@@ -35,6 +36,9 @@ CASE_BAND = 1e-9
 #: Gamma' counts as coinciding with B when their distance is at most this
 #: fraction of the longest source side.  Like CASE_BAND, it feeds reporting only.
 COINCIDENCE_BAND = 1e-9
+
+#: MATH without the zero-angle guard, for measuring A'B'Gamma'.
+_UNGUARDED = MATH._replace(require=lambda ok, error: None)
 
 
 class AngleCase(enum.Enum):
@@ -67,10 +71,10 @@ def classify_angle(ang_a: float) -> AngleCase:
 class DerivedConstruction:
     """The triangle bounded by three rotated side lines, and both ratio routes.
 
-    ap_rel, bp_rel and gp_rel are A', B' and Gamma' relative to the source's
-    vertex A; every measurement reads them, so it depends on the triangle's
-    shape, not its position.  ap, bp and gp are the same vertices in the
-    source's coordinates, for output.
+    metrics are the source's, measured from its vertex A.  ap_rel, bp_rel and
+    gp_rel are A', B' and Gamma' relative to that vertex; every measurement
+    reads them, so it depends on the triangle's shape, not its position.  ap,
+    bp and gp are the same vertices in the source's coordinates, for output.
 
     ratio_geometric is derived area / source area, both measured by shoelace.
     ratio_formula is (cot A + cot B + cot Gamma)^2; the two are equal exactly
@@ -79,6 +83,7 @@ class DerivedConstruction:
     """
 
     source: Triangle
+    metrics: TriangleMetrics
     ap_rel: Point2
     bp_rel: Point2
     gp_rel: Point2
@@ -118,14 +123,15 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     """
     if not 0.0 < phi <= 0.5 * math.pi:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
-    m = metrics(t)
     b, g = t.b - t.a, t.g - t.a
+    m = anchored_metrics(MATH, b.x, b.y, g.x, g.y)
     rel = derived_vertices(math.hypot, b.x, b.y, g.x, g.y, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
     area_derived = abs(signed_area(ap, bp, gp))
-    total = cot_sum(m.ang_a, m.ang_b, m.ang_g)
+    total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
     return DerivedConstruction(
         source=t,
+        metrics=m,
         ap_rel=ap,
         bp_rel=bp,
         gp_rel=gp,
@@ -142,14 +148,15 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
 
     All three are zero in exact arithmetic for every phi in (0, pi/2]; the
     construction only shifts which original angle shows up at which derived
-    vertex.
+    vertex.  A'B'Gamma' is measured by the metrics routine anchored at A' and
+    compared with d.metrics, the metrics of t that construct measured.  A
+    derived angle that rounds to 0 is a discrepancy to report, not an error.
     """
-    m = metrics(t)
-    ang_ap = angle_at(d.ap_rel, d.bp_rel, d.gp_rel)
-    ang_bp = angle_at(d.bp_rel, d.gp_rel, d.ap_rel)
-    ang_gp = angle_at(d.gp_rel, d.ap_rel, d.bp_rel)
+    ap, bp, gp = d.ap_rel, d.bp_rel, d.gp_rel
+    derived = anchored_metrics(_UNGUARDED, bp.x - ap.x, bp.y - ap.y, gp.x - ap.x, gp.y - ap.y)
+    m = d.metrics
     return (
-        abs(ang_ap - m.ang_b),
-        abs(ang_bp - m.ang_g),
-        abs(ang_gp - m.ang_a),
+        abs(derived.ang_a - m.ang_b),
+        abs(derived.ang_b - m.ang_g),
+        abs(derived.ang_g - m.ang_a),
     )

@@ -1,8 +1,10 @@
 """Exception types raised by the geometry and identity layers.
 
 Everything derives from ValueError so callers that do not care about the
-fine-grained cause can catch one base class; the CLI maps any of these to
-exit code 2 (bad input) with a single-line diagnostic.
+fine-grained cause can catch one base class.  The CLI maps GeometryError and
+ParseError to exit code 2 (bad input) with a single-line diagnostic; any
+other exception, a plain ValueError included, is a defect of the package and
+exits 3.
 """
 
 
@@ -16,10 +18,6 @@ class DegenerateTriangleError(GeometryError):
 
 class NotATriangleError(GeometryError):
     """Side lengths violate the strict triangle inequality."""
-
-
-class ZeroDirectionError(GeometryError):
-    """A direction vector with numerically zero length was supplied."""
 
 
 class AngleSumError(GeometryError):

@@ -1,6 +1,7 @@
 """Extremal values of the cotangent sum, hence of the derived-area ratio.
 
-Write the sum through two base angles (see identities.cot_sum_two_angles) and
+Write the sum through two acute base angles B, Gamma as
+(cot^2 B + cot B cot Gamma + cot^2 Gamma + 1) / (cot B + cot Gamma) and
 hold one cotangent fixed at k > 0.  The resulting one-variable slice
 
     g_k(x) = (cot^2 x + k cot x + k^2 + 1) / (cot x + k),   0 < x < pi/2,

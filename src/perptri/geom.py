@@ -3,26 +3,65 @@
 Angles are radians everywhere in the library; degrees exist only at the CLI
 boundary.  All arithmetic is plain binary64 floating point -- identities built
 on these primitives are verified to tolerance, never symbolically.
+
+`anchored_metrics`, `cot` and `derived_vertices` work on coordinates relative
+to vertex A, given as floats or as numpy arrays; an `Ops` namespace, `MATH`
+or `NUMPY`, supplies the elementary functions for either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import DegenerateTriangleError, ZeroDirectionError
+import numpy as np
+
+from .errors import AngleSumError, DegenerateTriangleError, GeometryError
 
 #: A triangle is rejected as degenerate when its area falls below this factor
 #: times the squared longest side (scale invariant: both sides are length^2).
 DEGENERACY_FACTOR = 1e-9
 
-#: Direction vectors shorter than this count as zero.
-ZERO_DIRECTION_EPS = 1e-12
+#: Angles within this band of pi/2 have a cotangent of exactly 0.0 (their
+#: cosine would otherwise be roundoff noise of either sign).
+RIGHT_ANGLE_BAND = 1e-12
 
 
 def clamp_unit(value: float) -> float:
     """Clamp into [-1, 1]; guards acos against roundoff just outside range."""
     return max(-1.0, min(1.0, value))
+
+
+#: The elementary functions the float and array routines use beyond arithmetic
+#: operators: acos clips into [-1, 1] first, max and min are n-ary and
+#: elementwise, and require(ok, error) raises error() unless ok.
+Ops = namedtuple("Ops", "hypot acos cos sin sqrt where max min require")
+
+
+def _require(ok: bool, error: Callable[[], Exception]) -> None:
+    if not ok:
+        raise error()
+
+
+MATH = Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, math.sqrt,
+           lambda cond, yes, no: yes if cond else no, max, min, _require)
+
+# Arrays carry inf or NaN where one triangle would raise, as numpy does.
+NUMPY = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
+            np.where, lambda *xs: functools.reduce(np.maximum, xs),
+            lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
+
+
+def cot(ops: Ops, x):
+    """Cotangent as cos/sin, exactly zero within RIGHT_ANGLE_BAND of pi/2.
+
+    cos/sin keeps the correct sign through the obtuse branch; 1/tan would
+    blow up at pi/2 where the cotangent is merely zero.
+    """
+    return ops.where(abs(x - 0.5 * math.pi) < RIGHT_ANGLE_BAND, 0.0, ops.cos(x) / ops.sin(x))
 
 
 @dataclass(frozen=True)
@@ -34,7 +73,7 @@ class Point2:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x!r}, {self.y!r})")
+            raise GeometryError(f"non-finite point ({self.x!r}, {self.y!r})")
 
     def __sub__(self, other: Point2) -> Point2:
         return Point2(self.x - other.x, self.y - other.y)
@@ -146,26 +185,28 @@ class TriangleMetrics:
     area: float
 
 
-def metrics(t: Triangle) -> TriangleMetrics:
-    """Side lengths by distance, angles by the Law of Cosines (acos clamped)."""
-    alpha = t.b.dist(t.g)
-    beta = t.g.dist(t.a)
-    gamma = t.a.dist(t.b)
+def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
+    """Metrics of the triangle A, B, Gamma from B and Gamma relative to A.
+
+    Sides by hypot, angles by the Law of Cosines (acos clipped), area by the
+    shoelace formula.  ops.require raises AngleSumError when a computed angle
+    is 0 (cos rounded to 1), before anything divides by its sine.
+    """
+    alpha = ops.hypot(gx - bx, gy - by)
+    beta = ops.hypot(gx, gy)
+    gamma = ops.hypot(bx, by)
     a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
-    ang_a = math.acos(clamp_unit((b2 + g2 - a2) / (2.0 * beta * gamma)))
-    ang_b = math.acos(clamp_unit((a2 + g2 - b2) / (2.0 * alpha * gamma)))
-    ang_g = math.acos(clamp_unit((a2 + b2 - g2) / (2.0 * alpha * beta)))
+    ang_a = ops.acos((b2 + g2 - a2) / (2.0 * beta * gamma))
+    ang_b = ops.acos((a2 + g2 - b2) / (2.0 * alpha * gamma))
+    ang_g = ops.acos((a2 + b2 - g2) / (2.0 * alpha * beta))
     s = 0.5 * (alpha + beta + gamma)
-    area = abs(signed_area(t.a, t.b, t.g))
+    area = 0.5 * abs(bx * gy - by * gx)
+    smallest = ops.min(ang_a, ang_b, ang_g)
+    ops.require(smallest > 0.0, lambda: AngleSumError(f"angle {smallest!r} outside (0, pi)"))
     return TriangleMetrics(alpha, beta, gamma, ang_a, ang_b, ang_g, s, area)
 
 
-def angle_at(vertex: Point2, p: Point2, q: Point2) -> float:
-    """Interior angle at `vertex` of the triangle (vertex, p, q)."""
-    ux, uy = p.x - vertex.x, p.y - vertex.y
-    vx, vy = q.x - vertex.x, q.y - vertex.y
-    nu = math.hypot(ux, uy)
-    nv = math.hypot(vx, vy)
-    if nu < ZERO_DIRECTION_EPS or nv < ZERO_DIRECTION_EPS:
-        raise ZeroDirectionError("angle undefined at coincident points")
-    return math.acos(clamp_unit((ux * vx + uy * vy) / (nu * nv)))
+def metrics(t: Triangle) -> TriangleMetrics:
+    """anchored_metrics of t, measured from its vertex A."""
+    b, g = t.b - t.a, t.g - t.a
+    return anchored_metrics(MATH, b.x, b.y, g.x, g.y)

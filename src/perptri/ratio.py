@@ -25,26 +25,31 @@ broken one.
 so that residuals depend on a triangle's shape, not its position.
 `identity_report` runs it on one triangle's six floats and
 `sweep.evaluate_corpus` on six arrays.  The input's type picks the elementary
-functions, `math` for floats and numpy for arrays, because neither serves the
-other's input: one triangle costs about 20 us through `math`, 100 us through
-numpy ufuncs on floats and 210 us as a numpy batch of one (2-core Xeon,
-Python 3.11, numpy 2.4), where 2**14 triangles as arrays take about 11 ms.
+functions, `geom.MATH` for floats and `geom.NUMPY` for arrays, because neither
+serves the other's input: one triangle costs about 20 us through `math`, 100
+us through numpy ufuncs on floats and 210 us as a numpy batch of one (2-core
+Xeon, Python 3.11, numpy 2.4), where 2**14 triangles as arrays take about 11
+ms.  The metrics and the cotangent come from `geom`, which `construct` and
+`similarity_check` share.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .construction import AngleCase, classify_angle
-from .errors import AngleSumError, NotATriangleError
-from .geom import Triangle, TriangleMetrics, clamp_unit, derived_vertices
-from .identities import RIGHT_ANGLE_BAND
+from .errors import NotATriangleError
+from .geom import (
+    MATH,
+    NUMPY,
+    Triangle,
+    TriangleMetrics,
+    anchored_metrics,
+    cot,
+    derived_vertices,
+)
 
 #: Strict (main-tier) tolerance per named residual, in the order in which
 #: sub-identities are blamed when something fails: the chain links first, then
@@ -76,25 +81,6 @@ STRESS_TOLERANCE = 1e-5
 #: "stress": residuals are still reported but judged at the relaxed tier.
 STRESS_MIN_ANGLE = 0.02
 
-#: The elementary functions the chain uses beyond arithmetic operators: acos
-#: clips into [-1, 1] first, max and min are n-ary and elementwise, and
-#: require(ok, error) raises error() unless ok.
-_Ops = namedtuple("_Ops", "hypot acos cos sin sqrt where max min require")
-
-
-def _require(ok: bool, error: Callable[[], Exception]) -> None:
-    if not ok:
-        raise error()
-
-
-_MATH = _Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, math.sqrt,
-             lambda cond, yes, no: yes if cond else no, max, min, _require)
-
-# Arrays carry inf or NaN where one triangle would raise, as numpy does.
-_NUMPY = _Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
-              np.where, lambda *xs: functools.reduce(np.maximum, xs),
-              lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
-
 
 def _norm(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(rhs))
@@ -114,9 +100,15 @@ def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
 
 @dataclass(frozen=True)
 class IdentityChain:
-    """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER."""
+    """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER.
+
+    areas holds the five area routes by name: the shoelace reference, Heron,
+    the squared-side polynomial, the cotangent formula and half the sine
+    product.
+    """
 
     metrics: TriangleMetrics
+    areas: dict
     residuals: dict
     cot_sum: float | np.ndarray
     ratio_geometric: float | np.ndarray
@@ -130,29 +122,18 @@ def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
     half-angle radicand <= 0) raises a GeometryError before the division it
     would break; arrays carry inf or NaN for such triangles instead.
     """
-    ops = _NUMPY if isinstance(ax, np.ndarray) else _MATH
-    hypot, acos, cos, sin, sqrt, where, vmax, vmin, require = ops
-
-    def cot(x):
-        return where(abs(x - 0.5 * math.pi) < RIGHT_ANGLE_BAND, 0.0, cos(x) / sin(x))
+    ops = NUMPY if isinstance(ax, np.ndarray) else MATH
+    hypot, sin, sqrt, vmax, vmin = ops.hypot, ops.sin, ops.sqrt, ops.max, ops.min
 
     # Frame anchored at A: line offsets and the shoelace area are then built
     # from differences of the size of the triangle, not of its position.
     bx, by, gx, gy = bx - ax, by - ay, gx - ax, gy - ay
-
-    alpha = hypot(gx - bx, gy - by)
-    beta = hypot(gx, gy)
-    gamma = hypot(bx, by)
+    m = anchored_metrics(ops, bx, by, gx, gy)
+    alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = (
+        m.alpha, m.beta, m.gamma, m.ang_a, m.ang_b, m.ang_g, m.s, m.area)
     a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
-    ang_a = acos((b2 + g2 - a2) / (2.0 * beta * gamma))
-    ang_b = acos((a2 + g2 - b2) / (2.0 * alpha * gamma))
-    ang_g = acos((a2 + b2 - g2) / (2.0 * alpha * beta))
-    s = 0.5 * (alpha + beta + gamma)
-    area = 0.5 * abs(bx * gy - by * gx)
-    smallest = vmin(ang_a, ang_b, ang_g)
-    require(smallest > 0.0, lambda: AngleSumError(f"angle {smallest!r} outside (0, pi)"))
 
-    cot_a, cot_b, cot_g = cot(ang_a), cot(ang_b), cot(ang_g)
+    cot_a, cot_b, cot_g = cot(ops, ang_a), cot(ops, ang_b), cot(ops, ang_g)
     csum = cot_a + cot_b + cot_g
 
     # Geometric route: the perpendicular through B to AB, through Gamma to
@@ -176,20 +157,17 @@ def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
     chain_rhs = sixteen + term_a_rhs + term_g_rhs + term_b_rhs - 2.0 * pairs - quads
 
     fa, fb, fg = s - alpha, s - beta, s - gamma
-    require(vmin(fa, fb, fg) > 0.0,
+    ops.require(vmin(fa, fb, fg) > 0.0,
             lambda: NotATriangleError("half-angle radicands require a strict triangle"))
 
-    # Five area routes: Heron, the squared-side polynomial, the cotangent
-    # formula, half the sine product, and the shoelace reference.
-    area_from_cots = sum_sq / (4.0 * csum)
-    areas = (
-        sqrt(s * fa * fb * fg),
-        sqrt(vmax(sixteen, 0.0)) / 4.0,
-        area_from_cots,
-        0.5 * beta * gamma * sin(ang_a),
-        area,
-    )
-    largest_area = vmax(*areas)
+    areas = {
+        "shoelace": area,
+        "heron": sqrt(s * fa * fb * fg),
+        "sixteen_sq_poly": sqrt(vmax(sixteen, 0.0)) / 4.0,
+        "cot_formula": sum_sq / (4.0 * csum),
+        "sine_formula": 0.5 * beta * gamma * sin(ang_a),
+    }
+    largest_area = vmax(*areas.values())
 
     residuals = {
         "area_increment": _norm(area_derived, area + 0.5 * cot_side_sum),
@@ -202,17 +180,18 @@ def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
         "chain_sum": abs(quadratic_lhs - chain_rhs) / (sum_sq * sum_sq),
         "area_quadratic": abs(quadratic_lhs) / (sum_sq * sum_sq),
         "half_angle_cots": vmax(
-            _norm(sqrt(s * fa / (fb * fg)), cot(0.5 * ang_a)),
-            _norm(sqrt(s * fb / (fa * fg)), cot(0.5 * ang_b)),
-            _norm(sqrt(s * fg / (fa * fb)), cot(0.5 * ang_g)),
+            _norm(sqrt(s * fa / (fb * fg)), cot(ops, 0.5 * ang_a)),
+            _norm(sqrt(s * fb / (fa * fg)), cot(ops, 0.5 * ang_b)),
+            _norm(sqrt(s * fg / (fa * fb)), cot(ops, 0.5 * ang_g)),
         ),
-        "area_from_cots": _norm(area_from_cots, area),
+        "area_from_cots": _norm(areas["cot_formula"], area),
         "area_ratio": abs(ratio_geometric - ratio_formula) / (1.0 + ratio_formula),
-        "area_agreement": (largest_area - vmin(*areas)) / largest_area,
+        "area_agreement": (largest_area - vmin(*areas.values())) / largest_area,
     }
 
     return IdentityChain(
-        metrics=TriangleMetrics(alpha, beta, gamma, ang_a, ang_b, ang_g, s, area),
+        metrics=m,
+        areas=areas,
         residuals=residuals,
         cot_sum=csum,
         ratio_geometric=ratio_geometric,

@@ -20,6 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import AngleSumError
 from .geom import Point2, Triangle
 
 #: Main-tier sliver floor (radians): no sampled angle sits closer than this
@@ -44,7 +45,7 @@ def triangle_from_angles(ang_b: float, ang_g: float, scale: float) -> Triangle:
     counterclockwise.
     """
     if not (0.0 < ang_b and 0.0 < ang_g and ang_b + ang_g < math.pi):
-        raise ValueError(
+        raise AngleSumError(
             f"base angles ({ang_b!r}, {ang_g!r}) do not leave room for angle A"
         )
     if not (math.isfinite(scale) and scale > 0.0):

@@ -254,6 +254,10 @@ def test_minimize_right(capsys):
         {"vertices": {"A": [0, 0], "B": [1, 0], "Gamma": [2, 0]}},
         {"angles": {"B_deg": 120, "Gamma_deg": 80, "scale": 1}},
         {"nonsense": True},
+        {"sides": {"alpha": 10**400, "beta": 1, "gamma": 1}},  # overflows a float
+        # B + Gamma < 180 deg, but their radians round to a sum of pi
+        {"angles": {"B_deg": 55.24192105079066, "Gamma_deg": 124.75807894920932, "scale": 1}},
+        {"angles": {"B_deg": 90, "Gamma_deg": 1e-300, "scale": 1e10}},  # Gamma at infinity
     ],
 )
 def test_invalid_inputs_exit_two(tmp_path, capsys, doc):
@@ -277,9 +281,51 @@ def test_invalid_json_exits_two(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"sides": {"alpha": 5, "beta": 3, "gamma": 4}} \xff')
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_integer_over_json_digit_limit_exits_two(tmp_path, capsys):
+    # json refuses integers of more than 4300 digits with a plain ValueError.
+    path = tmp_path / "huge.json"
+    path.write_text('{"sides": {"alpha": 1' + "0" * 5000 + ', "beta": 1, "gamma": 1}}',
+                    encoding="utf-8")
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON:")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    # json gives up on nesting deeper than the recursion limit with RecursionError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON:")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # an unexpected exception is an internal error: exit 3, never 1
 # ---------------------------------------------------------------------------
+
+def test_library_value_error_exits_three(tmp_path, capsys, monkeypatch):
+    # A plain ValueError from the library is a defect, not bad input.
+    def broken(t):
+        raise ValueError("defect")
+
+    monkeypatch.setattr("perptri.cli.identity_report", broken)
+    assert main(["verify", write_spec(tmp_path, SPEC_VERTICES)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: ValueError('defect')\n"
+
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_unexpected_exception_exits_three(scale):

@@ -16,6 +16,7 @@ from perptri.construction import (
 )
 from perptri.errors import AngleSumError, PhiRangeError
 from perptri.geom import Point2, Triangle, metrics
+from perptri.ratio import identity_report
 
 SQRT3 = math.sqrt(3.0)
 HALF_PI = 0.5 * math.pi
@@ -178,6 +179,17 @@ def test_similarity_all_cases(t345, equilateral, obtuse_iso, phi):
         assert max(disc) < 1e-9
 
 
+def test_similarity_check_accepts_a_derived_angle_of_zero():
+    # A sliver construct accepts, whose derived angle at Gamma' rounds to 0
+    # (its cosine to 1): a discrepancy of the size of angle A, not an error.
+    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
+                 Point2(0.5992623340540111, 8.311044459826255e-09))
+    d = construct(t)
+    disc = similarity_check(t, d)
+    assert disc[2] == d.metrics.ang_a > 0.0
+    assert max(disc) < 1e-7
+
+
 def test_small_phi_keeps_ratio_near_one(equilateral):
     # As phi -> 0 the rotated lines slide back onto the sides and the derived
     # triangle collapses onto the source.
@@ -213,4 +225,15 @@ def test_construction_records_inputs(t345):
     d = construct(t345, 1.0)
     assert d.source is t345
     assert d.phi == 1.0
+    assert d.metrics == metrics(t345)
     assert metrics(t345).area == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("phi", [math.pi / 3, HALF_PI])
+def test_construct_measures_the_source_as_verify_does(phi):
+    # Both anchor the one metrics routine at A, so far from the origin too
+    # they see the same sides, angles and area.
+    offset = 1e8
+    t = Triangle(Point2(offset, offset), Point2(offset + 4.0, offset),
+                 Point2(offset + 1.0, offset + 3.0))
+    assert construct(t, phi).metrics == identity_report(t).metrics

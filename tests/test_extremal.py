@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perptri.extremal import (
     SEARCH_HI,
@@ -19,6 +21,7 @@ from perptri.extremal import (
     slice_argmin,
     slice_min_value,
 )
+from perptri.geom import MATH, cot
 from perptri.sampling import sample_corpus
 from perptri.sweep import evaluate_corpus
 
@@ -80,6 +83,19 @@ def test_closed_forms_are_consistent(k):
     assert abs(cot_sum_slice_deriv(k, x_star)) < 1e-9
     assert cot_sum_slice_deriv(k, x_star - 0.05) < 0.0
     assert cot_sum_slice_deriv(k, min(x_star + 0.05, SEARCH_HI)) > 0.0
+
+
+@given(
+    ang_b=st.floats(min_value=0.05, max_value=1.5),
+    ang_g=st.floats(min_value=0.05, max_value=1.5),
+)
+@settings(max_examples=80, deadline=None)
+def test_two_angle_form_matches_three_angle_form(ang_b, ang_g):
+    # Both base angles acute: the slice with k = cot B is the cot sum written
+    # through B and Gamma alone, claimed exact there.
+    full = cot(MATH, math.pi - ang_b - ang_g) + cot(MATH, ang_b) + cot(MATH, ang_g)
+    short = cot_sum_slice(1.0 / math.tan(ang_b), ang_g)
+    assert short == pytest.approx(full, rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize("k", [0.1, 1.0, 7.0])

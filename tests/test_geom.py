@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perptri.errors import DegenerateTriangleError, ZeroDirectionError
+from perptri.errors import DegenerateTriangleError, GeometryError
 from perptri.geom import (
+    MATH,
     Point2,
     Triangle,
-    angle_at,
+    anchored_metrics,
     clamp_unit,
     cross,
     derived_vertices,
     metrics,
     signed_area,
 )
-from perptri.identities import heron_area
+from perptri.ratio import identity_chain
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,9 +29,9 @@ SQRT3 = math.sqrt(3.0)
 # ---------------------------------------------------------------------------
 
 def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryError):
         Point2(math.nan, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryError):
         Point2(0.0, math.inf)
 
 
@@ -131,17 +132,13 @@ def test_metrics_equilateral(equilateral):
 
 
 def test_angle_at_matches_metrics(obtuse_iso):
+    # Anchored at B, the routine sees A as its second vertex: the angle at a
+    # vertex does not depend on which vertex the routine measures from.
     m = metrics(obtuse_iso)
-    assert angle_at(obtuse_iso.a, obtuse_iso.b, obtuse_iso.g) == pytest.approx(
-        m.ang_a, abs=1e-14
-    )
+    a, g = obtuse_iso.a - obtuse_iso.b, obtuse_iso.g - obtuse_iso.b
+    from_b = anchored_metrics(MATH, a.x, a.y, g.x, g.y)
+    assert from_b.ang_b == pytest.approx(m.ang_a, abs=1e-14)
     assert m.ang_a == pytest.approx(2.0 * math.pi / 3.0, abs=1e-14)
-
-
-def test_angle_at_coincident_points_raises():
-    p = Point2(1.0, 1.0)
-    with pytest.raises(ZeroDirectionError):
-        angle_at(p, p, Point2(2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -219,5 +216,6 @@ def test_angle_sum_is_pi(ang_b, ang_g):
 def test_heron_matches_shoelace(ang_b, ang_g, s):
     if ang_b + ang_g > math.pi - 0.2:
         return
-    m = metrics(_triangle(ang_b, ang_g, s))
-    assert heron_area(m.alpha, m.beta, m.gamma) == pytest.approx(m.area, rel=1e-10)
+    t = _triangle(ang_b, ang_g, s)
+    areas = identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y).areas
+    assert areas["heron"] == pytest.approx(areas["shoelace"], rel=1e-10)

@@ -1,133 +1,124 @@
-"""Area formulas, cotangent helpers, and the angle-form cross-checks."""
+"""Area routes, the cotangent, and the angle-form cross-checks.
+
+The routes live in `ratio.identity_chain` (its five named areas and its
+residuals) and the cotangent in `geom.cot`; every other module shares them.
+"""
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from perptri.cli import triangle_from_spec
 from perptri.errors import AngleSumError, NotATriangleError
-from perptri.geom import metrics
-from perptri.identities import (
-    RIGHT_ANGLE_BAND,
-    area_from_cots,
-    area_sine,
-    cot,
-    cot_half_angles,
-    cot_sum,
-    cot_sum_two_angles,
-    heron_area,
-    sixteen_area_squared,
-)
+from perptri.geom import MATH, RIGHT_ANGLE_BAND, Point2, Triangle, cot, metrics
+from perptri.ratio import identity_chain, identity_report
 from perptri.sampling import sample_corpus
 
 SQRT3 = math.sqrt(3.0)
 
 
+def chain(t: Triangle):
+    return identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
+
+
 class TestCot:
     def test_quarter_pi(self):
-        assert cot(math.pi / 4.0) == pytest.approx(1.0, abs=1e-15)
+        assert cot(MATH, math.pi / 4.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_right_angle_is_exactly_zero(self):
-        assert cot(math.pi / 2.0) == 0.0
+        assert cot(MATH, math.pi / 2.0) == 0.0
 
     def test_band_absorbs_roundoff_neighbours(self):
-        assert cot(math.pi / 2.0 + 5e-13) == 0.0
-        assert cot(math.pi / 2.0 - 5e-13) == 0.0
+        assert cot(MATH, math.pi / 2.0 + 5e-13) == 0.0
+        assert cot(MATH, math.pi / 2.0 - 5e-13) == 0.0
         # just outside the band the true (tiny) value comes back
-        assert cot(math.pi / 2.0 - 1e-9) == pytest.approx(1e-9, rel=1e-5)
+        assert cot(MATH, math.pi / 2.0 - 1e-9) == pytest.approx(1e-9, rel=1e-5)
         assert RIGHT_ANGLE_BAND == 1e-12
 
     def test_obtuse_branch_is_negative(self):
-        assert cot(3.0 * math.pi / 4.0) == pytest.approx(-1.0, abs=1e-15)
-        assert cot(2.0 * math.pi / 3.0) == pytest.approx(-1.0 / SQRT3, abs=1e-15)
+        assert cot(MATH, 3.0 * math.pi / 4.0) == pytest.approx(-1.0, abs=1e-15)
+        assert cot(MATH, 2.0 * math.pi / 3.0) == pytest.approx(-1.0 / SQRT3, abs=1e-15)
 
     def test_sixty_degrees(self):
-        assert cot(math.pi / 3.0) == pytest.approx(1.0 / SQRT3, abs=1e-15)
+        assert cot(MATH, math.pi / 3.0) == pytest.approx(1.0 / SQRT3, abs=1e-15)
 
 
 class TestHeron:
-    def test_345(self):
-        assert heron_area(3.0, 4.0, 5.0) == 6.0
+    """Heron's route, and the strict triangle inequality the sides form needs."""
 
-    def test_equilateral(self):
-        assert heron_area(1.0, 1.0, 1.0) == pytest.approx(SQRT3 / 4.0, abs=1e-16)
+    def test_345(self, t345):
+        assert chain(t345).areas["heron"] == 6.0
+
+    def test_equilateral(self, equilateral):
+        assert chain(equilateral).areas["heron"] == pytest.approx(SQRT3 / 4.0, abs=1e-16)
 
     def test_degenerate_sides_raise(self):
         with pytest.raises(NotATriangleError):
-            heron_area(1.0, 1.0, 2.0)
+            triangle_from_spec({"sides": {"alpha": 1.0, "beta": 1.0, "gamma": 2.0}})
 
     def test_violated_inequality_raises(self):
         with pytest.raises(NotATriangleError):
-            heron_area(1.0, 1.0, 3.0)
+            triangle_from_spec({"sides": {"alpha": 1.0, "beta": 1.0, "gamma": 3.0}})
 
 
-def test_sixteen_area_squared_345():
-    # Integer inputs make this polynomial exact in floating point.
-    assert sixteen_area_squared(3.0, 4.0, 5.0) == 576.0
+def test_sixteen_area_squared_345(t345):
+    # Integer squared sides make the polynomial exact: 16 E^2 = 576, E = 6.
+    assert chain(t345).areas["sixteen_sq_poly"] == 6.0
 
 
-def test_sixteen_area_squared_negative_for_bad_sides():
-    assert sixteen_area_squared(1.0, 1.0, 3.0) < 0.0
+def test_sixteen_area_route_clamps_negative_rounding():
+    # On needles the polynomial can round below zero; the route reads 0.0
+    # there, not NaN.  Their zero angles make other routes inf or NaN.
+    x = np.linspace(0.01, 0.99, 2000)
+    zeros = np.zeros_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        needles = identity_chain(zeros, zeros, zeros + 1.0, zeros, x, zeros + 1e-9)
+    poly = needles.areas["sixteen_sq_poly"]
+    assert not np.isnan(poly).any()
+    assert (poly == 0.0).any()
 
 
 def test_cot_half_angles_345(t345):
-    # s = 6, so the radicals collapse to the integers 1, 3, 2.
-    ca, cb, cg = cot_half_angles(metrics(t345))
-    assert ca == pytest.approx(1.0, abs=1e-15)
-    assert cb == pytest.approx(3.0, abs=1e-14)
-    assert cg == pytest.approx(2.0, abs=1e-14)
+    # s = 6, so the radicals collapse to the integers 1, 3, 2, which the
+    # half-angle cotangents must match.
+    assert identity_report(t345).residuals["half_angle_cots"] <= 5e-16
 
 
-def test_cot_half_angles_reject_bad_metrics(t345):
-    m = metrics(t345)
-    broken = type(m)(1.0, 1.0, 3.0, m.ang_a, m.ang_b, m.ang_g, 2.5, m.area)
+def test_cot_half_angles_reject_bad_metrics():
+    # A valid needle whose s - gamma rounds to 0: no radical to take.
+    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
+                 Point2(0.40084707137978337, 1.2010387776921146e-08))
     with pytest.raises(NotATriangleError):
-        cot_half_angles(broken)
+        identity_report(t)
 
 
 class TestCotSum:
-    def test_equilateral(self):
-        assert cot_sum(math.pi / 3, math.pi / 3, math.pi / 3) == pytest.approx(
-            SQRT3, abs=1e-15
-        )
+    def test_equilateral(self, equilateral):
+        assert chain(equilateral).cot_sum == pytest.approx(SQRT3, abs=1e-15)
 
-    def test_right_345(self):
-        total = cot_sum(math.pi / 2, math.atan2(3.0, 4.0), math.atan2(4.0, 3.0))
-        assert total == pytest.approx(25.0 / 12.0, abs=1e-14)
+    def test_right_345(self, t345):
+        assert chain(t345).cot_sum == pytest.approx(25.0 / 12.0, abs=1e-14)
 
-    def test_obtuse(self):
-        total = cot_sum(2.0 * math.pi / 3.0, math.pi / 6.0, math.pi / 6.0)
-        assert total == pytest.approx(5.0 / SQRT3, abs=1e-14)
-
-    def test_bad_sum_raises(self):
-        with pytest.raises(AngleSumError):
-            cot_sum(math.pi / 2, math.pi / 2, math.pi / 2)
+    def test_obtuse(self, obtuse_iso):
+        assert chain(obtuse_iso).cot_sum == pytest.approx(5.0 / SQRT3, abs=1e-14)
 
     def test_out_of_range_angle_raises(self):
+        # A = 2e-7 deg: the law of cosines rounds cos A to 1, so A = 0.0.
+        t = triangle_from_spec(
+            {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
+        )
         with pytest.raises(AngleSumError):
-            cot_sum(-0.1, math.pi / 2, math.pi / 2 + 0.1)
+            chain(t)
 
 
-@given(
-    ang_b=st.floats(min_value=0.05, max_value=1.5),
-    ang_g=st.floats(min_value=0.05, max_value=1.5),
-)
-@settings(max_examples=80, deadline=None)
-def test_two_angle_form_matches_three_angle_form(ang_b, ang_g):
-    # Both base angles acute: the two-cotangent rewrite is claimed exact there.
-    full = cot_sum(math.pi - ang_b - ang_g, ang_b, ang_g)
-    short = cot_sum_two_angles(ang_b, ang_g)
-    assert short == pytest.approx(full, rel=1e-11, abs=1e-11)
-
-
-def test_area_sine_345():
-    assert area_sine(3.0, 4.0, math.pi / 2.0) == 6.0
+def test_area_sine_345(t345):
+    assert chain(t345).areas["sine_formula"] == 6.0
 
 
 def test_area_from_cots_345(t345):
     # (25 + 9 + 16) / (4 * 25/12) = 6
-    assert area_from_cots(metrics(t345)) == pytest.approx(6.0, rel=1e-13)
+    assert chain(t345).areas["cot_formula"] == pytest.approx(6.0, rel=1e-13)
 
 
 def test_law_of_cosines_in_cot_form_over_corpus():
@@ -137,6 +128,6 @@ def test_law_of_cosines_in_cot_form_over_corpus():
     for t in corpus.triangles():
         m = metrics(t)
         a2 = m.alpha**2
-        predicted = m.beta**2 + m.gamma**2 - 4.0 * m.area * cot(m.ang_a)
+        predicted = m.beta**2 + m.gamma**2 - 4.0 * m.area * cot(MATH, m.ang_a)
         scale = m.alpha**2 + m.beta**2 + m.gamma**2
         assert abs(a2 - predicted) / (1.0 + scale) < 1e-10

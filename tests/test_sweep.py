@@ -3,9 +3,9 @@
 `evaluate_corpus` and `identity_report` run the same kernel, on arrays and on
 one triangle's floats; the bridge tests below pin the two entries together,
 and hold the sweep's cot sum, ratio and Gamma' offset against the independent
-routes (`identities.cot_sum`, `construction.construct`).  The chunked,
-threaded `run_sweep` is in turn pinned to the one-shot reduction of
-`evaluate_corpus` over the whole corpus, exactly.
+routes (the cot sum of the corpus's sampled angles, `construction.construct`).
+The chunked, threaded `run_sweep` is in turn pinned to the one-shot reduction
+of `evaluate_corpus` over the whole corpus, exactly.
 """
 
 import math
@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from perptri.construction import construct
-from perptri.geom import metrics
-from perptri.identities import cot_sum
+from perptri.geom import MATH, cot
 from perptri.ratio import CHECK_ORDER, STRICT_TOLERANCES, identity_report
 from perptri import sweep
 from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
@@ -54,9 +53,9 @@ def test_bridge_residuals_match_scalar(bridge_corpus, bridge_result):
 def test_bridge_values_match_scalar(bridge_corpus, bridge_result):
     for i in range(len(bridge_corpus)):
         t = bridge_corpus.triangle(i)
-        m = metrics(t)
         d = construct(t)
-        total = cot_sum(m.ang_a, m.ang_b, m.ang_g)
+        ang_b, ang_g = float(bridge_corpus.ang_b[i]), float(bridge_corpus.ang_g[i])
+        total = cot(MATH, math.pi - ang_b - ang_g) + cot(MATH, ang_b) + cot(MATH, ang_g)
         assert float(bridge_result.cot_sum[i]) == pytest.approx(total, rel=1e-12)
         assert float(bridge_result.ratio_geometric[i]) == pytest.approx(
             d.ratio_geometric, rel=1e-12
