@@ -10,7 +10,7 @@ down to 1e-4 rad) where conditioning honestly degrades.
 
 import time
 
-from perptri import DELTA_STRESS, concat_corpora, evaluate_corpus, run_sweep, sample_corpus
+from perptri import DELTA_STRESS, concat_corpora, evaluate_corpus, sample_corpus
 
 
 def summarize(title: str, result, elapsed: float) -> None:
@@ -43,7 +43,7 @@ def main() -> None:
     summarize("main tier", main_tier, time.perf_counter() - start)
 
     start = time.perf_counter()
-    stress_tier = run_sweep(20_000, seed=7, delta=DELTA_STRESS)
+    stress_tier = evaluate_corpus(sample_corpus(20_000, seed=7, delta=DELTA_STRESS))
     summarize("stress tier (sliver angles)", stress_tier, time.perf_counter() - start)
 
 

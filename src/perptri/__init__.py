@@ -29,13 +29,10 @@ from .extremal import (
     ExtremalReport,
     cot_sum_lattice_min,
     cot_sum_slice,
-    cot_sum_slice_deriv,
     global_cot_sum_min,
-    golden_section_min,
     minimize_slice,
     right_cot_sum,
     right_triangle_min,
-    slice_argmin,
     slice_min_value,
 )
 from .geom import (
@@ -43,7 +40,6 @@ from .geom import (
     Triangle,
     TriangleMetrics,
     metrics,
-    signed_area,
 )
 from .ratio import VerifyReport, identity_report
 from .sampling import (
@@ -54,7 +50,7 @@ from .sampling import (
     sample_corpus,
     triangle_from_angles,
 )
-from .svg import render_svg, svg_document
+from .svg import render_svg
 from .sweep import SweepResult, evaluate_corpus, run_sweep
 
 __version__ = "0.1.0"
@@ -82,10 +78,8 @@ __all__ = [
     "construct",
     "cot_sum_lattice_min",
     "cot_sum_slice",
-    "cot_sum_slice_deriv",
     "evaluate_corpus",
     "global_cot_sum_min",
-    "golden_section_min",
     "identity_report",
     "metrics",
     "minimize_slice",
@@ -94,10 +88,7 @@ __all__ = [
     "right_triangle_min",
     "run_sweep",
     "sample_corpus",
-    "signed_area",
     "similarity_check",
-    "slice_argmin",
     "slice_min_value",
-    "svg_document",
     "triangle_from_angles",
 ]

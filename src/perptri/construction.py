@@ -25,8 +25,8 @@ from .geom import (
     TriangleMetrics,
     anchored_metrics,
     cot,
+    cross,
     derived_vertices,
-    signed_area,
 )
 
 #: Half-width of the angle-A band classified as right.  Classification feeds
@@ -106,11 +106,14 @@ class DerivedConstruction:
         return self.gp_rel + self.source.a
 
     @property
+    def gamma_prime_offset(self) -> float:
+        """|Gamma' B| over the longest source side; 0 in exact arithmetic when A is right."""
+        return self.gp_rel.dist(self.source.b - self.source.a) / self.source.longest_side()
+
+    @property
     def gamma_prime_on_b(self) -> bool:
         """Whether Gamma' coincides with B (within COINCIDENCE_BAND), as when A is right."""
-        return self.gp_rel.dist(self.source.b - self.source.a) <= (
-            COINCIDENCE_BAND * self.source.longest_side()
-        )
+        return self.gamma_prime_offset <= COINCIDENCE_BAND
 
 
 def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
@@ -127,7 +130,7 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     m = anchored_metrics(MATH, b.x, b.y, g.x, g.y)
     rel = derived_vertices(math.hypot, b.x, b.y, g.x, g.y, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
-    area_derived = abs(signed_area(ap, bp, gp))
+    area_derived = 0.5 * abs(cross(ap, bp, gp))
     total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
     return DerivedConstruction(
         source=t,

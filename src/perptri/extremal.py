@@ -38,24 +38,25 @@ SEARCH_HI = 0.5 * math.pi - 1e-4
 X_TOL = 1e-10
 MAX_ITER = 200
 
+#: The brute-force lattice spans (LATTICE_MARGIN, pi - LATTICE_MARGIN) in each
+#: base angle and is scanned LATTICE_CHUNK rows at a time, so peak memory
+#: stays modest.
+LATTICE_MARGIN = 1e-4
+LATTICE_CHUNK = 250
 
-def golden_section_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = X_TOL,
-    max_iter: int = MAX_ITER,
-) -> tuple[float, float]:
+
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Minimize a unimodal f on [lo, hi]; returns (argmin, f(argmin)).
 
     Classic two-probe golden-section: each iteration reuses one interior
-    evaluation and shrinks the bracket by 1/phi until it is xtol wide.
+    evaluation and shrinks the bracket by 1/phi until it is X_TOL wide (at
+    most MAX_ITER iterations).
     """
     c = hi - INV_PHI * (hi - lo)
     d = lo + INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     iterations = 0
-    while (hi - lo) > xtol and iterations < max_iter:
+    while (hi - lo) > X_TOL and iterations < MAX_ITER:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - INV_PHI * (hi - lo)
@@ -210,29 +211,24 @@ def right_triangle_min() -> tuple[float, float]:
     return 4.0, 0.25 * math.pi
 
 
-def cot_sum_lattice_min(
-    n: int = 2000,
-    margin: float = 1e-4,
-    chunk: int = 250,
-) -> tuple[float, float, float]:
+def cot_sum_lattice_min(n: int = 2000) -> tuple[float, float, float]:
     """Brute-force minimum of the cotangent sum over an n x n angle lattice.
 
-    Scans base angles (B, Gamma) on a regular open lattice of (margin,
-    pi - margin), keeping pairs with B + Gamma < pi - margin, and returns
-    (min value, B, Gamma) at the lattice minimum.  This is the independent
-    no-smaller-value oracle for the global minimum; it is chunked so peak
-    memory stays modest.
+    Scans base angles (B, Gamma) on a regular open lattice of (LATTICE_MARGIN,
+    pi - LATTICE_MARGIN), keeping pairs with B + Gamma < pi - LATTICE_MARGIN,
+    and returns (min value, B, Gamma) at the lattice minimum.  This is the
+    independent no-smaller-value oracle for the global minimum.
     """
-    grid = np.linspace(margin, math.pi - margin, n)
+    grid = np.linspace(LATTICE_MARGIN, math.pi - LATTICE_MARGIN, n)
     best = math.inf
     best_b = best_g = math.nan
     cot_grid = np.cos(grid) / np.sin(grid)
-    for start in range(0, n, chunk):
-        b = grid[start : start + chunk, None]
-        ang_a = math.pi - b - grid[None, :]
-        valid = ang_a > margin
+    for start in range(0, n, LATTICE_CHUNK):
+        rows = slice(start, start + LATTICE_CHUNK)
+        ang_a = math.pi - grid[rows, None] - grid[None, :]
+        valid = ang_a > LATTICE_MARGIN
         ang_a = np.where(valid, ang_a, 0.5 * math.pi)
-        total = np.cos(ang_a) / np.sin(ang_a) + cot_grid[start : start + chunk, None] + cot_grid[None, :]
+        total = np.cos(ang_a) / np.sin(ang_a) + cot_grid[rows, None] + cot_grid[None, :]
         total = np.where(valid, total, math.inf)
         idx = np.unravel_index(np.argmin(total), total.shape)
         if total[idx] < best:

@@ -86,13 +86,11 @@ class Point2:
 
 
 def cross(o: Point2, p: Point2, q: Point2) -> float:
-    """Cross product (p - o) x (q - o); twice the signed area of (o, p, q)."""
+    """Cross product (p - o) x (q - o); twice the signed area of (o, p, q).
+
+    Positive iff o, p, q wind counterclockwise.
+    """
     return (p.x - o.x) * (q.y - o.y) - (p.y - o.y) * (q.x - o.x)
-
-
-def signed_area(p: Point2, q: Point2, s: Point2) -> float:
-    """Signed triangle area; positive iff p, q, s wind counterclockwise."""
-    return 0.5 * cross(p, q, s)
 
 
 def _rotated_line(hypot, cos_phi, sin_phi, px, py, dx, dy):
@@ -143,13 +141,18 @@ class Triangle:
     g: Point2
 
     def __post_init__(self) -> None:
-        doubled = cross(self.a, self.b, self.g)
-        longest_sq = max(
-            (self.b.x - self.a.x) ** 2 + (self.b.y - self.a.y) ** 2,
-            (self.g.x - self.b.x) ** 2 + (self.g.y - self.b.y) ** 2,
-            (self.a.x - self.g.x) ** 2 + (self.a.y - self.g.y) ** 2,
-        )
-        if abs(doubled) < 2.0 * DEGENERACY_FACTOR * longest_sq:
+        # B and Gamma relative to A, scaled by a power of two (exactly) so the
+        # largest coordinate is about 1: the squares below neither underflow
+        # nor overflow, whatever the triangle's size.
+        bx, by = self.b.x - self.a.x, self.b.y - self.a.y
+        gx, gy = self.g.x - self.a.x, self.g.y - self.a.y
+        e = -math.frexp(max(abs(bx), abs(by), abs(gx), abs(gy)))[1]
+        bx, by, gx, gy = math.ldexp(bx, e), math.ldexp(by, e), math.ldexp(gx, e), math.ldexp(gy, e)
+        doubled = bx * gy - by * gx
+        longest_sq = max(bx * bx + by * by, (gx - bx) ** 2 + (gy - by) ** 2, gx * gx + gy * gy)
+        # doubled == 0.0 also rejects three coincident vertices, where the
+        # bound is 0 too.
+        if doubled == 0.0 or abs(doubled) < 2.0 * DEGENERACY_FACTOR * longest_sq:
             raise DegenerateTriangleError(
                 "vertices are collinear at the triangle's own scale"
             )
@@ -189,13 +192,15 @@ def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
     """Metrics of the triangle A, B, Gamma from B and Gamma relative to A.
 
     Sides by hypot, angles by the Law of Cosines (acos clipped), area by the
-    shoelace formula.  ops.require raises AngleSumError when a computed angle
-    is 0 (cos rounded to 1), before anything divides by its sine.
+    shoelace formula.  ops.require raises OverflowError when a squared side
+    overflows, and AngleSumError when a computed angle is 0 (cos rounded to
+    1), before anything divides by its sine.
     """
     alpha = ops.hypot(gx - bx, gy - by)
     beta = ops.hypot(gx, gy)
     gamma = ops.hypot(bx, by)
     a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
+    ops.require(a2 + b2 + g2 < math.inf, lambda: OverflowError("squared sides overflow binary64"))
     ang_a = ops.acos((b2 + g2 - a2) / (2.0 * beta * gamma))
     ang_b = ops.acos((a2 + g2 - b2) / (2.0 * alpha * gamma))
     ang_g = ops.acos((a2 + b2 - g2) / (2.0 * alpha * beta))

@@ -24,7 +24,8 @@ broken one.
 `identity_chain` is the one implementation of the chain, anchored at vertex A
 so that residuals depend on a triangle's shape, not its position.
 `identity_report` runs it on one triangle's six floats and
-`sweep.evaluate_corpus` on six arrays.  The input's type picks the elementary
+`sweep.evaluate_corpus` on six arrays per chunk of a corpus, keeping only
+reductions of the per-triangle arrays.  The input's type picks the elementary
 functions, `geom.MATH` for floats and `geom.NUMPY` for arrays, because neither
 serves the other's input: one triangle costs about 20 us through `math`, 100
 us through numpy ufuncs on floats and 210 us as a numpy batch of one (2-core
@@ -112,7 +113,6 @@ class IdentityChain:
     residuals: dict
     cot_sum: float | np.ndarray
     ratio_geometric: float | np.ndarray
-    gamma_prime_offset: float | np.ndarray  # |Gamma' B| over the longest side
 
 
 def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
@@ -195,7 +195,6 @@ def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
         residuals=residuals,
         cot_sum=csum,
         ratio_geometric=ratio_geometric,
-        gamma_prime_offset=hypot(gpx - bx, gpy - by) / vmax(alpha, beta, gamma),
     )
 
 

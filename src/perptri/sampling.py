@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -84,10 +83,6 @@ class TriangleCorpus:
         return triangle_from_angles(
             float(self.ang_b[i]), float(self.ang_g[i]), float(self.scale[i])
         )
-
-    def triangles(self) -> Iterator[Triangle]:
-        for i in range(len(self)):
-            yield self.triangle(i)
 
 
 def concat_corpora(*parts: TriangleCorpus) -> TriangleCorpus:

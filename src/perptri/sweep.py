@@ -1,16 +1,17 @@
 """Vectorized residual sweeps over seeded corpora (the phi = pi/2 identity).
 
 `evaluate_corpus` runs `ratio.identity_chain`, the kernel `perptri verify`
-also runs, on a corpus's vertex arrays and counts cases.  Arrays pick the
-kernel's numpy entry (about 11 ms per 2**14 triangles on two cores) and one
-triangle's floats its `math` entry (about 20 us); in both, the geometric and
-the formula routes to E'/E stay independent.
+also runs, on a corpus's vertex arrays, in fixed chunks of `CHUNK` (2**14)
+triangles on one thread per CPU the process may use.  Each chunk is reduced
+as it finishes -- case counts, the largest residuals, the smallest cot sum
+and where it lies -- and the chunk reductions are combined in chunk order, so
+the result equals np.count_nonzero / np.max / np.argmin over the whole
+corpus exactly.  Its memory is the corpus (24 bytes per triangle) plus a
+bounded amount per thread, whatever the corpus size; about 11 ms per chunk
+on two cores.
 
-`run_sweep` samples a corpus once and streams it through that kernel in
-fixed chunks of `CHUNK` (2**14) triangles, one thread per CPU the process may
-use, reducing each chunk as it finishes.  Its memory is the corpus (24 bytes
-per triangle) plus a bounded amount per thread, whatever the corpus size, and
-its summary equals the one-shot reduction of the whole corpus exactly.
+`run_sweep` samples a corpus and evaluates it.  The per-triangle arrays a
+chunk produces are not kept; `identity_chain` gives them for any corpus.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 from .construction import AngleCase, angle_cases
 from .ratio import CHECK_ORDER, identity_chain
-from .sampling import DELTA_MAIN, TriangleCorpus, sample_corpus
+from .sampling import TriangleCorpus, sample_corpus
 
-#: Triangles per chunk of `run_sweep`.  Timed at n = 10**6 on two cores,
+#: Triangles per chunk of `evaluate_corpus`.  Timed at n = 10**6 on two cores,
 #: 2**12 and 2**13 pay per-call overhead and 2**15 and up run slower again;
 #: a chunk's temporaries peak near 9.5 MiB (about 0.6 KiB per triangle).
 CHUNK = 2**14
@@ -34,67 +35,12 @@ CHUNK = 2**14
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-triangle arrays plus the summary a sweep reports."""
-
-    corpus: TriangleCorpus
-    residuals: dict[str, np.ndarray]
-    cot_sum: np.ndarray
-    ratio_geometric: np.ndarray
-    gamma_prime_offset: np.ndarray
-    case_counts: dict[str, int]
-
-    def __len__(self) -> int:
-        return len(self.corpus)
-
-    @property
-    def max_residuals(self) -> dict[str, float]:
-        return {
-            key: float(np.max(values)) if values.size else math.nan
-            for key, values in self.residuals.items()
-        }
-
-    @property
-    def min_cot_sum(self) -> float:
-        return float(np.min(self.cot_sum)) if self.cot_sum.size else math.nan
-
-    @property
-    def argmin_index(self) -> int | None:
-        if not self.cot_sum.size:
-            return None
-        return int(np.argmin(self.cot_sum))
-
-
-def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
-    """Run the identity chain over every triangle of the corpus and count cases.
-
-    A and the y of B are zero arrays in the canonical layout.
-    """
-    bx, gx, gy = corpus.vertex_arrays()
-    zeros = np.zeros(len(corpus))
-    chain = identity_chain(zeros, zeros, bx, zeros, gx, gy)
-
-    case_counts = {
-        case.value: int(np.count_nonzero(mask))
-        for case, mask in zip(AngleCase, angle_cases(chain.metrics.ang_a))
-    }
-
-    return SweepResult(
-        corpus=corpus,
-        residuals=chain.residuals,
-        cot_sum=chain.cot_sum,
-        ratio_geometric=chain.ratio_geometric,
-        gamma_prime_offset=chain.gamma_prime_offset,
-        case_counts=case_counts,
-    )
-
-
-@dataclass(frozen=True)
-class SweepSummary:
     """What a sweep reports: its corpus and the reductions over every triangle.
 
-    The reductions equal those of `evaluate_corpus` on the whole corpus
-    (`SweepResult`'s properties of the same names); equality compares them,
-    not the corpus.
+    max_residuals and min_cot_sum are NaN when any triangle's value is (and
+    for an empty corpus); argmin_index is the first index holding
+    min_cot_sum, None for an empty corpus.  Equality compares the
+    reductions, not the corpus.
     """
 
     corpus: TriangleCorpus = field(compare=False)
@@ -111,18 +57,22 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
     """Evaluate corpus[start:start + CHUNK] and keep only its reductions.
 
     Workers read a slice of the shared corpus and return a fresh tuple
-    (max residuals, case counts, min cot sum, its corpus index); they share
-    no mutable state, so no lock is needed.
+    (case counts, max residuals, min cot sum, its corpus index); they share
+    no mutable state, so no lock is needed.  A and the y of B are zero
+    arrays in the canonical layout.
     """
     stop = start + CHUNK
-    part = evaluate_corpus(
-        TriangleCorpus(
-            ang_b=corpus.ang_b[start:stop],
-            ang_g=corpus.ang_g[start:stop],
-            scale=corpus.scale[start:stop],
-        )
-    )
-    return part.max_residuals, part.case_counts, part.min_cot_sum, start + part.argmin_index
+    bx, gx, gy = TriangleCorpus(
+        ang_b=corpus.ang_b[start:stop],
+        ang_g=corpus.ang_g[start:stop],
+        scale=corpus.scale[start:stop],
+    ).vertex_arrays()
+    zeros = np.zeros(bx.size)
+    chain = identity_chain(zeros, zeros, bx, zeros, gx, gy)
+    counts = [int(np.count_nonzero(mask)) for mask in angle_cases(chain.metrics.ang_a)]
+    maxima = [float(np.max(chain.residuals[key])) for key in CHECK_ORDER]
+    argmin = int(np.argmin(chain.cot_sum))
+    return counts, maxima, float(chain.cot_sum[argmin]), start + argmin
 
 
 def _usable_cpus() -> int:
@@ -133,40 +83,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(
-    n: int,
-    seed,
-    stratum: str = "all",
-    delta: float = DELTA_MAIN,
-) -> SweepSummary:
-    """Sample a corpus and reduce it chunk by chunk; deterministic for fixed arguments.
+def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
+    """Run the identity chain over every triangle of the corpus and reduce it.
 
     Chunks run on a thread pool (numpy releases the interpreter lock inside
-    its loops) and their reductions are combined here in chunk order, so the
-    summary equals the np.max / np.argmin reductions of `evaluate_corpus` on
-    the whole corpus: a NaN propagates and the first occurrence wins a tie.
+    its loops) and their reductions are combined here in chunk order: a NaN
+    propagates and the first occurrence wins a tie, as in np.max and
+    np.argmin over the whole corpus.
     """
     # Imported here so that importing the package (and the CLI) stays cheap.
     from concurrent.futures import ThreadPoolExecutor
 
-    corpus = sample_corpus(n, seed, stratum=stratum, delta=delta)
+    if not len(corpus):
+        return SweepResult(corpus, {case.value: 0 for case in AngleCase},
+                           dict.fromkeys(CHECK_ORDER, math.nan), math.nan, None)
     starts = range(0, len(corpus), CHUNK)
-    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
-        parts = list(pool.map(partial(_reduce_chunk, corpus), starts))
-    if not parts:
-        empty = evaluate_corpus(corpus)
-        return SweepSummary(
-            corpus, empty.case_counts, empty.max_residuals, empty.min_cot_sum, empty.argmin_index
-        )
-    maxima, counts, minima, argmins = zip(*parts)
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+        counts, maxima, minima, argmins = zip(*pool.map(partial(_reduce_chunk, corpus), starts))
     # np.argmin over the chunk minima picks the first chunk holding the
     # corpus minimum (or its first NaN), and that chunk's own argmin is then
     # the corpus's first occurrence; np.max of the chunk maxima is exact.
     best = int(np.argmin(minima))
-    return SweepSummary(
+    return SweepResult(
         corpus=corpus,
-        case_counts={key: sum(c[key] for c in counts) for key in counts[0]},
-        max_residuals={key: float(np.max([m[key] for m in maxima])) for key in CHECK_ORDER},
+        case_counts=dict(zip((case.value for case in AngleCase), np.sum(counts, axis=0).tolist())),
+        max_residuals=dict(zip(CHECK_ORDER, np.max(maxima, axis=0).tolist())),
         min_cot_sum=minima[best],
         argmin_index=argmins[best],
     )
+
+
+def run_sweep(n: int, seed, stratum: str = "all") -> SweepResult:
+    """Sample a corpus and evaluate it; deterministic for fixed arguments."""
+    return evaluate_corpus(sample_corpus(n, seed, stratum=stratum))

@@ -258,6 +258,10 @@ def test_minimize_right(capsys):
         # B + Gamma < 180 deg, but their radians round to a sum of pi
         {"angles": {"B_deg": 55.24192105079066, "Gamma_deg": 124.75807894920932, "scale": 1}},
         {"angles": {"B_deg": 90, "Gamma_deg": 1e-300, "scale": 1e10}},  # Gamma at infinity
+        # collinear at a scale where every product of coordinates underflows
+        {"vertices": {"A": [0, 0], "B": [1e-200, 0], "Gamma": [2e-200, 0]}},
+        {"vertices": {"A": [0, 0], "B": [1e-200, 0], "Gamma": [2e-200, 1e-300]}},
+        {"vertices": {"A": [0, 0], "B": [0, 0], "Gamma": [0, 0]}},
     ],
 )
 def test_invalid_inputs_exit_two(tmp_path, capsys, doc):
@@ -329,7 +333,7 @@ def test_library_value_error_exits_three(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_unexpected_exception_exits_three(scale):
-    # At 1e200 the squared sides overflow in Triangle, at 1e-200 the
+    # At 1e200 the squared sides overflow in the metrics, at 1e-200 the
     # law-of-cosines denominators underflow to zero.
     doc = {"vertices": {"A": [0, 0], "B": [4 * scale, 0], "Gamma": [0, 3 * scale]}}
     run = subprocess.run([sys.executable, "-m", "perptri", "verify", "-"],

@@ -22,6 +22,7 @@ from perptri.extremal import (
     slice_min_value,
 )
 from perptri.geom import MATH, cot
+from perptri.ratio import identity_chain
 from perptri.sampling import sample_corpus
 from perptri.sweep import evaluate_corpus
 
@@ -182,12 +183,14 @@ def test_search_interval_is_inside_open_quadrant():
 # ---------------------------------------------------------------------------
 
 def test_cot_sum_bound_over_corpus():
-    result = evaluate_corpus(sample_corpus(2000, seed=[2203, 1]))
-    assert result.min_cot_sum >= SQRT3 - 1e-12
-    near = result.cot_sum < SQRT3 + 1e-3
+    corpus = sample_corpus(2000, seed=[2203, 1])
+    assert evaluate_corpus(corpus).min_cot_sum >= SQRT3 - 1e-12
+    bx, gx, gy = corpus.vertex_arrays()
+    zeros = np.zeros(len(corpus))
+    near = identity_chain(zeros, zeros, bx, zeros, gx, gy).cot_sum < SQRT3 + 1e-3
     if near.any():
-        ang_b = result.corpus.ang_b[near]
-        ang_g = result.corpus.ang_g[near]
+        ang_b = corpus.ang_b[near]
+        ang_g = corpus.ang_g[near]
         third = math.pi / 3.0
         assert np.max(np.abs(ang_b - third)) < 0.06
         assert np.max(np.abs(ang_g - third)) < 0.06

@@ -17,7 +17,6 @@ from perptri.geom import (
     cross,
     derived_vertices,
     metrics,
-    signed_area,
 )
 from perptri.ratio import identity_chain
 
@@ -43,11 +42,10 @@ def test_point_arithmetic_and_distance():
     assert (p + q) == p
 
 
-def test_signed_area_orientation():
+def test_cross_orientation():
     a, b, g = Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0)
-    assert signed_area(a, b, g) == 6.0
-    assert signed_area(a, g, b) == -6.0
     assert cross(a, b, g) == 12.0
+    assert cross(a, g, b) == -12.0
 
 
 def test_clamp_unit():
@@ -96,6 +94,27 @@ def test_sliver_below_floor_rejected():
     # Height 1e-10 over a unit base sits below the degeneracy floor.
     with pytest.raises(DegenerateTriangleError):
         Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-10))
+
+
+def test_acceptance_and_relabeling_do_not_depend_on_scale():
+    shapes = [
+        ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)),  # 3-4-5, counterclockwise
+        ((0.0, 0.0), (0.0, 3.0), (4.0, 0.0)),  # its clockwise twin
+        ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),  # collinear
+        ((0.0, 0.0), (1.0, 0.0), (0.5, 1e-10)),  # below the degeneracy floor
+    ]
+
+    def outcome(shape, k):
+        a, b, g = (Point2(math.ldexp(x, k), math.ldexp(y, k)) for x, y in shape)
+        try:
+            t = Triangle(a, b, g)
+        except DegenerateTriangleError:
+            return "rejected"
+        return "kept" if t.b == b else "swapped"
+
+    expected = ["kept", "swapped", "rejected", "rejected"]
+    for k in range(-1000, 1001):
+        assert [outcome(shape, k) for shape in shapes] == expected, k
 
 
 def test_clockwise_input_is_relabeled():

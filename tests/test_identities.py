@@ -125,8 +125,8 @@ def test_law_of_cosines_in_cot_form_over_corpus():
     # alpha^2 = beta^2 + gamma^2 - 4 E cot A, the step that rewrites the Law
     # of Cosines through the area; checked over a seeded corpus.
     corpus = sample_corpus(200, seed=[1105, 4])
-    for t in corpus.triangles():
-        m = metrics(t)
+    for i in range(len(corpus)):
+        m = metrics(corpus.triangle(i))
         a2 = m.alpha**2
         predicted = m.beta**2 + m.gamma**2 - 4.0 * m.area * cot(MATH, m.ang_a)
         scale = m.alpha**2 + m.beta**2 + m.gamma**2

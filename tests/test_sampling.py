@@ -135,12 +135,6 @@ def test_vertex_arrays_match_scalar_triangles():
         assert t.g.y > 0.0  # canonical layout is always counterclockwise
 
 
-def test_triangles_iterator_matches_indexing():
-    c = sample_corpus(10, seed=21)
-    for i, t in enumerate(c.triangles()):
-        assert t == c.triangle(i)
-
-
 def test_concat_corpora():
     c1 = sample_corpus(10, seed=1)
     c2 = sample_corpus(15, seed=2)
