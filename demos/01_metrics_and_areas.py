@@ -4,12 +4,14 @@ The package never trusts a single formula: the shoelace value (pure
 coordinate geometry) is cross-checked against Heron's radical, the
 polynomial form of 16 E^2, the cotangent-sum formula, and the two-sides-
 and-included-angle sine formula.  The identity chain computes all five and
-returns them by name.
+returns them by name, in the triangle's frame; `in_units` converts each back
+to the input's units.
 """
 
 import math
 
 from perptri import Point2, Triangle
+from perptri.geom import in_units
 from perptri.ratio import identity_chain
 
 TRIANGLES = {
@@ -22,8 +24,10 @@ TRIANGLES = {
 
 def main() -> None:
     for name, t in TRIANGLES.items():
-        chain = identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
-        m, areas = chain.metrics, chain.areas
+        exp, bx, by, gx, gy = t.frame
+        chain = identity_chain(bx, by, gx, gy)
+        m = chain.metrics.in_units(exp)
+        areas = {label: in_units(value, 2 * exp, label) for label, value in chain.areas.items()}
         print(f"{name}  (alpha={m.alpha:.6g}, beta={m.beta:.6g}, gamma={m.gamma:.6g})")
         for label, value in areas.items():
             print(f"    {label:<18} {value:.15g}")

@@ -9,12 +9,12 @@ first broken link rather than just "the ratio is off":
     memberwise sum that telescopes them back together.
 """
 
-from perptri import Point2, Triangle, identity_report, sample_corpus
+from perptri import Point2, Triangle, identity_report, metrics, sample_corpus
 
 
 def show(name: str, t: Triangle) -> None:
     report = identity_report(t)
-    m = report.metrics
+    m = metrics(t)
     print(f"{name}: case {report.case.value}, "
           f"tier {'stress' if report.stress else 'main'}")
     print(f"    sides {m.alpha:.6g} / {m.beta:.6g} / {m.gamma:.6g}, area {m.area:.6g}")

@@ -30,7 +30,7 @@ from .extremal import (
     minimize_slice,
     right_triangle_min,
 )
-from .geom import Point2, Triangle, clamp_unit
+from .geom import MATH, Point2, Triangle, frame_exponent, in_units
 from .ratio import CHECK_ORDER, identity_chain, identity_report
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
@@ -99,12 +99,15 @@ def triangle_from_spec(doc) -> Triangle:
         beta = _as_number(body["beta"], "beta")
         gamma = _as_number(body["gamma"], "gamma")
         _require(min(alpha, beta, gamma) > 0.0, "side lengths must be positive")
-        if not max(alpha, beta, gamma) < 0.5 * (alpha + beta + gamma):
+        # The lengths scaled exactly so the largest lies in [0.5, 1): neither
+        # their sum nor their squares overflow or underflow.
+        exp = frame_exponent(MATH, alpha, beta, gamma)
+        a, b, c = math.ldexp(alpha, -exp), math.ldexp(beta, -exp), math.ldexp(gamma, -exp)
+        if not max(a, b, c) < 0.5 * (a + b + c):
             raise NotATriangleError(
                 f"sides ({alpha}, {beta}, {gamma}) violate the strict triangle inequality"
             )
-        cos_a = clamp_unit((beta**2 + gamma**2 - alpha**2) / (2.0 * beta * gamma))
-        ang_a = math.acos(cos_a)
+        ang_a = MATH.acos((b**2 + c**2 - a**2) / (2.0 * b * c))
         return Triangle(
             Point2(0.0, 0.0),
             Point2(gamma, 0.0),
@@ -144,8 +147,11 @@ def _emit_json(payload) -> None:
 
 def cmd_metrics(args) -> int:
     t = load_triangle(args.spec)
-    chain = identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
-    m, areas = chain.metrics, chain.areas
+    exp, bx, by, gx, gy = t.frame
+    chain = identity_chain(bx, by, gx, gy)
+    m = chain.metrics.in_units(exp)
+    areas = {name: in_units(value, 2 * exp, f"area ({name})")
+             for name, value in chain.areas.items()}
     if args.json:
         _emit_json(
             {
@@ -192,8 +198,8 @@ def cmd_verify(args) -> int:
             }
         )
         return 0 if report.passed else 1
-    m = report.metrics
-    print(f"case: {report.case.value} (angle A = {fmt(math.degrees(m.ang_a))} deg)")
+    ang_a = report.frame_metrics.ang_a
+    print(f"case: {report.case.value} (angle A = {fmt(math.degrees(ang_a))} deg)")
     print(f"tier: {'stress (relaxed tolerances)' if report.stress else 'main'}")
     print("identity residuals")
     for name, value in report.residuals.items():
@@ -212,6 +218,10 @@ def cmd_construct(args) -> int:
     phi = math.radians(args.phi)
     d = construct(t, phi)
     disc = similarity_check(t, d)
+    # Every value in the input's units first: one that does not fit binary64
+    # stops the command before anything is written.
+    ap, bp, gp = d.ap, d.bp, d.gp
+    area_source, area_derived = d.metrics.area, d.area_derived
     if args.out:
         render_svg(d, args.out)
     if args.json:
@@ -219,12 +229,12 @@ def cmd_construct(args) -> int:
             "phi_deg": args.phi,
             "case": d.case.value,
             "vertices": {
-                "A_prime": [d.ap.x, d.ap.y],
-                "B_prime": [d.bp.x, d.bp.y],
-                "Gamma_prime": [d.gp.x, d.gp.y],
+                "A_prime": [ap.x, ap.y],
+                "B_prime": [bp.x, bp.y],
+                "Gamma_prime": [gp.x, gp.y],
             },
-            "area_source": d.metrics.area,
-            "area_derived": d.area_derived,
+            "area_source": area_source,
+            "area_derived": area_derived,
             "ratio_geometric": d.ratio_geometric,
             "ratio_formula_sq_cot_sum": d.ratio_formula,
             "ratio_formula_applies": d.phi == 0.5 * math.pi,
@@ -237,13 +247,13 @@ def cmd_construct(args) -> int:
         return 0
     print(f"phi: {fmt(args.phi)} deg   case: {d.case.value}")
     print("derived vertices")
-    print(f"  A':     ({fmt(d.ap.x)}, {fmt(d.ap.y)})")
-    print(f"  B':     ({fmt(d.bp.x)}, {fmt(d.bp.y)})")
-    print(f"  Gamma': ({fmt(d.gp.x)}, {fmt(d.gp.y)})")
+    print(f"  A':     ({fmt(ap.x)}, {fmt(ap.y)})")
+    print(f"  B':     ({fmt(bp.x)}, {fmt(bp.y)})")
+    print(f"  Gamma': ({fmt(gp.x)}, {fmt(gp.y)})")
     if d.gamma_prime_on_b:
         print("  note: Gamma' coincides with B")
-    print(f"area source:  {fmt(d.metrics.area)}")
-    print(f"area derived: {fmt(d.area_derived)}")
+    print(f"area source:  {fmt(area_source)}")
+    print(f"area derived: {fmt(area_derived)}")
     print(f"ratio (geometric): {fmt(d.ratio_geometric)}")
     if d.phi == 0.5 * math.pi:
         print(f"ratio (squared cot sum): {fmt(d.ratio_formula)}")

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AngleSumError, PhiRangeError
+from .errors import AngleSumError, GeometryError, PhiRangeError, UnitRangeError
 from .geom import (
     MATH,
     Point2,
@@ -27,6 +27,7 @@ from .geom import (
     cot,
     cross,
     derived_vertices,
+    in_units,
 )
 
 #: Half-width of the angle-A band classified as right.  Classification feeds
@@ -71,10 +72,13 @@ def classify_angle(ang_a: float) -> AngleCase:
 class DerivedConstruction:
     """The triangle bounded by three rotated side lines, and both ratio routes.
 
-    metrics are the source's, measured from its vertex A.  ap_rel, bp_rel and
-    gp_rel are A', B' and Gamma' relative to that vertex; every measurement
-    reads them, so it depends on the triangle's shape, not its position.  ap,
-    bp and gp are the same vertices in the source's coordinates, for output.
+    Every measurement is made in the source's frame (`Triangle.frame`), so it
+    depends on the triangle's shape, not its position or size: frame_metrics
+    are the source's metrics there, ap_rel, bp_rel and gp_rel are A', B' and
+    Gamma' relative to A, and frame_area_derived is the derived area.  The
+    properties metrics, area_derived, ap, bp and gp give the same quantities
+    in the source's units and coordinates, for output; they raise
+    UnitRangeError when one does not fit binary64.
 
     ratio_geometric is derived area / source area, both measured by shoelace.
     ratio_formula is (cot A + cot B + cot Gamma)^2; the two are equal exactly
@@ -83,32 +87,49 @@ class DerivedConstruction:
     """
 
     source: Triangle
-    metrics: TriangleMetrics
+    frame_metrics: TriangleMetrics
     ap_rel: Point2
     bp_rel: Point2
     gp_rel: Point2
     phi: float
     case: AngleCase
-    area_derived: float
+    frame_area_derived: float
     ratio_geometric: float
     ratio_formula: float
 
     @property
+    def metrics(self) -> TriangleMetrics:
+        return self.frame_metrics.in_units(self.source.frame.exp)
+
+    @property
+    def area_derived(self) -> float:
+        return in_units(self.frame_area_derived, 2 * self.source.frame.exp, "derived area")
+
+    def _placed(self, p: Point2, name: str) -> Point2:
+        """A frame point in the source's coordinates."""
+        exp, a = self.source.frame.exp, self.source.a
+        try:
+            return Point2(math.ldexp(p.x, exp) + a.x, math.ldexp(p.y, exp) + a.y)
+        except (OverflowError, GeometryError):
+            raise UnitRangeError(f"{name} does not fit binary64 in the input's units") from None
+
+    @property
     def ap(self) -> Point2:
-        return self.ap_rel + self.source.a
+        return self._placed(self.ap_rel, "A'")
 
     @property
     def bp(self) -> Point2:
-        return self.bp_rel + self.source.a
+        return self._placed(self.bp_rel, "B'")
 
     @property
     def gp(self) -> Point2:
-        return self.gp_rel + self.source.a
+        return self._placed(self.gp_rel, "Gamma'")
 
     @property
     def gamma_prime_offset(self) -> float:
         """|Gamma' B| over the longest source side; 0 in exact arithmetic when A is right."""
-        return self.gp_rel.dist(self.source.b - self.source.a) / self.source.longest_side()
+        f, m = self.source.frame, self.frame_metrics
+        return self.gp_rel.dist(Point2(f.bx, f.by)) / max(m.alpha, m.beta, m.gamma)
 
     @property
     def gamma_prime_on_b(self) -> bool:
@@ -126,21 +147,21 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     """
     if not 0.0 < phi <= 0.5 * math.pi:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
-    b, g = t.b - t.a, t.g - t.a
-    m = anchored_metrics(MATH, b.x, b.y, g.x, g.y)
-    rel = derived_vertices(math.hypot, b.x, b.y, g.x, g.y, math.cos(phi), math.sin(phi))
+    _, bx, by, gx, gy = t.frame
+    m = anchored_metrics(MATH, bx, by, gx, gy)
+    rel = derived_vertices(math.hypot, bx, by, gx, gy, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
     area_derived = 0.5 * abs(cross(ap, bp, gp))
     total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
     return DerivedConstruction(
         source=t,
-        metrics=m,
+        frame_metrics=m,
         ap_rel=ap,
         bp_rel=bp,
         gp_rel=gp,
         phi=phi,
         case=classify_angle(m.ang_a),
-        area_derived=area_derived,
+        frame_area_derived=area_derived,
         ratio_geometric=area_derived / m.area,
         ratio_formula=total * total,
     )
@@ -151,13 +172,14 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
 
     All three are zero in exact arithmetic for every phi in (0, pi/2]; the
     construction only shifts which original angle shows up at which derived
-    vertex.  A'B'Gamma' is measured by the metrics routine anchored at A' and
-    compared with d.metrics, the metrics of t that construct measured.  A
-    derived angle that rounds to 0 is a discrepancy to report, not an error.
+    vertex.  A'B'Gamma' is measured by the metrics routine anchored at A', in
+    the source's frame, and compared with d.frame_metrics, the metrics of t
+    that construct measured.  A derived angle that rounds to 0 is a
+    discrepancy to report, not an error.
     """
     ap, bp, gp = d.ap_rel, d.bp_rel, d.gp_rel
     derived = anchored_metrics(_UNGUARDED, bp.x - ap.x, bp.y - ap.y, gp.x - ap.x, gp.y - ap.y)
-    m = d.metrics
+    m = d.frame_metrics
     return (
         abs(derived.ang_a - m.ang_b),
         abs(derived.ang_b - m.ang_g),

@@ -28,5 +28,9 @@ class PhiRangeError(GeometryError):
     """Rotation angle outside the supported interval (0, pi/2]."""
 
 
+class UnitRangeError(GeometryError):
+    """A length or area of a valid triangle does not fit binary64 in the input's units."""
+
+
 class ParseError(ValueError):
     """Malformed or ambiguous triangle specification document."""

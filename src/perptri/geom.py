@@ -4,9 +4,19 @@ Angles are radians everywhere in the library; degrees exist only at the CLI
 boundary.  All arithmetic is plain binary64 floating point -- identities built
 on these primitives are verified to tolerance, never symbolically.
 
-`anchored_metrics`, `cot` and `derived_vertices` work on coordinates relative
-to vertex A, given as floats or as numpy arrays; an `Ops` namespace, `MATH`
-or `NUMPY`, supplies the elementary functions for either.
+Every measurement is made in one frame, which `frame` computes: B and Gamma
+relative to A, scaled by the power of two 2**-exp that brings the largest
+coordinate into [0.5, 1).  The scaling is exact in binary64, so squares of
+sides neither overflow nor underflow at any size, and every dimensionless
+result (angles, cotangents, ratios, residuals, verdicts) is the same, bit for
+bit, for a triangle and each of its 2**k-scaled copies.  `Triangle` computes
+its frame once and keeps it.  Lengths measured in the frame are converted
+back to the input's units, exactly, by `in_units` (lengths times 2**exp,
+areas times 2**(2 exp)) only where they are printed or returned.
+
+`frame`, `anchored_metrics`, `cot` and `derived_vertices` take floats or numpy
+arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the elementary
+functions for either.
 """
 
 from __future__ import annotations
@@ -14,12 +24,12 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import AngleSumError, DegenerateTriangleError, GeometryError
+from .errors import AngleSumError, DegenerateTriangleError, GeometryError, UnitRangeError
 
 #: A triangle is rejected as degenerate when its area falls below this factor
 #: times the squared longest side (scale invariant: both sides are length^2).
@@ -31,14 +41,17 @@ RIGHT_ANGLE_BAND = 1e-12
 
 
 def clamp_unit(value: float) -> float:
-    """Clamp into [-1, 1]; guards acos against roundoff just outside range."""
-    return max(-1.0, min(1.0, value))
+    """Clamp into [-1, 1]; guards acos against roundoff just outside range.
+
+    NaN passes through, as it does through np.clip.
+    """
+    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
 
 
 #: The elementary functions the float and array routines use beyond arithmetic
 #: operators: acos clips into [-1, 1] first, max and min are n-ary and
 #: elementwise, and require(ok, error) raises error() unless ok.
-Ops = namedtuple("Ops", "hypot acos cos sin sqrt where max min require")
+Ops = namedtuple("Ops", "hypot acos cos sin sqrt frexp ldexp where max min require")
 
 
 def _require(ok: bool, error: Callable[[], Exception]) -> None:
@@ -47,12 +60,49 @@ def _require(ok: bool, error: Callable[[], Exception]) -> None:
 
 
 MATH = Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, math.sqrt,
-           lambda cond, yes, no: yes if cond else no, max, min, _require)
+           math.frexp, math.ldexp, lambda cond, yes, no: yes if cond else no, max, min,
+           _require)
 
 # Arrays carry inf or NaN where one triangle would raise, as numpy does.
 NUMPY = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
-            np.where, lambda *xs: functools.reduce(np.maximum, xs),
+            np.frexp, np.ldexp, np.where, lambda *xs: functools.reduce(np.maximum, xs),
             lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
+
+#: B and Gamma relative to A, times 2**-exp (see `frame`).
+Frame = namedtuple("Frame", "exp bx by gx gy")
+
+
+def frame_exponent(ops: Ops, *values):
+    """The exp for which the largest |value| times 2**-exp lies in [0.5, 1); 0 for zeros."""
+    return ops.frexp(ops.max(*map(abs, values)))[1]
+
+
+def frame(ops: Ops, ax, ay, bx, by, gx, gy) -> Frame:
+    """The frame of the triangle A, B, Gamma: B and Gamma relative to A, scaled by 2**-exp.
+
+    The one place where A is subtracted and the scale is chosen.  Both steps
+    are exact unless a difference overflows, so a triangle and its exact
+    2**k-scaled copy have the same frame and exps that differ by k.
+    """
+    bx, by, gx, gy = bx - ax, by - ay, gx - ax, gy - ay
+    exp = frame_exponent(ops, bx, by, gx, gy)
+    ldexp = ops.ldexp
+    return Frame(exp, ldexp(bx, -exp), ldexp(by, -exp), ldexp(gx, -exp), ldexp(gy, -exp))
+
+
+def in_units(value: float, exp: int, name: str) -> float:
+    """value * 2**exp, exactly: a frame length (exp) or area (2 exp) in the input's units.
+
+    Raises UnitRangeError naming the quantity when the result overflows
+    binary64 or a non-zero value underflows to 0.
+    """
+    try:
+        result = math.ldexp(value, exp)
+    except OverflowError:
+        result = math.inf
+    if math.isinf(result) or (result == 0.0 and value != 0.0):
+        raise UnitRangeError(f"{name} does not fit binary64 in the input's units")
+    return result
 
 
 def cot(ops: Ops, x):
@@ -77,9 +127,6 @@ class Point2:
 
     def __sub__(self, other: Point2) -> Point2:
         return Point2(self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: Point2) -> Point2:
-        return Point2(self.x + other.x, self.y + other.y)
 
     def dist(self, other: Point2) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -134,20 +181,23 @@ class Triangle:
     on construction so every rotation sense downstream is uniform.  The swap
     relabels the triangle (beta <-> gamma, angle B <-> angle Gamma); every
     quantity verified by this package is symmetric under that relabeling.
+    The triangle's frame is computed once, judged for degeneracy and kept as
+    `frame`; every measurement of the triangle reads it.
     """
 
     a: Point2
     b: Point2
     g: Point2
+    #: The triangle's frame (`frame`), in which every measurement is made.
+    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # B and Gamma relative to A, scaled by a power of two (exactly) so the
-        # largest coordinate is about 1: the squares below neither underflow
-        # nor overflow, whatever the triangle's size.
-        bx, by = self.b.x - self.a.x, self.b.y - self.a.y
-        gx, gy = self.g.x - self.a.x, self.g.y - self.a.y
-        e = -math.frexp(max(abs(bx), abs(by), abs(gx), abs(gy)))[1]
-        bx, by, gx, gy = math.ldexp(bx, e), math.ldexp(by, e), math.ldexp(gx, e), math.ldexp(gy, e)
+        f = frame(MATH, self.a.x, self.a.y, self.b.x, self.b.y, self.g.x, self.g.y)
+        exp, bx, by, gx, gy = f
+        if not math.isfinite(bx + by + gx + gy):
+            raise UnitRangeError("vertices lie farther apart than binary64 can measure")
+        # In the frame the squares below neither underflow nor overflow,
+        # whatever the triangle's size.
         doubled = bx * gy - by * gx
         longest_sq = max(bx * bx + by * by, (gx - bx) ** 2 + (gy - by) ** 2, gx * gx + gy * gy)
         # doubled == 0.0 also rejects three coincident vertices, where the
@@ -160,6 +210,8 @@ class Triangle:
             b, g = self.b, self.g
             object.__setattr__(self, "b", g)
             object.__setattr__(self, "g", b)
+            f = Frame(exp, gx, gy, bx, by)
+        object.__setattr__(self, "frame", f)
 
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return self.a, self.b, self.g
@@ -187,20 +239,27 @@ class TriangleMetrics:
     s: float
     area: float
 
+    def in_units(self, exp: int) -> TriangleMetrics:
+        """These metrics, measured in a frame with exponent exp, in the input's units."""
+        return TriangleMetrics(
+            in_units(self.alpha, exp, "alpha"), in_units(self.beta, exp, "beta"),
+            in_units(self.gamma, exp, "gamma"), self.ang_a, self.ang_b, self.ang_g,
+            in_units(self.s, exp, "semi-perimeter"), in_units(self.area, 2 * exp, "area"))
+
 
 def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
-    """Metrics of the triangle A, B, Gamma from B and Gamma relative to A.
+    """Metrics of the triangle A, B, Gamma from B and Gamma in a frame anchored at A.
 
     Sides by hypot, angles by the Law of Cosines (acos clipped), area by the
-    shoelace formula.  ops.require raises OverflowError when a squared side
-    overflows, and AngleSumError when a computed angle is 0 (cos rounded to
-    1), before anything divides by its sine.
+    shoelace formula, all in the frame's units.  The coordinates must be of
+    about unit size, as `frame` makes them, so that no squared side overflows
+    or underflows.  ops.require raises AngleSumError when a computed angle is
+    0 (cos rounded to 1), before anything divides by its sine.
     """
     alpha = ops.hypot(gx - bx, gy - by)
     beta = ops.hypot(gx, gy)
     gamma = ops.hypot(bx, by)
     a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
-    ops.require(a2 + b2 + g2 < math.inf, lambda: OverflowError("squared sides overflow binary64"))
     ang_a = ops.acos((b2 + g2 - a2) / (2.0 * beta * gamma))
     ang_b = ops.acos((a2 + g2 - b2) / (2.0 * alpha * gamma))
     ang_g = ops.acos((a2 + b2 - g2) / (2.0 * alpha * beta))
@@ -212,6 +271,6 @@ def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
-    """anchored_metrics of t, measured from its vertex A."""
-    b, g = t.b - t.a, t.g - t.a
-    return anchored_metrics(MATH, b.x, b.y, g.x, g.y)
+    """anchored_metrics of t, measured in its frame, in the input's units."""
+    exp, bx, by, gx, gy = t.frame
+    return anchored_metrics(MATH, bx, by, gx, gy).in_units(exp)

@@ -17,15 +17,18 @@ intermediate identities, each checkable on its own:
     quadratic one, which is how the closed form falls out.
 
 Every residual is normalized as |lhs - rhs| / (1 + |rhs|) (or by the stated
-dominant term), so tolerances read the same across triangle scales from 1e-2
-to 1e2.  Checking every link separately localizes a failure to the first
-broken one.
+dominant term).  The chain runs in the triangle's frame (`geom.frame`), where
+the largest coordinate lies in [0.5, 1), so the "1" is of the triangle's own
+size and every residual, hence every verdict, is the same for a triangle and
+each of its 2**k-scaled copies, anywhere in binary64 range.  Checking every
+link separately localizes a failure to the first broken one.
 
-`identity_chain` is the one implementation of the chain, anchored at vertex A
-so that residuals depend on a triangle's shape, not its position.
-`identity_report` runs it on one triangle's six floats and
-`sweep.evaluate_corpus` on six arrays per chunk of a corpus, keeping only
-reductions of the per-triangle arrays.  The input's type picks the elementary
+`identity_chain` is the one implementation of the chain.  It takes B and
+Gamma in a frame anchored at vertex A, so that residuals depend on a
+triangle's shape, not its position or size.  `identity_report` runs it on
+one triangle's stored frame and `sweep.evaluate_corpus` on the frame arrays
+of each chunk of a corpus, keeping only reductions of the per-triangle
+arrays.  The input's type picks the elementary
 functions, `geom.MATH` for floats and `geom.NUMPY` for arrays, because neither
 serves the other's input: one triangle costs about 20 us through `math`, 100
 us through numpy ufuncs on floats and 210 us as a numpy batch of one (2-core
@@ -115,19 +118,18 @@ class IdentityChain:
     ratio_geometric: float | np.ndarray
 
 
-def identity_chain(ax, ay, bx, by, gx, gy) -> IdentityChain:
-    """The identity chain at phi = pi/2 for six float or six array coordinates.
+def identity_chain(bx, by, gx, gy) -> IdentityChain:
+    """The identity chain at phi = pi/2 for B and Gamma in a frame (`geom.frame`).
 
-    A float triangle the chain cannot evaluate (a computed angle of 0, a
-    half-angle radicand <= 0) raises a GeometryError before the division it
-    would break; arrays carry inf or NaN for such triangles instead.
+    The coordinates are four floats or four arrays; every result is in the
+    frame's units.  A float triangle the chain cannot evaluate (a computed
+    angle of 0, a half-angle radicand <= 0) raises a GeometryError before the
+    division it would break; arrays carry inf or NaN for such triangles
+    instead.
     """
-    ops = NUMPY if isinstance(ax, np.ndarray) else MATH
+    ops = NUMPY if isinstance(bx, np.ndarray) else MATH
     hypot, sin, sqrt, vmax, vmin = ops.hypot, ops.sin, ops.sqrt, ops.max, ops.min
 
-    # Frame anchored at A: line offsets and the shoelace area are then built
-    # from differences of the size of the triangle, not of its position.
-    bx, by, gx, gy = bx - ax, by - ay, gx - ax, gy - ay
     m = anchored_metrics(ops, bx, by, gx, gy)
     alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = (
         m.alpha, m.beta, m.gamma, m.ang_a, m.ang_b, m.ang_g, m.s, m.area)
@@ -205,9 +207,11 @@ class VerifyReport:
     first_failing names the earliest entry of CHECK_ORDER whose residual is
     not within its tolerance (a NaN never is), or None when everything
     passes; that is the link of the identity chain to suspect first.
+    frame_metrics are the triangle's metrics in its frame (`geom.metrics`
+    gives them in the input's units).
     """
 
-    metrics: TriangleMetrics
+    frame_metrics: TriangleMetrics
     case: AngleCase
     stress: bool
     residuals: dict[str, float]
@@ -223,7 +227,8 @@ def identity_report(t: Triangle) -> VerifyReport:
     the uniform relaxed tolerance and flagged stress=True, because their
     conditioning legitimately amplifies roundoff.
     """
-    chain = identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
+    _, bx, by, gx, gy = t.frame
+    chain = identity_chain(bx, by, gx, gy)
     m, residuals = chain.metrics, chain.residuals
 
     stress = min(m.ang_a, m.ang_b, m.ang_g) < STRESS_MIN_ANGLE
@@ -237,7 +242,7 @@ def identity_report(t: Triangle) -> VerifyReport:
     )
 
     return VerifyReport(
-        metrics=m,
+        frame_metrics=m,
         case=classify_angle(m.ang_a),
         stress=stress,
         residuals=residuals,

@@ -69,7 +69,7 @@ def _triangle_path(cls: str, pts: list[tuple[float, float]]) -> str:
 def _phi_arc(d: DerivedConstruction, size: float) -> str:
     """Arc at vertex B from the AB direction to its rotation by phi."""
     b = _flip(d.source.b)
-    sx, sy = d.source.b.x - d.source.a.x, d.source.b.y - d.source.a.y
+    _, sx, sy, _, _ = d.source.frame
     norm = math.hypot(sx, sy)
     ux, uy = sx / norm, sy / norm
     c, s = math.cos(d.phi), math.sin(d.phi)

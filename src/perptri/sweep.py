@@ -1,14 +1,15 @@
 """Vectorized residual sweeps over seeded corpora (the phi = pi/2 identity).
 
 `evaluate_corpus` runs `ratio.identity_chain`, the kernel `perptri verify`
-also runs, on a corpus's vertex arrays, in fixed chunks of `CHUNK` (2**14)
-triangles on one thread per CPU the process may use.  Each chunk is reduced
-as it finishes -- case counts, the largest residuals, the smallest cot sum
-and where it lies -- and the chunk reductions are combined in chunk order, so
-the result equals np.count_nonzero / np.max / np.argmin over the whole
-corpus exactly.  Its memory is the corpus (24 bytes per triangle) plus a
-bounded amount per thread, whatever the corpus size; about 11 ms per chunk
-on two cores.
+also runs, in fixed chunks of `CHUNK` (2**14) triangles on one thread per CPU
+the process may use.  Each chunk's vertex arrays go through `geom.frame`, as
+each scalar triangle does, so a sweep measures every triangle in the same
+frame as `perptri verify`.  Each chunk is reduced as it finishes -- case
+counts, the largest residuals, the smallest cot sum and where it lies -- and
+the chunk reductions are combined in chunk order, so the result equals
+np.count_nonzero / np.max / np.argmin over the whole corpus exactly.  Its
+memory is the corpus (24 bytes per triangle) plus a bounded amount per
+thread, whatever the corpus size; about 11 ms per chunk on two cores.
 
 `run_sweep` samples a corpus and evaluates it.  The per-triangle arrays a
 chunk produces are not kept; `identity_chain` gives them for any corpus.
@@ -24,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from .construction import AngleCase, angle_cases
+from .geom import NUMPY, frame
 from .ratio import CHECK_ORDER, identity_chain
 from .sampling import TriangleCorpus, sample_corpus
 
@@ -58,8 +60,8 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
 
     Workers read a slice of the shared corpus and return a fresh tuple
     (case counts, max residuals, min cot sum, its corpus index); they share
-    no mutable state, so no lock is needed.  A and the y of B are zero
-    arrays in the canonical layout.
+    no mutable state, so no lock is needed.  In the canonical layout A is the
+    origin and B lies on the x axis.
     """
     stop = start + CHUNK
     bx, gx, gy = TriangleCorpus(
@@ -67,8 +69,8 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
         ang_g=corpus.ang_g[start:stop],
         scale=corpus.scale[start:stop],
     ).vertex_arrays()
-    zeros = np.zeros(bx.size)
-    chain = identity_chain(zeros, zeros, bx, zeros, gx, gy)
+    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
+    chain = identity_chain(bx, by, gx, gy)
     counts = [int(np.count_nonzero(mask)) for mask in angle_cases(chain.metrics.ang_a)]
     maxima = [float(np.max(chain.residuals[key])) for key in CHECK_ORDER]
     argmin = int(np.argmin(chain.cot_sum))

@@ -128,6 +128,37 @@ def test_verify_far_from_origin_passes(tmp_path, capsys):
     assert "verdict: PASS" in capsys.readouterr().out
 
 
+def scaled_345(form, scale):
+    """The 3-4-5 triangle times scale, in one of the three input forms."""
+    if form == "vertices":
+        return {"vertices": {"A": [0, 0], "B": [4 * scale, 0], "Gamma": [0, 3 * scale]}}
+    if form == "sides":
+        return {"sides": {"alpha": 5 * scale, "beta": 3 * scale, "gamma": 4 * scale}}
+    return {"angles": {**SPEC_ANGLES["angles"], "scale": 4 * scale}}
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize("form", ["vertices", "sides", "angles"])
+def test_verify_passes_at_extreme_sizes(tmp_path, capsys, form, scale):
+    # Measured in the triangle's frame, far from unit size too.
+    code = main(["verify", write_spec(tmp_path, scaled_345(form, scale))])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.endswith("verdict: PASS\n")
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("command", [["metrics"], ["metrics", "--json"],
+                                     ["construct"], ["construct", "--json"]])
+def test_area_out_of_range_exits_two(tmp_path, capsys, command, scale):
+    # The sides fit binary64 but the area, 6e400 or 6e-400, does not.
+    code = main([*command, write_spec(tmp_path, scaled_345("vertices", scale))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: area does not fit binary64 in the input's units\n"
+
+
 def test_verify_zero_computed_angle_exits_two(tmp_path, capsys):
     # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives A = 0.0.
     spec = {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
@@ -331,14 +362,18 @@ def test_library_value_error_exits_three(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: internal: ValueError('defect')\n"
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_unexpected_exception_exits_three(scale):
-    # At 1e200 the squared sides overflow in the metrics, at 1e-200 the
-    # law-of-cosines denominators underflow to zero.
-    doc = {"vertices": {"A": [0, 0], "B": [4 * scale, 0], "Gamma": [0, 3 * scale]}}
-    run = subprocess.run([sys.executable, "-m", "perptri", "verify", "-"],
-                         input=json.dumps(doc), capture_output=True, text=True, timeout=120)
+def test_unexpected_exception_exits_three():
+    # A defect deep in the library, in a real process: one line, no traceback.
+    code = ("import sys\n"
+            "from perptri import cli, ratio\n"
+            "def broken(*frame):\n"
+            "    raise ZeroDivisionError('defect')\n"
+            "ratio.identity_chain = broken\n"
+            "sys.exit(cli.main(['verify', '-']))\n")
+    run = subprocess.run([sys.executable, "-c", code], input=json.dumps(SPEC_VERTICES),
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 3
+    assert run.stdout == ""
     assert run.stderr.startswith("error: internal: ")
     assert run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr

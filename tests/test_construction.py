@@ -236,4 +236,4 @@ def test_construct_measures_the_source_as_verify_does(phi):
     offset = 1e8
     t = Triangle(Point2(offset, offset), Point2(offset + 4.0, offset),
                  Point2(offset + 1.0, offset + 3.0))
-    assert construct(t, phi).metrics == identity_report(t).metrics
+    assert construct(t, phi).frame_metrics == identity_report(t).frame_metrics

@@ -21,7 +21,7 @@ from perptri.extremal import (
     slice_argmin,
     slice_min_value,
 )
-from perptri.geom import MATH, cot
+from perptri.geom import MATH, NUMPY, cot, frame
 from perptri.ratio import identity_chain
 from perptri.sampling import sample_corpus
 from perptri.sweep import evaluate_corpus
@@ -186,8 +186,8 @@ def test_cot_sum_bound_over_corpus():
     corpus = sample_corpus(2000, seed=[2203, 1])
     assert evaluate_corpus(corpus).min_cot_sum >= SQRT3 - 1e-12
     bx, gx, gy = corpus.vertex_arrays()
-    zeros = np.zeros(len(corpus))
-    near = identity_chain(zeros, zeros, bx, zeros, gx, gy).cot_sum < SQRT3 + 1e-3
+    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
+    near = identity_chain(bx, by, gx, gy).cot_sum < SQRT3 + 1e-3
     if near.any():
         ang_b = corpus.ang_b[near]
         ang_g = corpus.ang_g[near]

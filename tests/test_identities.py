@@ -11,7 +11,17 @@ import pytest
 
 from perptri.cli import triangle_from_spec
 from perptri.errors import AngleSumError, NotATriangleError
-from perptri.geom import MATH, RIGHT_ANGLE_BAND, Point2, Triangle, cot, metrics
+from perptri.geom import (
+    MATH,
+    NUMPY,
+    RIGHT_ANGLE_BAND,
+    Point2,
+    Triangle,
+    cot,
+    frame,
+    in_units,
+    metrics,
+)
 from perptri.ratio import identity_chain, identity_report
 from perptri.sampling import sample_corpus
 
@@ -19,7 +29,12 @@ SQRT3 = math.sqrt(3.0)
 
 
 def chain(t: Triangle):
-    return identity_chain(t.a.x, t.a.y, t.b.x, t.b.y, t.g.x, t.g.y)
+    return identity_chain(*t.frame[1:])
+
+
+def areas(t: Triangle) -> dict:
+    """The five area routes of t, in the input's units."""
+    return {name: in_units(value, 2 * t.frame.exp, name) for name, value in chain(t).areas.items()}
 
 
 class TestCot:
@@ -48,10 +63,10 @@ class TestHeron:
     """Heron's route, and the strict triangle inequality the sides form needs."""
 
     def test_345(self, t345):
-        assert chain(t345).areas["heron"] == 6.0
+        assert areas(t345)["heron"] == 6.0
 
     def test_equilateral(self, equilateral):
-        assert chain(equilateral).areas["heron"] == pytest.approx(SQRT3 / 4.0, abs=1e-16)
+        assert areas(equilateral)["heron"] == pytest.approx(SQRT3 / 4.0, abs=1e-16)
 
     def test_degenerate_sides_raise(self):
         with pytest.raises(NotATriangleError):
@@ -64,16 +79,16 @@ class TestHeron:
 
 def test_sixteen_area_squared_345(t345):
     # Integer squared sides make the polynomial exact: 16 E^2 = 576, E = 6.
-    assert chain(t345).areas["sixteen_sq_poly"] == 6.0
+    assert areas(t345)["sixteen_sq_poly"] == 6.0
 
 
 def test_sixteen_area_route_clamps_negative_rounding():
     # On needles the polynomial can round below zero; the route reads 0.0
     # there, not NaN.  Their zero angles make other routes inf or NaN.
     x = np.linspace(0.01, 0.99, 2000)
-    zeros = np.zeros_like(x)
+    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, 1.0, 0.0, x, 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        needles = identity_chain(zeros, zeros, zeros + 1.0, zeros, x, zeros + 1e-9)
+        needles = identity_chain(bx, by, gx, gy)
     poly = needles.areas["sixteen_sq_poly"]
     assert not np.isnan(poly).any()
     assert (poly == 0.0).any()
@@ -113,12 +128,12 @@ class TestCotSum:
 
 
 def test_area_sine_345(t345):
-    assert chain(t345).areas["sine_formula"] == 6.0
+    assert areas(t345)["sine_formula"] == 6.0
 
 
 def test_area_from_cots_345(t345):
     # (25 + 9 + 16) / (4 * 25/12) = 6
-    assert chain(t345).areas["cot_formula"] == pytest.approx(6.0, rel=1e-13)
+    assert areas(t345)["cot_formula"] == pytest.approx(6.0, rel=1e-13)
 
 
 def test_law_of_cosines_in_cot_form_over_corpus():

@@ -1,5 +1,6 @@
 """The identity chain behind the area ratio, and its reporting layer."""
 
+import dataclasses
 import math
 
 import pytest
@@ -150,14 +151,32 @@ def test_all_failing_blames_first_link(t345, monkeypatch):
     assert report.first_failing == CHECK_ORDER[0]
 
 
-def test_nan_residual_fails_the_verdict():
-    # At 1e150 the squared sides overflow and some residuals come out NaN;
-    # the verdict must agree with every residual's own comparison.
-    t = Triangle(Point2(0.0, 0.0), Point2(4e150, 0.0), Point2(0.0, 3e150))
-    report = identity_report(t)
-    within = [report.residuals[k] <= report.tolerances[k] for k in CHECK_ORDER]
-    assert report.passed == all(within)
-    assert report.first_failing == (None if all(within) else CHECK_ORDER[within.index(False)])
+def test_nan_residual_fails_the_verdict(t345, monkeypatch):
+    # A NaN is never within its tolerance: the verdict fails and blames it.
+    real = ratio_mod.identity_chain
+
+    def with_nan(*coords):
+        chain = real(*coords)
+        return dataclasses.replace(chain, residuals={**chain.residuals, "chain_sum": math.nan})
+
+    monkeypatch.setattr(ratio_mod, "identity_chain", with_nan)
+    report = identity_report(t345)
+    assert not report.passed
+    assert report.first_failing == "chain_sum"
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_wrong_area_is_blamed_on_the_first_link_at_any_scale(scale, monkeypatch):
+    # Measured in the frame, a shoelace area 10 % too large breaks the
+    # increment identity whatever the triangle's size.
+    real = ratio_mod.anchored_metrics
+
+    def wrong_area(ops, *coords):
+        return dataclasses.replace(real(ops, *coords), area=1.1 * real(ops, *coords).area)
+
+    monkeypatch.setattr(ratio_mod, "anchored_metrics", wrong_area)
+    t = Triangle(Point2(0.0, 0.0), Point2(4.0 * scale, 0.0), Point2(0.0, 3.0 * scale))
+    assert identity_report(t).first_failing == "area_increment"
 
 
 def test_report_is_frozen(t345):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from perptri.construction import angle_cases, construct
-from perptri.geom import MATH, cot
+from perptri.geom import MATH, NUMPY, cot, frame
 from perptri.ratio import CHECK_ORDER, STRICT_TOLERANCES, identity_chain, identity_report
 from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
 from perptri.sweep import CHUNK, evaluate_corpus, run_sweep
@@ -24,10 +24,10 @@ BRIDGE_ABS = 1e-13
 
 
 def chain_of(corpus):
-    """identity_chain over a whole corpus at once, in the sweep's canonical layout."""
+    """identity_chain over a whole corpus at once, in the frame the sweep uses."""
     bx, gx, gy = corpus.vertex_arrays()
-    zeros = np.zeros(len(corpus))
-    return identity_chain(zeros, zeros, bx, zeros, gx, gy)
+    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
+    return identity_chain(bx, by, gx, gy)
 
 
 @pytest.fixture(scope="module")
