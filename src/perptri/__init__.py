@@ -8,6 +8,9 @@ for any triangle, at least 4 when a right angle is pinned at A.  This package
 constructs the derived triangle, verifies the ratio identity and every
 intermediate identity it rests on, and confirms the extremal values both in
 closed form and numerically.
+
+Only the sweep and the brute-force lattice work on arrays, and only they
+import numpy: the sweep's names below are resolved on first access.
 """
 
 from .construction import (
@@ -51,7 +54,6 @@ from .sampling import (
     triangle_from_angles,
 )
 from .svg import render_svg
-from .sweep import SweepResult, evaluate_corpus, run_sweep
 
 __version__ = "0.1.0"
 
@@ -92,3 +94,15 @@ __all__ = [
     "slice_min_value",
     "triangle_from_angles",
 ]
+
+
+_SWEEP_NAMES = ("SweepResult", "evaluate_corpus", "run_sweep")
+
+
+def __getattr__(name: str):
+    """The sweep's names, imported (with numpy) on first access."""
+    if name not in _SWEEP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sweep
+
+    return getattr(sweep, name)

@@ -34,7 +34,6 @@ from .geom import MATH, Point2, Triangle, frame_exponent, in_units
 from .ratio import CHECK_ORDER, identity_chain, identity_report
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
-from .sweep import run_sweep
 
 
 def fmt(value: float) -> str:
@@ -107,7 +106,7 @@ def triangle_from_spec(doc) -> Triangle:
             raise NotATriangleError(
                 f"sides ({alpha}, {beta}, {gamma}) violate the strict triangle inequality"
             )
-        ang_a = MATH.acos((b**2 + c**2 - a**2) / (2.0 * b * c))
+        ang_a = MATH.acos((b * b + c * c - a * a) / (2.0 * b * c))
         return Triangle(
             Point2(0.0, 0.0),
             Point2(gamma, 0.0),
@@ -291,6 +290,10 @@ def _argmin_payload(result):
 
 
 def cmd_sweep(args) -> int:
+    # Imported here: the sweep is the one command on arrays, and only it
+    # should pay for numpy.
+    from .sweep import run_sweep
+
     result = run_sweep(args.n, args.seed, stratum=args.stratum)
     if args.json:
         _emit_json(

@@ -25,8 +25,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 #: 1/phi, the golden-section interval reduction factor per iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -217,8 +215,11 @@ def cot_sum_lattice_min(n: int = 2000) -> tuple[float, float, float]:
     Scans base angles (B, Gamma) on a regular open lattice of (LATTICE_MARGIN,
     pi - LATTICE_MARGIN), keeping pairs with B + Gamma < pi - LATTICE_MARGIN,
     and returns (min value, B, Gamma) at the lattice minimum.  This is the
-    independent no-smaller-value oracle for the global minimum.
+    independent no-smaller-value oracle for the global minimum.  The only
+    routine here on arrays, and so the only one that imports numpy.
     """
+    import numpy as np
+
     grid = np.linspace(LATTICE_MARGIN, math.pi - LATTICE_MARGIN, n)
     best = math.inf
     best_b = best_g = math.nan

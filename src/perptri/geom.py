@@ -16,7 +16,8 @@ areas times 2**(2 exp)) only where they are printed or returned.
 
 `frame`, `anchored_metrics`, `cot` and `derived_vertices` take floats or numpy
 arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the elementary
-functions for either.
+functions for either.  `NUMPY` is built, and numpy imported, on its first
+access, so code that works on floats never loads numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .errors import AngleSumError, DegenerateTriangleError, GeometryError, UnitRangeError
 
@@ -63,10 +62,20 @@ MATH = Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, m
            math.frexp, math.ldexp, lambda cond, yes, no: yes if cond else no, max, min,
            _require)
 
-# Arrays carry inf or NaN where one triangle would raise, as numpy does.
-NUMPY = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
-            np.frexp, np.ldexp, np.where, lambda *xs: functools.reduce(np.maximum, xs),
-            lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
+
+def __getattr__(name: str):
+    """Build `NUMPY` on first access: numpy is imported only where arrays are made."""
+    if name != "NUMPY":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    # Arrays carry inf or NaN where one triangle would raise, as numpy does.
+    ops = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
+              np.frexp, np.ldexp, np.where, lambda *xs: functools.reduce(np.maximum, xs),
+              lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
+    globals()["NUMPY"] = ops
+    return ops
+
 
 #: B and Gamma relative to A, times 2**-exp (see `frame`).
 Frame = namedtuple("Frame", "exp bx by gx gy")

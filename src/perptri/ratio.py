@@ -29,31 +29,35 @@ triangle's shape, not its position or size.  `identity_report` runs it on
 one triangle's stored frame and `sweep.evaluate_corpus` on the frame arrays
 of each chunk of a corpus, keeping only reductions of the per-triangle
 arrays.  The input's type picks the elementary
-functions, `geom.MATH` for floats and `geom.NUMPY` for arrays, because neither
-serves the other's input: one triangle costs about 20 us through `math`, 100
-us through numpy ufuncs on floats and 210 us as a numpy batch of one (2-core
-Xeon, Python 3.11, numpy 2.4), where 2**14 triangles as arrays take about 11
-ms.  The metrics and the cotangent come from `geom`, which `construct` and
-`similarity_check` share.
+functions: a float (a numpy float64 is one) takes `geom.MATH`, anything else,
+in practice an array, takes `geom.NUMPY`.  Neither serves the other's input:
+one triangle costs about 20 us through `math`, 100 us through numpy ufuncs on
+floats and 210 us as a numpy batch of one (2-core Xeon, Python 3.11, numpy
+2.4), where 2**14 triangles as arrays take about 11 ms.  Only `geom.NUMPY`
+imports numpy, on its first access, so the chain of one triangle, as
+`perptri verify` and `metrics` run it, never loads it.  The metrics and the cotangent
+come from `geom`, which `construct` and `similarity_check` share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import geom
 from .construction import AngleCase, classify_angle
 from .errors import NotATriangleError
 from .geom import (
     MATH,
-    NUMPY,
     Triangle,
     TriangleMetrics,
     anchored_metrics,
     cot,
     derived_vertices,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Strict (main-tier) tolerance per named residual, in the order in which
 #: sub-identities are blamed when something fails: the chain links first, then
@@ -127,7 +131,7 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     division it would break; arrays carry inf or NaN for such triangles
     instead.
     """
-    ops = NUMPY if isinstance(bx, np.ndarray) else MATH
+    ops = MATH if isinstance(bx, float) else geom.NUMPY
     hypot, sin, sqrt, vmax, vmin = ops.hypot, ops.sin, ops.sqrt, ops.max, ops.min
 
     m = anchored_metrics(ops, bx, by, gx, gy)

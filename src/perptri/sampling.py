@@ -10,17 +10,22 @@ Strata select by the classification of angle A (acute / right / obtuse); the
 "all" stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
 inside the acute-A stratum -- that is deliberate, the identities are claimed
 and checked for every labeling, not just the convenient one.
+
+Only the corpus code imports numpy, when it runs; `STRATA` and
+`triangle_from_angles` serve the scalar commands without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AngleSumError
 from .geom import Point2, Triangle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Main-tier sliver floor (radians): no sampled angle sits closer than this
 #: to 0, and A stays below pi minus this.
@@ -75,6 +80,8 @@ class TriangleCorpus:
 
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bx, gx, gy): A is at the origin, B at (bx, 0), Gamma at (gx, gy)."""
+        import numpy as np
+
         ang_a = self.ang_a
         beta = self.scale * np.sin(self.ang_b) / np.sin(self.ang_g)
         return self.scale, beta * np.cos(ang_a), beta * np.sin(ang_a)
@@ -86,6 +93,8 @@ class TriangleCorpus:
 
 
 def concat_corpora(*parts: TriangleCorpus) -> TriangleCorpus:
+    import numpy as np
+
     return TriangleCorpus(
         ang_b=np.concatenate([p.ang_b for p in parts]),
         ang_g=np.concatenate([p.ang_g for p in parts]),
@@ -120,6 +129,8 @@ def sample_corpus(
         raise ValueError(f"n must be a non-negative number of triangles, got {n}")
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}; expected one of {STRATA}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(*SCALE_DECADES, n)
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,18 @@ def test_bad_specs_raise(doc):
 def test_impossible_sides_rejected():
     with pytest.raises(Exception):
         triangle_from_spec({"sides": {"alpha": 1, "beta": 1, "gamma": 3}})
+
+
+def test_sides_form_takes_the_correctly_rounded_cosine():
+    # Squared unscaled with `**2` (libm pow), the cosine of A comes out one ulp
+    # high and Gamma moves in its last digits; the sides form must take the
+    # exact cosine, rounded once.
+    alpha, beta, gamma = 3.2123826716726754e29, 1.887081152381928e29, 3.823025227943602e29
+    t = triangle_from_spec({"sides": {"alpha": alpha, "beta": beta, "gamma": gamma}})
+    assert (t.g.x, t.g.y) == (1.0276148169877274e29, 1.5827454197003334e29)
+    a, b, c = map(Fraction, (alpha, beta, gamma))
+    ang_a = math.acos(float((b * b + c * c - a * a) / (2 * b * c)))
+    assert (t.g.x, t.g.y) == (beta * math.cos(ang_a), beta * math.sin(ang_a))
 
 
 # ---------------------------------------------------------------------------
