@@ -1,7 +1,8 @@
 """Walk the identity chain behind E'/E = (cot A + cot B + cot Gamma)^2.
 
-Each link is verified separately so a numerical failure would name the
-first broken link rather than just "the ratio is off":
+Each link is verified separately, against one bound C (eps / theta**2 + gap)
+set by the triangle's smallest angle theta, so a numerical failure would name
+the first broken link rather than just "the ratio is off":
 
     E' = E + (gamma^2 cot A + beta^2 cot Gamma + alpha^2 cot B) / 2
     16 E^2 + 8 E (...) - (alpha^2 + beta^2 + gamma^2)^2 = 0
@@ -15,13 +16,12 @@ from perptri import Point2, Triangle, identity_report, metrics, sample_corpus
 def show(name: str, t: Triangle) -> None:
     report = identity_report(t)
     m = metrics(t)
-    print(f"{name}: case {report.case.value}, "
-          f"tier {'stress' if report.stress else 'main'}")
+    print(f"{name}: case {report.case.value}, smallest angle {report.smallest_angle:.4g} rad, "
+          f"bound C (eps/theta^2 + gap) = {report.bound:.2e}")
     print(f"    sides {m.alpha:.6g} / {m.beta:.6g} / {m.gamma:.6g}, area {m.area:.6g}")
     for key, value in report.residuals.items():
-        tol = report.tolerances[key]
-        flag = "ok" if value <= tol else "FAIL"
-        print(f"    {key:<22} {value:12.3e}   (tol {tol:.0e})  {flag}")
+        flag = "ok" if report.within[key] else "FAIL"
+        print(f"    {key:<22} {value:12.3e}  {flag}")
     print(f"    verdict: {'PASS' if report.passed else 'FAIL: ' + report.first_failing}")
     print()
 

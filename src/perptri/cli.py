@@ -31,7 +31,7 @@ from .extremal import (
     right_triangle_min,
 )
 from .geom import MATH, Point2, Triangle, frame_exponent, in_units
-from .ratio import CHECK_ORDER, identity_chain, identity_report
+from .ratio import BOUND_CONSTANT, CHECK_ORDER, identity_chain, identity_report
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
 
@@ -189,9 +189,10 @@ def cmd_verify(args) -> int:
         _emit_json(
             {
                 "case": report.case.value,
-                "tier": "stress" if report.stress else "main",
+                "smallest_angle_rad": report.smallest_angle,
+                "cot_band_gap": report.cot_band_gap,
                 "residuals": report.residuals,
-                "tolerances": report.tolerances,
+                "bound": report.bound,
                 "passed": report.passed,
                 "first_failing": report.first_failing,
             }
@@ -199,12 +200,13 @@ def cmd_verify(args) -> int:
         return 0 if report.passed else 1
     ang_a = report.frame_metrics.ang_a
     print(f"case: {report.case.value} (angle A = {fmt(math.degrees(ang_a))} deg)")
-    print(f"tier: {'stress (relaxed tolerances)' if report.stress else 'main'}")
+    print(f"smallest angle theta: {fmt(report.smallest_angle)} rad")
+    print(f"cotangent zeroed by the right-angle band, gap: {fmt(report.cot_band_gap)}")
+    print(f"bound: {fmt(BOUND_CONSTANT)} (eps/theta^2 + gap) = {fmt(report.bound)}")
     print("identity residuals")
     for name, value in report.residuals.items():
-        tol = report.tolerances[name]
-        verdict = "PASS" if value <= tol else "FAIL"
-        print(f"  {name:<22} {fmt(value):>18}  (tol {fmt(tol)})  {verdict}")
+        verdict = "PASS" if report.within[name] else "FAIL"
+        print(f"  {name:<22} {fmt(value):>18}  {verdict}")
     if report.passed:
         print("verdict: PASS")
         return 0
@@ -304,9 +306,10 @@ def cmd_sweep(args) -> int:
                 "case_counts": result.case_counts,
                 "max_residuals": result.max_residuals,
                 "min_cot_sum_triangle": _argmin_payload(result),
+                "over_bound": result.over_bound,
             }
         )
-        return 0
+        return 1 if result.over_bound else 0
     print(f"sweep: n={args.n} seed={args.seed} stratum={args.stratum}")
     counts = result.case_counts
     print(
@@ -319,6 +322,7 @@ def cmd_sweep(args) -> int:
     print("max residuals")
     for key in CHECK_ORDER:
         print(f"  {key:<22} {fmt(result.max_residuals[key])}")
+    print(f"over the bound {fmt(BOUND_CONSTANT)} (eps/theta^2 + gap): {result.over_bound}")
     argmin = _argmin_payload(result)
     print(f"min cot sum: {fmt(argmin['cot_sum'])}")
     print(
@@ -327,7 +331,7 @@ def cmd_sweep(args) -> int:
         f"Gamma={fmt(argmin['ang_gamma_deg'])} deg "
         f"scale={fmt(argmin['scale'])}"
     )
-    return 0
+    return 1 if result.over_bound else 0
 
 
 def cmd_minimize(args) -> int:

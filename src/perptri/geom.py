@@ -14,10 +14,10 @@ its frame once and keeps it.  Lengths measured in the frame are converted
 back to the input's units, exactly, by `in_units` (lengths times 2**exp,
 areas times 2**(2 exp)) only where they are printed or returned.
 
-`frame`, `anchored_metrics`, `cot` and `derived_vertices` take floats or numpy
-arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the elementary
-functions for either.  `NUMPY` is built, and numpy imported, on its first
-access, so code that works on floats never loads numpy.
+`frame`, `anchored_metrics`, `cot`, `cot_band_gap` and `derived_vertices` take
+floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the
+elementary functions for either.  `NUMPY` is built, and numpy imported, on its
+first access, so code that works on floats never loads numpy.
 """
 
 from __future__ import annotations
@@ -121,6 +121,16 @@ def cot(ops: Ops, x):
     blow up at pi/2 where the cotangent is merely zero.
     """
     return ops.where(abs(x - 0.5 * math.pi) < RIGHT_ANGLE_BAND, 0.0, ops.cos(x) / ops.sin(x))
+
+
+def cot_band_gap(ops: Ops, x):
+    """How far `cot` at x lies from cos/sin: |x - pi/2| inside RIGHT_ANGLE_BAND, else 0.
+
+    Inside the band `cot` returns 0 for a cotangent of size tan|x - pi/2|,
+    which equals |x - pi/2| to binary64 precision there.
+    """
+    off = abs(x - 0.5 * math.pi)
+    return ops.where(off < RIGHT_ANGLE_BAND, off, 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The identity chain behind the area ratio: one kernel, residuals, tolerances.
+"""The identity chain behind the area ratio: one kernel, its residuals, one bound.
 
 The headline claim is
 
@@ -23,6 +23,16 @@ size and every residual, hence every verdict, is the same for a triangle and
 each of its 2**k-scaled copies, anywhere in binary64 range.  Checking every
 link separately localizes a failure to the first broken one.
 
+Every residual is judged against one bound taken from the triangle's
+conditioning, C * (eps / theta**2 + gap) (`residual_bound`), with eps = 2**-52,
+theta the smallest angle, C = `BOUND_CONSTANT`, set from measured residuals,
+and gap the cotangent that `geom.cot`'s right-angle band set to 0 (at most
+1e-12, and 0 unless an angle lies within the band of pi/2).  `conditioning`
+finds theta and gap and `within_bound` is the one predicate; `identity_report`
+and the sweep both call them.  Where the bound reaches 1 (theta below about
+1.2e-7 rad) binary64 can confirm nothing, and `identity_report` raises
+DegenerateTriangleError rather than return a verdict.
+
 `identity_chain` is the one implementation of the chain.  It takes B and
 Gamma in a frame anchored at vertex A, so that residuals depend on a
 triangle's shape, not its position or size.  `identity_report` runs it on
@@ -41,53 +51,88 @@ come from `geom`, which `construct` and `similarity_check` share.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import geom
 from .construction import AngleCase, classify_angle
-from .errors import NotATriangleError
+from .errors import DegenerateTriangleError, NotATriangleError
 from .geom import (
     MATH,
+    Ops,
     Triangle,
     TriangleMetrics,
     anchored_metrics,
     cot,
+    cot_band_gap,
     derived_vertices,
 )
 
 if TYPE_CHECKING:
     import numpy as np
 
-#: Strict (main-tier) tolerance per named residual, in the order in which
-#: sub-identities are blamed when something fails: the chain links first, then
-#: the aggregate forms they feed.  area_agreement, the relative spread of five
-#: area routes, comes last at the bound acceptance check 4 pins.
-STRICT_TOLERANCES: dict[str, float] = {
-    "area_increment": 1e-9,
-    "sixteen_area_sq": 1e-10,
-    "cot_term_a": 1e-9,
-    "cot_term_g": 1e-9,
-    "cot_term_b": 1e-9,
-    "squared_sum_expansion": 1e-12,
-    "chain_sum": 1e-9,
-    "area_quadratic": 1e-9,
-    "half_angle_cots": 1e-9,
-    "area_from_cots": 1e-9,
-    "area_ratio": 1e-8,
-    "area_agreement": 1e-8,
-}
+#: Every residual the chain produces, in the order in which sub-identities are
+#: blamed when something fails: the chain links first, then the aggregate forms
+#: they feed.  area_agreement, the relative spread of five area routes, comes
+#: last.  Reports and sweeps list residuals in this order.
+CHECK_ORDER: tuple[str, ...] = (
+    "area_increment",
+    "sixteen_area_sq",
+    "cot_term_a",
+    "cot_term_g",
+    "cot_term_b",
+    "squared_sum_expansion",
+    "chain_sum",
+    "area_quadratic",
+    "half_angle_cots",
+    "area_from_cots",
+    "area_ratio",
+    "area_agreement",
+)
 
-#: Every residual the chain produces, in blame order; reports and sweeps list
-#: residuals in this order.
-CHECK_ORDER: tuple[str, ...] = tuple(STRICT_TOLERANCES)
+#: C of the one bound C * (eps / theta**2 + gap) that judges every residual:
+#: the least power of two at least 8 times the largest measured residual /
+#: (eps / theta**2 + gap).  That was 5.97 over 10**7 sampled triangles, half at
+#: each of the sampler's floors 0.01 and 1e-4 (arrays; gap = 0 for all), and
+#: 5.5 over 7 * 10**5 triangles rotated and moved up to 10**8 sizes away, many
+#: of them right, with angles down to 1e-6 (floats).  Where the band zeroed a
+#: cotangent, the residual exceeded 8 eps / theta**2 by at most 0.92 gap.
+BOUND_CONSTANT = 64.0
 
-#: Relaxed tolerance applied uniformly to sliver triangles (see STRESS_MIN_ANGLE).
-STRESS_TOLERANCE = 1e-5
 
-#: Triangles whose smallest internal angle is below this (radians) are flagged
-#: "stress": residuals are still reported but judged at the relaxed tier.
-STRESS_MIN_ANGLE = 0.02
+def conditioning(ops: Ops, m: TriangleMetrics):
+    """(theta, gap) of one triangle's metrics (floats, ops = MATH) or many (arrays).
+
+    theta is the smallest angle.  gap is `geom.cot_band_gap` of the largest
+    angle, the only one the right-angle band can reach: the other two sum to
+    about pi/2 then, and each is within the band only if theta < 2e-12,
+    where the bound is far past 1 anyway.
+    """
+    angles = (m.ang_a, m.ang_b, m.ang_g)
+    return ops.min(*angles), cot_band_gap(ops, ops.max(*angles))
+
+
+def residual_bound(theta, gap):
+    """C * (eps / theta**2 + gap): the most error a residual may carry.
+
+    theta and gap come from `conditioning`, floats or arrays.  The smaller
+    theta, the worse the triangle is conditioned: its cotangents and side
+    differences lose digits as 1/theta and the residuals, products of them, as
+    1/theta**2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 1-3).  gap is the cotangent the right-angle band replaced by 0, an
+    error of the kernel's own that no roundoff analysis covers.
+    """
+    return BOUND_CONSTANT * (sys.float_info.epsilon / (theta * theta) + gap)
+
+
+def within_bound(residual, bound):
+    """Whether residual <= bound < 1, for floats or arrays alike.
+
+    A NaN residual or bound is never within.  Where the bound reaches 1
+    binary64 can confirm nothing, so no residual is within it.
+    """
+    return (residual <= bound) & (bound < 1.0)
 
 
 def _norm(lhs, rhs):
@@ -206,52 +251,59 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """One triangle's residuals against their tolerances.
+    """One triangle's residuals, each judged against the one bound.
 
-    first_failing names the earliest entry of CHECK_ORDER whose residual is
-    not within its tolerance (a NaN never is), or None when everything
-    passes; that is the link of the identity chain to suspect first.
-    frame_metrics are the triangle's metrics in its frame (`geom.metrics`
-    gives them in the input's units).
+    smallest_angle and cot_band_gap are the triangle's `conditioning`, and
+    bound is the residual_bound they give; within tells for each residual
+    whether it is within the bound (a NaN never is).  frame_metrics are the
+    triangle's metrics in its frame (`geom.metrics` gives them in the input's
+    units).
     """
 
     frame_metrics: TriangleMetrics
     case: AngleCase
-    stress: bool
+    smallest_angle: float
+    cot_band_gap: float
+    bound: float
     residuals: dict[str, float]
-    tolerances: dict[str, float]
-    passed: bool
-    first_failing: str | None
+    within: dict[str, bool]
+
+    @property
+    def first_failing(self) -> str | None:
+        """The earliest entry of CHECK_ORDER not within the bound, None if all are.
+
+        That is the link of the identity chain to suspect first.
+        """
+        return next((name for name in CHECK_ORDER if not self.within[name]), None)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failing is None
 
 
 def identity_report(t: Triangle) -> VerifyReport:
-    """Evaluate every identity residual for one triangle and judge it.
+    """Evaluate every identity residual for one triangle and judge it against the bound.
 
-    Sliver triangles (smallest angle below STRESS_MIN_ANGLE) are judged at
-    the uniform relaxed tolerance and flagged stress=True, because their
-    conditioning legitimately amplifies roundoff.
+    Raises DegenerateTriangleError, naming theta and the bound, for a triangle
+    so thin that the bound reaches 1: binary64 residuals can confirm nothing
+    there, so neither PASS nor FAIL would be a verdict.
     """
     _, bx, by, gx, gy = t.frame
     chain = identity_chain(bx, by, gx, gy)
     m, residuals = chain.metrics, chain.residuals
-
-    stress = min(m.ang_a, m.ang_b, m.ang_g) < STRESS_MIN_ANGLE
-    if stress:
-        tolerances = {name: STRESS_TOLERANCE for name in CHECK_ORDER}
-    else:
-        tolerances = dict(STRICT_TOLERANCES)
-
-    first_failing = next(
-        (name for name in CHECK_ORDER if not residuals[name] <= tolerances[name]), None
-    )
-
+    theta, gap = conditioning(MATH, m)
+    bound = residual_bound(theta, gap)
+    if not bound < 1.0:
+        raise DegenerateTriangleError(
+            f"smallest angle {theta!r} rad is too thin to verify in binary64: "
+            f"the bound {BOUND_CONSTANT:g} (eps/theta^2 + gap) = {bound:.3g} reaches 1"
+        )
     return VerifyReport(
         frame_metrics=m,
         case=classify_angle(m.ang_a),
-        stress=stress,
+        smallest_angle=theta,
+        cot_band_gap=gap,
+        bound=bound,
         residuals=residuals,
-        tolerances=tolerances,
-        passed=first_failing is None,
-        first_failing=first_failing,
+        within={name: within_bound(residuals[name], bound) for name in CHECK_ORDER},
     )
-

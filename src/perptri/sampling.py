@@ -6,8 +6,9 @@ a log-uniform scale over four decades.  Triangles are laid out canonically --
 A at the origin, B at (scale, 0), Gamma above the x-axis -- so a fixed seed
 reproduces every corpus coordinate-for-coordinate.
 
-Strata select by the classification of angle A (acute / right / obtuse); the
-"all" stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
+Strata select by the classification of angle A (acute / right / obtuse),
+the rule `construction.angle_cases` applies to every triangle; the "all"
+stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
 inside the acute-A stratum -- that is deliberate, the identities are claimed
 and checked for every labeling, not just the convenient one.
 
@@ -21,18 +22,21 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import geom
+from .construction import AngleCase, angle_cases
 from .errors import AngleSumError
-from .geom import Point2, Triangle
+from .geom import MATH, Ops, Point2, Triangle
 
 if TYPE_CHECKING:
     import numpy as np
 
-#: Main-tier sliver floor (radians): no sampled angle sits closer than this
-#: to 0, and A stays below pi minus this.
+#: Default sliver floor (radians): no sampled angle sits closer than this to
+#: 0, and A stays below pi minus this.  `perptri sweep` samples with it.
 DELTA_MAIN = 0.01
 
-#: Stress-tier floor; residuals on such slivers are judged at the relaxed
-#: tolerance (see ratio.STRESS_TOLERANCE).
+#: Floor for sliver corpora.  Their residuals are judged by the same bound as
+#: every triangle's (`ratio.residual_bound`), which grows as 1/theta**2: at
+#: theta = 1e-4 it is about 1.4e-6.
 DELTA_STRESS = 1e-4
 
 #: Scale is 10**uniform(low, high): four decades centered on 1.
@@ -54,13 +58,18 @@ def triangle_from_angles(ang_b: float, ang_g: float, scale: float) -> Triangle:
         )
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive, got {scale!r}")
+    bx, gx, gy = _layout(MATH, ang_b, ang_g, scale)
+    return Triangle(Point2(0.0, 0.0), Point2(bx, 0.0), Point2(gx, gy))
+
+
+def _layout(ops: Ops, ang_b, ang_g, scale):
+    """(bx, gx, gy) by the Law of Sines: A at the origin, B at (bx, 0), Gamma at (gx, gy).
+
+    Floats (ops = geom.MATH) or arrays (geom.NUMPY).
+    """
     ang_a = math.pi - ang_b - ang_g
-    beta = scale * math.sin(ang_b) / math.sin(ang_g)
-    return Triangle(
-        Point2(0.0, 0.0),
-        Point2(scale, 0.0),
-        Point2(beta * math.cos(ang_a), beta * math.sin(ang_a)),
-    )
+    beta = scale * ops.sin(ang_b) / ops.sin(ang_g)
+    return scale, beta * ops.cos(ang_a), beta * ops.sin(ang_a)
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,7 @@ class TriangleCorpus:
 
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bx, gx, gy): A is at the origin, B at (bx, 0), Gamma at (gx, gy)."""
-        import numpy as np
-
-        ang_a = self.ang_a
-        beta = self.scale * np.sin(self.ang_b) / np.sin(self.ang_g)
-        return self.scale, beta * np.cos(ang_a), beta * np.sin(ang_a)
+        return _layout(geom.NUMPY, self.ang_b, self.ang_g, self.scale)
 
     def triangle(self, i: int) -> Triangle:
         return triangle_from_angles(
@@ -141,10 +146,10 @@ def sample_corpus(
 
     ang_b, ang_g = _simplex_pairs(rng, n, delta)
     if stratum != "all":
-        want_acute = stratum == "acute"
+        # angle_cases gives one mask per AngleCase, in order.
+        wanted = [case.value for case in AngleCase].index(stratum)
         while True:
-            ang_a = math.pi - ang_b - ang_g
-            wrong = (ang_a < 0.5 * math.pi) != want_acute
+            wrong = ~angle_cases(math.pi - ang_b - ang_g)[wanted]
             count = int(np.count_nonzero(wrong))
             if count == 0:
                 break

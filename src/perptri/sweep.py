@@ -5,11 +5,13 @@ also runs, in fixed chunks of `CHUNK` (2**14) triangles on one thread per CPU
 the process may use.  Each chunk's vertex arrays go through `geom.frame`, as
 each scalar triangle does, so a sweep measures every triangle in the same
 frame as `perptri verify`.  Each chunk is reduced as it finishes -- case
-counts, the largest residuals, the smallest cot sum and where it lies -- and
-the chunk reductions are combined in chunk order, so the result equals
-np.count_nonzero / np.max / np.argmin over the whole corpus exactly.  Its
-memory is the corpus (24 bytes per triangle) plus a bounded amount per
-thread, whatever the corpus size; about 11 ms per chunk on two cores.
+counts, the largest residuals, the number of triangles with a residual over
+the bound `perptri verify` judges by (`ratio.within_bound`), the smallest cot
+sum and where it lies -- and the chunk reductions are combined in chunk order,
+so the result equals np.count_nonzero / np.max / np.argmin over the whole
+corpus exactly.  Its memory is the corpus (24 bytes per triangle) plus a
+bounded amount per thread, whatever the corpus size; about 11 ms per chunk on
+two cores.
 
 `run_sweep` samples a corpus and evaluates it.  The per-triangle arrays a
 chunk produces are not kept; `identity_chain` gives them for any corpus.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .construction import AngleCase, angle_cases
 from .geom import NUMPY, frame
-from .ratio import CHECK_ORDER, identity_chain
+from .ratio import CHECK_ORDER, conditioning, identity_chain, residual_bound, within_bound
 from .sampling import TriangleCorpus, sample_corpus
 
 #: Triangles per chunk of `evaluate_corpus`.  Timed at n = 10**6 on two cores,
@@ -41,8 +43,9 @@ class SweepResult:
 
     max_residuals and min_cot_sum are NaN when any triangle's value is (and
     for an empty corpus); argmin_index is the first index holding
-    min_cot_sum, None for an empty corpus.  Equality compares the
-    reductions, not the corpus.
+    min_cot_sum, None for an empty corpus.  over_bound counts the triangles
+    with a residual not within the bound (`ratio.within_bound`; a NaN never
+    is).  Equality compares the reductions, not the corpus.
     """
 
     corpus: TriangleCorpus = field(compare=False)
@@ -50,6 +53,7 @@ class SweepResult:
     max_residuals: dict[str, float]
     min_cot_sum: float
     argmin_index: int | None
+    over_bound: int
 
     def __len__(self) -> int:
         return len(self.corpus)
@@ -59,9 +63,9 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
     """Evaluate corpus[start:start + CHUNK] and keep only its reductions.
 
     Workers read a slice of the shared corpus and return a fresh tuple
-    (case counts, max residuals, min cot sum, its corpus index); they share
-    no mutable state, so no lock is needed.  In the canonical layout A is the
-    origin and B lies on the x axis.
+    (case counts, max residuals, min cot sum, its corpus index, the count of
+    triangles over the bound); they share no mutable state, so no lock is
+    needed.  In the canonical layout A is the origin and B lies on the x axis.
     """
     stop = start + CHUNK
     bx, gx, gy = TriangleCorpus(
@@ -71,10 +75,16 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
     ).vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     chain = identity_chain(bx, by, gx, gy)
-    counts = [int(np.count_nonzero(mask)) for mask in angle_cases(chain.metrics.ang_a)]
+    m = chain.metrics
+    counts = [int(np.count_nonzero(mask)) for mask in angle_cases(m.ang_a)]
     maxima = [float(np.max(chain.residuals[key])) for key in CHECK_ORDER]
     argmin = int(np.argmin(chain.cot_sum))
-    return counts, maxima, float(chain.cot_sum[argmin]), start + argmin
+    # Any residual is over the bound exactly when their NaN-propagating
+    # maximum is.
+    worst = NUMPY.max(*(chain.residuals[key] for key in CHECK_ORDER))
+    within = within_bound(worst, residual_bound(*conditioning(NUMPY, m)))
+    over = worst.size - int(np.count_nonzero(within))
+    return counts, maxima, float(chain.cot_sum[argmin]), start + argmin, over
 
 
 def _usable_cpus() -> int:
@@ -98,10 +108,11 @@ def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
 
     if not len(corpus):
         return SweepResult(corpus, {case.value: 0 for case in AngleCase},
-                           dict.fromkeys(CHECK_ORDER, math.nan), math.nan, None)
+                           dict.fromkeys(CHECK_ORDER, math.nan), math.nan, None, 0)
     starts = range(0, len(corpus), CHUNK)
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-        counts, maxima, minima, argmins = zip(*pool.map(partial(_reduce_chunk, corpus), starts))
+        counts, maxima, minima, argmins, overs = zip(
+            *pool.map(partial(_reduce_chunk, corpus), starts))
     # np.argmin over the chunk minima picks the first chunk holding the
     # corpus minimum (or its first NaN), and that chunk's own argmin is then
     # the corpus's first occurrence; np.max of the chunk maxima is exact.
@@ -112,6 +123,7 @@ def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
         max_residuals=dict(zip(CHECK_ORDER, np.max(maxima, axis=0).tolist())),
         min_cot_sum=minima[best],
         argmin_index=argmins[best],
+        over_bound=sum(overs),
     )
 
 

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import perptri.ratio as ratio_mod
 from perptri.cli import main, triangle_from_spec
 from perptri.errors import ParseError
-from perptri.ratio import CHECK_ORDER
+from perptri.ratio import CHECK_ORDER, residual_bound
 
 SPEC_VERTICES = {"vertices": {"A": [0, 0], "B": [4, 0], "Gamma": [0, 3]}}
 SPEC_SIDES = {"sides": {"alpha": 5, "beta": 3, "gamma": 4}}
@@ -130,8 +131,41 @@ def test_verify_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["first_failing"] is None
-    assert payload["tier"] == "main"
-    assert set(payload["residuals"]) == set(payload["tolerances"])
+    # 3-4-5 at scale 1: the smallest angle is Gamma = atan(3/4).
+    assert payload["smallest_angle_rad"] == pytest.approx(math.atan2(3.0, 4.0), rel=1e-12)
+    assert payload["cot_band_gap"] == 0.0
+    assert payload["bound"] == residual_bound(payload["smallest_angle_rad"], 0.0)
+
+
+def test_verify_json_schema(tmp_path, capsys):
+    assert main(["verify", "--json", write_spec(tmp_path, SPEC_VERTICES)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["case", "smallest_angle_rad", "cot_band_gap", "residuals",
+                             "bound", "passed", "first_failing"]
+    assert payload["case"] == "right"
+    assert list(payload["residuals"]) == list(CHECK_ORDER)
+    assert all(type(value) is float for value in payload["residuals"].values())
+    assert all(type(payload[key]) is float
+               for key in ("smallest_angle_rad", "cot_band_gap", "bound"))
+
+
+# B = 60 deg, scale 1.  Down to Gamma = 1e-5 deg (theta = 1.7e-7 rad, bound
+# 0.47) every residual stays within C eps / theta**2; below, the bound passes
+# 1 and verify refuses a verdict with one line, exit 2.
+@pytest.mark.parametrize("gamma_deg, expected", [
+    (1e-3, 0), (1e-4, 0), (3e-5, 0), (1e-5, 0), (3e-6, 2), (1e-6, 2)])
+def test_verify_thin_triangles(tmp_path, capsys, gamma_deg, expected):
+    spec = {"angles": {"B_deg": 60, "Gamma_deg": gamma_deg, "scale": 1}}
+    code = main(["verify", write_spec(tmp_path, spec)])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected == 0:
+        assert captured.out.endswith("verdict: PASS\n")
+        assert "FAIL" not in captured.out
+        return
+    assert captured.out == ""
+    assert captured.err.startswith("error: smallest angle") and "too thin" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_verify_far_from_origin_passes(tmp_path, capsys):
@@ -255,8 +289,23 @@ def test_sweep_text_deterministic(capsys):
 def test_sweep_json(capsys):
     assert main(["sweep", "--json", "--n", "40", "--seed", "2", "--stratum", "right"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["n", "seed", "stratum", "case_counts", "max_residuals",
+                             "min_cot_sum_triangle", "over_bound"]
     assert payload["case_counts"]["right"] == 40
     assert payload["min_cot_sum_triangle"]["cot_sum"] >= 2.0 - 1e-12
+    assert payload["over_bound"] == 0
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_sweep_exits_one_over_the_bound(capsys, monkeypatch, json_flag):
+    # A negative constant puts every triangle over the bound.
+    monkeypatch.setattr(ratio_mod, "BOUND_CONSTANT", -1.0)
+    assert main(["sweep", "--n", "30", *json_flag]) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        assert json.loads(out)["over_bound"] == 30
+    else:
+        assert "(eps/theta^2 + gap): 30\n" in out
 
 
 def test_sweep_empty(capsys):

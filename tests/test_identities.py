@@ -18,6 +18,7 @@ from perptri.geom import (
     Point2,
     Triangle,
     cot,
+    cot_band_gap,
     frame,
     in_units,
     metrics,
@@ -50,6 +51,18 @@ class TestCot:
         # just outside the band the true (tiny) value comes back
         assert cot(MATH, math.pi / 2.0 - 1e-9) == pytest.approx(1e-9, rel=1e-5)
         assert RIGHT_ANGLE_BAND == 1e-12
+
+    def test_band_gap_is_the_zeroed_cotangent(self):
+        # Inside the band cot gives 0 for a cotangent of size |x - pi/2|;
+        # outside it gives cos/sin and the gap is 0.
+        for off in (5e-13, -5e-13, 1e-15):
+            x = math.pi / 2.0 + off
+            assert cot(MATH, x) == 0.0
+            assert cot_band_gap(MATH, x) == pytest.approx(abs(math.cos(x) / math.sin(x)), rel=1e-3)
+        assert cot_band_gap(MATH, math.pi / 2.0) == 0.0
+        assert cot_band_gap(MATH, math.pi / 2.0 - 1e-9) == 0.0
+        x = np.array([math.pi / 2.0 + 5e-13, math.pi / 2.0 - 1e-9, 1.0])
+        assert cot_band_gap(NUMPY, x).tolist() == [abs(x[0] - math.pi / 2.0), 0.0, 0.0]
 
     def test_obtuse_branch_is_negative(self):
         assert cot(MATH, 3.0 * math.pi / 4.0) == pytest.approx(-1.0, abs=1e-15)

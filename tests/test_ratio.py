@@ -2,37 +2,63 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perptri.ratio as ratio_mod
 from perptri.construction import AngleCase
-from perptri.geom import metrics
+from perptri.errors import DegenerateTriangleError
+from perptri.geom import MATH, metrics
 from perptri.geom import Point2, Triangle
 from perptri.ratio import (
+    BOUND_CONSTANT,
     CHECK_ORDER,
-    STRESS_MIN_ANGLE,
-    STRESS_TOLERANCE,
-    STRICT_TOLERANCES,
+    conditioning,
     identity_report,
+    residual_bound,
+    within_bound,
 )
 from perptri.sampling import triangle_from_angles
 
 COT_TERMS = ("cot_term_a", "cot_term_g", "cot_term_b")
+EPS = sys.float_info.epsilon
 
 
 def residuals(t):
     return identity_report(t).residuals
 
 
-def test_check_order_covers_all_tolerance_keys():
-    assert set(CHECK_ORDER) == set(STRICT_TOLERANCES)
+def test_check_order_covers_every_residual(t345):
+    assert len(set(CHECK_ORDER)) == len(CHECK_ORDER) == 12
+    assert list(residuals(t345)) == list(CHECK_ORDER)
 
 
-def test_tolerances_are_sane():
-    assert all(0.0 < tol < 1.0 for tol in STRICT_TOLERANCES.values())
-    assert STRESS_TOLERANCE == 1e-5
-    assert 0.0 < STRESS_MIN_ANGLE < 0.1
+def test_bound_constant_is_a_power_of_two():
+    mantissa, _ = math.frexp(BOUND_CONSTANT)
+    assert mantissa == 0.5 and BOUND_CONSTANT >= 8.0
+    assert residual_bound(1.0, 0.0) == BOUND_CONSTANT * EPS
+    assert residual_bound(1.0, 1e-13) == BOUND_CONSTANT * (EPS + 1e-13)
+    # The bound reaches 1 at theta = sqrt(C eps), about 1.2e-7 rad at C = 64.
+    threshold = math.sqrt(BOUND_CONSTANT * EPS)
+    assert residual_bound(1.01 * threshold, 0.0) < 1.0 <= residual_bound(0.99 * threshold, 0.0)
+
+
+def test_within_bound_on_floats_and_arrays():
+    import numpy as np
+
+    bound = residual_bound(0.1, 0.0)
+    assert within_bound(bound, bound) is True
+    assert within_bound(2.0 * bound, bound) is False
+    assert within_bound(math.nan, bound) is False
+    assert within_bound(0.0, math.nan) is False
+    # Where the bound reaches 1, nothing is within it, not even a zero.
+    assert within_bound(0.0, 1.0) is False
+    got = within_bound(np.array([0.0, bound, 2.0 * bound, math.nan, 0.0]),
+                       np.array([bound, bound, bound, bound, 1.0]))
+    assert got.tolist() == [True, True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -118,48 +144,84 @@ def test_report_passes_on_canonical(t345, equilateral, obtuse_iso):
         assert report.passed
         assert report.first_failing is None
         assert report.case is case
-        assert not report.stress
         assert set(report.residuals) == set(CHECK_ORDER)
-        assert report.tolerances == STRICT_TOLERANCES
+        m = report.frame_metrics
+        assert report.smallest_angle == min(m.ang_a, m.ang_b, m.ang_g)
+        assert report.cot_band_gap == 0.0
+        assert report.bound == residual_bound(report.smallest_angle, 0.0)
+        assert report.bound < 1e-13
+        assert all(report.within[name] for name in CHECK_ORDER)
 
 
-def test_sliver_triangle_uses_stress_tier():
-    t = triangle_from_angles(0.005, 1.0, 1.0)
-    report = identity_report(t)
-    assert report.stress
-    assert report.tolerances == {name: STRESS_TOLERANCE for name in CHECK_ORDER}
+def test_sliver_triangle_judged_by_the_bound():
+    # Smallest angle 0.005 rad: the bound is C eps / 0.005**2, about 5.7e-10,
+    # and every residual is within it.
+    report = identity_report(triangle_from_angles(0.005, 1.0, 1.0))
+    assert report.smallest_angle == pytest.approx(0.005, rel=1e-9)
+    assert report.bound == BOUND_CONSTANT * (EPS / report.smallest_angle**2 + 0.0)
     assert report.passed
 
 
+def test_band_gap_widens_the_bound_of_a_near_right_triangle():
+    # A right triangle moved about 3000 sizes from the origin: rounding the
+    # vertices leaves angle A about 1e-13 off pi/2, inside geom.cot's band, so
+    # the kernel takes cot A = 0 and the residuals carry about 1e-13 -- over
+    # C eps / theta**2 (2.8e-14) alone, within the bound with the gap.
+    t = Triangle(Point2(305.5885421359101, 373.56722245306287),
+                 Point2(305.5390084466886, 373.4530075935066),
+                 Point2(305.6868396457121, 373.52459193790315))
+    report = identity_report(t)
+    theta, gap = conditioning(MATH, report.frame_metrics)
+    assert (report.smallest_angle, report.cot_band_gap) == (theta, gap)
+    assert 0.0 < gap < 1e-12
+    assert max(report.residuals.values()) > BOUND_CONSTANT * EPS / theta**2
+    assert report.bound == residual_bound(theta, gap)
+    assert report.passed
+
+
+def test_too_thin_triangle_raises_naming_theta_and_bound():
+    # Gamma = 1e-6 deg: the bound C eps / theta**2 is 32, past 1, so binary64
+    # residuals confirm nothing and the report refuses a verdict.
+    t = triangle_from_angles(math.radians(60.0), math.radians(1e-6), 1.0)
+    with pytest.raises(DegenerateTriangleError, match="too thin") as info:
+        identity_report(t)
+    message = str(info.value)
+    assert "smallest angle 2.1" in message and "reaches 1" in message
+    assert "\n" not in message
+
+
+def _with_residuals(monkeypatch, **values):
+    real = ratio_mod.identity_chain
+
+    def patched(*coords):
+        chain = real(*coords)
+        return dataclasses.replace(chain, residuals={**chain.residuals, **values})
+
+    monkeypatch.setattr(ratio_mod, "identity_chain", patched)
+
+
 def test_first_failing_respects_check_order(t345, monkeypatch):
-    # Poison one strict tolerance: the matching identity gets blamed even
-    # though later entries would also "fail" a zero threshold.
-    poisoned = dict(STRICT_TOLERANCES)
-    poisoned["chain_sum"] = -1.0
-    poisoned["area_ratio"] = -1.0
-    monkeypatch.setattr(ratio_mod, "STRICT_TOLERANCES", poisoned)
+    # Two residuals far over the bound: the earlier one in CHECK_ORDER gets
+    # blamed, and each line's verdict is in the report.
+    _with_residuals(monkeypatch, chain_sum=0.5, area_ratio=0.5)
     report = identity_report(t345)
     assert not report.passed
     assert report.first_failing == "chain_sum"
+    assert [name for name in CHECK_ORDER if not report.within[name]] == [
+        "chain_sum", "area_ratio"]
 
 
 def test_all_failing_blames_first_link(t345, monkeypatch):
-    monkeypatch.setattr(
-        ratio_mod, "STRICT_TOLERANCES", {name: -1.0 for name in CHECK_ORDER}
-    )
+    # A negative constant makes the bound negative: every residual is over it.
+    monkeypatch.setattr(ratio_mod, "BOUND_CONSTANT", -1.0)
     report = identity_report(t345)
+    assert not any(report.within.values())
     assert report.first_failing == CHECK_ORDER[0]
 
 
 def test_nan_residual_fails_the_verdict(t345, monkeypatch):
-    # A NaN is never within its tolerance: the verdict fails and blames it.
-    real = ratio_mod.identity_chain
-
-    def with_nan(*coords):
-        chain = real(*coords)
-        return dataclasses.replace(chain, residuals={**chain.residuals, "chain_sum": math.nan})
-
-    monkeypatch.setattr(ratio_mod, "identity_chain", with_nan)
+    # A NaN is never within the bound: the verdict fails and blames it.
+    _with_residuals(monkeypatch, chain_sum=math.nan)
     report = identity_report(t345)
     assert not report.passed
     assert report.first_failing == "chain_sum"
@@ -183,3 +245,43 @@ def test_report_is_frozen(t345):
     report = identity_report(t345)
     with pytest.raises(Exception):
         report.passed = False
+
+
+# ---------------------------------------------------------------------------
+# the bound holds wherever binary64 can judge: PASS or too thin, never FAIL
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ang_b=st.floats(1e-6, math.pi - 2e-6),
+    share=st.floats(0.0, 1.0),
+    right=st.booleans(),
+    turn=st.floats(0.0, 2.0 * math.pi),
+    size_decade=st.floats(-3.0, 3.0),
+    offset_decade=st.floats(-1.0, 8.0),
+    offset_turn=st.floats(0.0, 2.0 * math.pi),
+)
+def test_valid_triangle_passes_or_is_too_thin(ang_b, share, right, turn, size_decade,
+                                             offset_decade, offset_turn):
+    # Gamma anywhere in [1e-6, pi - B - 1e-6], or pi/2 - B for a right angle
+    # A: every angle is at least 1e-6 rad.  The triangle is rotated by turn
+    # and moved up to 1e8 sizes away, which puts some right angles A inside
+    # the band of geom.cot.
+    if right:
+        ang_b = 1e-6 + share * (0.5 * math.pi - 2e-6)
+        ang_g = 0.5 * math.pi - ang_b
+    else:
+        ang_g = 1e-6 + share * (math.pi - ang_b - 2e-6)
+    size = 10.0**size_decade
+    t = triangle_from_angles(ang_b, ang_g, size)
+    c, s = math.cos(turn), math.sin(turn)
+    offset = size * 10.0**offset_decade
+    ox, oy = offset * math.cos(offset_turn), offset * math.sin(offset_turn)
+    moved = Triangle(*(Point2(ox + c * p.x - s * p.y, oy + s * p.x + c * p.y)
+                       for p in t.vertices()))
+    try:
+        report = identity_report(moved)
+    except DegenerateTriangleError as exc:
+        assert "too thin" in str(exc)
+        return
+    assert report.passed, (report.first_failing, report.smallest_angle)

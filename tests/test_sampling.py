@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from perptri import construction
 from perptri.geom import Point2
 from perptri.sampling import (
     DELTA_MAIN,
@@ -97,7 +98,7 @@ def test_angle_floor_stress():
     c = sample_corpus(1000, seed=5, delta=DELTA_STRESS)
     assert float(c.ang_b.min()) >= DELTA_STRESS
     assert float(np.min(c.ang_a)) >= DELTA_STRESS - 1e-12
-    # the stress tier actually exercises slivers the main tier cannot reach
+    # the sliver floor reaches angles the default floor cannot
     assert float(np.min([c.ang_b.min(), c.ang_g.min(), c.ang_a.min()])) < DELTA_MAIN
 
 
@@ -109,6 +110,18 @@ def test_acute_stratum():
 def test_obtuse_stratum():
     c = sample_corpus(300, seed=9, stratum="obtuse")
     assert bool(np.all(c.ang_a > HALF_PI))
+
+
+@pytest.mark.parametrize("stratum", ["acute", "obtuse"])
+def test_strata_follow_angle_cases(stratum, monkeypatch):
+    # The strata select by construction.angle_cases, so a wider right band
+    # (patched here) keeps both strata clear of it, as it would the sweep's
+    # case counts.
+    monkeypatch.setattr(construction, "CASE_BAND", 0.3)
+    c = sample_corpus(300, seed=9, stratum=stratum)
+    assert float(np.min(np.abs(c.ang_a - HALF_PI))) >= 0.3
+    acute, right, obtuse = construction.angle_cases(c.ang_a)
+    assert bool(np.all(acute if stratum == "acute" else obtuse))
 
 
 def test_right_stratum():

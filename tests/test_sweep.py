@@ -16,7 +16,16 @@ import pytest
 
 from perptri.construction import angle_cases, construct
 from perptri.geom import MATH, NUMPY, cot, frame
-from perptri.ratio import CHECK_ORDER, STRICT_TOLERANCES, identity_chain, identity_report
+import perptri.ratio as ratio_mod
+from perptri.ratio import (
+    BOUND_CONSTANT,
+    CHECK_ORDER,
+    conditioning,
+    identity_chain,
+    identity_report,
+    residual_bound,
+    within_bound,
+)
 from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
 from perptri.sweep import CHUNK, evaluate_corpus, run_sweep
 
@@ -28,6 +37,10 @@ def chain_of(corpus):
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     return identity_chain(bx, by, gx, gy)
+
+
+def bound_of(chain):
+    return residual_bound(*conditioning(NUMPY, chain.metrics))
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +116,10 @@ def _assert_whole_corpus_reductions(result, corpus):
     masks = angle_cases(chain.metrics.ang_a)
     assert list(result.case_counts.values()) == [int(np.count_nonzero(m)) for m in masks]
     assert list(result.max_residuals) == list(CHECK_ORDER)
+    bound = bound_of(chain)
+    within = [within_bound(chain.residuals[key], bound) for key in CHECK_ORDER]
+    all_within = np.logical_and.reduce(within)
+    assert result.over_bound == len(corpus) - int(np.count_nonzero(all_within))
     if not len(corpus):
         assert result.argmin_index is None
         assert math.isnan(result.min_cot_sum)
@@ -143,11 +160,26 @@ def test_chunk_merge_propagates_nan():
     _assert_whole_corpus_reductions(result, corpus)
     assert result.argmin_index == 2 * CHUNK + 5
     assert all(math.isnan(value) for value in result.max_residuals.values())
+    assert result.over_bound == 1  # a NaN is never within the bound
 
 
-def test_sweep_residuals_within_tolerances(bridge_result):
-    for key, tol in STRICT_TOLERANCES.items():
-        assert bridge_result.max_residuals[key] <= tol, key
+def test_sweep_residuals_within_bound(bridge_result):
+    assert bridge_result.over_bound == 0
+
+
+def test_sweep_counts_residuals_over_the_bound(monkeypatch):
+    # A negative constant puts every triangle over the bound.
+    monkeypatch.setattr(ratio_mod, "BOUND_CONSTANT", -1.0)
+    assert evaluate_corpus(sample_corpus(CHUNK + 7, seed=45)).over_bound == CHUNK + 7
+
+
+@pytest.mark.parametrize("delta, seed", [(0.01, 46), (1e-4, 47)])
+def test_bound_keeps_an_eightfold_margin(delta, seed):
+    # Over 10**5 triangles at either sampler floor, every residual stays
+    # within an eighth of the bound; BOUND_CONSTANT was set with that margin.
+    chain = chain_of(sample_corpus(10**5, seed=seed, delta=delta))
+    eighth = bound_of(chain) / 8
+    assert max(float(np.max(chain.residuals[key] / eighth)) for key in CHECK_ORDER) <= 1.0
 
 
 def test_min_cot_sum_and_argmin(bridge_chain, bridge_result):
