@@ -151,6 +151,18 @@ def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
     return abs(lhs - rhs) / (1.0 + dominant)
 
 
+def _derived_area(hypot, bx, by, gx, gy):
+    """The geometric route: the derived triangle's area by the shoelace formula.
+
+    The derived triangle is bounded by the perpendicular through B to AB,
+    through Gamma to B-Gamma and through A to Gamma-A, with (cos, sin) of
+    pi/2 exact.  Only the area is returned: the six derived coordinates, and
+    the nine line coefficients behind them, are freed here.
+    """
+    (apx, apy), (bpx, bpy), (gpx, gpy) = derived_vertices(hypot, bx, by, gx, gy, 0.0, 1.0)
+    return 0.5 * abs((bpx - apx) * (gpy - apy) - (bpy - apy) * (gpx - apx))
+
+
 @dataclass(frozen=True)
 class IdentityChain:
     """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER.
@@ -187,25 +199,14 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     cot_a, cot_b, cot_g = cot(ops, ang_a), cot(ops, ang_b), cot(ops, ang_g)
     csum = cot_a + cot_b + cot_g
 
-    # Geometric route: the perpendicular through B to AB, through Gamma to
-    # B-Gamma and through A to Gamma-A, with (cos, sin) of pi/2 exact.
-    (apx, apy), (bpx, bpy), (gpx, gpy) = derived_vertices(hypot, bx, by, gx, gy, 0.0, 1.0)
-    area_derived = 0.5 * abs((bpx - apx) * (gpy - apy) - (bpy - apy) * (gpx - apx))
+    area_derived = _derived_area(hypot, bx, by, gx, gy)
     ratio_geometric = area_derived / area
-    ratio_formula = csum * csum
 
     cot_side_sum = g2 * cot_a + b2 * cot_g + a2 * cot_b
     sum_sq = a2 + b2 + g2
     pairs = a2 * b2 + b2 * g2 + g2 * a2
     quads = a2 * a2 + b2 * b2 + g2 * g2
     sixteen = 2.0 * pairs - quads
-
-    term_a_rhs = 2.0 * g2 * (b2 + g2 - a2)
-    term_g_rhs = 2.0 * b2 * (a2 + b2 - g2)
-    term_b_rhs = 2.0 * a2 * (g2 + a2 - b2)
-
-    quadratic_lhs = 16.0 * area * area + 8.0 * area * cot_side_sum - sum_sq * sum_sq
-    chain_rhs = sixteen + term_a_rhs + term_g_rhs + term_b_rhs - 2.0 * pairs - quads
 
     fa, fb, fg = s - alpha, s - beta, s - gamma
     ops.require(vmin(fa, fb, fg) > 0.0,
@@ -220,25 +221,38 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     }
     largest_area = vmax(*areas.values())
 
+    # Residuals in CHECK_ORDER.  Each link's intermediates are deleted once
+    # its residuals are taken, so that a chunk of the sweep holds no more
+    # arrays than it must.
     residuals = {
         "area_increment": _norm(area_derived, area + 0.5 * cot_side_sum),
         "sixteen_area_sq": _norm(sixteen, 16.0 * area * area),
-        "cot_term_a": _term_norm(vmax, 8.0 * area * g2 * cot_a, term_a_rhs, g2, b2, g2, a2),
-        "cot_term_g": _term_norm(vmax, 8.0 * area * b2 * cot_g, term_g_rhs, b2, a2, b2, g2),
-        "cot_term_b": _term_norm(vmax, 8.0 * area * a2 * cot_b, term_b_rhs, a2, g2, a2, b2),
-        "squared_sum_expansion": abs(-(sum_sq * sum_sq) - (-2.0 * pairs - quads))
-        / (1.0 + sum_sq * sum_sq),
-        "chain_sum": abs(quadratic_lhs - chain_rhs) / (sum_sq * sum_sq),
-        "area_quadratic": abs(quadratic_lhs) / (sum_sq * sum_sq),
-        "half_angle_cots": vmax(
-            _norm(sqrt(s * fa / (fb * fg)), cot(ops, 0.5 * ang_a)),
-            _norm(sqrt(s * fb / (fa * fg)), cot(ops, 0.5 * ang_b)),
-            _norm(sqrt(s * fg / (fa * fb)), cot(ops, 0.5 * ang_g)),
-        ),
-        "area_from_cots": _norm(areas["cot_formula"], area),
-        "area_ratio": abs(ratio_geometric - ratio_formula) / (1.0 + ratio_formula),
-        "area_agreement": (largest_area - vmin(*areas.values())) / largest_area,
     }
+    term_a_rhs = 2.0 * g2 * (b2 + g2 - a2)
+    term_g_rhs = 2.0 * b2 * (a2 + b2 - g2)
+    term_b_rhs = 2.0 * a2 * (g2 + a2 - b2)
+    residuals["cot_term_a"] = _term_norm(vmax, 8.0 * area * g2 * cot_a, term_a_rhs, g2, b2, g2, a2)
+    residuals["cot_term_g"] = _term_norm(vmax, 8.0 * area * b2 * cot_g, term_g_rhs, b2, a2, b2, g2)
+    residuals["cot_term_b"] = _term_norm(vmax, 8.0 * area * a2 * cot_b, term_b_rhs, a2, g2, a2, b2)
+    chain_rhs = sixteen + term_a_rhs + term_g_rhs + term_b_rhs - 2.0 * pairs - quads
+    del term_a_rhs, term_g_rhs, term_b_rhs
+    residuals["squared_sum_expansion"] = (abs(-(sum_sq * sum_sq) - (-2.0 * pairs - quads))
+                                          / (1.0 + sum_sq * sum_sq))
+    quadratic_lhs = 16.0 * area * area + 8.0 * area * cot_side_sum - sum_sq * sum_sq
+    residuals["chain_sum"] = abs(quadratic_lhs - chain_rhs) / (sum_sq * sum_sq)
+    del chain_rhs
+    residuals["area_quadratic"] = abs(quadratic_lhs) / (sum_sq * sum_sq)
+    del quadratic_lhs
+    residuals["half_angle_cots"] = vmax(
+        _norm(sqrt(s * fa / (fb * fg)), cot(ops, 0.5 * ang_a)),
+        _norm(sqrt(s * fb / (fa * fg)), cot(ops, 0.5 * ang_b)),
+        _norm(sqrt(s * fg / (fa * fb)), cot(ops, 0.5 * ang_g)),
+    )
+    residuals["area_from_cots"] = _norm(areas["cot_formula"], area)
+    ratio_formula = csum * csum
+    residuals["area_ratio"] = abs(ratio_geometric - ratio_formula) / (1.0 + ratio_formula)
+    del ratio_formula
+    residuals["area_agreement"] = (largest_area - vmin(*areas.values())) / largest_area
 
     return IdentityChain(
         metrics=m,

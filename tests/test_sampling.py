@@ -1,6 +1,8 @@
-"""Seeded triangle corpora: determinism, strata, floors, canonical layout."""
+"""Seeded triangle corpora: determinism, strata, floors, canonical layout, memory."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,3 +171,89 @@ def test_simplex_coverage_spans_cases():
     c = sample_corpus(500, seed=17)
     acute = int(np.count_nonzero(c.ang_a < HALF_PI))
     assert 0 < acute < 500
+
+
+# sha256 of ang_b's bytes followed by ang_g's, first 16 hex digits, recorded
+# before the sampler drew in place.  Any rewrite of the sampler (in place,
+# chunked, threaded) must reproduce these corpora bit for bit.
+CORPUS_DIGESTS = {
+    ("all", DELTA_MAIN, 1, 7): "492b6ddf93f954c0",
+    ("all", DELTA_MAIN, 1, (7, 3)): "1a90d9ad7963beb5",
+    ("all", DELTA_MAIN, 2**14 + 3, 7): "ba591116ed69bbc2",
+    ("all", DELTA_MAIN, 2**14 + 3, (7, 3)): "141e90c2817c6968",
+    ("all", DELTA_MAIN, 10**5, 7): "963c005c3a96d30b",
+    ("all", DELTA_MAIN, 10**5, (7, 3)): "1e4e0b4f8c26589e",
+    ("all", DELTA_STRESS, 1, 7): "d8d4b2cb1c48cb35",
+    ("all", DELTA_STRESS, 1, (7, 3)): "d8a1751feaf7bdbf",
+    ("all", DELTA_STRESS, 2**14 + 3, 7): "1dcd033f65b78925",
+    ("all", DELTA_STRESS, 2**14 + 3, (7, 3)): "291b29a91cd0da7c",
+    ("all", DELTA_STRESS, 10**5, 7): "1deb414d069d2564",
+    ("all", DELTA_STRESS, 10**5, (7, 3)): "f71398c14b0c2693",
+    ("acute", DELTA_MAIN, 1, 7): "de5626edef968ef8",
+    ("acute", DELTA_MAIN, 1, (7, 3)): "1a90d9ad7963beb5",
+    ("acute", DELTA_MAIN, 2**14 + 3, 7): "e817635377afca63",
+    ("acute", DELTA_MAIN, 2**14 + 3, (7, 3)): "79479e083c832c24",
+    ("acute", DELTA_MAIN, 10**5, 7): "d710ac3870b0f38a",
+    ("acute", DELTA_MAIN, 10**5, (7, 3)): "0f52926255a32b01",
+    ("acute", DELTA_STRESS, 1, 7): "faff23f0b69ec73a",
+    ("acute", DELTA_STRESS, 1, (7, 3)): "d8a1751feaf7bdbf",
+    ("acute", DELTA_STRESS, 2**14 + 3, 7): "4b8c4c709b06239f",
+    ("acute", DELTA_STRESS, 2**14 + 3, (7, 3)): "8921101f8b332230",
+    ("acute", DELTA_STRESS, 10**5, 7): "d9b6e368b1b3d1f2",
+    ("acute", DELTA_STRESS, 10**5, (7, 3)): "9cc267cbe892ee87",
+    ("right", DELTA_MAIN, 1, 7): "da57e13ecf3cfbcb",
+    ("right", DELTA_MAIN, 1, (7, 3)): "242eee2e0a1c0556",
+    ("right", DELTA_MAIN, 2**14 + 3, 7): "d378eda9247438c4",
+    ("right", DELTA_MAIN, 2**14 + 3, (7, 3)): "b2d021b79c4e33a9",
+    ("right", DELTA_MAIN, 10**5, 7): "1f7c5a50b353d22b",
+    ("right", DELTA_MAIN, 10**5, (7, 3)): "c22af6c92a99c095",
+    ("right", DELTA_STRESS, 1, 7): "052575bd649f9870",
+    ("right", DELTA_STRESS, 1, (7, 3)): "e269bd2ba731cfe2",
+    ("right", DELTA_STRESS, 2**14 + 3, 7): "d22f5e3694219599",
+    ("right", DELTA_STRESS, 2**14 + 3, (7, 3)): "d57602e7ee013c21",
+    ("right", DELTA_STRESS, 10**5, 7): "b0015915c99c7cb8",
+    ("right", DELTA_STRESS, 10**5, (7, 3)): "3dcc5a43f2ef982e",
+    ("obtuse", DELTA_MAIN, 1, 7): "492b6ddf93f954c0",
+    ("obtuse", DELTA_MAIN, 1, (7, 3)): "43fce4a6d223e116",
+    ("obtuse", DELTA_MAIN, 2**14 + 3, 7): "80b86f4b77751356",
+    ("obtuse", DELTA_MAIN, 2**14 + 3, (7, 3)): "33dc0f09359e3ff8",
+    ("obtuse", DELTA_MAIN, 10**5, 7): "eb9c5b3e24615778",
+    ("obtuse", DELTA_MAIN, 10**5, (7, 3)): "5a22cbb9f3aa339d",
+    ("obtuse", DELTA_STRESS, 1, 7): "d8d4b2cb1c48cb35",
+    ("obtuse", DELTA_STRESS, 1, (7, 3)): "8a25ae305434a464",
+    ("obtuse", DELTA_STRESS, 2**14 + 3, 7): "9354dca037bde64c",
+    ("obtuse", DELTA_STRESS, 2**14 + 3, (7, 3)): "07975328b1e4e08c",
+    ("obtuse", DELTA_STRESS, 10**5, 7): "e28d697531458b5b",
+    ("obtuse", DELTA_STRESS, 10**5, (7, 3)): "45543fcde41ed881",
+}
+
+
+@pytest.mark.parametrize(
+    "stratum, delta, n, seed",
+    CORPUS_DIGESTS,
+    ids=[f"{s}-{'main' if d == DELTA_MAIN else 'stress'}-{n}-{seed}"
+         for s, d, n, seed in CORPUS_DIGESTS],
+)
+def test_corpus_is_pinned(stratum, delta, n, seed):
+    c = sample_corpus(n, seed, stratum, delta=delta)
+    digest = hashlib.sha256(c.ang_b.tobytes() + c.ang_g.tobytes()).hexdigest()
+    assert digest[:16] == CORPUS_DIGESTS[stratum, delta, n, seed]
+    # The scale stream comes first, ten to the power of the draw.
+    assert np.array_equal(c.scale, 10.0 ** np.random.default_rng(seed).uniform(-2, 2, n))
+
+
+def test_sampling_peak_memory():
+    # With the fold and the shift in place, the sampler holds at its peak the
+    # scale exponents, both angle arrays and the fold's sum and mask: 4.125
+    # arrays of n floats (5.13 when they made copies).  The first call only
+    # keeps numpy.random's lazy import out of the count.
+    n = 10**5
+    sample_corpus(1, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_corpus(n, 0, "all")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 8 * n

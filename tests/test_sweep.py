@@ -10,6 +10,7 @@ corpus, exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from perptri.ratio import (
     within_bound,
 )
 from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
-from perptri.sweep import CHUNK, evaluate_corpus, run_sweep
+from perptri.sweep import CHUNK, _reduce_chunk, evaluate_corpus, run_sweep
 
 BRIDGE_ABS = 1e-13
 
@@ -215,3 +216,20 @@ def test_ratio_geometric_at_least_three(bridge_chain):
     # E'/E = (cot sum)^2 >= 3 everywhere; the kernel's geometric route must
     # land above the bound up to roundoff.
     assert float(bridge_chain.ratio_geometric.min()) >= 3.0 - 1e-9
+
+
+def test_chunk_peak_memory():
+    # One chunk's arrays, which each worker thread holds: identity_chain frees
+    # the derived vertices and each link's intermediates at their last use
+    # (7.7 MiB when all lived until it returned).  The first call only keeps
+    # lazy set-up out of the count.
+    corpus = sample_corpus(CHUNK, 0)
+    _reduce_chunk(corpus, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _reduce_chunk(corpus, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20

@@ -1,0 +1,188 @@
+"""Wall time, peak memory and page faults of `perptri sweep`, one fresh process a run.
+
+    python tools/bench_sweep_memory.py --n 1000000 --seed 0 --runs 10 \\
+        --src /path/to/parent --src . --out BENCH_sweep_memory.json
+
+Each run of a source tree (a checkout holding `src/perptri`) starts two
+processes with PYTHONPATH=<tree>/src:
+
+    sweep  `python -m perptri sweep --n N --seed S --json`; its wall time, and
+           the peak RSS and minor page faults that wait4 reports for it
+    stages the same sample_corpus + evaluate_corpus in one process, reading its
+           RSS (VmRSS) and peak (VmHWM) after the imports, after sampling and
+           after evaluation
+
+With several trees, each run visits every tree, and the order alternates from
+run to run (first to last, then last to first), so drift on a shared machine
+falls on both sides alike.  Every sweep must print the same bytes and exit
+with the same code as the first; otherwise the script says which differ and
+exits 1 after writing its report.  The report holds every run, the median and
+quartiles of each measure per tree, the machine (CPUs, CPU model, Python,
+numpy), and each tree's directory name and git HEAD (where it is a git
+checkout).
+
+Linux only: wait4 gives the peak and the faults, /proc/self/status the stage
+RSS.  Linux carries a process's peak RSS across fork and exec, so a child's
+wait4 peak is never below the peak of the process that started it; this
+script imports no numpy and stays far below the sweep's peak.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+STAGES = """
+import json
+import sys
+from perptri.sampling import sample_corpus
+from perptri.sweep import evaluate_corpus
+
+def rss():
+    status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+    return [int(status[key].split()[0]) / 1024.0 for key in ("VmRSS", "VmHWM")]
+
+stages = {"imports": rss()}
+corpus = sample_corpus(int(sys.argv[1]), int(sys.argv[2]))
+stages["sampling"] = rss()
+evaluate_corpus(corpus)
+stages["evaluation"] = rss()
+print(json.dumps({stage: dict(zip(("rss_mib", "peak_mib"), values))
+                  for stage, values in stages.items()}))
+"""
+
+MEASURES = ("wall_s", "peak_rss_mib", "minor_faults", "rss_after_sampling_mib",
+            "rss_after_evaluation_mib", "peak_after_sampling_mib")
+
+
+def run_child(argv: list[str], env: dict) -> tuple[float, object, str]:
+    """Run argv to completion: (wall seconds, its rusage, its exit status and stdout)."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, cwd=ROOT)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.stdout.close()
+    return wall, usage, f"exit {os.waitstatus_to_exitcode(status)}\n" + out.decode()
+
+
+def measure(tree: Path, n: int, seed: int) -> tuple[dict, str]:
+    """One run on one tree: its measures and the sweep's exit code and output."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    wall, usage, output = run_child(
+        [sys.executable, "-m", "perptri", "sweep", "--n", str(n), "--seed", str(seed), "--json"],
+        env)
+    _, _, stage_out = run_child([sys.executable, "-c", STAGES, str(n), str(seed)], env)
+    code, _, printed = stage_out.partition("\n")
+    if code != "exit 0":
+        raise SystemExit(f"the stage process on {tree} ended with {code}")
+    stages = json.loads(printed)
+    return {
+        "wall_s": wall,
+        "peak_rss_mib": usage.ru_maxrss / 1024.0,
+        "minor_faults": usage.ru_minflt,
+        "rss_after_imports_mib": stages["imports"]["rss_mib"],
+        "rss_after_sampling_mib": stages["sampling"]["rss_mib"],
+        "rss_after_evaluation_mib": stages["evaluation"]["rss_mib"],
+        "peak_after_sampling_mib": stages["sampling"]["peak_mib"],
+        "peak_after_evaluation_mib": stages["evaluation"]["peak_mib"],
+    }, output
+
+
+def summary(values: list[float]) -> dict:
+    """Median and quartiles (the value itself for a single run)."""
+    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def command_output(argv: list[str], cwd: Path | None = None) -> str | None:
+    try:
+        done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def machine() -> dict:
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next((line.split(":", 1)[1].strip() for line in info
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "python": platform.python_version(),
+        "numpy": command_output([sys.executable, "-c", "import numpy; print(numpy.__version__)"]),
+        "platform": platform.platform(),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", type=Path,
+                        help="a source tree to measure (repeatable; default: this checkout)")
+    parser.add_argument("--n", type=int, default=1_000_000, help="triangles per sweep")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--runs", type=int, default=10, help="runs per tree")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep_memory.json")
+    args = parser.parse_args(argv)
+    trees = [tree.resolve() for tree in args.src or [ROOT]]
+    for tree in trees:
+        if not (tree / "src" / "perptri").is_dir():
+            parser.error(f"{tree} holds no src/perptri")
+
+    runs = {tree: [] for tree in trees}
+    outputs = {}
+    for i in range(args.runs):
+        for tree in trees if i % 2 == 0 else trees[::-1]:
+            result, output = measure(tree, args.n, args.seed)
+            runs[tree].append(result)
+            outputs.setdefault(output, []).append(f"{tree} run {i}")
+    identical = len(outputs) == 1
+
+    report = {
+        "benchmark": "perptri sweep --n N --seed S --json, fresh processes",
+        "n": args.n,
+        "seed": args.seed,
+        "runs_per_tree": args.runs,
+        "machine": machine(),
+        "git_head": command_output(["git", "rev-parse", "HEAD"], ROOT),
+        "identical_output": identical,
+        "trees": [{
+            "tree": tree.name,
+            "git_head": command_output(["git", "rev-parse", "HEAD"], tree)
+            if (tree / ".git").exists() else None,
+            "summary": {key: summary([run[key] for run in runs[tree]]) for key in runs[tree][0]},
+            "runs": runs[tree],
+        } for tree in trees],
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+    width = max(len(entry["tree"]) for entry in report["trees"])
+    print("  ".join((f"{'tree':>{width}}", *MEASURES)))
+    for entry in report["trees"]:
+        cells = (f"{entry['summary'][key]['median']:>{len(key)}.5g}" for key in MEASURES)
+        print("  ".join((f"{entry['tree']:>{width}}", *cells)))
+    print(f"medians of {args.runs} run(s) each; report in {args.out}")
+    if not identical:
+        for output, where in outputs.items():
+            print(f"output {output.splitlines()[0]!r}..., from {', '.join(where)}", file=sys.stderr)
+        print("the sweeps printed different output", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
