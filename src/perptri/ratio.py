@@ -222,8 +222,8 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     largest_area = vmax(*areas.values())
 
     # Residuals in CHECK_ORDER.  Each link's intermediates are deleted once
-    # its residuals are taken, so that a chunk of the sweep holds no more
-    # arrays than it must.
+    # its residuals are taken, so that a chunk of the sweep never holds them
+    # all at once.
     residuals = {
         "area_increment": _norm(area_derived, area + 0.5 * cot_side_sum),
         "sixteen_area_sq": _norm(sixteen, 16.0 * area * area),
