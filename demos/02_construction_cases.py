@@ -33,7 +33,7 @@ def main() -> None:
         print(f"    A'     = ({d.ap.x:+.9f}, {d.ap.y:+.9f})")
         print(f"    B'     = ({d.bp.x:+.9f}, {d.bp.y:+.9f})")
         print(f"    Gamma' = ({d.gp.x:+.9f}, {d.gp.y:+.9f})")
-        if math.hypot(d.gp.x - t.b.x, d.gp.y - t.b.y) < 1e-9 * t.longest_side():
+        if d.gamma_prime_on_b:
             print("    note: Gamma' coincides with vertex B")
         print(f"    area ratio, measured:  {d.ratio_geometric:.12f}")
         print(f"    area ratio, (sum cot)^2: {d.ratio_formula:.12f}")

@@ -1,7 +1,7 @@
 """Walk the identity chain behind E'/E = (cot A + cot B + cot Gamma)^2.
 
-Each link is verified separately, against one bound C (eps / theta**2 + gap)
-set by the triangle's smallest angle theta, so a numerical failure would name
+Each link is verified separately, against one bound C eps / theta**2 set by
+the triangle's smallest angle theta, so a numerical failure would name
 the first broken link rather than just "the ratio is off":
 
     E' = E + (gamma^2 cot A + beta^2 cot Gamma + alpha^2 cot B) / 2
@@ -17,7 +17,7 @@ def show(name: str, t: Triangle) -> None:
     report = identity_report(t)
     m = metrics(t)
     print(f"{name}: case {report.case.value}, smallest angle {report.smallest_angle:.4g} rad, "
-          f"bound C (eps/theta^2 + gap) = {report.bound:.2e}")
+          f"bound C eps/theta^2 = {report.bound:.2e}")
     print(f"    sides {m.alpha:.6g} / {m.beta:.6g} / {m.gamma:.6g}, area {m.area:.6g}")
     for key, value in report.residuals.items():
         flag = "ok" if report.within[key] else "FAIL"

@@ -5,7 +5,7 @@ four decades -- are constructed geometrically (real line intersections,
 shoelace areas) and every identity residual is taken.  The point of the
 exercise: worst-case residuals sit at roundoff level, not merely below some
 generous tolerance.  Every triangle is judged against the one bound
-C (eps / theta**2 + gap) of its smallest angle theta.  A second sweep pushes
+C eps / theta**2 of its smallest angle theta.  A second sweep pushes
 into sliver territory (angles down to 1e-4 rad) where conditioning honestly
 degrades, and the bound grows with it.
 """
@@ -20,7 +20,7 @@ def summarize(title: str, result, elapsed: float) -> None:
     counts = result.case_counts
     print(f"    cases: acute {counts['acute']}, right {counts['right']}, "
           f"obtuse {counts['obtuse']}")
-    print(f"    over the bound C (eps/theta^2 + gap): {result.over_bound}")
+    print(f"    over the bound C eps/theta^2: {result.over_bound}")
     print("    worst residuals:")
     for key, value in sorted(result.max_residuals.items(), key=lambda kv: -kv[1]):
         print(f"        {key:<22} {value:.3e}")

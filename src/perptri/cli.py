@@ -190,7 +190,6 @@ def cmd_verify(args) -> int:
             {
                 "case": report.case.value,
                 "smallest_angle_rad": report.smallest_angle,
-                "cot_band_gap": report.cot_band_gap,
                 "residuals": report.residuals,
                 "bound": report.bound,
                 "passed": report.passed,
@@ -201,8 +200,7 @@ def cmd_verify(args) -> int:
     ang_a = report.frame_metrics.ang_a
     print(f"case: {report.case.value} (angle A = {fmt(math.degrees(ang_a))} deg)")
     print(f"smallest angle theta: {fmt(report.smallest_angle)} rad")
-    print(f"cotangent zeroed by the right-angle band, gap: {fmt(report.cot_band_gap)}")
-    print(f"bound: {fmt(BOUND_CONSTANT)} (eps/theta^2 + gap) = {fmt(report.bound)}")
+    print(f"bound: {fmt(BOUND_CONSTANT)} eps/theta^2 = {fmt(report.bound)}")
     print("identity residuals")
     for name, value in report.residuals.items():
         verdict = "PASS" if report.within[name] else "FAIL"
@@ -322,7 +320,7 @@ def cmd_sweep(args) -> int:
     print("max residuals")
     for key in CHECK_ORDER:
         print(f"  {key:<22} {fmt(result.max_residuals[key])}")
-    print(f"over the bound {fmt(BOUND_CONSTANT)} (eps/theta^2 + gap): {result.over_bound}")
+    print(f"over the bound {fmt(BOUND_CONSTANT)} eps/theta^2: {result.over_bound}")
     argmin = _argmin_payload(result)
     print(f"min cot sum: {fmt(argmin['cot_sum'])}")
     print(

@@ -14,7 +14,7 @@ its frame once and keeps it.  Lengths measured in the frame are converted
 back to the input's units, exactly, by `in_units` (lengths times 2**exp,
 areas times 2**(2 exp)) only where they are printed or returned.
 
-`frame`, `anchored_metrics`, `cot`, `cot_band_gap` and `derived_vertices` take
+`frame`, `anchored_metrics`, `cot` and `derived_vertices` take
 floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the
 elementary functions for either.  `NUMPY` is built, and numpy imported, on its
 first access, so code that works on floats never loads numpy.
@@ -34,10 +34,6 @@ from .errors import AngleSumError, DegenerateTriangleError, GeometryError, UnitR
 #: times the squared longest side (scale invariant: both sides are length^2).
 DEGENERACY_FACTOR = 1e-9
 
-#: Angles within this band of pi/2 have a cotangent of exactly 0.0 (their
-#: cosine would otherwise be roundoff noise of either sign).
-RIGHT_ANGLE_BAND = 1e-12
-
 
 def clamp_unit(value: float) -> float:
     """Clamp into [-1, 1]; guards acos against roundoff just outside range.
@@ -50,7 +46,7 @@ def clamp_unit(value: float) -> float:
 #: The elementary functions the float and array routines use beyond arithmetic
 #: operators: acos clips into [-1, 1] first, max and min are n-ary and
 #: elementwise, and require(ok, error) raises error() unless ok.
-Ops = namedtuple("Ops", "hypot acos cos sin sqrt frexp ldexp where max min require")
+Ops = namedtuple("Ops", "hypot acos cos sin sqrt frexp ldexp max min require")
 
 
 def _require(ok: bool, error: Callable[[], Exception]) -> None:
@@ -59,8 +55,7 @@ def _require(ok: bool, error: Callable[[], Exception]) -> None:
 
 
 MATH = Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, math.sqrt,
-           math.frexp, math.ldexp, lambda cond, yes, no: yes if cond else no, max, min,
-           _require)
+           math.frexp, math.ldexp, max, min, _require)
 
 
 def __getattr__(name: str):
@@ -71,7 +66,7 @@ def __getattr__(name: str):
 
     # Arrays carry inf or NaN where one triangle would raise, as numpy does.
     ops = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
-              np.frexp, np.ldexp, np.where, lambda *xs: functools.reduce(np.maximum, xs),
+              np.frexp, np.ldexp, lambda *xs: functools.reduce(np.maximum, xs),
               lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
     globals()["NUMPY"] = ops
     return ops
@@ -115,22 +110,14 @@ def in_units(value: float, exp: int, name: str) -> float:
 
 
 def cot(ops: Ops, x):
-    """Cotangent as cos/sin, exactly zero within RIGHT_ANGLE_BAND of pi/2.
+    """Cotangent as cos/sin.
 
     cos/sin keeps the correct sign through the obtuse branch; 1/tan would
-    blow up at pi/2 where the cotangent is merely zero.
+    blow up at pi/2 where the cotangent is merely zero.  At a computed right
+    angle cos/sin is the cotangent of the angle as rounded, of the size of
+    its roundoff, which the residuals carry like any other.
     """
-    return ops.where(abs(x - 0.5 * math.pi) < RIGHT_ANGLE_BAND, 0.0, ops.cos(x) / ops.sin(x))
-
-
-def cot_band_gap(ops: Ops, x):
-    """How far `cot` at x lies from cos/sin: |x - pi/2| inside RIGHT_ANGLE_BAND, else 0.
-
-    Inside the band `cot` returns 0 for a cotangent of size tan|x - pi/2|,
-    which equals |x - pi/2| to binary64 precision there.
-    """
-    off = abs(x - 0.5 * math.pi)
-    return ops.where(off < RIGHT_ANGLE_BAND, off, 0.0)
+    return ops.cos(x) / ops.sin(x)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,13 @@ each of its 2**k-scaled copies, anywhere in binary64 range.  Checking every
 link separately localizes a failure to the first broken one.
 
 Every residual is judged against one bound taken from the triangle's
-conditioning, C * (eps / theta**2 + gap) (`residual_bound`), with eps = 2**-52,
-theta the smallest angle, C = `BOUND_CONSTANT`, set from measured residuals,
-and gap the cotangent that `geom.cot`'s right-angle band set to 0 (at most
-1e-12, and 0 unless an angle lies within the band of pi/2).  `conditioning`
-finds theta and gap and `within_bound` is the one predicate; `identity_report`
-and the sweep both call them.  Where the bound reaches 1 (theta below about
-1.2e-7 rad) binary64 can confirm nothing, and `identity_report` raises
-DegenerateTriangleError rather than return a verdict.
+conditioning, C * eps / theta**2 (`residual_bound`), with eps = 2**-52,
+theta the smallest angle and C = `BOUND_CONSTANT`, set from measured
+residuals.  `smallest_angle` finds theta and `within_bound` is the one
+predicate; `identity_report` and the sweep both call them.  Where the bound
+reaches 1 (theta below about 1.2e-7 rad) binary64 can confirm nothing, and
+`identity_report` raises DegenerateTriangleError rather than return a
+verdict.
 
 `identity_chain` is the one implementation of the chain.  It takes B and
 Gamma in a frame anchored at vertex A, so that residuals depend on a
@@ -65,7 +64,6 @@ from .geom import (
     TriangleMetrics,
     anchored_metrics,
     cot,
-    cot_band_gap,
     derived_vertices,
 )
 
@@ -91,39 +89,31 @@ CHECK_ORDER: tuple[str, ...] = (
     "area_agreement",
 )
 
-#: C of the one bound C * (eps / theta**2 + gap) that judges every residual:
-#: the least power of two at least 8 times the largest measured residual /
-#: (eps / theta**2 + gap).  That was 5.97 over 10**7 sampled triangles, half at
-#: each of the sampler's floors 0.01 and 1e-4 (arrays; gap = 0 for all), and
-#: 5.5 over 7 * 10**5 triangles rotated and moved up to 10**8 sizes away, many
-#: of them right, with angles down to 1e-6 (floats).  Where the band zeroed a
-#: cotangent, the residual exceeded 8 eps / theta**2 by at most 0.92 gap.
+#: C of the one bound C * eps / theta**2 that judges every residual: the least
+#: power of two at least 8 times the largest measured residual / (eps /
+#: theta**2).  That was 5.97 over 10**7 sampled triangles, half at each of the
+#: sampler's floors 0.01 and 1e-4 (arrays), and 5.5 over 7 * 10**5 triangles
+#: rotated and moved up to 10**8 sizes away, many of them right, with angles
+#: down to 1e-6 (floats).  Over 10**5 right triangles of the sampler's right
+#: stratum, rotated and moved up to 10**8 sizes away, the largest was 4.75.
 BOUND_CONSTANT = 64.0
 
 
-def conditioning(ops: Ops, m: TriangleMetrics):
-    """(theta, gap) of one triangle's metrics (floats, ops = MATH) or many (arrays).
-
-    theta is the smallest angle.  gap is `geom.cot_band_gap` of the largest
-    angle, the only one the right-angle band can reach: the other two sum to
-    about pi/2 then, and each is within the band only if theta < 2e-12,
-    where the bound is far past 1 anyway.
-    """
-    angles = (m.ang_a, m.ang_b, m.ang_g)
-    return ops.min(*angles), cot_band_gap(ops, ops.max(*angles))
+def smallest_angle(ops: Ops, m: TriangleMetrics):
+    """theta, the smallest angle of one triangle's metrics (floats, ops = MATH) or many (arrays)."""
+    return ops.min(m.ang_a, m.ang_b, m.ang_g)
 
 
-def residual_bound(theta, gap):
-    """C * (eps / theta**2 + gap): the most error a residual may carry.
+def residual_bound(theta):
+    """C * eps / theta**2: the most error a residual may carry.
 
-    theta and gap come from `conditioning`, floats or arrays.  The smaller
+    theta comes from `smallest_angle`, a float or an array.  The smaller
     theta, the worse the triangle is conditioned: its cotangents and side
     differences lose digits as 1/theta and the residuals, products of them, as
     1/theta**2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    ch. 1-3).  gap is the cotangent the right-angle band replaced by 0, an
-    error of the kernel's own that no roundoff analysis covers.
+    ch. 1-3).
     """
-    return BOUND_CONSTANT * (sys.float_info.epsilon / (theta * theta) + gap)
+    return BOUND_CONSTANT * sys.float_info.epsilon / (theta * theta)
 
 
 def within_bound(residual, bound):
@@ -142,10 +132,9 @@ def _norm(lhs, rhs):
 def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
     """Residual of lhs = rhs = 2 w2 (p2 + q2 - r2), scaled by the dominant monomial.
 
-    Both sides can cancel to roundoff of the monomials (exactly so near a
-    right angle, where the cotangent zero-band zeroes the left side), so the
-    honest scale is the largest term entering the identity, not the nearly
-    zero difference.
+    Both sides can cancel to roundoff of the monomials (near a right angle,
+    where the cotangent is roundoff-sized), so the honest scale is the
+    largest term entering the identity, not the nearly zero difference.
     """
     dominant = vmax(abs(lhs), 2.0 * w2 * p2, 2.0 * w2 * q2, 2.0 * w2 * r2)
     return abs(lhs - rhs) / (1.0 + dominant)
@@ -267,9 +256,9 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
 class VerifyReport:
     """One triangle's residuals, each judged against the one bound.
 
-    smallest_angle and cot_band_gap are the triangle's `conditioning`, and
-    bound is the residual_bound they give; within tells for each residual
-    whether it is within the bound (a NaN never is).  frame_metrics are the
+    smallest_angle is theta (`smallest_angle`) and bound is the
+    residual_bound it gives; within tells for each residual whether it is
+    within the bound (a NaN never is).  frame_metrics are the
     triangle's metrics in its frame (`geom.metrics` gives them in the input's
     units).
     """
@@ -277,7 +266,6 @@ class VerifyReport:
     frame_metrics: TriangleMetrics
     case: AngleCase
     smallest_angle: float
-    cot_band_gap: float
     bound: float
     residuals: dict[str, float]
     within: dict[str, bool]
@@ -305,18 +293,17 @@ def identity_report(t: Triangle) -> VerifyReport:
     _, bx, by, gx, gy = t.frame
     chain = identity_chain(bx, by, gx, gy)
     m, residuals = chain.metrics, chain.residuals
-    theta, gap = conditioning(MATH, m)
-    bound = residual_bound(theta, gap)
+    theta = smallest_angle(MATH, m)
+    bound = residual_bound(theta)
     if not bound < 1.0:
         raise DegenerateTriangleError(
             f"smallest angle {theta!r} rad is too thin to verify in binary64: "
-            f"the bound {BOUND_CONSTANT:g} (eps/theta^2 + gap) = {bound:.3g} reaches 1"
+            f"the bound {BOUND_CONSTANT:g} eps/theta^2 = {bound:.3g} reaches 1"
         )
     return VerifyReport(
         frame_metrics=m,
         case=classify_angle(m.ang_a),
         smallest_angle=theta,
-        cot_band_gap=gap,
         bound=bound,
         residuals=residuals,
         within={name: within_bound(residuals[name], bound) for name in CHECK_ORDER},

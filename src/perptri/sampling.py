@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 DELTA_MAIN = 0.01
 
 #: Floor for sliver corpora.  Their residuals are judged by the same bound as
-#: every triangle's (`ratio.residual_bound`), which grows as 1/theta**2: at
+#: every triangle's, C eps / theta**2 (`ratio.residual_bound`): at
 #: theta = 1e-4 it is about 1.4e-6.
 DELTA_STRESS = 1e-4
 
@@ -152,14 +152,15 @@ def sample_corpus(
     else:
         ang_b, ang_g = _simplex_pairs(rng, n, delta)
         if stratum != "all":
-            # angle_cases gives one mask per AngleCase, in order.
+            # angle_cases gives one mask per AngleCase, in order.  Only the
+            # re-drawn pairs can change case, so only they are tested again;
+            # the indices stay ascending, so each pass draws in index order.
             wanted = [case.value for case in AngleCase].index(stratum)
-            while True:
-                wrong = ~angle_cases(math.pi - ang_b - ang_g)[wanted]
-                count = int(np.count_nonzero(wrong))
-                if count == 0:
-                    break
-                ang_b[wrong], ang_g[wrong] = _simplex_pairs(rng, count, delta)
+            wrong = np.flatnonzero(~angle_cases(math.pi - ang_b - ang_g)[wanted])
+            while wrong.size:
+                b, g = _simplex_pairs(rng, wrong.size, delta)
+                ang_b[wrong], ang_g[wrong] = b, g
+                wrong = wrong[~angle_cases(math.pi - b - g)[wanted]]
     # The scales are made last, into a new array, for glibc's sake: it raises
     # its trim threshold to twice the largest mapped block freed.  Freed here,
     # the exponents are such a block in every stratum (the only one in the

@@ -28,7 +28,7 @@ import numpy as np
 
 from .construction import AngleCase, angle_cases
 from .geom import NUMPY, frame
-from .ratio import CHECK_ORDER, conditioning, identity_chain, residual_bound, within_bound
+from .ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
 from .sampling import TriangleCorpus, sample_corpus
 
 #: Triangles per chunk of `evaluate_corpus`.  Timed at n = 10**6 on two cores,
@@ -82,7 +82,7 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
     # Any residual is over the bound exactly when their NaN-propagating
     # maximum is.
     worst = NUMPY.max(*(chain.residuals[key] for key in CHECK_ORDER))
-    within = within_bound(worst, residual_bound(*conditioning(NUMPY, m)))
+    within = within_bound(worst, residual_bound(smallest_angle(NUMPY, m)))
     over = worst.size - int(np.count_nonzero(within))
     return counts, maxima, float(chain.cot_sum[argmin]), start + argmin, over
 

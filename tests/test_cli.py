@@ -125,6 +125,18 @@ def test_verify_passes(tmp_path, capsys):
     assert out.count("PASS") == len(CHECK_ORDER) + 1  # one per identity + verdict
 
 
+def test_verify_passes_a_right_triangle_far_from_the_origin(tmp_path, capsys):
+    # Angle A lies about 1e-13 off pi/2 once the vertices are rounded; its
+    # cotangent is cos/sin of that angle and the bound C eps / theta**2.
+    spec = {"vertices": {"A": [305.5885421359101, 373.56722245306287],
+                         "B": [305.5390084466886, 373.4530075935066],
+                         "Gamma": [305.6868396457121, 373.52459193790315]}}
+    assert main(["verify", write_spec(tmp_path, spec)]) == 0
+    out = capsys.readouterr().out
+    assert "case: right" in out and "verdict: PASS" in out
+    assert "bound: 64 eps/theta^2 = " in out
+
+
 def test_verify_json(tmp_path, capsys):
     code = main(["verify", "--json", write_spec(tmp_path, SPEC_ANGLES)])
     assert code == 0
@@ -133,20 +145,19 @@ def test_verify_json(tmp_path, capsys):
     assert payload["first_failing"] is None
     # 3-4-5 at scale 1: the smallest angle is Gamma = atan(3/4).
     assert payload["smallest_angle_rad"] == pytest.approx(math.atan2(3.0, 4.0), rel=1e-12)
-    assert payload["cot_band_gap"] == 0.0
-    assert payload["bound"] == residual_bound(payload["smallest_angle_rad"], 0.0)
+    assert payload["bound"] == residual_bound(payload["smallest_angle_rad"])
 
 
 def test_verify_json_schema(tmp_path, capsys):
     assert main(["verify", "--json", write_spec(tmp_path, SPEC_VERTICES)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["case", "smallest_angle_rad", "cot_band_gap", "residuals",
-                             "bound", "passed", "first_failing"]
+    assert list(payload) == ["case", "smallest_angle_rad", "residuals", "bound", "passed",
+                             "first_failing"]
     assert payload["case"] == "right"
     assert list(payload["residuals"]) == list(CHECK_ORDER)
     assert all(type(value) is float for value in payload["residuals"].values())
     assert all(type(payload[key]) is float
-               for key in ("smallest_angle_rad", "cot_band_gap", "bound"))
+               for key in ("smallest_angle_rad", "bound"))
 
 
 # B = 60 deg, scale 1.  Down to Gamma = 1e-5 deg (theta = 1.7e-7 rad, bound
@@ -305,7 +316,7 @@ def test_sweep_exits_one_over_the_bound(capsys, monkeypatch, json_flag):
     if json_flag:
         assert json.loads(out)["over_bound"] == 30
     else:
-        assert "(eps/theta^2 + gap): 30\n" in out
+        assert " eps/theta^2: 30\n" in out
 
 
 def test_sweep_empty(capsys):

@@ -14,11 +14,9 @@ from perptri.errors import AngleSumError, NotATriangleError
 from perptri.geom import (
     MATH,
     NUMPY,
-    RIGHT_ANGLE_BAND,
     Point2,
     Triangle,
     cot,
-    cot_band_gap,
     frame,
     in_units,
     metrics,
@@ -42,27 +40,17 @@ class TestCot:
     def test_quarter_pi(self):
         assert cot(MATH, math.pi / 4.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_right_angle_is_exactly_zero(self):
-        assert cot(MATH, math.pi / 2.0) == 0.0
-
-    def test_band_absorbs_roundoff_neighbours(self):
-        assert cot(MATH, math.pi / 2.0 + 5e-13) == 0.0
-        assert cot(MATH, math.pi / 2.0 - 5e-13) == 0.0
-        # just outside the band the true (tiny) value comes back
-        assert cot(MATH, math.pi / 2.0 - 1e-9) == pytest.approx(1e-9, rel=1e-5)
-        assert RIGHT_ANGLE_BAND == 1e-12
-
-    def test_band_gap_is_the_zeroed_cotangent(self):
-        # Inside the band cot gives 0 for a cotangent of size |x - pi/2|;
-        # outside it gives cos/sin and the gap is 0.
-        for off in (5e-13, -5e-13, 1e-15):
-            x = math.pi / 2.0 + off
-            assert cot(MATH, x) == 0.0
-            assert cot_band_gap(MATH, x) == pytest.approx(abs(math.cos(x) / math.sin(x)), rel=1e-3)
-        assert cot_band_gap(MATH, math.pi / 2.0) == 0.0
-        assert cot_band_gap(MATH, math.pi / 2.0 - 1e-9) == 0.0
-        x = np.array([math.pi / 2.0 + 5e-13, math.pi / 2.0 - 1e-9, 1.0])
-        assert cot_band_gap(NUMPY, x).tolist() == [abs(x[0] - math.pi / 2.0), 0.0, 0.0]
+    def test_is_cos_over_sin_at_and_beside_a_right_angle(self):
+        # No band: at the binary64 pi/2, one ulp either side of it and at
+        # 1 rad, cot is cos/sin bit for bit, with math's functions on floats
+        # and numpy's on arrays.  At pi/2 that is cot of the rounded angle,
+        # about 6.1e-17.
+        half_pi = math.pi / 2.0
+        xs = [math.nextafter(half_pi, 0.0), half_pi, math.nextafter(half_pi, 4.0), 1.0]
+        assert [cot(MATH, x) for x in xs] == [math.cos(x) / math.sin(x) for x in xs]
+        arr = np.array(xs)
+        assert cot(NUMPY, arr).tolist() == (np.cos(arr) / np.sin(arr)).tolist()
+        assert 0.0 < cot(MATH, half_pi) < 1e-16
 
     def test_obtuse_branch_is_negative(self):
         assert cot(MATH, 3.0 * math.pi / 4.0) == pytest.approx(-1.0, abs=1e-15)

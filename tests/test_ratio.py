@@ -16,12 +16,12 @@ from perptri.geom import Point2, Triangle
 from perptri.ratio import (
     BOUND_CONSTANT,
     CHECK_ORDER,
-    conditioning,
     identity_report,
     residual_bound,
+    smallest_angle,
     within_bound,
 )
-from perptri.sampling import triangle_from_angles
+from perptri.sampling import sample_corpus, triangle_from_angles
 
 COT_TERMS = ("cot_term_a", "cot_term_g", "cot_term_b")
 EPS = sys.float_info.epsilon
@@ -39,17 +39,16 @@ def test_check_order_covers_every_residual(t345):
 def test_bound_constant_is_a_power_of_two():
     mantissa, _ = math.frexp(BOUND_CONSTANT)
     assert mantissa == 0.5 and BOUND_CONSTANT >= 8.0
-    assert residual_bound(1.0, 0.0) == BOUND_CONSTANT * EPS
-    assert residual_bound(1.0, 1e-13) == BOUND_CONSTANT * (EPS + 1e-13)
+    assert residual_bound(1.0) == BOUND_CONSTANT * EPS
     # The bound reaches 1 at theta = sqrt(C eps), about 1.2e-7 rad at C = 64.
     threshold = math.sqrt(BOUND_CONSTANT * EPS)
-    assert residual_bound(1.01 * threshold, 0.0) < 1.0 <= residual_bound(0.99 * threshold, 0.0)
+    assert residual_bound(1.01 * threshold) < 1.0 <= residual_bound(0.99 * threshold)
 
 
 def test_within_bound_on_floats_and_arrays():
     import numpy as np
 
-    bound = residual_bound(0.1, 0.0)
+    bound = residual_bound(0.1)
     assert within_bound(bound, bound) is True
     assert within_bound(2.0 * bound, bound) is False
     assert within_bound(math.nan, bound) is False
@@ -89,8 +88,9 @@ def test_345_residuals_tiny(t345):
     assert r["area_increment"] < 1e-12
     assert r["area_quadratic"] < 1e-12
     assert r["chain_sum"] < 1e-12
-    # cot A is an exact zero and so is the opposing polynomial: 25 = 9 + 16
-    assert r["cot_term_a"] == 0.0
+    # The opposing polynomial is an exact zero, 25 = 9 + 16, and cot A is
+    # cos/sin of the rounded right angle, of the size of its roundoff.
+    assert r["cot_term_a"] <= EPS
     assert r["cot_term_g"] < 1e-13
     assert r["cot_term_b"] < 1e-13
 
@@ -147,8 +147,7 @@ def test_report_passes_on_canonical(t345, equilateral, obtuse_iso):
         assert set(report.residuals) == set(CHECK_ORDER)
         m = report.frame_metrics
         assert report.smallest_angle == min(m.ang_a, m.ang_b, m.ang_g)
-        assert report.cot_band_gap == 0.0
-        assert report.bound == residual_bound(report.smallest_angle, 0.0)
+        assert report.bound == residual_bound(report.smallest_angle)
         assert report.bound < 1e-13
         assert all(report.within[name] for name in CHECK_ORDER)
 
@@ -158,25 +157,52 @@ def test_sliver_triangle_judged_by_the_bound():
     # and every residual is within it.
     report = identity_report(triangle_from_angles(0.005, 1.0, 1.0))
     assert report.smallest_angle == pytest.approx(0.005, rel=1e-9)
-    assert report.bound == BOUND_CONSTANT * (EPS / report.smallest_angle**2 + 0.0)
+    assert report.bound == BOUND_CONSTANT * (EPS / report.smallest_angle**2)
     assert report.passed
 
 
-def test_band_gap_widens_the_bound_of_a_near_right_triangle():
+def test_near_right_triangle_far_from_the_origin_is_within_an_eighth_of_the_bound():
     # A right triangle moved about 3000 sizes from the origin: rounding the
-    # vertices leaves angle A about 1e-13 off pi/2, inside geom.cot's band, so
-    # the kernel takes cot A = 0 and the residuals carry about 1e-13 -- over
-    # C eps / theta**2 (2.8e-14) alone, within the bound with the gap.
+    # vertices leaves angle A about 1e-13 off pi/2.  cot A is cos/sin of that
+    # angle, so the residuals stay at roundoff, within C/8 eps / theta**2, the
+    # margin C was set with.
     t = Triangle(Point2(305.5885421359101, 373.56722245306287),
                  Point2(305.5390084466886, 373.4530075935066),
                  Point2(305.6868396457121, 373.52459193790315))
     report = identity_report(t)
-    theta, gap = conditioning(MATH, report.frame_metrics)
-    assert (report.smallest_angle, report.cot_band_gap) == (theta, gap)
-    assert 0.0 < gap < 1e-12
-    assert max(report.residuals.values()) > BOUND_CONSTANT * EPS / theta**2
-    assert report.bound == residual_bound(theta, gap)
+    theta = smallest_angle(MATH, report.frame_metrics)
+    assert report.smallest_angle == theta
+    assert 0.0 < abs(report.frame_metrics.ang_a - 0.5 * math.pi) < 1e-12
+    assert max(report.residuals.values()) <= BOUND_CONSTANT / 8.0 * EPS / theta**2
+    assert report.bound == residual_bound(theta)
     assert report.passed
+
+
+def test_moved_right_triangles_are_within_an_eighth_of_the_bound():
+    # 2000 right triangles of the sampler's right stratum, sizes 10**U(-2, 2),
+    # turned by a random angle and moved 10**U(0, 8) sizes from the origin in
+    # a random direction.  Rounding the moved vertices leaves angle A a few
+    # ulps to about 1e-9 off pi/2; every residual stays within C/8 eps /
+    # theta**2.
+    import numpy as np
+
+    n = 2000
+    corpus = sample_corpus(n, seed=[5, 3], stratum="right")
+    rng = np.random.default_rng([5, 4])
+    turns = rng.uniform(0.0, 2.0 * math.pi, n)
+    offsets = corpus.scale * 10.0 ** rng.uniform(0.0, 8.0, n)
+    directions = rng.uniform(0.0, 2.0 * math.pi, n)
+    worst = 0.0
+    for i in range(n):
+        t = corpus.triangle(i)
+        c, s = math.cos(turns[i]), math.sin(turns[i])
+        ox = float(offsets[i] * math.cos(directions[i]))
+        oy = float(offsets[i] * math.sin(directions[i]))
+        moved = Triangle(*(Point2(ox + c * p.x - s * p.y, oy + s * p.x + c * p.y)
+                           for p in t.vertices()))
+        report = identity_report(moved)
+        worst = max(worst, max(report.residuals.values()) * report.smallest_angle**2 / EPS)
+    assert worst <= BOUND_CONSTANT / 8.0
 
 
 def test_too_thin_triangle_raises_naming_theta_and_bound():
@@ -265,8 +291,8 @@ def test_valid_triangle_passes_or_is_too_thin(ang_b, share, right, turn, size_de
                                              offset_decade, offset_turn):
     # Gamma anywhere in [1e-6, pi - B - 1e-6], or pi/2 - B for a right angle
     # A: every angle is at least 1e-6 rad.  The triangle is rotated by turn
-    # and moved up to 1e8 sizes away, which puts some right angles A inside
-    # the band of geom.cot.
+    # and moved up to 1e8 sizes away, which leaves some right angles A a few
+    # ulps off pi/2.
     if right:
         ang_b = 1e-6 + share * (0.5 * math.pi - 2e-6)
         ang_g = 0.5 * math.pi - ang_b

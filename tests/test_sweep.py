@@ -21,10 +21,10 @@ import perptri.ratio as ratio_mod
 from perptri.ratio import (
     BOUND_CONSTANT,
     CHECK_ORDER,
-    conditioning,
     identity_chain,
     identity_report,
     residual_bound,
+    smallest_angle,
     within_bound,
 )
 from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
@@ -41,7 +41,7 @@ def chain_of(corpus):
 
 
 def bound_of(chain):
-    return residual_bound(*conditioning(NUMPY, chain.metrics))
+    return residual_bound(smallest_angle(NUMPY, chain.metrics))
 
 
 @pytest.fixture(scope="module")
