@@ -40,17 +40,46 @@ class TestCot:
     def test_quarter_pi(self):
         assert cot(MATH, math.pi / 4.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_is_cos_over_sin_at_and_beside_a_right_angle(self):
-        # No band: at the binary64 pi/2, one ulp either side of it and at
-        # 1 rad, cot is cos/sin bit for bit, with math's functions on floats
-        # and numpy's on arrays.  At pi/2 that is cot of the rounded angle,
-        # about 6.1e-17.
+    def test_right_angle_is_exactly_zero(self):
+        # There is no right-angle branch: at the binary64 pi/2 cot is cos/sin,
+        # the cotangent of the angle as rounded.  That value is exactly the
+        # distance from the rounded angle up to the true pi/2 (cot(pi/2 - d)
+        # = tan d = d to far below an ulp), so the true right angle's
+        # cotangent is exactly 0 and all cot returns is the angle's rounding.
+        from decimal import Decimal
+
         half_pi = math.pi / 2.0
-        xs = [math.nextafter(half_pi, 0.0), half_pi, math.nextafter(half_pi, 4.0), 1.0]
+        true_half_pi = Decimal("1.57079632679489661923132169163975144209858469968755")
+        offset = float(true_half_pi - Decimal(half_pi))
+        assert cot(MATH, half_pi) == math.cos(half_pi) / math.sin(half_pi)
+        assert cot(MATH, half_pi) == offset
+        assert 0.0 < offset < 1e-16
+
+    def test_band_absorbs_roundoff_neighbours(self):
+        # No band zeroes the neighbours of pi/2: one ulp either side, 5e-13
+        # off and 1e-9 off, cot is cos/sin bit for bit and of the size of the
+        # offset, with the cotangent's sign (negative past pi/2).  The
+        # residuals carry these roundoff-sized values; no constant remains.
+        half_pi = math.pi / 2.0
+        xs = [math.nextafter(half_pi, 0.0), math.nextafter(half_pi, 4.0),
+              half_pi - 5e-13, half_pi + 5e-13, half_pi - 1e-9]
         assert [cot(MATH, x) for x in xs] == [math.cos(x) / math.sin(x) for x in xs]
+        assert cot(MATH, xs[0]) > 0.0 > cot(MATH, xs[1])
+        for x in xs[2:]:
+            assert cot(MATH, x) == pytest.approx(half_pi - x, rel=1e-3)
+
+    def test_band_gap_is_the_zeroed_cotangent(self):
+        # What a band would zero inside |x - pi/2| <= 1e-12 is returned as
+        # is, by numpy's functions on arrays as by math's on floats: the gap
+        # between cot and 0 there is the cotangent itself, about |x - pi/2|.
+        half_pi = math.pi / 2.0
+        xs = [half_pi + 5e-13, half_pi - 5e-13, half_pi + 1e-15, half_pi, 1.0]
         arr = np.array(xs)
-        assert cot(NUMPY, arr).tolist() == (np.cos(arr) / np.sin(arr)).tolist()
-        assert 0.0 < cot(MATH, half_pi) < 1e-16
+        got = cot(NUMPY, arr)
+        assert got.tolist() == (np.cos(arr) / np.sin(arr)).tolist()
+        assert got.tolist() == [cot(MATH, x) for x in xs]
+        assert (got[:3] != 0.0).all()
+        assert np.abs(got[:2]) == pytest.approx(np.abs(arr[:2] - half_pi), rel=1e-3)
 
     def test_obtuse_branch_is_negative(self):
         assert cot(MATH, 3.0 * math.pi / 4.0) == pytest.approx(-1.0, abs=1e-15)
