@@ -6,7 +6,8 @@ A'B'Gamma' similar to the original, and its area exceeds the original by the
 factor (cot A + cot B + cot Gamma)^2.  Watch what the case of angle A does:
 
   * acute  -- the derived triangle strictly contains the source,
-  * right  -- Gamma' collapses exactly onto B,
+  * right  -- Gamma' collapses exactly onto B (rotating by phi instead, it
+              does so where A = pi - phi),
   * obtuse -- the two triangles only partially overlap, yet the ratio
               formula still holds because cot A < 0 compensates.
 """

@@ -13,7 +13,7 @@ places A at the origin and B at (scale, 0).  Angles are degrees at this
 boundary only.  Exit codes: 0 success, 1 verification failure, 2 bad input,
 3 internal error (any other exception, reported on one line).
 All floating-point text output uses fixed 12-significant-digit formatting so
-identical invocations are byte-identical.
+identical invocations are byte-identical; --json prints NaN and inf as null.
 """
 
 from __future__ import annotations
@@ -141,7 +141,9 @@ def load_triangle(spec_arg: str | None) -> Triangle:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    # RFC 8259 has no NaN or inf: print them as null.  Finite floats round-trip exactly.
+    strict = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+    print(json.dumps(strict, indent=2, allow_nan=False))
 
 
 def cmd_metrics(args) -> int:

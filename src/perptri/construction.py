@@ -9,6 +9,8 @@ a triangle A'B'Gamma' similar to the original with the shifted correspondence
 
 and at phi = pi/2 the area ratio equals the squared cotangent sum of the
 original triangle.
+Gamma' lands on B exactly when A = pi - phi, where the line through A runs
+along AB; at phi = pi/2 that is the right case.  Both are judged on angle A.
 """
 
 from __future__ import annotations
@@ -30,23 +32,18 @@ from .geom import (
     in_units,
 )
 
-#: Half-width of the angle-A band classified as right.  Classification feeds
-#: rendering and reporting only, never arithmetic.
+#: Half-width of the angle-A band classified as right, and of the band around
+#: pi - phi where Gamma' is on B; for reporting only.  It absorbs input rounding:
+#: a right triangle ~3000 sizes from the origin, rounded to binary64, has
+#: A - pi/2 = -2.4e-13, where the bound C eps / theta^2 is 2.8e-14.
 CASE_BAND = 1e-9
-
-#: Gamma' counts as coinciding with B when their distance is at most this
-#: fraction of the longest source side.  Like CASE_BAND, it feeds reporting only.
-COINCIDENCE_BAND = 1e-9
-
-#: MATH without the zero-angle guard, for measuring A'B'Gamma'.
-_UNGUARDED = MATH._replace(require=lambda ok, error: None)
 
 
 class AngleCase(enum.Enum):
     """Qualitative picture, determined by angle A."""
 
     ACUTE = "acute"      # derived triangle strictly contains the original
-    RIGHT = "right"      # Gamma' lands exactly on B
+    RIGHT = "right"      # at phi = 90 deg, Gamma' lands exactly on B
     OBTUSE = "obtuse"    # partial overlap; cot A < 0 compensates in the ratio
 
 
@@ -127,14 +124,14 @@ class DerivedConstruction:
 
     @property
     def gamma_prime_offset(self) -> float:
-        """|Gamma' B| over the longest source side; 0 in exact arithmetic when A is right."""
+        """|Gamma' B| over the longest source side; 0 in exact arithmetic when A = pi - phi."""
         f, m = self.source.frame, self.frame_metrics
         return self.gp_rel.dist(Point2(f.bx, f.by)) / max(m.alpha, m.beta, m.gamma)
 
     @property
     def gamma_prime_on_b(self) -> bool:
-        """Whether Gamma' coincides with B (within COINCIDENCE_BAND), as when A is right."""
-        return self.gamma_prime_offset <= COINCIDENCE_BAND
+        """Whether Gamma' is on B: A = pi - phi within CASE_BAND (at pi/2, the right case)."""
+        return abs(self.frame_metrics.ang_a - (math.pi - self.phi)) < CASE_BAND
 
 
 def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
@@ -143,16 +140,16 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     Vertex assignment: A' joins the lines anchored at B and Gamma, B' the
     lines at Gamma and A, Gamma' the lines at A and B.  That pairing is what
     puts angle B at A' (it sits between the lines rotated off AB and B-Gamma)
-    and what collapses Gamma' onto B when angle A is right.
+    and what collapses Gamma' onto B when angle A is pi - phi.
     """
     if not 0.0 < phi <= 0.5 * math.pi:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
     _, bx, by, gx, gy = t.frame
     m = anchored_metrics(MATH, bx, by, gx, gy)
+    total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
     rel = derived_vertices(math.hypot, bx, by, gx, gy, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
     area_derived = 0.5 * abs(cross(ap, bp, gp))
-    total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
     return DerivedConstruction(
         source=t,
         frame_metrics=m,
@@ -175,10 +172,10 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
     vertex.  A'B'Gamma' is measured by the metrics routine anchored at A', in
     the source's frame, and compared with d.frame_metrics, the metrics of t
     that construct measured.  A derived angle that rounds to 0 is a
-    discrepancy to report, not an error.
+    discrepancy to report, not an error; no cotangent is taken of it.
     """
     ap, bp, gp = d.ap_rel, d.bp_rel, d.gp_rel
-    derived = anchored_metrics(_UNGUARDED, bp.x - ap.x, bp.y - ap.y, gp.x - ap.x, gp.y - ap.y)
+    derived = anchored_metrics(MATH, bp.x - ap.x, bp.y - ap.y, gp.x - ap.x, gp.y - ap.y)
     m = d.frame_metrics
     return (
         abs(derived.ang_a - m.ang_b),

@@ -17,7 +17,8 @@ areas times 2**(2 exp)) only where they are printed or returned.
 `frame`, `anchored_metrics`, `cot` and `derived_vertices` take
 floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the
 elementary functions for either.  `NUMPY` is built, and numpy imported, on its
-first access, so code that works on floats never loads numpy.
+first access, so code that works on floats never loads numpy.  The metrics
+never raise; `cot` refuses an angle of 0 under `MATH`, before dividing by its sine.
 """
 
 from __future__ import annotations
@@ -110,13 +111,14 @@ def in_units(value: float, exp: int, name: str) -> float:
 
 
 def cot(ops: Ops, x):
-    """Cotangent as cos/sin.
+    """Cotangent as cos/sin; ops.require first raises AngleSumError unless x > 0.
 
     cos/sin keeps the correct sign through the obtuse branch; 1/tan would
     blow up at pi/2 where the cotangent is merely zero.  At a computed right
     angle cos/sin is the cotangent of the angle as rounded, of the size of
     its roundoff, which the residuals carry like any other.
     """
+    ops.require(x > 0.0, lambda: AngleSumError(f"angle {x!r} outside (0, pi)"))
     return ops.cos(x) / ops.sin(x)
 
 
@@ -259,8 +261,8 @@ def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
     Sides by hypot, angles by the Law of Cosines (acos clipped), area by the
     shoelace formula, all in the frame's units.  The coordinates must be of
     about unit size, as `frame` makes them, so that no squared side overflows
-    or underflows.  ops.require raises AngleSumError when a computed angle is
-    0 (cos rounded to 1), before anything divides by its sine.
+    or underflows.  A pure measurement: an angle whose cosine rounded to 1 is
+    returned as 0.0, and `cot` is what refuses it.
     """
     alpha = ops.hypot(gx - bx, gy - by)
     beta = ops.hypot(gx, gy)
@@ -271,8 +273,6 @@ def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
     ang_g = ops.acos((a2 + b2 - g2) / (2.0 * alpha * beta))
     s = 0.5 * (alpha + beta + gamma)
     area = 0.5 * abs(bx * gy - by * gx)
-    smallest = ops.min(ang_a, ang_b, ang_g)
-    ops.require(smallest > 0.0, lambda: AngleSumError(f"angle {smallest!r} outside (0, pi)"))
     return TriangleMetrics(alpha, beta, gamma, ang_a, ang_b, ang_g, s, area)
 
 

