@@ -13,13 +13,7 @@ Only the sweep and the brute-force lattice work on arrays, and only they
 import numpy: the sweep's names below are resolved on first access.
 """
 
-from .construction import (
-    AngleCase,
-    DerivedConstruction,
-    classify_angle,
-    construct,
-    similarity_check,
-)
+from .construction import DerivedConstruction, construct, similarity_check
 from .errors import (
     AngleSumError,
     DegenerateTriangleError,
@@ -39,9 +33,11 @@ from .extremal import (
     slice_min_value,
 )
 from .geom import (
+    AngleCase,
     Point2,
     Triangle,
     TriangleMetrics,
+    classify_angle,
     metrics,
 )
 from .ratio import VerifyReport, identity_report

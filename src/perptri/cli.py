@@ -23,14 +23,14 @@ import json
 import math
 import sys
 
-from .construction import AngleCase, construct, similarity_check
+from .construction import construct, similarity_check
 from .errors import GeometryError, NotATriangleError, ParseError
 from .extremal import (
     global_cot_sum_min,
     minimize_slice,
     right_triangle_min,
 )
-from .geom import MATH, Point2, Triangle, frame_exponent, in_units
+from .geom import MATH, Point2, Triangle, frame_exponent, in_units, metrics
 from .ratio import BOUND_CONSTANT, CHECK_ORDER, identity_chain, identity_report
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
@@ -149,8 +149,8 @@ def _emit_json(payload) -> None:
 def cmd_metrics(args) -> int:
     t = load_triangle(args.spec)
     exp, bx, by, gx, gy = t.frame
-    chain = identity_chain(bx, by, gx, gy)
-    m = chain.metrics.in_units(exp)
+    chain = identity_chain(bx, by, gx, gy, t.frame_metrics)
+    m = metrics(t)
     areas = {name: in_units(value, 2 * exp, f"area ({name})")
              for name, value in chain.areas.items()}
     if args.json:

@@ -15,54 +15,23 @@ along AB; at phi = pi/2 that is the right case.  Both are judged on angle A.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AngleSumError, GeometryError, PhiRangeError, UnitRangeError
+from .errors import GeometryError, PhiRangeError, UnitRangeError
 from .geom import (
+    CASE_BAND,
     MATH,
+    AngleCase,
     Point2,
     Triangle,
     TriangleMetrics,
     anchored_metrics,
+    classify_angle,
     cot,
-    cross,
-    derived_vertices,
+    derived_triangle,
     in_units,
 )
-
-#: Half-width of the angle-A band classified as right, and of the band around
-#: pi - phi where Gamma' is on B; for reporting only.  It absorbs input rounding:
-#: a right triangle ~3000 sizes from the origin, rounded to binary64, has
-#: A - pi/2 = -2.4e-13, where the bound C eps / theta^2 is 2.8e-14.
-CASE_BAND = 1e-9
-
-
-class AngleCase(enum.Enum):
-    """Qualitative picture, determined by angle A."""
-
-    ACUTE = "acute"      # derived triangle strictly contains the original
-    RIGHT = "right"      # at phi = 90 deg, Gamma' lands exactly on B
-    OBTUSE = "obtuse"    # partial overlap; cot A < 0 compensates in the ratio
-
-
-def angle_cases(ang_a):
-    """Masks (acute, right, obtuse) of angle A, a float or an array; NaN is in none."""
-    off_right = abs(ang_a - 0.5 * math.pi)
-    return (
-        (ang_a < 0.5 * math.pi) & (off_right >= CASE_BAND),
-        off_right < CASE_BAND,
-        (ang_a > 0.5 * math.pi) & (off_right >= CASE_BAND),
-    )
-
-
-def classify_angle(ang_a: float) -> AngleCase:
-    """The case of one angle A; a NaN angle, which has none, raises AngleSumError."""
-    acute, right, obtuse = angle_cases(ang_a)
-    if not (acute or right or obtuse):
-        raise AngleSumError(f"angle A {ang_a!r} falls in no case")
-    return AngleCase.RIGHT if right else AngleCase.ACUTE if acute else AngleCase.OBTUSE
 
 
 @dataclass(frozen=True)
@@ -71,11 +40,12 @@ class DerivedConstruction:
 
     Every measurement is made in the source's frame (`Triangle.frame`), so it
     depends on the triangle's shape, not its position or size: frame_metrics
-    are the source's metrics there, ap_rel, bp_rel and gp_rel are A', B' and
-    Gamma' relative to A, and frame_area_derived is the derived area.  The
-    properties metrics, area_derived, ap, bp and gp give the same quantities
-    in the source's units and coordinates, for output; they raise
-    UnitRangeError when one does not fit binary64.
+    are the source's metrics there, read from `Triangle.frame_metrics`,
+    ap_rel, bp_rel and gp_rel are A', B' and Gamma' relative to A, and
+    frame_area_derived is the derived area.  The properties metrics,
+    area_derived, ap, bp and gp give the same quantities in the source's
+    units and coordinates, for output; they raise UnitRangeError when one
+    does not fit binary64.
 
     ratio_geometric is derived area / source area, both measured by shoelace.
     ratio_formula is (cot A + cot B + cot Gamma)^2; the two are equal exactly
@@ -84,7 +54,6 @@ class DerivedConstruction:
     """
 
     source: Triangle
-    frame_metrics: TriangleMetrics
     ap_rel: Point2
     bp_rel: Point2
     gp_rel: Point2
@@ -93,6 +62,10 @@ class DerivedConstruction:
     frame_area_derived: float
     ratio_geometric: float
     ratio_formula: float
+
+    @property
+    def frame_metrics(self) -> TriangleMetrics:
+        return self.source.frame_metrics
 
     @property
     def metrics(self) -> TriangleMetrics:
@@ -145,14 +118,12 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     if not 0.0 < phi <= 0.5 * math.pi:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
     _, bx, by, gx, gy = t.frame
-    m = anchored_metrics(MATH, bx, by, gx, gy)
+    m = t.frame_metrics
     total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
-    rel = derived_vertices(math.hypot, bx, by, gx, gy, math.cos(phi), math.sin(phi))
+    rel, area_derived = derived_triangle(math.hypot, bx, by, gx, gy, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
-    area_derived = 0.5 * abs(cross(ap, bp, gp))
     return DerivedConstruction(
         source=t,
-        frame_metrics=m,
         ap_rel=ap,
         bp_rel=bp,
         gp_rel=gp,
@@ -171,7 +142,7 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
     construction only shifts which original angle shows up at which derived
     vertex.  A'B'Gamma' is measured by the metrics routine anchored at A', in
     the source's frame, and compared with d.frame_metrics, the metrics of t
-    that construct measured.  A derived angle that rounds to 0 is a
+    measured when t was made.  A derived angle that rounds to 0 is a
     discrepancy to report, not an error; no cotangent is taken of it.
     """
     ap, bp, gp = d.ap_rel, d.bp_rel, d.gp_rel

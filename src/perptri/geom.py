@@ -1,4 +1,4 @@
-"""Plane geometry primitives: points, triangles, metrics, the rotated-line step.
+"""Plane geometry primitives: points, triangles, metrics, angle cases, the rotated-line step.
 
 Angles are radians everywhere in the library; degrees exist only at the CLI
 boundary.  All arithmetic is plain binary64 floating point -- identities built
@@ -10,11 +10,12 @@ coordinate into [0.5, 1).  The scaling is exact in binary64, so squares of
 sides neither overflow nor underflow at any size, and every dimensionless
 result (angles, cotangents, ratios, residuals, verdicts) is the same, bit for
 bit, for a triangle and each of its 2**k-scaled copies.  `Triangle` computes
-its frame once and keeps it.  Lengths measured in the frame are converted
-back to the input's units, exactly, by `in_units` (lengths times 2**exp,
-areas times 2**(2 exp)) only where they are printed or returned.
+its frame and measures its metrics there, once, and keeps both for every
+scalar path to read.  Lengths measured in the frame are converted back to the
+input's units, exactly, by `in_units` (lengths times 2**exp, areas times
+2**(2 exp)) only where they are printed or returned.
 
-`frame`, `anchored_metrics`, `cot` and `derived_vertices` take
+`frame`, `anchored_metrics`, `angle_cases`, `cot` and `derived_triangle` take
 floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the
 elementary functions for either.  `NUMPY` is built, and numpy imported, on its
 first access, so code that works on floats never loads numpy.  The metrics
@@ -23,6 +24,7 @@ never raise; `cot` refuses an angle of 0 under `MATH`, before dividing by its si
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from collections import namedtuple
@@ -140,14 +142,6 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def cross(o: Point2, p: Point2, q: Point2) -> float:
-    """Cross product (p - o) x (q - o); twice the signed area of (o, p, q).
-
-    Positive iff o, p, q wind counterclockwise.
-    """
-    return (p.x - o.x) * (q.y - o.y) - (p.y - o.y) * (q.x - o.x)
-
-
 def _rotated_line(hypot, cos_phi, sin_phi, px, py, dx, dy):
     """Line (a, b, c) through (px, py) along (dx, dy) turned by phi: unit normal (a, b)."""
     rx = cos_phi * dx - sin_phi * dy
@@ -164,21 +158,25 @@ def _crossing(l1, l2):
     return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
 
 
-def derived_vertices(hypot, bx, by, gx, gy, cos_phi, sin_phi):
-    """A', B' and Gamma' relative to A, for B and Gamma given relative to A.
+def derived_triangle(hypot, bx, by, gx, gy, cos_phi, sin_phi):
+    """A', B' and Gamma' relative to A, and the area they bound by the shoelace formula.
 
-    The lines run through B along A->B, through Gamma along B->Gamma and
-    through A along Gamma->A, each direction turned counterclockwise by phi,
-    given as (cos_phi, sin_phi); at phi = pi/2 they are the perpendiculars
-    whatever the orientation.  A' joins the lines at B and Gamma, B' those at
-    Gamma and A, Gamma' those at A and B.  Anchored at A, the line offsets are
-    of the size of the triangle, not of its position.  Coordinates are floats
-    (hypot = math.hypot) or numpy arrays (hypot = np.hypot).
+    B and Gamma are given relative to A.  The lines run through B along A->B,
+    through Gamma along B->Gamma and through A along Gamma->A, each direction
+    turned counterclockwise by phi, given as (cos_phi, sin_phi); at phi = pi/2
+    they are the perpendiculars whatever the orientation.  A' joins the lines
+    at B and Gamma, B' those at Gamma and A, Gamma' those at A and B.  Anchored
+    at A, the line offsets are of the size of the triangle, not of its
+    position.  Coordinates are floats (hypot = math.hypot) or numpy arrays
+    (hypot = np.hypot); the line coefficients are freed before the area is taken.
     """
     line_ab = _rotated_line(hypot, cos_phi, sin_phi, bx, by, bx, by)
     line_bg = _rotated_line(hypot, cos_phi, sin_phi, gx, gy, gx - bx, gy - by)
     line_ga = _rotated_line(hypot, cos_phi, sin_phi, 0.0, 0.0, -gx, -gy)
-    return _crossing(line_ab, line_bg), _crossing(line_bg, line_ga), _crossing(line_ga, line_ab)
+    (apx, apy), (bpx, bpy), (gpx, gpy) = vertices = (
+        _crossing(line_ab, line_bg), _crossing(line_bg, line_ga), _crossing(line_ga, line_ab))
+    del line_ab, line_bg, line_ga
+    return vertices, 0.5 * abs((bpx - apx) * (gpy - apy) - (bpy - apy) * (gpx - apx))
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,8 @@ class Triangle:
     relabels the triangle (beta <-> gamma, angle B <-> angle Gamma); every
     quantity verified by this package is symmetric under that relabeling.
     The triangle's frame is computed once, judged for degeneracy and kept as
-    `frame`; every measurement of the triangle reads it.
+    `frame`; its metrics are measured there once and kept as `frame_metrics`.
+    Every measurement of the triangle reads them.
     """
 
     a: Point2
@@ -198,6 +197,8 @@ class Triangle:
     g: Point2
     #: The triangle's frame (`frame`), in which every measurement is made.
     frame: Frame = field(init=False, repr=False, compare=False)
+    #: anchored_metrics of the frame, in the frame's units (`metrics` converts).
+    frame_metrics: TriangleMetrics = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         f = frame(MATH, self.a.x, self.a.y, self.b.x, self.b.y, self.g.x, self.g.y)
@@ -220,6 +221,7 @@ class Triangle:
             object.__setattr__(self, "g", b)
             f = Frame(exp, gx, gy, bx, by)
         object.__setattr__(self, "frame", f)
+        object.__setattr__(self, "frame_metrics", anchored_metrics(MATH, *f[1:]))
 
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return self.a, self.b, self.g
@@ -277,6 +279,38 @@ def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
-    """anchored_metrics of t, measured in its frame, in the input's units."""
-    exp, bx, by, gx, gy = t.frame
-    return anchored_metrics(MATH, bx, by, gx, gy).in_units(exp)
+    """t's metrics, measured once in its frame (`Triangle.frame_metrics`), in the input's units."""
+    return t.frame_metrics.in_units(t.frame.exp)
+
+
+#: Half-width of the angle-A band classified as right, and of the band around
+#: pi - phi where Gamma' is on B; for reporting only.  It absorbs input rounding:
+#: a right triangle ~3000 sizes from the origin, rounded to binary64, has
+#: A - pi/2 = -2.4e-13, where the bound C eps / theta^2 is 2.8e-14.
+CASE_BAND = 1e-9
+
+
+class AngleCase(enum.Enum):
+    """Qualitative picture, determined by angle A."""
+
+    ACUTE = "acute"      # derived triangle strictly contains the original
+    RIGHT = "right"      # at phi = 90 deg, Gamma' lands exactly on B
+    OBTUSE = "obtuse"    # partial overlap; cot A < 0 compensates in the ratio
+
+
+def angle_cases(ang_a):
+    """Masks (acute, right, obtuse) of angle A, a float or an array; NaN is in none."""
+    off_right = abs(ang_a - 0.5 * math.pi)
+    return (
+        (ang_a < 0.5 * math.pi) & (off_right >= CASE_BAND),
+        off_right < CASE_BAND,
+        (ang_a > 0.5 * math.pi) & (off_right >= CASE_BAND),
+    )
+
+
+def classify_angle(ang_a: float) -> AngleCase:
+    """The case of one angle A; a NaN angle, which has none, raises AngleSumError."""
+    acute, right, obtuse = angle_cases(ang_a)
+    if not (acute or right or obtuse):
+        raise AngleSumError(f"angle A {ang_a!r} falls in no case")
+    return AngleCase.RIGHT if right else AngleCase.ACUTE if acute else AngleCase.OBTUSE

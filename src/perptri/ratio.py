@@ -30,41 +30,43 @@ residuals.  `smallest_angle` finds theta and `within_bound` is the one
 predicate; `identity_report` and the sweep both call them.  Where the bound
 reaches 1 (theta below about 1.2e-7 rad) binary64 can confirm nothing, and
 `identity_report` raises DegenerateTriangleError rather than return a
-verdict.
+verdict.  It judges theta from the triangle's kept metrics before the chain
+runs, so the bound is its only refusal of a `Triangle`.
 
 `identity_chain` is the one implementation of the chain.  It takes B and
-Gamma in a frame anchored at vertex A, so that residuals depend on a
-triangle's shape, not its position or size.  `identity_report` runs it on
-one triangle's stored frame and `sweep.evaluate_corpus` on the frame arrays
-of each chunk of a corpus, keeping only reductions of the per-triangle
-arrays.  The input's type picks the elementary
+Gamma in a frame anchored at vertex A and the metrics measured there, so that
+residuals depend on a triangle's shape, not its position or size.
+`identity_report` runs it on one triangle's stored frame and metrics, and
+`sweep.evaluate_corpus` on each chunk's frame arrays and metrics, keeping only
+reductions of the per-triangle arrays.  The input's type picks the elementary
 functions: a float (a numpy float64 is one) takes `geom.MATH`, anything else,
 in practice an array, takes `geom.NUMPY`.  Neither serves the other's input:
 one triangle costs about 20 us through `math`, 100 us through numpy ufuncs on
 floats and 210 us as a numpy batch of one (2-core Xeon, Python 3.11, numpy
 2.4), where 2**14 triangles as arrays take about 11 ms.  Only `geom.NUMPY`
 imports numpy, on its first access, so the chain of one triangle, as
-`perptri verify` and `metrics` run it, never loads it.  The metrics and the cotangent
-come from `geom`, which `construct` and `similarity_check` share.
+`perptri verify` and `metrics` run it, never loads it.  The cotangent and the
+derived triangle come from `geom`, which `construct` shares.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import geom
-from .construction import AngleCase, classify_angle
 from .errors import DegenerateTriangleError, NotATriangleError
 from .geom import (
     MATH,
+    AngleCase,
     Ops,
     Triangle,
     TriangleMetrics,
-    anchored_metrics,
+    classify_angle,
     cot,
-    derived_vertices,
+    derived_triangle,
 )
 
 if TYPE_CHECKING:
@@ -111,9 +113,12 @@ def residual_bound(theta):
     theta, the worse the triangle is conditioned: its cotangents and side
     differences lose digits as 1/theta and the residuals, products of them, as
     1/theta**2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    ch. 1-3).
+    ch. 1-3).  A float theta whose square is 0 gives inf, as an array does.
     """
-    return BOUND_CONSTANT * sys.float_info.epsilon / (theta * theta)
+    try:
+        return BOUND_CONSTANT * sys.float_info.epsilon / (theta * theta)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def within_bound(residual, bound):
@@ -140,18 +145,6 @@ def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
     return abs(lhs - rhs) / (1.0 + dominant)
 
 
-def _derived_area(hypot, bx, by, gx, gy):
-    """The geometric route: the derived triangle's area by the shoelace formula.
-
-    The derived triangle is bounded by the perpendicular through B to AB,
-    through Gamma to B-Gamma and through A to Gamma-A, with (cos, sin) of
-    pi/2 exact.  Only the area is returned: the six derived coordinates, and
-    the nine line coefficients behind them, are freed here.
-    """
-    (apx, apy), (bpx, bpy), (gpx, gpy) = derived_vertices(hypot, bx, by, gx, gy, 0.0, 1.0)
-    return 0.5 * abs((bpx - apx) * (gpy - apy) - (bpy - apy) * (gpx - apx))
-
-
 @dataclass(frozen=True)
 class IdentityChain:
     """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER.
@@ -161,17 +154,17 @@ class IdentityChain:
     product.
     """
 
-    metrics: TriangleMetrics
     areas: dict
     residuals: dict
     cot_sum: float | np.ndarray
     ratio_geometric: float | np.ndarray
 
 
-def identity_chain(bx, by, gx, gy) -> IdentityChain:
+def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
     """The identity chain at phi = pi/2 for B and Gamma in a frame (`geom.frame`).
 
-    The coordinates are four floats or four arrays; every result is in the
+    The coordinates are four floats or four arrays and m their
+    `geom.anchored_metrics` (`Triangle.frame_metrics`); every result is in the
     frame's units.  A float triangle the chain cannot evaluate (a computed
     angle of 0, a half-angle radicand <= 0) raises a GeometryError before the
     division it would break; arrays carry inf or NaN for such triangles
@@ -180,7 +173,6 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     ops = MATH if isinstance(bx, float) else geom.NUMPY
     hypot, sin, sqrt, vmax, vmin = ops.hypot, ops.sin, ops.sqrt, ops.max, ops.min
 
-    m = anchored_metrics(ops, bx, by, gx, gy)
     alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = (
         m.alpha, m.beta, m.gamma, m.ang_a, m.ang_b, m.ang_g, m.s, m.area)
     a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
@@ -188,7 +180,8 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     cot_a, cot_b, cot_g = cot(ops, ang_a), cot(ops, ang_b), cot(ops, ang_g)
     csum = cot_a + cot_b + cot_g
 
-    area_derived = _derived_area(hypot, bx, by, gx, gy)
+    # The geometric route; keeping only the area frees the derived vertices.
+    area_derived = derived_triangle(hypot, bx, by, gx, gy, 0.0, 1.0)[1]
     ratio_geometric = area_derived / area
 
     cot_side_sum = g2 * cot_a + b2 * cot_g + a2 * cot_b
@@ -244,7 +237,6 @@ def identity_chain(bx, by, gx, gy) -> IdentityChain:
     residuals["area_agreement"] = (largest_area - vmin(*areas.values())) / largest_area
 
     return IdentityChain(
-        metrics=m,
         areas=areas,
         residuals=residuals,
         cot_sum=csum,
@@ -259,8 +251,8 @@ class VerifyReport:
     smallest_angle is theta (`smallest_angle`) and bound is the
     residual_bound it gives; within tells for each residual whether it is
     within the bound (a NaN never is).  frame_metrics are the
-    triangle's metrics in its frame (`geom.metrics` gives them in the input's
-    units).
+    triangle's metrics in its frame (`Triangle.frame_metrics`; `geom.metrics`
+    gives them in the input's units).
     """
 
     frame_metrics: TriangleMetrics
@@ -286,13 +278,13 @@ class VerifyReport:
 def identity_report(t: Triangle) -> VerifyReport:
     """Evaluate every identity residual for one triangle and judge it against the bound.
 
-    Raises DegenerateTriangleError, naming theta and the bound, for a triangle
-    so thin that the bound reaches 1: binary64 residuals can confirm nothing
-    there, so neither PASS nor FAIL would be a verdict.
+    theta and the bound are judged first, from the triangle's stored metrics:
+    for a triangle so thin that the bound reaches 1 it raises
+    DegenerateTriangleError, naming theta and the bound, before the chain
+    runs.  binary64 residuals can confirm nothing there, so neither PASS nor
+    FAIL would be a verdict.
     """
-    _, bx, by, gx, gy = t.frame
-    chain = identity_chain(bx, by, gx, gy)
-    m, residuals = chain.metrics, chain.residuals
+    m = t.frame_metrics
     theta = smallest_angle(MATH, m)
     bound = residual_bound(theta)
     if not bound < 1.0:
@@ -300,6 +292,8 @@ def identity_report(t: Triangle) -> VerifyReport:
             f"smallest angle {theta!r} rad is too thin to verify in binary64: "
             f"the bound {BOUND_CONSTANT:g} eps/theta^2 = {bound:.3g} reaches 1"
         )
+    _, bx, by, gx, gy = t.frame
+    residuals = identity_chain(bx, by, gx, gy, m).residuals
     return VerifyReport(
         frame_metrics=m,
         case=classify_angle(m.ang_a),

@@ -7,7 +7,7 @@ A at the origin, B at (scale, 0), Gamma above the x-axis -- so a fixed seed
 reproduces every corpus coordinate-for-coordinate.
 
 Strata select by the classification of angle A (acute / right / obtuse),
-the rule `construction.angle_cases` applies to every triangle; the "all"
+the rule `geom.angle_cases` applies to every triangle; the "all"
 stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
 inside the acute-A stratum -- that is deliberate, the identities are claimed
 and checked for every labeling, not just the convenient one.
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import geom
-from .construction import AngleCase, angle_cases
 from .errors import AngleSumError
-from .geom import MATH, Ops, Point2, Triangle
+from .geom import MATH, AngleCase, Ops, Point2, Triangle, angle_cases
 
 if TYPE_CHECKING:
     import numpy as np

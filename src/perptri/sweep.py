@@ -2,16 +2,17 @@
 
 `evaluate_corpus` runs `ratio.identity_chain`, the kernel `perptri verify`
 also runs, in fixed chunks of `CHUNK` (2**14) triangles on one thread per CPU
-the process may use.  Each chunk's vertex arrays go through `geom.frame`, as
-each scalar triangle does, so a sweep measures every triangle in the same
-frame as `perptri verify`.  Each chunk is reduced as it finishes -- case
-counts, the largest residuals, the number of triangles with a residual over
-the bound `perptri verify` judges by (`ratio.within_bound`), the smallest cot
-sum and where it lies -- and the chunk reductions are combined in chunk order,
-so the result equals np.count_nonzero / np.max / np.argmin over the whole
-corpus exactly.  Its memory is the corpus (24 bytes per triangle) plus one
-chunk's arrays per thread, about 6.2 MiB whatever the corpus size; about
-11 ms per chunk on two cores.
+the process may use.  Each chunk's vertex arrays go through `geom.frame` and
+are measured there once (`geom.anchored_metrics`), as each scalar `Triangle`
+is, for the chain, the case counts and the bound to read.  Each chunk is
+reduced as it finishes -- case counts, the largest residuals, the number of
+triangles with a residual over the bound `perptri verify` judges by
+(`ratio.within_bound`), the smallest cot sum and where it lies -- and the
+chunk reductions are combined in chunk order, so the result equals
+np.count_nonzero / np.max / np.argmin over the whole corpus exactly.  Its
+memory is the corpus (24 bytes per triangle) plus one chunk's arrays per
+thread, about 6.2 MiB whatever the corpus size; about 11 ms per chunk on two
+cores.
 
 `run_sweep` samples a corpus and evaluates it.  The per-triangle arrays a
 chunk produces are not kept; `identity_chain` gives them for any corpus.
@@ -26,8 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .construction import AngleCase, angle_cases
-from .geom import NUMPY, frame
+from .geom import NUMPY, AngleCase, anchored_metrics, angle_cases, frame
 from .ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
 from .sampling import TriangleCorpus, sample_corpus
 
@@ -74,8 +74,8 @@ def _reduce_chunk(corpus: TriangleCorpus, start: int):
         scale=corpus.scale[start:stop],
     ).vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    chain = identity_chain(bx, by, gx, gy)
-    m = chain.metrics
+    m = anchored_metrics(NUMPY, bx, by, gx, gy)
+    chain = identity_chain(bx, by, gx, gy, m)
     counts = [int(np.count_nonzero(mask)) for mask in angle_cases(m.ang_a)]
     maxima = [float(np.max(chain.residuals[key])) for key in CHECK_ORDER]
     argmin = int(np.argmin(chain.cot_sum))

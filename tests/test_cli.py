@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import perptri.cli as cli_mod
+import perptri.geom as geom_mod
 import perptri.ratio as ratio_mod
 from perptri.cli import main, triangle_from_spec
 from perptri.errors import ParseError
@@ -235,16 +237,57 @@ def test_area_out_of_range_exits_two(tmp_path, capsys, command, scale):
     assert captured.err == "error: area does not fit binary64 in the input's units\n"
 
 
-def test_verify_zero_computed_angle_exits_two(tmp_path, capsys):
+def test_zero_computed_angle_exits_two_on_the_bound_in_verify(tmp_path, capsys):
     # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives A = 0.0.
-    # The metrics measure it; the first cotangent each command takes refuses it.
-    spec = {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
-    for command in ("verify", "metrics", "construct"):
-        code = main([command, write_spec(tmp_path, spec)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "error: angle 0.0 outside (0, pi)\n"
+    # verify judges theta = 0 against the bound before the chain takes a
+    # cotangent; metrics and construct refuse it at their first cotangent.
+    spec = write_spec(tmp_path, {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999,
+                                            "scale": 1}})
+    expected = {
+        "verify": "error: smallest angle 0.0 rad is too thin to verify in binary64: "
+                  "the bound 64 eps/theta^2 = inf reaches 1\n",
+        "metrics": "error: angle 0.0 outside (0, pi)\n",
+        "construct": "error: angle 0.0 outside (0, pi)\n",
+    }
+    for command, err in expected.items():
+        assert main([command, spec]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": {"A": [0, 0], "B": [1, 0],
+                  "Gamma": [0.40084707137978337, 1.2010387776921146e-08]}},
+    {"angles": {"B_deg": 60, "Gamma_deg": 3e-6, "scale": 1}},
+], ids=["needle", "gamma-3e-6-deg"])
+def test_verify_refuses_a_too_thin_triangle_on_the_bound(tmp_path, capsys, doc):
+    # The needle's s - gamma rounds to 0, so the chain has no half-angle
+    # radical to take; verify judges theta first and prints the bound line.
+    assert main(["verify", write_spec(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: smallest angle \S+ rad is too thin to verify in binary64: "
+                        r"the bound 64 eps/theta\^2 = \S+ reaches 1\n", err)
+
+
+def test_each_command_measures_the_source_triangle_once(tmp_path, capsys, monkeypatch):
+    # The Triangle measures itself and every scalar path reads that; construct
+    # measures A'B'Gamma' once more, in similarity_check.
+    calls = []
+    real = geom_mod.anchored_metrics
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("perptri") and hasattr(module, "anchored_metrics"):
+            monkeypatch.setattr(module, "anchored_metrics", counted)
+    spec = write_spec(tmp_path, SPEC_VERTICES)
+    for command, expected in (("verify", 1), ("metrics", 1), ("construct", 2)):
+        calls.clear()
+        assert main([command, spec]) == 0
+        assert len(calls) == expected, command
+    capsys.readouterr()
 
 
 def test_construct_json_matches_frozen_oracle(tmp_path, capsys):

@@ -9,15 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perptri.construction import (
-    AngleCase,
-    angle_cases,
-    classify_angle,
-    construct,
-    similarity_check,
-)
+from perptri.construction import construct, similarity_check
 from perptri.errors import AngleSumError, PhiRangeError
-from perptri.geom import Point2, Triangle, metrics
+from perptri.geom import AngleCase, Point2, Triangle, angle_cases, classify_angle, metrics
 from perptri.ratio import identity_report
 from perptri.sampling import triangle_from_angles
 

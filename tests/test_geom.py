@@ -16,8 +16,7 @@ from perptri.geom import (
     anchored_metrics,
     clamp_unit,
     cot,
-    cross,
-    derived_vertices,
+    derived_triangle,
     frame,
     metrics,
 )
@@ -44,12 +43,6 @@ def test_point_arithmetic_and_distance():
     assert (p - q) == Point2(3.0, 4.0)
 
 
-def test_cross_orientation():
-    a, b, g = Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0)
-    assert cross(a, b, g) == 12.0
-    assert cross(a, g, b) == -12.0
-
-
 def test_clamp_unit():
     assert clamp_unit(1.0 + 1e-16) == 1.0
     assert clamp_unit(-1.5) == -1.0
@@ -73,11 +66,12 @@ def test_scalar_and_array_acos_agree():
 def test_derived_vertices_at_phi_90_345():
     # The perpendiculars to AB at B (x = 4), to A-Gamma at A (y = 0) and to
     # B-Gamma at Gamma (4x - 3y = -9) meet in A' = (4, 25/3), B' = (-9/4, 0)
-    # and Gamma' = B = (4, 0).
-    ap, bp, gp = derived_vertices(math.hypot, 4.0, 0.0, 0.0, 3.0, 0.0, 1.0)
+    # and Gamma' = B = (4, 0), which bound 6.25 * (25/3) / 2 = 625/24.
+    (ap, bp, gp), area = derived_triangle(math.hypot, 4.0, 0.0, 0.0, 3.0, 0.0, 1.0)
     assert ap == pytest.approx((4.0, 25.0 / 3.0), abs=1e-14)
     assert bp == pytest.approx((-2.25, 0.0), abs=1e-14)
     assert gp == pytest.approx((4.0, 0.0), abs=1e-14)
+    assert area == pytest.approx(625.0 / 24.0, rel=1e-15)
 
 
 def test_derived_vertices_arrays_match_floats():
@@ -86,9 +80,9 @@ def test_derived_vertices_arrays_match_floats():
     bx, by, gx, gy = rng.uniform(-5.0, 5.0, (4, 200))
     for phi in (math.pi / 6, 1.0, 0.5 * math.pi):
         c, s = math.cos(phi), math.sin(phi)
-        arrays = derived_vertices(np.hypot, bx, by, gx, gy, c, s)
+        arrays = derived_triangle(np.hypot, bx, by, gx, gy, c, s)[0]
         for i in range(200):
-            floats = derived_vertices(math.hypot, bx[i], by[i], gx[i], gy[i], c, s)
+            floats = derived_triangle(math.hypot, bx[i], by[i], gx[i], gy[i], c, s)[0]
             for (x, y), (xs, ys) in zip(floats, arrays):
                 assert (x, y) == pytest.approx((xs[i], ys[i]), rel=1e-15, abs=1e-13)
 
@@ -133,7 +127,8 @@ def test_clockwise_input_is_relabeled():
     t = Triangle(Point2(0.0, 0.0), Point2(0.0, 3.0), Point2(4.0, 0.0))
     assert t.b == Point2(4.0, 0.0)
     assert t.g == Point2(0.0, 3.0)
-    assert cross(t.a, t.b, t.g) > 0.0
+    f = t.frame
+    assert f.bx * f.gy - f.by * f.gx > 0.0
 
 
 def test_counterclockwise_input_kept(t345):
@@ -268,5 +263,5 @@ def test_heron_matches_shoelace(ang_b, ang_g, s):
     if ang_b + ang_g > math.pi - 0.2:
         return
     t = _triangle(ang_b, ang_g, s)
-    areas = identity_chain(*t.frame[1:]).areas
+    areas = identity_chain(*t.frame[1:], t.frame_metrics).areas
     assert areas["heron"] == pytest.approx(areas["shoelace"], rel=1e-10)

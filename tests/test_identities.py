@@ -11,11 +11,13 @@ import pytest
 
 from perptri.cli import triangle_from_spec
 from perptri.errors import AngleSumError, NotATriangleError
+from perptri.errors import DegenerateTriangleError
 from perptri.geom import (
     MATH,
     NUMPY,
     Point2,
     Triangle,
+    anchored_metrics,
     cot,
     frame,
     in_units,
@@ -28,7 +30,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def chain(t: Triangle):
-    return identity_chain(*t.frame[1:])
+    return identity_chain(*t.frame[1:], t.frame_metrics)
 
 
 def areas(t: Triangle) -> dict:
@@ -118,7 +120,7 @@ def test_sixteen_area_route_clamps_negative_rounding():
     x = np.linspace(0.01, 0.99, 2000)
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, 1.0, 0.0, x, 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        needles = identity_chain(bx, by, gx, gy)
+        needles = identity_chain(bx, by, gx, gy, anchored_metrics(NUMPY, bx, by, gx, gy))
     poly = needles.areas["sixteen_sq_poly"]
     assert not np.isnan(poly).any()
     assert (poly == 0.0).any()
@@ -130,11 +132,14 @@ def test_cot_half_angles_345(t345):
     assert identity_report(t345).residuals["half_angle_cots"] <= 5e-16
 
 
-def test_cot_half_angles_reject_bad_metrics():
-    # A valid needle whose s - gamma rounds to 0: no radical to take.
+def test_needle_is_refused_by_the_bound_before_the_radicands():
+    # A valid needle whose s - gamma rounds to 0: the chain has no radical to
+    # take, but the report judges theta first and refuses it on the bound.
     t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
                  Point2(0.40084707137978337, 1.2010387776921146e-08))
-    with pytest.raises(NotATriangleError):
+    with pytest.raises(NotATriangleError, match="half-angle radicands"):
+        chain(t)
+    with pytest.raises(DegenerateTriangleError, match="^smallest angle .* reaches 1$"):
         identity_report(t)
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+import re
 import sys
 
 import pytest
@@ -9,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perptri.ratio as ratio_mod
-from perptri.construction import AngleCase
+import perptri.geom as geom_mod
 from perptri.errors import DegenerateTriangleError
-from perptri.geom import MATH, metrics
+from perptri.geom import MATH, AngleCase, metrics
 from perptri.geom import Point2, Triangle
 from perptri.ratio import (
     BOUND_CONSTANT,
@@ -43,6 +45,18 @@ def test_bound_constant_is_a_power_of_two():
     # The bound reaches 1 at theta = sqrt(C eps), about 1.2e-7 rad at C = 64.
     threshold = math.sqrt(BOUND_CONSTANT * EPS)
     assert residual_bound(1.01 * threshold) < 1.0 <= residual_bound(0.99 * threshold)
+
+
+def test_residual_bound_of_a_zero_angle_is_inf():
+    # A float theta whose square is 0 (theta = 0, or its square underflows)
+    # gives inf, as an array does, instead of raising ZeroDivisionError.
+    import numpy as np
+
+    assert residual_bound(0.0) == math.inf
+    assert residual_bound(1e-170) == math.inf
+    with np.errstate(divide="ignore"):
+        got = residual_bound(np.array([0.0, 1e-170, 1.0]))
+    assert got.tolist() == [math.inf, math.inf, BOUND_CONSTANT * EPS]
 
 
 def test_within_bound_on_floats_and_arrays():
@@ -216,6 +230,29 @@ def test_too_thin_triangle_raises_naming_theta_and_bound():
     assert "\n" not in message
 
 
+def test_accepted_needles_are_judged_or_refused_on_the_bound_alone():
+    # Needles (0, 0), (1, 0), (x, h) with h = 10^U(-9, -6.5): the report judges
+    # theta before the chain runs, so every needle a Triangle accepts gets a
+    # verdict or the bound's refusal, never the chain's half-angle radicand
+    # guard (NotATriangleError) or a zero angle's cotangent (AngleSumError).
+    rng = random.Random(2008)
+    judged = refused = 0
+    for _ in range(4000):
+        gamma = Point2(rng.random(), 10.0 ** rng.uniform(-9.0, -6.5))
+        try:
+            t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), gamma)
+        except DegenerateTriangleError:
+            continue
+        try:
+            identity_report(t)
+        except DegenerateTriangleError as exc:
+            assert re.fullmatch(r"smallest angle \S+ rad is too thin .* reaches 1", str(exc))
+            refused += 1
+        else:
+            judged += 1
+    assert judged > 100 and refused > 1000
+
+
 def _with_residuals(monkeypatch, **values):
     real = ratio_mod.identity_chain
 
@@ -255,14 +292,15 @@ def test_nan_residual_fails_the_verdict(t345, monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
 def test_wrong_area_is_blamed_on_the_first_link_at_any_scale(scale, monkeypatch):
-    # Measured in the frame, a shoelace area 10 % too large breaks the
-    # increment identity whatever the triangle's size.
-    real = ratio_mod.anchored_metrics
+    # Measured in the frame, where the Triangle measures itself once, a
+    # shoelace area 10 % too large breaks the increment identity whatever the
+    # triangle's size.
+    real = geom_mod.anchored_metrics
 
     def wrong_area(ops, *coords):
         return dataclasses.replace(real(ops, *coords), area=1.1 * real(ops, *coords).area)
 
-    monkeypatch.setattr(ratio_mod, "anchored_metrics", wrong_area)
+    monkeypatch.setattr(geom_mod, "anchored_metrics", wrong_area)
     t = Triangle(Point2(0.0, 0.0), Point2(4.0 * scale, 0.0), Point2(0.0, 3.0 * scale))
     assert identity_report(t).first_failing == "area_increment"
 

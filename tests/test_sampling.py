@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perptri import construction
+from perptri import geom
 from perptri.geom import Point2
 from perptri.sampling import (
     DELTA_MAIN,
@@ -116,13 +116,13 @@ def test_obtuse_stratum():
 
 @pytest.mark.parametrize("stratum", ["acute", "obtuse"])
 def test_strata_follow_angle_cases(stratum, monkeypatch):
-    # The strata select by construction.angle_cases, so a wider right band
-    # (patched here) keeps both strata clear of it, as it would the sweep's
-    # case counts.
-    monkeypatch.setattr(construction, "CASE_BAND", 0.3)
+    # The strata select by geom.angle_cases, so a wider right band (patched
+    # here) keeps both strata clear of it, as it would the sweep's case
+    # counts.
+    monkeypatch.setattr(geom, "CASE_BAND", 0.3)
     c = sample_corpus(300, seed=9, stratum=stratum)
     assert float(np.min(np.abs(c.ang_a - HALF_PI))) >= 0.3
-    acute, right, obtuse = construction.angle_cases(c.ang_a)
+    acute, right, obtuse = geom.angle_cases(c.ang_a)
     assert bool(np.all(acute if stratum == "acute" else obtuse))
 
 

@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perptri.construction import angle_cases, construct
-from perptri.geom import MATH, NUMPY, cot, frame
+from perptri.construction import construct
+from perptri.geom import MATH, NUMPY, anchored_metrics, angle_cases, cot, frame
 import perptri.ratio as ratio_mod
 from perptri.ratio import (
     BOUND_CONSTANT,
@@ -34,14 +34,18 @@ BRIDGE_ABS = 1e-13
 
 
 def chain_of(corpus):
-    """identity_chain over a whole corpus at once, in the frame the sweep uses."""
+    """identity_chain over a whole corpus at once, and the metrics it reads.
+
+    Both in the frame the sweep uses, measured as the sweep measures them.
+    """
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    return identity_chain(bx, by, gx, gy)
+    m = anchored_metrics(NUMPY, bx, by, gx, gy)
+    return identity_chain(bx, by, gx, gy, m), m
 
 
-def bound_of(chain):
-    return residual_bound(smallest_angle(NUMPY, chain.metrics))
+def bound_of(m):
+    return residual_bound(smallest_angle(NUMPY, m))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +59,7 @@ def bridge_corpus():
 
 @pytest.fixture(scope="module")
 def bridge_chain(bridge_corpus):
-    return chain_of(bridge_corpus)
+    return chain_of(bridge_corpus)[0]
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +96,7 @@ def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_chain, bridge_res
     counts = {"acute": 0, "right": 0, "obtuse": 0}
     for i in range(len(bridge_corpus)):
         counts[identity_report(bridge_corpus.triangle(i)).case.value] += 1
-    masks = angle_cases(bridge_chain.metrics.ang_a)
+    masks = angle_cases(chain_of(bridge_corpus)[1].ang_a)
     assert [int(np.count_nonzero(mask)) for mask in masks] == list(counts.values())
     assert bridge_result.case_counts == counts
 
@@ -112,12 +116,12 @@ def _same(chunked: float, reference: float) -> bool:
 
 def _assert_whole_corpus_reductions(result, corpus):
     """The chunked result equals numpy's reductions of the chain over the whole corpus."""
-    chain = chain_of(corpus)
+    chain, m = chain_of(corpus)
     assert len(result) == len(corpus)
-    masks = angle_cases(chain.metrics.ang_a)
+    masks = angle_cases(m.ang_a)
     assert list(result.case_counts.values()) == [int(np.count_nonzero(m)) for m in masks]
     assert list(result.max_residuals) == list(CHECK_ORDER)
-    bound = bound_of(chain)
+    bound = bound_of(m)
     within = [within_bound(chain.residuals[key], bound) for key in CHECK_ORDER]
     all_within = np.logical_and.reduce(within)
     assert result.over_bound == len(corpus) - int(np.count_nonzero(all_within))
@@ -178,8 +182,8 @@ def test_sweep_counts_residuals_over_the_bound(monkeypatch):
 def test_bound_keeps_an_eightfold_margin(delta, seed):
     # Over 10**5 triangles at either sampler floor, every residual stays
     # within an eighth of the bound; BOUND_CONSTANT was set with that margin.
-    chain = chain_of(sample_corpus(10**5, seed=seed, delta=delta))
-    eighth = bound_of(chain) / 8
+    chain, m = chain_of(sample_corpus(10**5, seed=seed, delta=delta))
+    eighth = bound_of(m) / 8
     assert max(float(np.max(chain.residuals[key] / eighth)) for key in CHECK_ORDER) <= 1.0
 
 
