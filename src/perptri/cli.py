@@ -10,8 +10,10 @@ argument is "-" or omitted) in exactly one of three forms:
 
 Sides are laid out with A at the origin and B at (gamma, 0); the angle form
 places A at the origin and B at (scale, 0).  Angles are degrees at this
-boundary only.  Exit codes: 0 success, 1 verification failure, 2 bad input,
-3 internal error (any other exception, reported on one line).
+boundary only.  `render` is the one command that writes a figure.  Exit
+codes: 0 success, 1 verification failure, 2 bad input (a bad specification
+or any command-line mistake, reported as one `error:` line), 3 internal
+error (any other exception, reported on one line).
 All floating-point text output uses fixed 12-significant-digit formatting so
 identical invocations are byte-identical; --json prints NaN and inf as null.
 """
@@ -58,10 +60,13 @@ def _as_number(value, name: str) -> float:
 
 
 def non_negative_int(text: str) -> int:
-    """The value of --n: a non-negative integer."""
+    """The value of --n or --seed: a non-negative integer.
+
+    The message names no option: argparse puts "argument --n: " before it.
+    """
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"n must be non-negative, got {n}")
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
     return n
 
 
@@ -199,7 +204,7 @@ def cmd_verify(args) -> int:
             }
         )
         return 0 if report.passed else 1
-    ang_a = report.frame_metrics.ang_a
+    ang_a = t.frame_metrics.ang_a
     print(f"case: {report.case.value} (angle A = {fmt(math.degrees(ang_a))} deg)")
     print(f"smallest angle theta: {fmt(report.smallest_angle)} rad")
     print(f"bound: {fmt(BOUND_CONSTANT)} eps/theta^2 = {fmt(report.bound)}")
@@ -220,11 +225,9 @@ def cmd_construct(args) -> int:
     d = construct(t, phi)
     disc = similarity_check(t, d)
     # Every value in the input's units first: one that does not fit binary64
-    # stops the command before anything is written.
+    # stops the command before anything is printed.
     ap, bp, gp = d.ap, d.bp, d.gp
-    area_source, area_derived = d.metrics.area, d.area_derived
-    if args.out:
-        render_svg(d, args.out)
+    area_source, area_derived = metrics(t).area, d.area_derived
     if args.json:
         payload = {
             "phi_deg": args.phi,
@@ -242,8 +245,6 @@ def cmd_construct(args) -> int:
             "similarity_discrepancies_rad": list(disc),
             "gamma_prime_coincides_with_b": d.gamma_prime_on_b,
         }
-        if args.out:
-            payload["svg"] = args.out
         _emit_json(payload)
         return 0
     print(f"phi: {fmt(args.phi)} deg   case: {d.case.value}")
@@ -267,8 +268,6 @@ def cmd_construct(args) -> int:
         "similarity discrepancies (rad): "
         f"{fmt(disc[0])} {fmt(disc[1])} {fmt(disc[2])}"
     )
-    if args.out:
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -399,20 +398,26 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose every command-line mistake raises ParseError.
+
+    main reports it on one line and returns 2, where argparse would print its
+    usage and exit.  Subparsers are made of the same class.
+    """
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="perptri",
         description=(
             "Derived triangles from rotated side lines: metrics, identity "
             "verification, extremal values, figures."
         ),
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # An invalid option value raises ArgumentError, which main reports as bad input.
-    def add_parser(name, help):
-        return sub.add_parser(name, help=help, exit_on_error=False)
 
     def add_spec(p):
         p.add_argument(
@@ -425,37 +430,36 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = add_parser("metrics", help="sides, angles, and area by five routes")
+    p = sub.add_parser("metrics", help="sides, angles, and area by five routes")
     add_spec(p)
     add_json(p)
     p.set_defaults(func=cmd_metrics)
 
-    p = add_parser("verify", help="check every identity residual for one triangle")
+    p = sub.add_parser("verify", help="check every identity residual for one triangle")
     add_spec(p)
     add_json(p)
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("construct", help="build the derived triangle")
+    p = sub.add_parser("construct", help="build the derived triangle")
     add_spec(p)
     add_json(p)
     p.add_argument("--phi", type=float, default=90.0, help="rotation angle in degrees (default 90)")
-    p.add_argument("--out", help="also write an SVG figure to this path")
     p.set_defaults(func=cmd_construct)
 
-    p = add_parser("sweep", help="residual sweep over a seeded random corpus")
+    p = sub.add_parser("sweep", help="residual sweep over a seeded random corpus")
     add_json(p)
     p.add_argument("--n", type=non_negative_int, default=1000,
                    help="number of triangles (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     p.add_argument("--stratum", choices=STRATA, default="all", help="angle-A stratum")
     p.set_defaults(func=cmd_sweep)
 
-    p = add_parser("minimize", help="extremal values of the ratio")
+    p = sub.add_parser("minimize", help="extremal values of the ratio")
     add_json(p)
     p.add_argument("--right", action="store_true", help="restrict to right triangles")
     p.set_defaults(func=cmd_minimize)
 
-    p = add_parser("render", help="write an SVG figure of the construction")
+    p = sub.add_parser("render", help="write an SVG figure of the construction")
     add_spec(p)
     p.add_argument("--phi", type=float, default=90.0, help="rotation angle in degrees (default 90)")
     p.add_argument("--out", required=True, help="output SVG path")
@@ -468,7 +472,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (argparse.ArgumentError, ParseError, GeometryError, OSError) as exc:
+    except (ParseError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect of the package, not of the input

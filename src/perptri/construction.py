@@ -25,7 +25,6 @@ from .geom import (
     AngleCase,
     Point2,
     Triangle,
-    TriangleMetrics,
     anchored_metrics,
     classify_angle,
     cot,
@@ -39,11 +38,11 @@ class DerivedConstruction:
     """The triangle bounded by three rotated side lines, and both ratio routes.
 
     Every measurement is made in the source's frame (`Triangle.frame`), so it
-    depends on the triangle's shape, not its position or size: frame_metrics
-    are the source's metrics there, read from `Triangle.frame_metrics`,
-    ap_rel, bp_rel and gp_rel are A', B' and Gamma' relative to A, and
-    frame_area_derived is the derived area.  The properties metrics,
-    area_derived, ap, bp and gp give the same quantities in the source's
+    depends on the triangle's shape, not its position or size: ap_rel,
+    bp_rel and gp_rel are A', B' and Gamma' relative to A, and
+    frame_area_derived is the derived area.  The source's own metrics are
+    read from `source.frame_metrics`, never copied.  The properties
+    area_derived, ap, bp and gp give the derived quantities in the source's
     units and coordinates, for output; they raise UnitRangeError when one
     does not fit binary64.
 
@@ -62,14 +61,6 @@ class DerivedConstruction:
     frame_area_derived: float
     ratio_geometric: float
     ratio_formula: float
-
-    @property
-    def frame_metrics(self) -> TriangleMetrics:
-        return self.source.frame_metrics
-
-    @property
-    def metrics(self) -> TriangleMetrics:
-        return self.frame_metrics.in_units(self.source.frame.exp)
 
     @property
     def area_derived(self) -> float:
@@ -98,13 +89,13 @@ class DerivedConstruction:
     @property
     def gamma_prime_offset(self) -> float:
         """|Gamma' B| over the longest source side; 0 in exact arithmetic when A = pi - phi."""
-        f, m = self.source.frame, self.frame_metrics
+        f, m = self.source.frame, self.source.frame_metrics
         return self.gp_rel.dist(Point2(f.bx, f.by)) / max(m.alpha, m.beta, m.gamma)
 
     @property
     def gamma_prime_on_b(self) -> bool:
         """Whether Gamma' is on B: A = pi - phi within CASE_BAND (at pi/2, the right case)."""
-        return abs(self.frame_metrics.ang_a - (math.pi - self.phi)) < CASE_BAND
+        return abs(self.source.frame_metrics.ang_a - (math.pi - self.phi)) < CASE_BAND
 
 
 def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
@@ -140,14 +131,15 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
 
     All three are zero in exact arithmetic for every phi in (0, pi/2]; the
     construction only shifts which original angle shows up at which derived
-    vertex.  A'B'Gamma' is measured by the metrics routine anchored at A', in
-    the source's frame, and compared with d.frame_metrics, the metrics of t
-    measured when t was made.  A derived angle that rounds to 0 is a
-    discrepancy to report, not an error; no cotangent is taken of it.
+    vertex.  d must be construct(t, phi) for some phi.  A'B'Gamma' is
+    measured by the metrics routine anchored at A', in the source's frame,
+    and compared with t.frame_metrics, the metrics of t measured when t was
+    made.  A derived angle that rounds to 0 is a discrepancy to report, not
+    an error; no cotangent is taken of it.
     """
     ap, bp, gp = d.ap_rel, d.bp_rel, d.gp_rel
     derived = anchored_metrics(MATH, bp.x - ap.x, bp.y - ap.y, gp.x - ap.x, gp.y - ap.y)
-    m = d.frame_metrics
+    m = t.frame_metrics
     return (
         abs(derived.ang_a - m.ang_b),
         abs(derived.ang_b - m.ang_g),

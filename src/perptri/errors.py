@@ -33,4 +33,4 @@ class UnitRangeError(GeometryError):
 
 
 class ParseError(ValueError):
-    """Malformed or ambiguous triangle specification document."""
+    """A command-line mistake, or a malformed or ambiguous triangle specification."""

@@ -36,6 +36,7 @@ from .errors import AngleSumError, DegenerateTriangleError, GeometryError, UnitR
 #: A triangle is rejected as degenerate when its area falls below this factor
 #: times the squared longest side (scale invariant: both sides are length^2).
 DEGENERACY_FACTOR = 1e-9
+_COLLINEAR = "vertices are collinear at the triangle's own scale"
 
 
 def clamp_unit(value: float) -> float:
@@ -187,9 +188,11 @@ class Triangle:
     on construction so every rotation sense downstream is uniform.  The swap
     relabels the triangle (beta <-> gamma, angle B <-> angle Gamma); every
     quantity verified by this package is symmetric under that relabeling.
-    The triangle's frame is computed once, judged for degeneracy and kept as
-    `frame`; its metrics are measured there once and kept as `frame_metrics`.
-    Every measurement of the triangle reads them.
+    The triangle's frame is computed once and kept as `frame`; its metrics
+    are measured there once and kept as `frame_metrics`, the one record of
+    the triangle's measurements, which every path reads.  The degeneracy
+    floor is judged on those metrics: area below DEGENERACY_FACTOR times the
+    squared longest side is rejected.
     """
 
     a: Point2
@@ -205,29 +208,28 @@ class Triangle:
         exp, bx, by, gx, gy = f
         if not math.isfinite(bx + by + gx + gy):
             raise UnitRangeError("vertices lie farther apart than binary64 can measure")
-        # In the frame the squares below neither underflow nor overflow,
-        # whatever the triangle's size.
         doubled = bx * gy - by * gx
-        longest_sq = max(bx * bx + by * by, (gx - bx) ** 2 + (gy - by) ** 2, gx * gx + gy * gy)
-        # doubled == 0.0 also rejects three coincident vertices, where the
-        # bound is 0 too.
-        if doubled == 0.0 or abs(doubled) < 2.0 * DEGENERACY_FACTOR * longest_sq:
-            raise DegenerateTriangleError(
-                "vertices are collinear at the triangle's own scale"
-            )
+        # Checked before measuring: coincident vertices would divide by zero
+        # in the metrics' angles.
+        if doubled == 0.0:
+            raise DegenerateTriangleError(_COLLINEAR)
         if doubled < 0.0:
             b, g = self.b, self.g
             object.__setattr__(self, "b", g)
             object.__setattr__(self, "g", b)
             f = Frame(exp, gx, gy, bx, by)
+        # In the frame the squared sides neither underflow nor overflow,
+        # whatever the triangle's size; m.area is 0.5 * |doubled|.  The side
+        # is squared first, so a side along an axis squares exactly as x * x.
+        m = anchored_metrics(MATH, *f[1:])
+        longest = max(m.alpha, m.beta, m.gamma)
+        if m.area < DEGENERACY_FACTOR * (longest * longest):
+            raise DegenerateTriangleError(_COLLINEAR)
         object.__setattr__(self, "frame", f)
-        object.__setattr__(self, "frame_metrics", anchored_metrics(MATH, *f[1:]))
+        object.__setattr__(self, "frame_metrics", m)
 
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return self.a, self.b, self.g
-
-    def longest_side(self) -> float:
-        return max(self.a.dist(self.b), self.b.dist(self.g), self.g.dist(self.a))
 
 
 @dataclass(frozen=True)

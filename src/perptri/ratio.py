@@ -250,12 +250,10 @@ class VerifyReport:
 
     smallest_angle is theta (`smallest_angle`) and bound is the
     residual_bound it gives; within tells for each residual whether it is
-    within the bound (a NaN never is).  frame_metrics are the
-    triangle's metrics in its frame (`Triangle.frame_metrics`; `geom.metrics`
-    gives them in the input's units).
+    within the bound (a NaN never is).  The triangle's own measurements stay
+    on the triangle, as `Triangle.frame_metrics`.
     """
 
-    frame_metrics: TriangleMetrics
     case: AngleCase
     smallest_angle: float
     bound: float
@@ -295,7 +293,6 @@ def identity_report(t: Triangle) -> VerifyReport:
     _, bx, by, gx, gy = t.frame
     residuals = identity_chain(bx, by, gx, gy, m).residuals
     return VerifyReport(
-        frame_metrics=m,
         case=classify_angle(m.ang_a),
         smallest_angle=theta,
         bound=bound,

@@ -70,7 +70,7 @@ def _phi_arc(d: DerivedConstruction, size: float) -> str:
     """Arc at vertex B from the AB direction to its rotation by phi."""
     b = _flip(d.source.b)
     _, sx, sy, _, _ = d.source.frame
-    norm = math.hypot(sx, sy)
+    norm = d.source.frame_metrics.gamma
     ux, uy = sx / norm, sy / norm
     c, s = math.cos(d.phi), math.sin(d.phi)
     vx, vy = c * ux - s * uy, s * ux + c * uy

@@ -15,8 +15,10 @@ import perptri.cli as cli_mod
 import perptri.geom as geom_mod
 import perptri.ratio as ratio_mod
 from perptri.cli import main, triangle_from_spec
+from perptri.construction import construct
 from perptri.errors import ParseError
 from perptri.ratio import CHECK_ORDER, residual_bound
+from perptri.svg import svg_document
 
 SPEC_VERTICES = {"vertices": {"A": [0, 0], "B": [4, 0], "Gamma": [0, 3]}}
 SPEC_SIDES = {"sides": {"alpha": 5, "beta": 3, "gamma": 4}}
@@ -344,23 +346,13 @@ def test_construct_phi_out_of_range(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_construct_writes_svg(tmp_path, capsys):
-    out_path = tmp_path / "figure.svg"
-    code = main([
-        "construct",
-        "--out", str(out_path),
-        write_spec(tmp_path, SPEC_VERTICES),
-    ])
-    assert code == 0
-    assert out_path.read_text(encoding="utf-8").startswith("<svg")
-
-
 def test_render(tmp_path, capsys):
     out_path = tmp_path / "fig.svg"
     code = main(["render", "--out", str(out_path), write_spec(tmp_path, SPEC_SIDES)])
     assert code == 0
-    assert "wrote" in capsys.readouterr().out
-    assert out_path.exists()
+    assert capsys.readouterr() == (f"wrote {out_path}\n", "")
+    expected = svg_document(construct(triangle_from_spec(SPEC_SIDES)))
+    assert out_path.read_text(encoding="utf-8") == expected
 
 
 def test_sweep_text_deterministic(capsys):
@@ -408,12 +400,25 @@ def test_sweep_empty_json_is_strict(capsys):
     assert payload["min_cot_sum_triangle"] is None
 
 
-def test_sweep_negative_n_exits_two(capsys):
-    assert main(["sweep", "--n", "-5"]) == 2
+@pytest.mark.parametrize("option, value", [("--n", "-5"), ("--seed", "-1")], ids=["n", "seed"])
+def test_sweep_negative_n_exits_two(capsys, option, value):
+    assert main(["sweep", option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "n must be" in captured.err
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err == f"error: argument {option}: must be non-negative, got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bogus", "-"],
+    [],
+    ["sweep", "--n"],
+    ["bogus"],
+], ids=["unknown-option", "no-command", "missing-value", "unknown-command"])
+def test_command_line_mistakes_print_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_minimize_global(capsys):

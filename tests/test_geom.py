@@ -1,6 +1,8 @@
 """Geometry primitives: points, the rotated-line step, triangle metrics."""
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from perptri.errors import AngleSumError, DegenerateTriangleError, GeometryError
 from perptri.geom import (
+    DEGENERACY_FACTOR,
     MATH,
     NUMPY,
     Point2,
@@ -23,6 +26,7 @@ from perptri.geom import (
 from perptri.ratio import identity_chain
 
 SQRT3 = math.sqrt(3.0)
+EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +106,44 @@ def test_sliver_below_floor_rejected():
         Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-10))
 
 
+def test_floor_on_the_kept_metrics_decides_as_the_squared_coordinates_do():
+    # The floor is judged on the metrics the Triangle keeps: shoelace area
+    # against the squared longest hypot side.  On slivers around it (height
+    # near 2e-9 longest**2 over the base, a third of them within 64 ulps of
+    # that, turned and moved up to 1e6 sizes or neither) every decision is
+    # the one of |doubled| < 2 DEGENERACY_FACTOR times the largest sum of
+    # squared frame coordinates.
+    rng = random.Random(14)
+    rejected = 0
+    for _ in range(20000):
+        size, x = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-0.5, 1.5)
+        h = 2e-9 * max(1.0, x * x, (1.0 - x) ** 2)
+        if rng.random() < 0.3:
+            h *= 1.0 + rng.randint(-64, 64) * EPS
+        else:
+            h *= 10.0 ** rng.uniform(-0.05, 0.05)
+        turn, offset, direction = 0.0, 0.0, 0.0
+        if rng.random() < 0.7:
+            turn, direction = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            offset = size * 10.0 ** rng.uniform(0.0, 6.0)
+        c, s = math.cos(turn), math.sin(turn)
+        ox, oy = offset * math.cos(direction), offset * math.sin(direction)
+        coords = [(ox + size * (c * px - s * py), oy + size * (s * px + c * py))
+                  for px, py in ((0.0, 0.0), (1.0, 0.0), (x, h))]
+        _, bx, by, gx, gy = frame(MATH, *coords[0], *coords[1], *coords[2])
+        doubled = bx * gy - by * gx
+        largest = max(bx * bx + by * by, (gx - bx) ** 2 + (gy - by) ** 2, gx * gx + gy * gy)
+        expected = doubled == 0.0 or abs(doubled) < 2.0 * DEGENERACY_FACTOR * largest
+        try:
+            Triangle(*(Point2(*p) for p in coords))
+        except DegenerateTriangleError:
+            rejected += 1
+            assert expected, coords
+        else:
+            assert not expected, coords
+    assert 5000 < rejected < 15000
+
+
 def test_acceptance_and_relabeling_do_not_depend_on_scale():
     shapes = [
         ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)),  # 3-4-5, counterclockwise
@@ -135,7 +177,6 @@ def test_counterclockwise_input_kept(t345):
     assert t345.b == Point2(4.0, 0.0)
     assert t345.g == Point2(0.0, 3.0)
     assert t345.vertices() == (t345.a, t345.b, t345.g)
-    assert t345.longest_side() == 5.0
 
 
 def test_metrics_345(t345):

@@ -159,7 +159,7 @@ def test_report_passes_on_canonical(t345, equilateral, obtuse_iso):
         assert report.first_failing is None
         assert report.case is case
         assert set(report.residuals) == set(CHECK_ORDER)
-        m = report.frame_metrics
+        m = t.frame_metrics
         assert report.smallest_angle == min(m.ang_a, m.ang_b, m.ang_g)
         assert report.bound == residual_bound(report.smallest_angle)
         assert report.bound < 1e-13
@@ -184,9 +184,9 @@ def test_near_right_triangle_far_from_the_origin_is_within_an_eighth_of_the_boun
                  Point2(305.5390084466886, 373.4530075935066),
                  Point2(305.6868396457121, 373.52459193790315))
     report = identity_report(t)
-    theta = smallest_angle(MATH, report.frame_metrics)
+    theta = smallest_angle(MATH, t.frame_metrics)
     assert report.smallest_angle == theta
-    assert 0.0 < abs(report.frame_metrics.ang_a - 0.5 * math.pi) < 1e-12
+    assert 0.0 < abs(t.frame_metrics.ang_a - 0.5 * math.pi) < 1e-12
     assert max(report.residuals.values()) <= BOUND_CONSTANT / 8.0 * EPS / theta**2
     assert report.bound == residual_bound(theta)
     assert report.passed
@@ -217,6 +217,28 @@ def test_moved_right_triangles_are_within_an_eighth_of_the_bound():
         report = identity_report(moved)
         worst = max(worst, max(report.residuals.values()) * report.smallest_angle**2 / EPS)
     assert worst <= BOUND_CONSTANT / 8.0
+
+
+@given(ang_b=st.floats(min_value=0.01, max_value=math.pi - 0.02),
+       share=st.floats(min_value=0.0, max_value=1.0),
+       log_size=st.floats(min_value=-3.0, max_value=3.0),
+       turn=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       ox=st.floats(min_value=-1e12, max_value=1e12),
+       oy=st.floats(min_value=-1e12, max_value=1e12))
+@settings(max_examples=200, deadline=None)
+def test_verdict_survives_any_rigid_motion(ang_b, share, log_size, turn, ox, oy):
+    # Every angle at least 0.01 rad, size 10**U(-3, 3), any turn and any
+    # offset up to 1e12 sizes in each coordinate: the moved triangle still
+    # passes, every residual within C/8 eps / theta**2 of its own theta.
+    ang_g = 0.01 + share * (math.pi - ang_b - 0.02)
+    size = 10.0 ** log_size
+    c, s = math.cos(turn), math.sin(turn)
+    t = triangle_from_angles(ang_b, ang_g, size)
+    moved = Triangle(*(Point2(size * ox + c * p.x - s * p.y, size * oy + s * p.x + c * p.y)
+                       for p in t.vertices()))
+    report = identity_report(moved)
+    assert report.passed
+    assert max(report.residuals.values()) <= BOUND_CONSTANT / 8.0 * EPS / report.smallest_angle**2
 
 
 def test_too_thin_triangle_raises_naming_theta_and_bound():
