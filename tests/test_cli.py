@@ -355,6 +355,16 @@ def test_render(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == expected
 
 
+def test_render_writes_the_construction_svg(tmp_path, capsys):
+    # render is the one SVG path: its file is the figure of construct(t),
+    # for a vertices spec as for the sides spec above.
+    out_path = tmp_path / "figure.svg"
+    code = main(["render", "--out", str(out_path), write_spec(tmp_path, SPEC_VERTICES)])
+    assert code == 0
+    expected = svg_document(construct(triangle_from_spec(SPEC_VERTICES)))
+    assert out_path.read_text(encoding="utf-8") == expected
+
+
 def test_sweep_text_deterministic(capsys):
     assert main(["sweep", "--n", "50", "--seed", "7"]) == 0
     first = capsys.readouterr().out
