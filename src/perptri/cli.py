@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .construction import construct, similarity_check
@@ -33,7 +34,7 @@ from .extremal import (
     right_triangle_min,
 )
 from .geom import MATH, Point2, Triangle, frame_exponent, in_units, metrics
-from .ratio import BOUND_CONSTANT, CHECK_ORDER, identity_chain, identity_report
+from .ratio import BOUND_CONSTANT, CHECK_ORDER, identity_chain, identity_report, judged_bound
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
 
@@ -60,13 +61,32 @@ def _as_number(value, name: str) -> float:
 
 
 def non_negative_int(text: str) -> int:
-    """The value of --n or --seed: a non-negative integer.
+    """The value of --seed, and of --n before `sweep_count`: a non-negative integer.
 
-    The message names no option: argparse puts "argument --n: " before it.
+    The message names no option: argparse puts "argument --seed: " before it.
     """
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
+#: A sweep's peak bytes per sampled triangle (the acute and obtuse strata's draw).
+SWEEP_BYTES_PER_TRIANGLE = 46
+
+
+def sweep_count(text: str) -> int:
+    """The value of --n: a non-negative count whose sweep fits physical memory (os.sysconf)."""
+    n = non_negative_int(text)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = sys.maxsize
+    need = n * SWEEP_BYTES_PER_TRIANGLE
+    if need > memory:
+        raise argparse.ArgumentTypeError(
+            f"a sweep of {n} triangles needs {need} bytes ({SWEEP_BYTES_PER_TRIANGLE} per "
+            f"triangle), more than the {memory} bytes of physical memory")
     return n
 
 
@@ -153,10 +173,10 @@ def _emit_json(payload) -> None:
 
 def cmd_metrics(args) -> int:
     t = load_triangle(args.spec)
-    exp, bx, by, gx, gy = t.frame
-    chain = identity_chain(bx, by, gx, gy, t.frame_metrics)
+    judged_bound(t.frame_metrics)
+    chain = identity_chain(*t.frame[1:], t.frame_metrics)
     m = metrics(t)
-    areas = {name: in_units(value, 2 * exp, f"area ({name})")
+    areas = {name: in_units(value, 2 * t.frame.exp, f"area ({name})")
              for name, value in chain.areas.items()}
     if args.json:
         _emit_json(
@@ -448,7 +468,7 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("sweep", help="residual sweep over a seeded random corpus")
     add_json(p)
-    p.add_argument("--n", type=non_negative_int, default=1000,
+    p.add_argument("--n", type=sweep_count, default=1000,
                    help="number of triangles (default 1000)")
     p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     p.add_argument("--stratum", choices=STRATA, default="all", help="angle-A stratum")

@@ -31,6 +31,7 @@ from .geom import (
     derived_triangle,
     in_units,
 )
+from .ratio import judged_bound
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,14 @@ class DerivedConstruction:
 def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     """Build the derived triangle of t for a rotation angle phi in (0, pi/2].
 
-    Vertex assignment: A' joins the lines anchored at B and Gamma, B' the
-    lines at Gamma and A, Gamma' the lines at A and B.  That pairing is what
-    puts angle B at A' (it sits between the lines rotated off AB and B-Gamma)
-    and what collapses Gamma' onto B when angle A is pi - phi.
+    t's bound is judged first (`ratio.judged_bound`), as for the figure and
+    `similarity_check`.  Vertex assignment: A' joins the lines anchored at B
+    and Gamma, B' the lines at Gamma and A, Gamma' the lines at A and B.
+    That pairing is what puts angle B at A' (it sits between the lines
+    rotated off AB and B-Gamma) and what collapses Gamma' onto B when angle
+    A is pi - phi.
     """
+    judged_bound(t.frame_metrics)
     if not 0.0 < phi <= 0.5 * math.pi:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
     _, bx, by, gx, gy = t.frame
@@ -133,9 +137,7 @@ def similarity_check(t: Triangle, d: DerivedConstruction) -> tuple[float, float,
     construction only shifts which original angle shows up at which derived
     vertex.  d must be construct(t, phi) for some phi.  A'B'Gamma' is
     measured by the metrics routine anchored at A', in the source's frame,
-    and compared with t.frame_metrics, the metrics of t measured when t was
-    made.  A derived angle that rounds to 0 is a discrepancy to report, not
-    an error; no cotangent is taken of it.
+    and compared with t.frame_metrics, measured when t was made.
     """
     ap, bp, gp = d.ap_rel, d.bp_rel, d.gp_rel
     derived = anchored_metrics(MATH, bp.x - ap.x, bp.y - ap.y, gp.x - ap.x, gp.y - ap.y)

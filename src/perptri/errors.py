@@ -13,7 +13,7 @@ class GeometryError(ValueError):
 
 
 class DegenerateTriangleError(GeometryError):
-    """Vertices are collinear (or nearly so) at the scale of the triangle."""
+    """Vertices are collinear, or the triangle is too thin to judge in binary64."""
 
 
 class NotATriangleError(GeometryError):

@@ -18,8 +18,8 @@ input's units, exactly, by `in_units` (lengths times 2**exp, areas times
 `frame`, `anchored_metrics`, `angle_cases`, `cot` and `derived_triangle` take
 floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the
 elementary functions for either.  `NUMPY` is built, and numpy imported, on its
-first access, so code that works on floats never loads numpy.  The metrics
-never raise; `cot` refuses an angle of 0 under `MATH`, before dividing by its sine.
+first access, so code that works on floats never loads numpy.  None of them
+judges thinness: every scalar command judges `ratio.judged_bound` first.
 """
 
 from __future__ import annotations
@@ -29,15 +29,8 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import AngleSumError, DegenerateTriangleError, GeometryError, UnitRangeError
-
-#: A triangle is rejected as degenerate when its area falls below this factor
-#: times the squared longest side (scale invariant: both sides are length^2).
-DEGENERACY_FACTOR = 1e-9
-_COLLINEAR = "vertices are collinear at the triangle's own scale"
-
 
 def clamp_unit(value: float) -> float:
     """Clamp into [-1, 1]; guards acos against roundoff just outside range.
@@ -48,18 +41,12 @@ def clamp_unit(value: float) -> float:
 
 
 #: The elementary functions the float and array routines use beyond arithmetic
-#: operators: acos clips into [-1, 1] first, max and min are n-ary and
-#: elementwise, and require(ok, error) raises error() unless ok.
-Ops = namedtuple("Ops", "hypot acos cos sin sqrt frexp ldexp max min require")
-
-
-def _require(ok: bool, error: Callable[[], Exception]) -> None:
-    if not ok:
-        raise error()
-
+#: operators: acos clips into [-1, 1] first, and max and min are n-ary and
+#: elementwise.
+Ops = namedtuple("Ops", "hypot acos cos sin sqrt frexp ldexp max min")
 
 MATH = Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, math.sqrt,
-           math.frexp, math.ldexp, max, min, _require)
+           math.frexp, math.ldexp, max, min)
 
 
 def __getattr__(name: str):
@@ -68,10 +55,9 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import numpy as np
 
-    # Arrays carry inf or NaN where one triangle would raise, as numpy does.
     ops = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
               np.frexp, np.ldexp, lambda *xs: functools.reduce(np.maximum, xs),
-              lambda *xs: functools.reduce(np.minimum, xs), lambda ok, error: None)
+              lambda *xs: functools.reduce(np.minimum, xs))
     globals()["NUMPY"] = ops
     return ops
 
@@ -114,14 +100,14 @@ def in_units(value: float, exp: int, name: str) -> float:
 
 
 def cot(ops: Ops, x):
-    """Cotangent as cos/sin; ops.require first raises AngleSumError unless x > 0.
+    """Cotangent as cos/sin, for x in (0, pi).
 
     cos/sin keeps the correct sign through the obtuse branch; 1/tan would
     blow up at pi/2 where the cotangent is merely zero.  At a computed right
     angle cos/sin is the cotangent of the angle as rounded, of the size of
-    its roundoff, which the residuals carry like any other.
+    its roundoff, which the residuals carry like any other.  The bound, inf
+    at x = 0, keeps the scalar commands from dividing by sin 0.
     """
-    ops.require(x > 0.0, lambda: AngleSumError(f"angle {x!r} outside (0, pi)"))
     return ops.cos(x) / ops.sin(x)
 
 
@@ -190,9 +176,8 @@ class Triangle:
     quantity verified by this package is symmetric under that relabeling.
     The triangle's frame is computed once and kept as `frame`; its metrics
     are measured there once and kept as `frame_metrics`, the one record of
-    the triangle's measurements, which every path reads.  The degeneracy
-    floor is judged on those metrics: area below DEGENERACY_FACTOR times the
-    squared longest side is rejected.
+    the triangle's measurements, which every path reads.  Only a doubled
+    area of 0 is rejected; thinness is `ratio.judged_bound`'s to judge.
     """
 
     a: Point2
@@ -212,21 +197,14 @@ class Triangle:
         # Checked before measuring: coincident vertices would divide by zero
         # in the metrics' angles.
         if doubled == 0.0:
-            raise DegenerateTriangleError(_COLLINEAR)
+            raise DegenerateTriangleError("vertices are collinear at the triangle's own scale")
         if doubled < 0.0:
             b, g = self.b, self.g
             object.__setattr__(self, "b", g)
             object.__setattr__(self, "g", b)
             f = Frame(exp, gx, gy, bx, by)
-        # In the frame the squared sides neither underflow nor overflow,
-        # whatever the triangle's size; m.area is 0.5 * |doubled|.  The side
-        # is squared first, so a side along an axis squares exactly as x * x.
-        m = anchored_metrics(MATH, *f[1:])
-        longest = max(m.alpha, m.beta, m.gamma)
-        if m.area < DEGENERACY_FACTOR * (longest * longest):
-            raise DegenerateTriangleError(_COLLINEAR)
         object.__setattr__(self, "frame", f)
-        object.__setattr__(self, "frame_metrics", m)
+        object.__setattr__(self, "frame_metrics", anchored_metrics(MATH, *f[1:]))
 
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return self.a, self.b, self.g
@@ -266,7 +244,7 @@ def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
     shoelace formula, all in the frame's units.  The coordinates must be of
     about unit size, as `frame` makes them, so that no squared side overflows
     or underflows.  A pure measurement: an angle whose cosine rounded to 1 is
-    returned as 0.0, and `cot` is what refuses it.
+    returned as 0.0, and `ratio.judged_bound` refuses it.
     """
     alpha = ops.hypot(gx - bx, gy - by)
     beta = ops.hypot(gx, gy)

@@ -27,11 +27,10 @@ Every residual is judged against one bound taken from the triangle's
 conditioning, C * eps / theta**2 (`residual_bound`), with eps = 2**-52,
 theta the smallest angle and C = `BOUND_CONSTANT`, set from measured
 residuals.  `smallest_angle` finds theta and `within_bound` is the one
-predicate; `identity_report` and the sweep both call them.  Where the bound
-reaches 1 (theta below about 1.2e-7 rad) binary64 can confirm nothing, and
-`identity_report` raises DegenerateTriangleError rather than return a
-verdict.  It judges theta from the triangle's kept metrics before the chain
-runs, so the bound is its only refusal of a `Triangle`.
+predicate; `identity_report` and the sweep both call them.  `judged_bound`
+is the one thinness rule of the scalar path: where the bound reaches 1
+(theta below about 1.2e-7 rad) binary64 can confirm nothing, and it raises
+DegenerateTriangleError before any angle is read.
 
 `identity_chain` is the one implementation of the chain.  It takes B and
 Gamma in a frame anchored at vertex A and the metrics measured there, so that
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import geom
-from .errors import DegenerateTriangleError, NotATriangleError
+from .errors import DegenerateTriangleError
 from .geom import (
     MATH,
     AngleCase,
@@ -165,10 +164,9 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
 
     The coordinates are four floats or four arrays and m their
     `geom.anchored_metrics` (`Triangle.frame_metrics`); every result is in the
-    frame's units.  A float triangle the chain cannot evaluate (a computed
-    angle of 0, a half-angle radicand <= 0) raises a GeometryError before the
-    division it would break; arrays carry inf or NaN for such triangles
-    instead.
+    frame's units.  It divides by sines and by each s - x, so it needs a
+    triangle `judged_bound` accepts: a thinner one's floats may divide by
+    zero, and its arrays carry inf or NaN.
     """
     ops = MATH if isinstance(bx, float) else geom.NUMPY
     hypot, sin, sqrt, vmax, vmin = ops.hypot, ops.sin, ops.sqrt, ops.max, ops.min
@@ -191,8 +189,6 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
     sixteen = 2.0 * pairs - quads
 
     fa, fb, fg = s - alpha, s - beta, s - gamma
-    ops.require(vmin(fa, fb, fg) > 0.0,
-            lambda: NotATriangleError("half-angle radicands require a strict triangle"))
 
     areas = {
         "shoelace": area,
@@ -273,16 +269,12 @@ class VerifyReport:
         return self.first_failing is None
 
 
-def identity_report(t: Triangle) -> VerifyReport:
-    """Evaluate every identity residual for one triangle and judge it against the bound.
+def judged_bound(m: TriangleMetrics) -> tuple[float, float]:
+    """theta and its residual_bound for `Triangle.frame_metrics` m, if the bound is below 1.
 
-    theta and the bound are judged first, from the triangle's stored metrics:
-    for a triangle so thin that the bound reaches 1 it raises
-    DegenerateTriangleError, naming theta and the bound, before the chain
-    runs.  binary64 residuals can confirm nothing there, so neither PASS nor
-    FAIL would be a verdict.
+    Else DegenerateTriangleError names both: the triangle is too thin to
+    judge.  Past it no angle is 0 and s - x >= s theta**2 / 4 >= 16 s eps.
     """
-    m = t.frame_metrics
     theta = smallest_angle(MATH, m)
     bound = residual_bound(theta)
     if not bound < 1.0:
@@ -290,8 +282,14 @@ def identity_report(t: Triangle) -> VerifyReport:
             f"smallest angle {theta!r} rad is too thin to verify in binary64: "
             f"the bound {BOUND_CONSTANT:g} eps/theta^2 = {bound:.3g} reaches 1"
         )
-    _, bx, by, gx, gy = t.frame
-    residuals = identity_chain(bx, by, gx, gy, m).residuals
+    return theta, bound
+
+
+def identity_report(t: Triangle) -> VerifyReport:
+    """Every identity residual of t, judged against its bound (`judged_bound`, first)."""
+    m = t.frame_metrics
+    theta, bound = judged_bound(m)
+    residuals = identity_chain(*t.frame[1:], m).residuals
     return VerifyReport(
         case=classify_angle(m.ang_a),
         smallest_angle=theta,

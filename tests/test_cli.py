@@ -1,9 +1,13 @@
 """Command-line interface: input forms, outputs, exit codes."""
 
+import argparse
+import collections
 import dataclasses
 import io
 import json
 import math
+import os
+import random
 import re
 import subprocess
 import sys
@@ -241,19 +245,17 @@ def test_area_out_of_range_exits_two(tmp_path, capsys, command, scale):
 
 def test_zero_computed_angle_exits_two_on_the_bound_in_verify(tmp_path, capsys):
     # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives A = 0.0.
-    # verify judges theta = 0 against the bound before the chain takes a
-    # cotangent; metrics and construct refuse it at their first cotangent.
+    # verify, metrics, construct and render all judge theta = 0 against the
+    # bound before they take a cotangent, and print the same line.
     spec = write_spec(tmp_path, {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999,
                                             "scale": 1}})
-    expected = {
-        "verify": "error: smallest angle 0.0 rad is too thin to verify in binary64: "
-                  "the bound 64 eps/theta^2 = inf reaches 1\n",
-        "metrics": "error: angle 0.0 outside (0, pi)\n",
-        "construct": "error: angle 0.0 outside (0, pi)\n",
-    }
-    for command, err in expected.items():
-        assert main([command, spec]) == 2
+    err = ("error: smallest angle 0.0 rad is too thin to verify in binary64: "
+           "the bound 64 eps/theta^2 = inf reaches 1\n")
+    for command in (["verify"], ["metrics"], ["construct"], ["construct", "--phi", "30"],
+                    ["render", "--out", str(tmp_path / "fig.svg")]):
+        assert main([*command, spec]) == 2
         assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "fig.svg").exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -263,12 +265,56 @@ def test_zero_computed_angle_exits_two_on_the_bound_in_verify(tmp_path, capsys):
 ], ids=["needle", "gamma-3e-6-deg"])
 def test_verify_refuses_a_too_thin_triangle_on_the_bound(tmp_path, capsys, doc):
     # The needle's s - gamma rounds to 0, so the chain has no half-angle
-    # radical to take; verify judges theta first and prints the bound line.
-    assert main(["verify", write_spec(tmp_path, doc)]) == 2
+    # radical to take; verify judges theta first and prints the bound line,
+    # and metrics and construct print the same line.
+    spec = write_spec(tmp_path, doc)
+    assert main(["verify", spec]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"error: smallest angle \S+ rad is too thin to verify in binary64: "
-                        r"the bound 64 eps/theta\^2 = \S+ reaches 1\n", err)
+    assert THIN_LINE.fullmatch(err)
+    for command in (["metrics"], ["metrics", "--json"], ["construct"], ["construct", "--json"]):
+        assert main([*command, spec]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+THIN_LINE = re.compile(r"error: smallest angle \S+ rad is too thin to verify in binary64: "
+                       r"the bound 64 eps/theta\^2 = \S+ reaches 1\n")
+COLLINEAR_LINE = "error: vertices are collinear at the triangle's own scale\n"
+
+
+def test_slivers_below_the_old_floor_exit_two_on_one_line(monkeypatch, capsys):
+    # Slivers whose area lies below 1e-9 times their squared longest side,
+    # the floor Triangle once rejected them on: heights down to 1e-320 of
+    # the base, sizes 10**U(-150, 150), half of them turned and moved.  Each
+    # command that reads an angle exits 2 with the same one line, the bound's
+    # or, where the doubled area rounds to 0, the collinear one, and prints
+    # nothing on stdout, under --json too.
+    rng = random.Random(15)
+    refusals = collections.Counter()
+    for _ in range(120):
+        size, x = 10.0 ** rng.uniform(-150.0, 150.0), rng.uniform(-0.5, 1.5)
+        h = 10.0 ** rng.uniform(-320.0, -9.0) * max(1.0, x * x, (1.0 - x) ** 2)
+        points = [(0.0, 0.0), (size, 0.0), (size * x, size * h)]
+        if rng.random() < 0.5:
+            turn, direction = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            offset = size * 10.0 ** rng.uniform(0.0, 4.0)
+            c, s = math.cos(turn), math.sin(turn)
+            points = [(offset * math.cos(direction) + c * px - s * py,
+                       offset * math.sin(direction) + s * px + c * py) for px, py in points]
+        doc = json.dumps({"vertices": dict(zip(("A", "B", "Gamma"), points))})
+        phi = f"{rng.uniform(1.0, 90.0)!r}"
+        errs = set()
+        for command in (["verify"], ["verify", "--json"], ["metrics"], ["metrics", "--json"],
+                        ["construct"], ["construct", "--json", "--phi", phi]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            assert main([*command, "-"]) == 2, (command, doc)
+            out, err = capsys.readouterr()
+            assert out == "", (command, doc)
+            assert err == COLLINEAR_LINE or THIN_LINE.fullmatch(err), (command, doc)
+            errs.add(err)
+        assert len(errs) == 1, doc
+        refusals[errs.pop() == COLLINEAR_LINE] += 1
+    assert refusals[True] > 0 and refusals[False] > 100
 
 
 def test_each_command_measures_the_source_triangle_once(tmp_path, capsys, monkeypatch):
@@ -416,6 +462,37 @@ def test_sweep_negative_n_exits_two(capsys, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: argument {option}: must be non-negative, got {value}\n"
+
+
+@pytest.mark.parametrize("n", [10**20, 10**15], ids=["1e20", "1e15"])
+def test_sweep_beyond_physical_memory_exits_two(capsys, monkeypatch, n):
+    # --n is judged against physical memory before anything is allocated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("perptri.sweep.run_sweep", unreachable)
+    assert main(["sweep", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: argument --n: a sweep of {n} triangles needs {46 * n} bytes "
+        f"(46 per triangle), more than the {memory} bytes of physical memory\n")
+
+
+def test_sweep_count_is_judged_against_physical_memory(monkeypatch):
+    # 46 bytes a triangle against page size times pages, or sys.maxsize
+    # where os.sysconf is missing.
+    pages = {"SC_PAGE_SIZE": 46, "SC_PHYS_PAGES": 1000}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert cli_mod.sweep_count("1000") == 1000
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^a sweep of 1001 triangles needs "
+                       r"46046 bytes \(46 per triangle\), more than the 46000 bytes"):
+        cli_mod.sweep_count("1001")
+    monkeypatch.delattr(os, "sysconf")
+    assert cli_mod.sweep_count(str(sys.maxsize // 46)) == sys.maxsize // 46
+    with pytest.raises(argparse.ArgumentTypeError, match=f" more than the {sys.maxsize} bytes"):
+        cli_mod.sweep_count(str(sys.maxsize // 46 + 1))
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perptri.construction import construct, similarity_check
-from perptri.errors import AngleSumError, PhiRangeError
+from perptri.errors import AngleSumError, DegenerateTriangleError, PhiRangeError
 from perptri.geom import AngleCase, Point2, Triangle, angle_cases, classify_angle, metrics
+from perptri.ratio import identity_report
 from perptri.sampling import triangle_from_angles
 
 SQRT3 = math.sqrt(3.0)
@@ -177,15 +178,19 @@ def test_similarity_all_cases(t345, equilateral, obtuse_iso, phi):
         assert max(disc) < 1e-9
 
 
-def test_similarity_check_accepts_a_derived_angle_of_zero():
-    # A sliver construct accepts, whose derived angle at Gamma' rounds to 0
-    # (its cosine to 1): a discrepancy of the size of angle A, not an error.
+def test_construct_refuses_a_sliver_too_thin_to_judge():
+    # A sliver whose derived angle at Gamma' rounds to 0 (angle A is 1.4e-8
+    # rad): its bound reaches 1, so construct refuses it with the line
+    # identity_report gives, before any derived vertex is made.
     t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
                  Point2(0.5992623340540111, 8.311044459826255e-09))
-    d = construct(t)
-    disc = similarity_check(t, d)
-    assert disc[2] == t.frame_metrics.ang_a > 0.0
-    assert max(disc) < 1e-7
+    with pytest.raises(DegenerateTriangleError) as report_info:
+        identity_report(t)
+    assert str(report_info.value).endswith("= 32 reaches 1")
+    for phi in (HALF_PI, 0.3):
+        with pytest.raises(DegenerateTriangleError) as info:
+            construct(t, phi)
+        assert str(info.value) == str(report_info.value)
 
 
 # ---------------------------------------------------------------------------

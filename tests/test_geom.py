@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perptri.errors import AngleSumError, DegenerateTriangleError, GeometryError
+from perptri.construction import construct
+from perptri.errors import DegenerateTriangleError, GeometryError
 from perptri.geom import (
-    DEGENERACY_FACTOR,
     MATH,
     NUMPY,
     Point2,
@@ -23,7 +23,7 @@ from perptri.geom import (
     frame,
     metrics,
 )
-from perptri.ratio import identity_chain
+from perptri.ratio import identity_chain, identity_report, judged_bound
 
 SQRT3 = math.sqrt(3.0)
 EPS = sys.float_info.epsilon
@@ -100,21 +100,28 @@ def test_collinear_vertices_rejected():
         Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0))
 
 
+THIN = r"^smallest angle \S+ rad is too thin to verify in binary64: .* reaches 1$"
+
+
 def test_sliver_below_floor_rejected():
-    # Height 1e-10 over a unit base sits below the degeneracy floor.
-    with pytest.raises(DegenerateTriangleError):
-        Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-10))
+    # Height 1e-10 over a unit base: a valid triangle, which Triangle keeps,
+    # but theta = 4e-10 is too thin for binary64 to judge, so the bound
+    # refuses it wherever an angle would be read.
+    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-10))
+    assert t.frame_metrics.area > 0.0
+    for refuse in (lambda: judged_bound(t.frame_metrics), lambda: identity_report(t),
+                   lambda: construct(t), lambda: construct(t, 0.25 * math.pi)):
+        with pytest.raises(DegenerateTriangleError, match=THIN):
+            refuse()
 
 
-def test_floor_on_the_kept_metrics_decides_as_the_squared_coordinates_do():
-    # The floor is judged on the metrics the Triangle keeps: shoelace area
-    # against the squared longest hypot side.  On slivers around it (height
-    # near 2e-9 longest**2 over the base, a third of them within 64 ulps of
-    # that, turned and moved up to 1e6 sizes or neither) every decision is
-    # the one of |doubled| < 2 DEGENERACY_FACTOR times the largest sum of
-    # squared frame coordinates.
+def test_slivers_around_the_old_floor_are_kept_and_refused_on_the_bound():
+    # Slivers around the retired floor of area 1e-9 longest**2 (height near
+    # 2e-9 longest**2 over the base, a third of them within 64 ulps of that,
+    # turned and moved up to 1e6 sizes or neither): none has a doubled area
+    # of 0 in its frame, so Triangle keeps every one, and the bound refuses
+    # every one as too thin.
     rng = random.Random(14)
-    rejected = 0
     for _ in range(20000):
         size, x = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-0.5, 1.5)
         h = 2e-9 * max(1.0, x * x, (1.0 - x) ** 2)
@@ -130,18 +137,9 @@ def test_floor_on_the_kept_metrics_decides_as_the_squared_coordinates_do():
         ox, oy = offset * math.cos(direction), offset * math.sin(direction)
         coords = [(ox + size * (c * px - s * py), oy + size * (s * px + c * py))
                   for px, py in ((0.0, 0.0), (1.0, 0.0), (x, h))]
-        _, bx, by, gx, gy = frame(MATH, *coords[0], *coords[1], *coords[2])
-        doubled = bx * gy - by * gx
-        largest = max(bx * bx + by * by, (gx - bx) ** 2 + (gy - by) ** 2, gx * gx + gy * gy)
-        expected = doubled == 0.0 or abs(doubled) < 2.0 * DEGENERACY_FACTOR * largest
-        try:
-            Triangle(*(Point2(*p) for p in coords))
-        except DegenerateTriangleError:
-            rejected += 1
-            assert expected, coords
-        else:
-            assert not expected, coords
-    assert 5000 < rejected < 15000
+        t = Triangle(*(Point2(*p) for p in coords))
+        with pytest.raises(DegenerateTriangleError, match=THIN):
+            judged_bound(t.frame_metrics)
 
 
 def test_acceptance_and_relabeling_do_not_depend_on_scale():
@@ -149,7 +147,7 @@ def test_acceptance_and_relabeling_do_not_depend_on_scale():
         ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)),  # 3-4-5, counterclockwise
         ((0.0, 0.0), (0.0, 3.0), (4.0, 0.0)),  # its clockwise twin
         ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),  # collinear
-        ((0.0, 0.0), (1.0, 0.0), (0.5, 1e-10)),  # below the degeneracy floor
+        ((0.0, 0.0), (1.0, 0.0), (0.5, 1e-10)),  # a sliver too thin to judge
     ]
 
     def outcome(shape, k):
@@ -160,9 +158,16 @@ def test_acceptance_and_relabeling_do_not_depend_on_scale():
             return "rejected"
         return "kept" if t.b == b else "swapped"
 
-    expected = ["kept", "swapped", "rejected", "rejected"]
+    expected = ["kept", "swapped", "rejected", "kept"]
+    sliver = Triangle(*(Point2(*p) for p in shapes[3]))
+    with pytest.raises(DegenerateTriangleError) as info:
+        identity_report(sliver)
     for k in range(-1000, 1001):
         assert [outcome(shape, k) for shape in shapes] == expected, k
+        scaled = Triangle(*(Point2(math.ldexp(x, k), math.ldexp(y, k)) for x, y in shapes[3]))
+        with pytest.raises(DegenerateTriangleError) as scaled_info:
+            identity_report(scaled)
+        assert str(scaled_info.value) == str(info.value), k
 
 
 def test_clockwise_input_is_relabeled():
@@ -211,7 +216,7 @@ def test_angle_at_matches_metrics(obtuse_iso):
 
 def test_metrics_measure_an_angle_of_zero_without_raising():
     # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives 0.0.
-    # The metrics report it; only the cotangent refuses it.
+    # The metrics report it; the bound, inf at theta = 0, refuses it.
     b = math.radians(89.9999999)
     t = _triangle(b, b, 1.0)
     m = anchored_metrics(MATH, *t.frame[1:])
@@ -219,11 +224,10 @@ def test_metrics_measure_an_angle_of_zero_without_raising():
     assert m.ang_b > 0.0 and m.ang_g > 0.0
 
 
-def test_cot_refuses_an_angle_of_zero():
-    with pytest.raises(AngleSumError, match=r"^angle 0\.0 outside \(0, pi\)$"):
-        cot(MATH, 0.0)
+def test_cot_of_an_angle_of_zero_is_inf_on_arrays():
     assert cot(MATH, 0.25 * math.pi) == pytest.approx(1.0, abs=1e-15)
-    # Arrays carry inf where one angle would raise.
+    # No scalar command takes the cotangent of 0: the bound refuses theta = 0
+    # first.  Arrays carry inf there.
     with np.errstate(divide="ignore"):
         assert cot(NUMPY, np.array([0.0]))[0] == math.inf
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from perptri.cli import triangle_from_spec
-from perptri.errors import AngleSumError, NotATriangleError
-from perptri.errors import DegenerateTriangleError
+from perptri.construction import construct
+from perptri.errors import DegenerateTriangleError, NotATriangleError
 from perptri.geom import (
     MATH,
     NUMPY,
@@ -23,7 +23,7 @@ from perptri.geom import (
     in_units,
     metrics,
 )
-from perptri.ratio import identity_chain, identity_report
+from perptri.ratio import identity_chain, identity_report, judged_bound
 from perptri.sampling import sample_corpus
 
 SQRT3 = math.sqrt(3.0)
@@ -132,15 +132,27 @@ def test_cot_half_angles_345(t345):
     assert identity_report(t345).residuals["half_angle_cots"] <= 5e-16
 
 
+def refusals(t: Triangle) -> set:
+    """The messages with which judged_bound (which `perptri metrics` runs
+    first), identity_report and construct refuse t."""
+    messages = set()
+    for refuse in (lambda t: judged_bound(t.frame_metrics), identity_report, construct):
+        with pytest.raises(DegenerateTriangleError, match="^smallest angle .* reaches 1$") as info:
+            refuse(t)
+        messages.add(str(info.value))
+    return messages
+
+
 def test_needle_is_refused_by_the_bound_before_the_radicands():
     # A valid needle whose s - gamma rounds to 0: the chain has no radical to
-    # take, but the report judges theta first and refuses it on the bound.
+    # take, but judged_bound refuses it first, with one message for the
+    # report, the construction and the metrics alike.
     t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
                  Point2(0.40084707137978337, 1.2010387776921146e-08))
-    with pytest.raises(NotATriangleError, match="half-angle radicands"):
-        chain(t)
-    with pytest.raises(DegenerateTriangleError, match="^smallest angle .* reaches 1$"):
-        identity_report(t)
+    m = t.frame_metrics
+    assert m.s - m.gamma == 0.0
+    assert refusals(t) == {"smallest angle 2.1073424255447017e-08 rad is too thin to verify "
+                           "in binary64: the bound 64 eps/theta^2 = 32 reaches 1"}
 
 
 class TestCotSum:
@@ -154,12 +166,13 @@ class TestCotSum:
         assert chain(obtuse_iso).cot_sum == pytest.approx(5.0 / SQRT3, abs=1e-14)
 
     def test_out_of_range_angle_raises(self):
-        # A = 2e-7 deg: the law of cosines rounds cos A to 1, so A = 0.0.
+        # A = 2e-7 deg: the law of cosines rounds cos A to 1, so A = 0.0.  Its
+        # bound is inf, so judged_bound refuses it before any cotangent.
         t = triangle_from_spec(
             {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
         )
-        with pytest.raises(AngleSumError):
-            chain(t)
+        assert refusals(t) == {"smallest angle 0.0 rad is too thin to verify in binary64: "
+                               "the bound 64 eps/theta^2 = inf reaches 1"}
 
 
 def test_area_sine_345(t345):

@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 import perptri.ratio as ratio_mod
 import perptri.geom as geom_mod
+from perptri.construction import construct, similarity_check
 from perptri.errors import DegenerateTriangleError
 from perptri.geom import MATH, AngleCase, metrics
 from perptri.geom import Point2, Triangle
 from perptri.ratio import (
     BOUND_CONSTANT,
     CHECK_ORDER,
+    identity_chain,
     identity_report,
+    judged_bound,
     residual_bound,
     smallest_angle,
     within_bound,
@@ -255,8 +258,8 @@ def test_too_thin_triangle_raises_naming_theta_and_bound():
 def test_accepted_needles_are_judged_or_refused_on_the_bound_alone():
     # Needles (0, 0), (1, 0), (x, h) with h = 10^U(-9, -6.5): the report judges
     # theta before the chain runs, so every needle a Triangle accepts gets a
-    # verdict or the bound's refusal, never the chain's half-angle radicand
-    # guard (NotATriangleError) or a zero angle's cotangent (AngleSumError).
+    # verdict or the bound's refusal, never a division by a half-angle
+    # radicand or by the sine of an angle of 0.
     rng = random.Random(2008)
     judged = refused = 0
     for _ in range(4000):
@@ -273,6 +276,57 @@ def test_accepted_needles_are_judged_or_refused_on_the_bound_alone():
         else:
             judged += 1
     assert judged > 100 and refused > 1000
+
+
+#: theta*, the smallest angle whose bound C eps / theta**2 is below 1.
+THETA_STAR = math.sqrt(BOUND_CONSTANT * EPS)
+
+
+def test_every_triangle_the_bound_accepts_runs_without_a_guard():
+    # Triangles just past the bound, theta in [theta*, 2.5 theta*]: needles
+    # (one small angle), flat ones (two) and mixed ones, at sizes 10**U(-3, 3),
+    # most turned and half of those moved up to 1e8 sizes.  Where the bound
+    # is below 1, (s - x) / s = tan(Y/2) tan(Z/2) >= theta**2 / 4 = 16 eps
+    # and no angle is 0, so every command's arithmetic has no zero to divide
+    # by: each triangle judged_bound accepts runs the report, construct at
+    # 90 deg and at a random phi, the similarity check and the chain without
+    # raising, and passes with every residual within C/8 eps / theta**2.
+    rng = random.Random(15)
+    judged = 0
+    for _ in range(4000):
+        theta = THETA_STAR * rng.uniform(1.0, 2.5)
+        shape = rng.randrange(3)
+        if shape == 0:  # needle
+            other = rng.uniform(0.5 * math.pi - 0.1, 0.5 * math.pi)
+        elif shape == 1:  # flat
+            other = theta * 10.0 ** rng.uniform(0.0, 3.0)
+        else:
+            other = rng.uniform(theta, math.pi - 2.0 * theta)
+        angles = [theta, other, math.pi - theta - other]
+        rng.shuffle(angles)
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        t = triangle_from_angles(angles[1], angles[2], size)
+        if rng.random() < 0.7:
+            turn, direction = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            offset = size * 10.0 ** rng.uniform(0.0, 8.0) if rng.random() < 0.5 else 0.0
+            c, s = math.cos(turn), math.sin(turn)
+            t = Triangle(*(Point2(offset * math.cos(direction) + c * p.x - s * p.y,
+                                  offset * math.sin(direction) + s * p.x + c * p.y)
+                           for p in t.vertices()))
+        m = t.frame_metrics
+        try:
+            smallest, bound = judged_bound(m)
+        except DegenerateTriangleError:
+            continue
+        judged += 1
+        assert min(m.s - m.alpha, m.s - m.beta, m.s - m.gamma) >= 8.0 * EPS * m.s
+        report = identity_report(t)
+        assert report.passed, t
+        assert max(report.residuals.values()) <= BOUND_CONSTANT / 8.0 * EPS / smallest**2, t
+        for phi in (0.5 * math.pi, rng.uniform(1e-3, 0.5 * math.pi)):
+            similarity_check(t, construct(t, phi))
+        identity_chain(*t.frame[1:], m)
+    assert judged > 3900
 
 
 def _with_residuals(monkeypatch, **values):
