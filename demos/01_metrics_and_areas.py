@@ -3,16 +3,16 @@
 The package never trusts a single formula: the shoelace value (pure
 coordinate geometry) is cross-checked against Heron's radical, the
 polynomial form of 16 E^2, the cotangent-sum formula, and the two-sides-
-and-included-angle sine formula.  The identity chain computes all five from
-the metrics the triangle keeps and returns them by name, in the triangle's
-frame; `in_units` converts each back to the input's units.
+and-included-angle sine formula.  `area_routes` computes all five from the
+metrics the triangle keeps and its cotangent sum and returns them by name,
+in the triangle's frame; `in_units` converts each back to the input's units.
 """
 
 import math
 
 from perptri import Point2, Triangle, metrics
-from perptri.geom import in_units
-from perptri.ratio import identity_chain
+from perptri.geom import MATH, in_units
+from perptri.ratio import area_routes, cot_sum
 
 TRIANGLES = {
     "right 3-4-5": Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3)),
@@ -24,10 +24,10 @@ TRIANGLES = {
 
 def main() -> None:
     for name, t in TRIANGLES.items():
-        exp, bx, by, gx, gy = t.frame
-        chain = identity_chain(bx, by, gx, gy, t.frame_metrics)
+        fm = t.frame_metrics
         m = metrics(t)
-        areas = {label: in_units(value, 2 * exp, label) for label, value in chain.areas.items()}
+        areas = {label: in_units(value, 2 * t.frame.exp, label)
+                 for label, value in area_routes(MATH, fm, cot_sum(MATH, fm)).items()}
         print(f"{name}  (alpha={m.alpha:.6g}, beta={m.beta:.6g}, gamma={m.gamma:.6g})")
         for label, value in areas.items():
             print(f"    {label:<18} {value:.15g}")

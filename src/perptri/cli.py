@@ -10,12 +10,18 @@ argument is "-" or omitted) in exactly one of three forms:
 
 Sides are laid out with A at the origin and B at (gamma, 0); the angle form
 places A at the origin and B at (scale, 0).  Angles are degrees at this
-boundary only.  `render` is the one command that writes a figure.  Exit
-codes: 0 success, 1 verification failure, 2 bad input (a bad specification
-or any command-line mistake, reported as one `error:` line), 3 internal
-error (any other exception, reported on one line).
-All floating-point text output uses fixed 12-significant-digit formatting so
-identical invocations are byte-identical; --json prints NaN and inf as null.
+boundary only.  `render` is the one command that writes a figure.
+
+Each command builds one payload, a dict, and one exit code, and prints
+nothing itself.  `main` prints the payload: as strict JSON under --json
+(NaN and inf as null; every command but `render` takes it), or otherwise
+through the command's text renderer, which reads only the payload.  So the
+text and the JSON report the same values, and a command that exits 2 or 3
+prints nothing on stdout.  Exit codes: 0 success, 1 verification failure,
+2 bad input (a bad specification or any command-line mistake, reported as
+one `error:` line), 3 internal error (any other exception, reported on one
+line).  The text formats every float to 12 significant digits (`fmt`), so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .extremal import (
     right_triangle_min,
 )
 from .geom import MATH, Point2, Triangle, frame_exponent, in_units, metrics
-from .ratio import BOUND_CONSTANT, CHECK_ORDER, identity_chain, identity_report, judged_bound
+from .ratio import BOUND_CONSTANT, area_routes, cot_sum, identity_report, judged_bound
 from .sampling import STRATA, triangle_from_angles
 from .svg import render_svg
 
@@ -171,251 +177,202 @@ def _emit_json(payload) -> None:
     print(json.dumps(strict, indent=2, allow_nan=False))
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args):
     t = load_triangle(args.spec)
-    judged_bound(t.frame_metrics)
-    chain = identity_chain(*t.frame[1:], t.frame_metrics)
+    fm = t.frame_metrics
+    judged_bound(fm)
     m = metrics(t)
     areas = {name: in_units(value, 2 * t.frame.exp, f"area ({name})")
-             for name, value in chain.areas.items()}
-    if args.json:
-        _emit_json(
-            {
-                "alpha": m.alpha,
-                "beta": m.beta,
-                "gamma": m.gamma,
-                "angles_deg": {
-                    "A": math.degrees(m.ang_a),
-                    "B": math.degrees(m.ang_b),
-                    "Gamma": math.degrees(m.ang_g),
-                },
-                "semi_perimeter": m.s,
-                "areas": areas,
-            }
-        )
-        return 0
-    print("sides")
-    print(f"  alpha (|B Gamma|): {fmt(m.alpha)}")
-    print(f"  beta  (|Gamma A|): {fmt(m.beta)}")
-    print(f"  gamma (|A B|):     {fmt(m.gamma)}")
-    print("angles (degrees)")
-    print(f"  A:     {fmt(math.degrees(m.ang_a))}")
-    print(f"  B:     {fmt(math.degrees(m.ang_b))}")
-    print(f"  Gamma: {fmt(math.degrees(m.ang_g))}")
-    print(f"semi-perimeter: {fmt(m.s)}")
-    print("area by five routes")
-    for name, value in areas.items():
-        print(f"  {name}: {fmt(value)}")
-    return 0
+             for name, value in area_routes(MATH, fm, cot_sum(MATH, fm)).items()}
+    return {
+        "alpha": m.alpha,
+        "beta": m.beta,
+        "gamma": m.gamma,
+        "angles_deg": {
+            "A": math.degrees(m.ang_a),
+            "B": math.degrees(m.ang_b),
+            "Gamma": math.degrees(m.ang_g),
+        },
+        "semi_perimeter": m.s,
+        "areas": areas,
+    }, 0
 
 
-def cmd_verify(args) -> int:
+def _metrics_text(p):
+    yield "sides"
+    yield f"  alpha (|B Gamma|): {fmt(p['alpha'])}"
+    yield f"  beta  (|Gamma A|): {fmt(p['beta'])}"
+    yield f"  gamma (|A B|):     {fmt(p['gamma'])}"
+    yield "angles (degrees)"
+    for name, value in p["angles_deg"].items():
+        yield f"  {name + ':':<6} {fmt(value)}"
+    yield f"semi-perimeter: {fmt(p['semi_perimeter'])}"
+    yield "area by five routes"
+    for name, value in p["areas"].items():
+        yield f"  {name}: {fmt(value)}"
+
+
+def cmd_verify(args):
     t = load_triangle(args.spec)
     report = identity_report(t)
-    if args.json:
-        _emit_json(
-            {
-                "case": report.case.value,
-                "smallest_angle_rad": report.smallest_angle,
-                "residuals": report.residuals,
-                "bound": report.bound,
-                "passed": report.passed,
-                "first_failing": report.first_failing,
-            }
-        )
-        return 0 if report.passed else 1
-    ang_a = t.frame_metrics.ang_a
-    print(f"case: {report.case.value} (angle A = {fmt(math.degrees(ang_a))} deg)")
-    print(f"smallest angle theta: {fmt(report.smallest_angle)} rad")
-    print(f"bound: {fmt(BOUND_CONSTANT)} eps/theta^2 = {fmt(report.bound)}")
-    print("identity residuals")
-    for name, value in report.residuals.items():
-        verdict = "PASS" if report.within[name] else "FAIL"
-        print(f"  {name:<22} {fmt(value):>18}  {verdict}")
-    if report.passed:
-        print("verdict: PASS")
-        return 0
-    print(f"verdict: FAIL (first failing identity: {report.first_failing})")
-    return 1
-
-
-def cmd_construct(args) -> int:
-    t = load_triangle(args.spec)
-    phi = math.radians(args.phi)
-    d = construct(t, phi)
-    disc = similarity_check(t, d)
-    # Every value in the input's units first: one that does not fit binary64
-    # stops the command before anything is printed.
-    ap, bp, gp = d.ap, d.bp, d.gp
-    area_source, area_derived = metrics(t).area, d.area_derived
-    if args.json:
-        payload = {
-            "phi_deg": args.phi,
-            "case": d.case.value,
-            "vertices": {
-                "A_prime": [ap.x, ap.y],
-                "B_prime": [bp.x, bp.y],
-                "Gamma_prime": [gp.x, gp.y],
-            },
-            "area_source": area_source,
-            "area_derived": area_derived,
-            "ratio_geometric": d.ratio_geometric,
-            "ratio_formula_sq_cot_sum": d.ratio_formula,
-            "ratio_formula_applies": d.phi == 0.5 * math.pi,
-            "similarity_discrepancies_rad": list(disc),
-            "gamma_prime_coincides_with_b": d.gamma_prime_on_b,
-        }
-        _emit_json(payload)
-        return 0
-    print(f"phi: {fmt(args.phi)} deg   case: {d.case.value}")
-    print("derived vertices")
-    print(f"  A':     ({fmt(ap.x)}, {fmt(ap.y)})")
-    print(f"  B':     ({fmt(bp.x)}, {fmt(bp.y)})")
-    print(f"  Gamma': ({fmt(gp.x)}, {fmt(gp.y)})")
-    if d.gamma_prime_on_b:
-        print("  note: Gamma' coincides with B")
-    print(f"area source:  {fmt(area_source)}")
-    print(f"area derived: {fmt(area_derived)}")
-    print(f"ratio (geometric): {fmt(d.ratio_geometric)}")
-    if d.phi == 0.5 * math.pi:
-        print(f"ratio (squared cot sum): {fmt(d.ratio_formula)}")
-    else:
-        print(
-            f"ratio (squared cot sum): {fmt(d.ratio_formula)} "
-            "[applies at phi = 90 deg only; not asserted here]"
-        )
-    print(
-        "similarity discrepancies (rad): "
-        f"{fmt(disc[0])} {fmt(disc[1])} {fmt(disc[2])}"
-    )
-    return 0
-
-
-def _argmin_payload(result):
-    idx = result.argmin_index
-    if idx is None:
-        return None
-    corpus = result.corpus
-    t = corpus.triangle(idx)
     return {
-        "ang_b_deg": math.degrees(float(corpus.ang_b[idx])),
-        "ang_gamma_deg": math.degrees(float(corpus.ang_g[idx])),
-        "scale": float(corpus.scale[idx]),
-        "vertices": {
-            "A": [t.a.x, t.a.y],
-            "B": [t.b.x, t.b.y],
-            "Gamma": [t.g.x, t.g.y],
-        },
-        "cot_sum": result.min_cot_sum,
-    }
+        "case": report.case.value,
+        "smallest_angle_rad": report.smallest_angle,
+        "residuals": report.residuals,
+        "bound": report.bound,
+        "passed": report.passed,
+        "first_failing": report.first_failing,
+        "angle_a_deg": math.degrees(t.frame_metrics.ang_a),
+        "within": report.within,
+        "bound_constant": BOUND_CONSTANT,
+    }, 0 if report.passed else 1
 
 
-def cmd_sweep(args) -> int:
+def _verify_text(p):
+    yield f"case: {p['case']} (angle A = {fmt(p['angle_a_deg'])} deg)"
+    yield f"smallest angle theta: {fmt(p['smallest_angle_rad'])} rad"
+    yield f"bound: {fmt(p['bound_constant'])} eps/theta^2 = {fmt(p['bound'])}"
+    yield "identity residuals"
+    for name, value in p["residuals"].items():
+        yield f"  {name:<22} {fmt(value):>18}  {'PASS' if p['within'][name] else 'FAIL'}"
+    if p["passed"]:
+        yield "verdict: PASS"
+    else:
+        yield f"verdict: FAIL (first failing identity: {p['first_failing']})"
+
+
+def cmd_construct(args):
+    t = load_triangle(args.spec)
+    d = construct(t, math.radians(args.phi))
+    disc = similarity_check(t, d)
+    ap, bp, gp = d.ap, d.bp, d.gp
+    return {
+        "phi_deg": args.phi,
+        "case": d.case.value,
+        "vertices": {"A_prime": [ap.x, ap.y], "B_prime": [bp.x, bp.y], "Gamma_prime": [gp.x, gp.y]},
+        "area_source": metrics(t).area,
+        "area_derived": d.area_derived,
+        "ratio_geometric": d.ratio_geometric,
+        "ratio_formula_sq_cot_sum": d.ratio_formula,
+        "ratio_formula_applies": d.phi == 0.5 * math.pi,
+        "similarity_discrepancies_rad": list(disc),
+        "gamma_prime_coincides_with_b": d.gamma_prime_on_b,
+    }, 0
+
+
+def _construct_text(p):
+    yield f"phi: {fmt(p['phi_deg'])} deg   case: {p['case']}"
+    yield "derived vertices"
+    for name, (x, y) in zip(("A'", "B'", "Gamma'"), p["vertices"].values()):
+        yield f"  {name + ':':<7} ({fmt(x)}, {fmt(y)})"
+    if p["gamma_prime_coincides_with_b"]:
+        yield "  note: Gamma' coincides with B"
+    yield f"area source:  {fmt(p['area_source'])}"
+    yield f"area derived: {fmt(p['area_derived'])}"
+    yield f"ratio (geometric): {fmt(p['ratio_geometric'])}"
+    yield f"ratio (squared cot sum): {fmt(p['ratio_formula_sq_cot_sum'])}" + (
+        "" if p["ratio_formula_applies"] else " [applies at phi = 90 deg only; not asserted here]")
+    yield f"similarity discrepancies (rad): {' '.join(map(fmt, p['similarity_discrepancies_rad']))}"
+
+
+def cmd_sweep(args):
     # Imported here: the sweep is the one command on arrays, and only it
     # should pay for numpy.
     from .sweep import run_sweep
 
     result = run_sweep(args.n, args.seed, stratum=args.stratum)
-    if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "seed": args.seed,
-                "stratum": args.stratum,
-                "case_counts": result.case_counts,
-                "max_residuals": result.max_residuals,
-                "min_cot_sum_triangle": _argmin_payload(result),
-                "over_bound": result.over_bound,
-            }
-        )
-        return 1 if result.over_bound else 0
-    print(f"sweep: n={args.n} seed={args.seed} stratum={args.stratum}")
-    counts = result.case_counts
-    print(
-        f"cases: acute={counts['acute']} right={counts['right']} "
-        f"obtuse={counts['obtuse']}"
-    )
-    if len(result) == 0:
-        print("no samples")
-        return 0
-    print("max residuals")
-    for key in CHECK_ORDER:
-        print(f"  {key:<22} {fmt(result.max_residuals[key])}")
-    print(f"over the bound {fmt(BOUND_CONSTANT)} eps/theta^2: {result.over_bound}")
-    argmin = _argmin_payload(result)
-    print(f"min cot sum: {fmt(argmin['cot_sum'])}")
-    print(
-        "  at triangle: "
-        f"B={fmt(argmin['ang_b_deg'])} deg "
-        f"Gamma={fmt(argmin['ang_gamma_deg'])} deg "
-        f"scale={fmt(argmin['scale'])}"
-    )
-    return 1 if result.over_bound else 0
+    idx, argmin = result.argmin_index, None
+    if idx is not None:
+        corpus = result.corpus
+        t = corpus.triangle(idx)
+        argmin = {
+            "ang_b_deg": math.degrees(float(corpus.ang_b[idx])),
+            "ang_gamma_deg": math.degrees(float(corpus.ang_g[idx])),
+            "scale": float(corpus.scale[idx]),
+            "vertices": {"A": [t.a.x, t.a.y], "B": [t.b.x, t.b.y], "Gamma": [t.g.x, t.g.y]},
+            "cot_sum": result.min_cot_sum,
+        }
+    return {
+        "n": args.n,
+        "seed": args.seed,
+        "stratum": args.stratum,
+        "case_counts": result.case_counts,
+        "max_residuals": result.max_residuals,
+        "min_cot_sum_triangle": argmin,
+        "over_bound": result.over_bound,
+        "bound_constant": BOUND_CONSTANT,
+    }, 1 if result.over_bound else 0
 
 
-def cmd_minimize(args) -> int:
+def _sweep_text(p):
+    yield f"sweep: n={p['n']} seed={p['seed']} stratum={p['stratum']}"
+    yield "cases: " + " ".join(f"{case}={count}" for case, count in p["case_counts"].items())
+    argmin = p["min_cot_sum_triangle"]
+    if argmin is None:
+        yield "no samples"
+        return
+    yield "max residuals"
+    for name, value in p["max_residuals"].items():
+        yield f"  {name:<22} {fmt(value)}"
+    yield f"over the bound {fmt(p['bound_constant'])} eps/theta^2: {p['over_bound']}"
+    yield f"min cot sum: {fmt(argmin['cot_sum'])}"
+    yield (f"  at triangle: B={fmt(argmin['ang_b_deg'])} deg "
+           f"Gamma={fmt(argmin['ang_gamma_deg'])} deg scale={fmt(argmin['scale'])}")
+
+
+def cmd_minimize(args):
     if args.right:
         min_sq, ang = right_triangle_min()
-        if args.json:
-            _emit_json(
-                {
-                    "family": "right",
-                    "min_ratio": min_sq,
-                    "min_cot_sum": math.sqrt(min_sq),
-                    "argmin_angles_deg": {
-                        "A": 90.0,
-                        "B": math.degrees(ang),
-                        "Gamma": 90.0 - math.degrees(ang),
-                    },
-                }
-            )
-            return 0
-        print("family: right triangles (angle A = 90 deg)")
-        print(f"min derived-area ratio: {fmt(min_sq)}")
-        print(f"min cot sum: {fmt(math.sqrt(min_sq))}")
-        print(f"at B = Gamma = {fmt(math.degrees(ang))} deg")
-        return 0
-
+        return {
+            "family": "right",
+            "min_ratio": min_sq,
+            "min_cot_sum": math.sqrt(min_sq),
+            "argmin_angles_deg": {"A": 90.0, "B": math.degrees(ang),
+                                  "Gamma": 90.0 - math.degrees(ang)},
+        }, 0
     min_sum, ang_b, ang_g = global_cot_sum_min()
     report = minimize_slice(1.0 / math.sqrt(3.0))
-    if args.json:
-        _emit_json(
-            {
-                "family": "all",
-                "min_ratio": min_sum * min_sum,
-                "min_cot_sum": min_sum,
-                "argmin_angles_deg": {
-                    "A": math.degrees(math.pi - ang_b - ang_g),
-                    "B": math.degrees(ang_b),
-                    "Gamma": math.degrees(ang_g),
-                },
-                "slice_check": {
-                    "k": report.k,
-                    "argmin": report.argmin,
-                    "numeric_argmin": report.numeric_argmin,
-                    "agreement_err": report.agreement_err,
-                },
-            }
-        )
-        return 0
-    print("family: all triangles")
-    print(f"min derived-area ratio: {fmt(min_sum * min_sum)}")
-    print(f"min cot sum: {fmt(min_sum)}")
-    print(f"at A = B = Gamma = {fmt(math.degrees(ang_b))} deg")
-    print(
-        "slice check at k = 1/sqrt(3): "
-        f"argmin closed {fmt(report.argmin)} vs numeric {fmt(report.numeric_argmin)}, "
-        f"value agreement {fmt(report.agreement_err)}"
-    )
-    return 0
+    return {
+        "family": "all",
+        "min_ratio": min_sum * min_sum,
+        "min_cot_sum": min_sum,
+        "argmin_angles_deg": {
+            "A": math.degrees(math.pi - ang_b - ang_g),
+            "B": math.degrees(ang_b),
+            "Gamma": math.degrees(ang_g),
+        },
+        "slice_check": {
+            "k": report.k,
+            "argmin": report.argmin,
+            "numeric_argmin": report.numeric_argmin,
+            "agreement_err": report.agreement_err,
+        },
+    }, 0
 
 
-def cmd_render(args) -> int:
+def _minimize_text(p):
+    right = p["family"] == "right"
+    yield "family: right triangles (angle A = 90 deg)" if right else "family: all triangles"
+    yield f"min derived-area ratio: {fmt(p['min_ratio'])}"
+    yield f"min cot sum: {fmt(p['min_cot_sum'])}"
+    at = fmt(p["argmin_angles_deg"]["B"])
+    if right:
+        yield f"at B = Gamma = {at} deg"
+        return
+    yield f"at A = B = Gamma = {at} deg"
+    check = p["slice_check"]
+    yield (f"slice check at k = 1/sqrt(3): argmin closed {fmt(check['argmin'])} vs numeric "
+           f"{fmt(check['numeric_argmin'])}, value agreement {fmt(check['agreement_err'])}")
+
+
+def cmd_render(args):
     t = load_triangle(args.spec)
-    d = construct(t, math.radians(args.phi))
-    render_svg(d, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    render_svg(construct(t, math.radians(args.phi)), args.out)
+    return {"out": args.out}, 0
+
+
+def _render_text(p):
+    yield f"wrote {p['out']}"
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -453,18 +410,18 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("metrics", help="sides, angles, and area by five routes")
     add_spec(p)
     add_json(p)
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, text=_metrics_text)
 
     p = sub.add_parser("verify", help="check every identity residual for one triangle")
     add_spec(p)
     add_json(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, text=_verify_text)
 
     p = sub.add_parser("construct", help="build the derived triangle")
     add_spec(p)
     add_json(p)
     p.add_argument("--phi", type=float, default=90.0, help="rotation angle in degrees (default 90)")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, text=_construct_text)
 
     p = sub.add_parser("sweep", help="residual sweep over a seeded random corpus")
     add_json(p)
@@ -472,18 +429,18 @@ def build_parser() -> ArgumentParser:
                    help="number of triangles (default 1000)")
     p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     p.add_argument("--stratum", choices=STRATA, default="all", help="angle-A stratum")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, text=_sweep_text)
 
     p = sub.add_parser("minimize", help="extremal values of the ratio")
     add_json(p)
     p.add_argument("--right", action="store_true", help="restrict to right triangles")
-    p.set_defaults(func=cmd_minimize)
+    p.set_defaults(func=cmd_minimize, text=_minimize_text)
 
     p = sub.add_parser("render", help="write an SVG figure of the construction")
     add_spec(p)
     p.add_argument("--phi", type=float, default=90.0, help="rotation angle in degrees (default 90)")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=cmd_render, text=_render_text, json=False)
 
     return parser
 
@@ -491,7 +448,13 @@ def build_parser() -> ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        payload, code = args.func(args)
+        if args.json:
+            _emit_json(payload)
+        else:
+            for line in args.text(payload):
+                print(line)
+        return code
     except (ParseError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

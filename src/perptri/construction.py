@@ -27,11 +27,10 @@ from .geom import (
     Triangle,
     anchored_metrics,
     classify_angle,
-    cot,
     derived_triangle,
     in_units,
 )
-from .ratio import judged_bound
+from .ratio import cot_sum, judged_bound
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
         raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
     _, bx, by, gx, gy = t.frame
     m = t.frame_metrics
-    total = cot(MATH, m.ang_a) + cot(MATH, m.ang_b) + cot(MATH, m.ang_g)
+    total = cot_sum(MATH, m)
     rel, area_derived = derived_triangle(math.hypot, bx, by, gx, gy, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
     return DerivedConstruction(

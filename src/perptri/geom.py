@@ -88,13 +88,14 @@ def in_units(value: float, exp: int, name: str) -> float:
     """value * 2**exp, exactly: a frame length (exp) or area (2 exp) in the input's units.
 
     Raises UnitRangeError naming the quantity when the result overflows
-    binary64 or a non-zero value underflows to 0.
+    binary64 or is not exact: a non-zero value that underflows to 0, or one
+    that loses bits in the subnormal range.
     """
     try:
         result = math.ldexp(value, exp)
     except OverflowError:
         result = math.inf
-    if math.isinf(result) or (result == 0.0 and value != 0.0):
+    if math.isinf(result) or math.ldexp(result, -exp) != value:
         raise UnitRangeError(f"{name} does not fit binary64 in the input's units")
     return result
 

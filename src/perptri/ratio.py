@@ -23,6 +23,13 @@ size and every residual, hence every verdict, is the same for a triangle and
 each of its 2**k-scaled copies, anywhere in binary64 range.  Checking every
 link separately localizes a failure to the first broken one.
 
+Ten residuals are geometric evidence: each compares two routes (through the
+derived triangle, the angles' cotangents, the sides or the five areas) that
+a wrong geometry would set apart.  Two check only the binary64 arithmetic
+of a polynomial identity, kept as steps of the paper's derivation:
+`squared_sum_expansion` holds for any three squared sides, and `chain_sum`
+equals `area_quadratic` up to a polynomial that is identically 0.
+
 Every residual is judged against one bound taken from the triangle's
 conditioning, C * eps / theta**2 (`residual_bound`), with eps = 2**-52,
 theta the smallest angle and C = `BOUND_CONSTANT`, set from measured
@@ -32,20 +39,22 @@ is the one thinness rule of the scalar path: where the bound reaches 1
 (theta below about 1.2e-7 rad) binary64 can confirm nothing, and it raises
 DegenerateTriangleError before any angle is read.
 
-`identity_chain` is the one implementation of the chain.  It takes B and
-Gamma in a frame anchored at vertex A and the metrics measured there, so that
-residuals depend on a triangle's shape, not its position or size.
-`identity_report` runs it on one triangle's stored frame and metrics, and
-`sweep.evaluate_corpus` on each chunk's frame arrays and metrics, keeping only
-reductions of the per-triangle arrays.  The input's type picks the elementary
-functions: a float (a numpy float64 is one) takes `geom.MATH`, anything else,
-in practice an array, takes `geom.NUMPY`.  Neither serves the other's input:
-one triangle costs about 20 us through `math`, 100 us through numpy ufuncs on
-floats and 210 us as a numpy batch of one (2-core Xeon, Python 3.11, numpy
-2.4), where 2**14 triangles as arrays take about 11 ms.  Only `geom.NUMPY`
-imports numpy, on its first access, so the chain of one triangle, as
-`perptri verify` and `metrics` run it, never loads it.  The cotangent and the
-derived triangle come from `geom`, which `construct` shares.
+`identity_chain` is the one implementation of the chain, and `area_routes`
+the one body of the five area routes, which the chain and `perptri metrics`
+call.  The chain takes B and Gamma in a frame anchored at vertex A and the
+metrics measured there, so that residuals depend on a triangle's shape, not
+its position or size.  `identity_report` runs it on one triangle's stored
+frame and metrics, and `sweep.evaluate_corpus` on each chunk's frame arrays
+and metrics, keeping only reductions of the per-triangle arrays.  The
+input's type picks the elementary functions: a float (a numpy float64 is
+one) takes `geom.MATH`, anything else, in practice an array, takes
+`geom.NUMPY`.  Neither serves the other's input: one triangle costs about
+20 us through `math`, 100 us through numpy ufuncs on floats and 210 us as a
+numpy batch of one (2-core Xeon, Python 3.11, numpy 2.4), where 2**14
+triangles as arrays take about 11 ms.  Only `geom.NUMPY` imports numpy, on
+its first access, so `perptri verify` and `metrics`, which work on one
+triangle, never load it.  The cotangent and the derived triangle come from
+`geom`, which `construct` shares.
 """
 
 from __future__ import annotations
@@ -148,15 +157,42 @@ def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
 class IdentityChain:
     """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER.
 
-    areas holds the five area routes by name: the shoelace reference, Heron,
-    the squared-side polynomial, the cotangent formula and half the sine
-    product.
+    areas holds the five area routes by name (`area_routes`): the shoelace
+    reference, Heron, the squared-side polynomial, the cotangent formula and
+    half the sine product.
     """
 
     areas: dict
     residuals: dict
     cot_sum: float | np.ndarray
     ratio_geometric: float | np.ndarray
+
+
+def cot_sum(ops: Ops, m: TriangleMetrics):
+    """cot A + cot B + cot Gamma of metrics m, summed as the chain sums its three cotangents."""
+    return cot(ops, m.ang_a) + cot(ops, m.ang_b) + cot(ops, m.ang_g)
+
+
+def area_routes(ops: Ops, m: TriangleMetrics, csum) -> dict:
+    """The five area routes of frame metrics m by name, for one triangle's floats or arrays.
+
+    The shoelace reference (m.area), Heron's radical, the squared-side
+    polynomial for 16 E**2 (read as 0 where it rounds below 0), the
+    cotangent formula for the cot sum csum (`cot_sum`) and half the sine
+    product.  ops is `geom.MATH` for floats, `geom.NUMPY` for arrays.  The
+    chain passes the cot sum it holds, so a sweep's chunk takes no further
+    cotangent.
+    """
+    alpha, beta, gamma, s = m.alpha, m.beta, m.gamma, m.s
+    a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
+    sixteen = 2.0 * (a2 * b2 + b2 * g2 + g2 * a2) - (a2 * a2 + b2 * b2 + g2 * g2)
+    return {
+        "shoelace": m.area,
+        "heron": ops.sqrt(s * (s - alpha) * (s - beta) * (s - gamma)),
+        "sixteen_sq_poly": ops.sqrt(ops.max(sixteen, 0.0)) / 4.0,
+        "cot_formula": (a2 + b2 + g2) / (4.0 * csum),
+        "sine_formula": 0.5 * beta * gamma * ops.sin(m.ang_a),
+    }
 
 
 def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
@@ -169,7 +205,7 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
     zero, and its arrays carry inf or NaN.
     """
     ops = MATH if isinstance(bx, float) else geom.NUMPY
-    hypot, sin, sqrt, vmax, vmin = ops.hypot, ops.sin, ops.sqrt, ops.max, ops.min
+    hypot, sqrt, vmax, vmin = ops.hypot, ops.sqrt, ops.max, ops.min
 
     alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = (
         m.alpha, m.beta, m.gamma, m.ang_a, m.ang_b, m.ang_g, m.s, m.area)
@@ -177,6 +213,8 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
 
     cot_a, cot_b, cot_g = cot(ops, ang_a), cot(ops, ang_b), cot(ops, ang_g)
     csum = cot_a + cot_b + cot_g
+
+    areas = area_routes(ops, m, csum)
 
     # The geometric route; keeping only the area frees the derived vertices.
     area_derived = derived_triangle(hypot, bx, by, gx, gy, 0.0, 1.0)[1]
@@ -190,13 +228,6 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
 
     fa, fb, fg = s - alpha, s - beta, s - gamma
 
-    areas = {
-        "shoelace": area,
-        "heron": sqrt(s * fa * fb * fg),
-        "sixteen_sq_poly": sqrt(vmax(sixteen, 0.0)) / 4.0,
-        "cot_formula": sum_sq / (4.0 * csum),
-        "sine_formula": 0.5 * beta * gamma * sin(ang_a),
-    }
     largest_area = vmax(*areas.values())
 
     # Residuals in CHECK_ORDER.  Each link's intermediates are deleted once

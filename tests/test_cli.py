@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 import perptri.cli as cli_mod
 import perptri.geom as geom_mod
 import perptri.ratio as ratio_mod
-from perptri.cli import main, triangle_from_spec
+from perptri.cli import fmt, main, triangle_from_spec
 from perptri.construction import construct
 from perptri.errors import ParseError
 from perptri.ratio import CHECK_ORDER, residual_bound
@@ -178,12 +179,38 @@ def test_verify_json_schema(tmp_path, capsys):
     assert main(["verify", "--json", write_spec(tmp_path, SPEC_VERTICES)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["case", "smallest_angle_rad", "residuals", "bound", "passed",
-                             "first_failing"]
+                             "first_failing", "angle_a_deg", "within", "bound_constant"]
     assert payload["case"] == "right"
     assert list(payload["residuals"]) == list(CHECK_ORDER)
     assert all(type(value) is float for value in payload["residuals"].values())
     assert all(type(payload[key]) is float
-               for key in ("smallest_angle_rad", "bound"))
+               for key in ("smallest_angle_rad", "bound", "angle_a_deg", "bound_constant"))
+    assert payload["within"] == dict.fromkeys(CHECK_ORDER, True)
+    assert (payload["angle_a_deg"], payload["bound_constant"]) == (90.0, 64.0)
+
+
+def test_verify_text_of_345(tmp_path, capsys):
+    # The whole text, so that a slip of the renderer shows.
+    assert main(["verify", write_spec(tmp_path, SPEC_VERTICES)]) == 0
+    assert capsys.readouterr() == ("""\
+case: right (angle A = 90 deg)
+smallest angle theta: 0.643501108793 rad
+bound: 64 eps/theta^2 = 3.43179707972e-14
+identity residuals
+  area_increment          3.94563296119e-17  PASS
+  sixteen_area_sq                         0  PASS
+  cot_term_a              9.60507293449e-18  PASS
+  cot_term_g              1.25040516632e-17  PASS
+  cot_term_b               7.9836262445e-17  PASS
+  squared_sum_expansion                   0  PASS
+  chain_sum               1.81898940355e-16  PASS
+  area_quadratic          1.81898940355e-16  PASS
+  half_angle_cots         1.11022302463e-16  PASS
+  area_from_cots                          0  PASS
+  area_ratio              1.66316895236e-16  PASS
+  area_agreement                          0  PASS
+verdict: PASS
+""", "")
 
 
 # B = 60 deg, scale 1.  Down to Gamma = 1e-5 deg (theta = 1.7e-7 rad, bound
@@ -231,11 +258,12 @@ def test_verify_passes_at_extreme_sizes(tmp_path, capsys, form, scale):
     assert captured.out.endswith("verdict: PASS\n")
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
 @pytest.mark.parametrize("command", [["metrics"], ["metrics", "--json"],
                                      ["construct"], ["construct", "--json"]])
 def test_area_out_of_range_exits_two(tmp_path, capsys, command, scale):
-    # The sides fit binary64 but the area, 6e400 or 6e-400, does not.
+    # The sides fit binary64 but the area does not: 6e400 and 6e-400 are out
+    # of range, and 6e-320 is subnormal, where binary64 keeps too few bits.
     code = main([*command, write_spec(tmp_path, scaled_345("vertices", scale))])
     captured = capsys.readouterr()
     assert code == 2
@@ -425,7 +453,8 @@ def test_sweep_json(capsys):
     assert main(["sweep", "--json", "--n", "40", "--seed", "2", "--stratum", "right"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["n", "seed", "stratum", "case_counts", "max_residuals",
-                             "min_cot_sum_triangle", "over_bound"]
+                             "min_cot_sum_triangle", "over_bound", "bound_constant"]
+    assert payload["bound_constant"] == 64.0
     assert payload["case_counts"]["right"] == 40
     assert payload["min_cot_sum_triangle"]["cot_sum"] >= 2.0 - 1e-12
     assert payload["over_bound"] == 0
@@ -521,6 +550,102 @@ def test_minimize_right(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["min_ratio"] == 4.0
     assert payload["argmin_angles_deg"]["B"] == pytest.approx(45.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the text is a rendering of the payload
+# ---------------------------------------------------------------------------
+
+def _leaves(payload):
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [leaf for item in payload for leaf in _leaves(item)]
+    return [payload]
+
+
+#: Label text with digits of its own, not read from the payload.
+LABELS = ("phi = 90 deg only", "k = 1/sqrt(3)", "theta^2")
+
+
+def assert_text_renders_payload(argv):
+    """argv's text holds only fmt() of its payload's numbers and the payload's words."""
+    args = cli_mod.build_parser().parse_args(argv)
+    payload, code = args.func(args)
+    leaves = _leaves(payload)
+    numbers = {fmt(leaf) for leaf in leaves
+               if isinstance(leaf, (int, float)) and not isinstance(leaf, bool)}
+    words = {leaf for leaf in leaves if isinstance(leaf, str)}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == code
+    text = out.getvalue()
+    assert text
+    stripped = text
+    for label in LABELS:
+        stripped = stripped.replace(label, "")
+    for token in re.split(r"[\s=(),:\[\];]+", stripped):
+        try:
+            float(token)
+        except ValueError:
+            continue
+        assert token in numbers, (argv, token)
+    for pattern in (r"case: (\S+)", r"family: (\S+)", r"stratum=(\S+)", r"identity: (\S+)\)",
+                    r"^wrote (.+)$"):
+        for word in re.findall(pattern, text, re.MULTILINE):
+            assert word in words, (argv, word)
+    verdicts = dict(re.findall(r"^  (\w+) +\S+  (PASS|FAIL)$", text, re.MULTILINE))
+    assert verdicts == {name: "PASS" if ok else "FAIL"
+                        for name, ok in payload.get("within", {}).items()}
+    if "passed" in payload:
+        assert f"verdict: {'PASS' if payload['passed'] else 'FAIL'}" in text
+    if "gamma_prime_coincides_with_b" in payload:
+        assert ("Gamma' coincides with B" in text) == payload["gamma_prime_coincides_with_b"]
+    return payload, code
+
+
+RENDER_SPECS = [SPEC_VERTICES, SPEC_SIDES,
+                {"angles": {"B_deg": 84.6, "Gamma_deg": 5.3999994, "scale": 1}},
+                {"vertices": {"A": [-1.3, 0.4], "B": [5.1, -0.2], "Gamma": [1.0, 3.7]}}]
+
+
+@pytest.mark.parametrize("doc", RENDER_SPECS, ids=["345", "sides", "near-right", "scalene"])
+def test_scalar_text_renders_the_payload(tmp_path, monkeypatch, doc):
+    spec = write_spec(tmp_path, doc)
+    for command in (["metrics"], ["verify"], ["construct"], ["construct", "--phi", "60"]):
+        assert_text_renders_payload([*command, spec])
+    out = str(tmp_path / "fig.svg")
+    assert assert_text_renders_payload(["render", "--out", out, spec]) == ({"out": out}, 0)
+    monkeypatch.setattr(ratio_mod, "BOUND_CONSTANT", -1.0)
+    payload, code = assert_text_renders_payload(["verify", spec])
+    assert code == 1 and payload["first_failing"] == CHECK_ORDER[0]
+
+
+def test_sweep_and_minimize_text_renders_the_payload(monkeypatch):
+    assert assert_text_renders_payload(["sweep", "--n", "0"])[0]["min_cot_sum_triangle"] is None
+    assert_text_renders_payload(["minimize"])
+    assert_text_renders_payload(["minimize", "--right"])
+    monkeypatch.setattr(ratio_mod, "BOUND_CONSTANT", -1.0)
+    payload, code = assert_text_renders_payload(["sweep", "--n", "50", "--seed", "3"])
+    assert (code, payload["over_bound"]) == (1, 50)
+
+
+def test_metrics_runs_no_chain(tmp_path, capsys, monkeypatch):
+    # metrics takes its five areas from ratio.area_routes: neither the
+    # identity chain nor the derived triangle runs, and the output is the same.
+    spec = write_spec(tmp_path, SPEC_SIDES)
+    commands = (["metrics", spec], ["metrics", "--json", spec])
+    expected = [(main(argv), capsys.readouterr()) for argv in commands]
+
+    def refuse(*args):
+        raise AssertionError("metrics ran the identity chain")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("identity_chain", "derived_triangle"):
+            if name.startswith("perptri") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert [(main(argv), capsys.readouterr()) for argv in commands] == expected
+    assert expected[0][0] == 0 and expected[0][1].err == ""
 
 
 # ---------------------------------------------------------------------------

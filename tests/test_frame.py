@@ -62,6 +62,8 @@ def test_in_units_is_exact_and_names_what_does_not_fit():
         in_units(0.75, 2000, "area")
     with pytest.raises(UnitRangeError, match="^area does not fit"):
         in_units(0.75, -2000, "area")
+    with pytest.raises(UnitRangeError, match="^area does not fit"):
+        in_units(0.75, -1073, "area")  # 1.5 * 2**-1074: subnormal, but not exact
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from perptri.geom import (
     frame,
     metrics,
 )
-from perptri.ratio import identity_chain, identity_report, judged_bound
+from perptri.ratio import area_routes, cot_sum, identity_report, judged_bound
 
 SQRT3 = math.sqrt(3.0)
 EPS = sys.float_info.epsilon
@@ -307,6 +307,6 @@ def test_angle_sum_is_pi(ang_b, ang_g):
 def test_heron_matches_shoelace(ang_b, ang_g, s):
     if ang_b + ang_g > math.pi - 0.2:
         return
-    t = _triangle(ang_b, ang_g, s)
-    areas = identity_chain(*t.frame[1:], t.frame_metrics).areas
+    m = _triangle(ang_b, ang_g, s).frame_metrics
+    areas = area_routes(MATH, m, cot_sum(MATH, m))
     assert areas["heron"] == pytest.approx(areas["shoelace"], rel=1e-10)

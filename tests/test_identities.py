@@ -1,7 +1,8 @@
 """Area routes, the cotangent, and the angle-form cross-checks.
 
-The routes live in `ratio.identity_chain` (its five named areas and its
-residuals) and the cotangent in `geom.cot`; every other module shares them.
+The routes live in `ratio.area_routes`, which `ratio.identity_chain` and
+`perptri metrics` call, and the cotangent in `geom.cot`; every other module
+shares them.
 """
 
 import math
@@ -23,7 +24,7 @@ from perptri.geom import (
     in_units,
     metrics,
 )
-from perptri.ratio import identity_chain, identity_report, judged_bound
+from perptri.ratio import area_routes, cot_sum, identity_chain, identity_report, judged_bound
 from perptri.sampling import sample_corpus
 
 SQRT3 = math.sqrt(3.0)
@@ -35,7 +36,9 @@ def chain(t: Triangle):
 
 def areas(t: Triangle) -> dict:
     """The five area routes of t, in the input's units."""
-    return {name: in_units(value, 2 * t.frame.exp, name) for name, value in chain(t).areas.items()}
+    m = t.frame_metrics
+    return {name: in_units(value, 2 * t.frame.exp, name)
+            for name, value in area_routes(MATH, m, cot_sum(MATH, m)).items()}
 
 
 class TestCot:

@@ -19,6 +19,7 @@ from perptri.geom import Point2, Triangle
 from perptri.ratio import (
     BOUND_CONSTANT,
     CHECK_ORDER,
+    area_routes,
     identity_chain,
     identity_report,
     judged_bound,
@@ -34,6 +35,22 @@ EPS = sys.float_info.epsilon
 
 def residuals(t):
     return identity_report(t).residuals
+
+
+def test_area_routes_are_the_chains_areas_bit_for_bit(t345, equilateral, obtuse_iso):
+    # One body of the five routes: the chain's areas are area_routes of its
+    # metrics and cot sum, on floats and on a sampled chunk of arrays.
+    for t in (t345, equilateral, obtuse_iso):
+        chain = identity_chain(*t.frame[1:], t.frame_metrics)
+        assert area_routes(MATH, t.frame_metrics, chain.cot_sum) == chain.areas
+    bx, gx, gy = sample_corpus(2**14, 3).vertex_arrays()
+    _, bx, by, gx, gy = geom_mod.frame(geom_mod.NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
+    m = geom_mod.anchored_metrics(geom_mod.NUMPY, bx, by, gx, gy)
+    chain = identity_chain(bx, by, gx, gy, m)
+    routes = area_routes(geom_mod.NUMPY, m, chain.cot_sum)
+    assert list(routes) == list(chain.areas)
+    for name, value in routes.items():
+        assert value.tobytes() == chain.areas[name].tobytes(), name
 
 
 def test_check_order_covers_every_residual(t345):
