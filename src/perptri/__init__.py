@@ -14,14 +14,7 @@ import numpy: the sweep's names below are resolved on first access.
 """
 
 from .construction import DerivedConstruction, construct, similarity_check
-from .errors import (
-    AngleSumError,
-    DegenerateTriangleError,
-    GeometryError,
-    NotATriangleError,
-    ParseError,
-    PhiRangeError,
-)
+from .errors import GeometryError, ParseError
 from .extremal import (
     ExtremalReport,
     cot_sum_lattice_min,
@@ -55,16 +48,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleCase",
-    "AngleSumError",
     "DELTA_MAIN",
     "DELTA_STRESS",
-    "DegenerateTriangleError",
     "DerivedConstruction",
     "ExtremalReport",
     "GeometryError",
-    "NotATriangleError",
     "ParseError",
-    "PhiRangeError",
     "Point2",
     "SweepResult",
     "Triangle",

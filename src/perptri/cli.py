@@ -9,8 +9,9 @@ argument is "-" or omitted) in exactly one of three forms:
     {"angles":   {"B_deg": b, "Gamma_deg": g, "scale": s}}
 
 Sides are laid out with A at the origin and B at (gamma, 0); the angle form
-places A at the origin and B at (scale, 0).  Angles are degrees at this
-boundary only.  `render` is the one command that writes a figure.
+places A at the origin and B at (scale, 0).  Both refuse a layout below
+binary64's normal range (`sampling.canonical_triangle`).  Angles are degrees
+at this boundary only.  `render` is the one command that writes a figure.
 
 Each command builds one payload, a dict, and one exit code, and prints
 nothing itself.  `main` prints the payload: as strict JSON under --json
@@ -18,9 +19,10 @@ nothing itself.  `main` prints the payload: as strict JSON under --json
 through the command's text renderer, which reads only the payload.  So the
 text and the JSON report the same values, and a command that exits 2 or 3
 prints nothing on stdout.  Exit codes: 0 success, 1 verification failure,
-2 bad input (a bad specification or any command-line mistake, reported as
-one `error:` line), 3 internal error (any other exception, reported on one
-line).  The text formats every float to 12 significant digits (`fmt`), so
+2 bad input (a ParseError or a GeometryError: a bad specification, a
+triangle or value binary64 cannot take, or any command-line mistake,
+reported as one `error:` line), 3 internal error (any other exception,
+reported on one line).  The text formats every float to 12 significant digits (`fmt`), so
 identical invocations are byte-identical.
 """
 
@@ -33,7 +35,7 @@ import os
 import sys
 
 from .construction import construct, similarity_check
-from .errors import GeometryError, NotATriangleError, ParseError
+from .errors import GeometryError, ParseError
 from .extremal import (
     global_cot_sum_min,
     minimize_slice,
@@ -41,7 +43,7 @@ from .extremal import (
 )
 from .geom import MATH, Point2, Triangle, frame_exponent, in_units, metrics
 from .ratio import BOUND_CONSTANT, area_routes, cot_sum, identity_report, judged_bound
-from .sampling import STRATA, triangle_from_angles
+from .sampling import STRATA, canonical_triangle, triangle_from_angles
 from .svg import render_svg
 
 
@@ -134,15 +136,11 @@ def triangle_from_spec(doc) -> Triangle:
         exp = frame_exponent(MATH, alpha, beta, gamma)
         a, b, c = math.ldexp(alpha, -exp), math.ldexp(beta, -exp), math.ldexp(gamma, -exp)
         if not max(a, b, c) < 0.5 * (a + b + c):
-            raise NotATriangleError(
+            raise GeometryError(
                 f"sides ({alpha}, {beta}, {gamma}) violate the strict triangle inequality"
             )
         ang_a = MATH.acos((b * b + c * c - a * a) / (2.0 * b * c))
-        return Triangle(
-            Point2(0.0, 0.0),
-            Point2(gamma, 0.0),
-            Point2(beta * math.cos(ang_a), beta * math.sin(ang_a)),
-        )
+        return canonical_triangle(gamma, beta * math.cos(ang_a), beta * math.sin(ang_a))
 
     _require(set(body) == {"B_deg", "Gamma_deg", "scale"},
              'angles must contain exactly "B_deg", "Gamma_deg", "scale"')

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GeometryError, PhiRangeError, UnitRangeError
+from .errors import GeometryError
 from .geom import (
     CASE_BAND,
     MATH,
@@ -43,7 +43,7 @@ class DerivedConstruction:
     frame_area_derived is the derived area.  The source's own metrics are
     read from `source.frame_metrics`, never copied.  The properties
     area_derived, ap, bp and gp give the derived quantities in the source's
-    units and coordinates, for output; they raise UnitRangeError when one
+    units and coordinates, for output; they raise GeometryError when one
     does not fit binary64.
 
     ratio_geometric is derived area / source area, both measured by shoelace.
@@ -72,7 +72,7 @@ class DerivedConstruction:
         try:
             return Point2(math.ldexp(p.x, exp) + a.x, math.ldexp(p.y, exp) + a.y)
         except (OverflowError, GeometryError):
-            raise UnitRangeError(f"{name} does not fit binary64 in the input's units") from None
+            raise GeometryError(f"{name} does not fit binary64 in the input's units") from None
 
     @property
     def ap(self) -> Point2:
@@ -110,7 +110,7 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     """
     judged_bound(t.frame_metrics)
     if not 0.0 < phi <= 0.5 * math.pi:
-        raise PhiRangeError(f"phi must lie in (0, pi/2], got {phi!r}")
+        raise GeometryError(f"phi must lie in (0, pi/2], got {phi!r}")
     _, bx, by, gx, gy = t.frame
     m = t.frame_metrics
     total = cot_sum(MATH, m)

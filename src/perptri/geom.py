@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import AngleSumError, DegenerateTriangleError, GeometryError, UnitRangeError
+from .errors import GeometryError
 
 def clamp_unit(value: float) -> float:
     """Clamp into [-1, 1]; guards acos against roundoff just outside range.
@@ -87,7 +87,7 @@ def frame(ops: Ops, ax, ay, bx, by, gx, gy) -> Frame:
 def in_units(value: float, exp: int, name: str) -> float:
     """value * 2**exp, exactly: a frame length (exp) or area (2 exp) in the input's units.
 
-    Raises UnitRangeError naming the quantity when the result overflows
+    Raises GeometryError naming the quantity when the result overflows
     binary64 or is not exact: a non-zero value that underflows to 0, or one
     that loses bits in the subnormal range.
     """
@@ -96,7 +96,7 @@ def in_units(value: float, exp: int, name: str) -> float:
     except OverflowError:
         result = math.inf
     if math.isinf(result) or math.ldexp(result, -exp) != value:
-        raise UnitRangeError(f"{name} does not fit binary64 in the input's units")
+        raise GeometryError(f"{name} does not fit binary64 in the input's units")
     return result
 
 
@@ -177,8 +177,10 @@ class Triangle:
     quantity verified by this package is symmetric under that relabeling.
     The triangle's frame is computed once and kept as `frame`; its metrics
     are measured there once and kept as `frame_metrics`, the one record of
-    the triangle's measurements, which every path reads.  Only a doubled
-    area of 0 is rejected; thinness is `ratio.judged_bound`'s to judge.
+    the triangle's measurements, which every path reads.  A doubled area
+    of 0 and vertices whose differences overflow are rejected (`Point2`
+    rejects a non-finite coordinate); thinness is `ratio.judged_bound`'s to
+    judge.
     """
 
     a: Point2
@@ -193,12 +195,12 @@ class Triangle:
         f = frame(MATH, self.a.x, self.a.y, self.b.x, self.b.y, self.g.x, self.g.y)
         exp, bx, by, gx, gy = f
         if not math.isfinite(bx + by + gx + gy):
-            raise UnitRangeError("vertices lie farther apart than binary64 can measure")
+            raise GeometryError("vertices lie farther apart than binary64 can measure")
         doubled = bx * gy - by * gx
         # Checked before measuring: coincident vertices would divide by zero
         # in the metrics' angles.
         if doubled == 0.0:
-            raise DegenerateTriangleError("vertices are collinear at the triangle's own scale")
+            raise GeometryError("vertices are collinear at the triangle's own scale")
         if doubled < 0.0:
             b, g = self.b, self.g
             object.__setattr__(self, "b", g)
@@ -290,8 +292,8 @@ def angle_cases(ang_a):
 
 
 def classify_angle(ang_a: float) -> AngleCase:
-    """The case of one angle A; a NaN angle, which has none, raises AngleSumError."""
+    """The case of one angle A; a NaN angle, which has none, raises GeometryError."""
     acute, right, obtuse = angle_cases(ang_a)
     if not (acute or right or obtuse):
-        raise AngleSumError(f"angle A {ang_a!r} falls in no case")
+        raise GeometryError(f"angle A {ang_a!r} falls in no case")
     return AngleCase.RIGHT if right else AngleCase.ACUTE if acute else AngleCase.OBTUSE

@@ -37,7 +37,7 @@ residuals.  `smallest_angle` finds theta and `within_bound` is the one
 predicate; `identity_report` and the sweep both call them.  `judged_bound`
 is the one thinness rule of the scalar path: where the bound reaches 1
 (theta below about 1.2e-7 rad) binary64 can confirm nothing, and it raises
-DegenerateTriangleError before any angle is read.
+GeometryError before any angle is read.
 
 `identity_chain` is the one implementation of the chain, and `area_routes`
 the one body of the five area routes, which the chain and `perptri metrics`
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import geom
-from .errors import DegenerateTriangleError
+from .errors import GeometryError
 from .geom import (
     MATH,
     AngleCase,
@@ -303,13 +303,13 @@ class VerifyReport:
 def judged_bound(m: TriangleMetrics) -> tuple[float, float]:
     """theta and its residual_bound for `Triangle.frame_metrics` m, if the bound is below 1.
 
-    Else DegenerateTriangleError names both: the triangle is too thin to
+    Else GeometryError names both: the triangle is too thin to
     judge.  Past it no angle is 0 and s - x >= s theta**2 / 4 >= 16 s eps.
     """
     theta = smallest_angle(MATH, m)
     bound = residual_bound(theta)
     if not bound < 1.0:
-        raise DegenerateTriangleError(
+        raise GeometryError(
             f"smallest angle {theta!r} rad is too thin to verify in binary64: "
             f"the bound {BOUND_CONSTANT:g} eps/theta^2 = {bound:.3g} reaches 1"
         )

@@ -12,18 +12,20 @@ stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
 inside the acute-A stratum -- that is deliberate, the identities are claimed
 and checked for every labeling, not just the convenient one.
 
-Only the corpus code imports numpy, when it runs; `STRATA` and
-`triangle_from_angles` serve the scalar commands without it.
+Only the corpus code imports numpy, when it runs; `STRATA`,
+`triangle_from_angles` and `canonical_triangle` serve the scalar commands
+without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import geom
-from .errors import AngleSumError
+from .errors import GeometryError
 from .geom import MATH, AngleCase, Ops, Point2, Triangle, angle_cases
 
 if TYPE_CHECKING:
@@ -52,12 +54,28 @@ def triangle_from_angles(ang_b: float, ang_g: float, scale: float) -> Triangle:
     counterclockwise.
     """
     if not (0.0 < ang_b and 0.0 < ang_g and ang_b + ang_g < math.pi):
-        raise AngleSumError(
+        raise GeometryError(
             f"base angles ({ang_b!r}, {ang_g!r}) do not leave room for angle A"
         )
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive, got {scale!r}")
-    bx, gx, gy = _layout(MATH, ang_b, ang_g, scale)
+    return canonical_triangle(*_layout(MATH, ang_b, ang_g, scale))
+
+
+def canonical_triangle(bx: float, gx: float, gy: float) -> Triangle:
+    """The Triangle with A at the origin, B at (bx, 0) and Gamma at (gx, gy).
+
+    The sides and angles forms lay their triangle out in the input's units.
+    Below binary64's normal range that rounding changes the shape, not just
+    the position (an equilateral triangle of side 5e-324 lays out as a right
+    one), so a layout whose largest coordinate is below sys.float_info.min is
+    refused.
+    """
+    largest = max(abs(bx), abs(gx), abs(gy))
+    if largest < sys.float_info.min:
+        raise GeometryError(
+            f"laid out, the triangle's largest coordinate {largest!r} is below "
+            f"binary64's normal range, where rounding changes its shape")
     return Triangle(Point2(0.0, 0.0), Point2(bx, 0.0), Point2(gx, gy))
 
 

@@ -21,7 +21,7 @@ import perptri.geom as geom_mod
 import perptri.ratio as ratio_mod
 from perptri.cli import fmt, main, triangle_from_spec
 from perptri.construction import construct
-from perptri.errors import ParseError
+from perptri.errors import GeometryError, ParseError
 from perptri.ratio import CHECK_ORDER, residual_bound
 from perptri.svg import svg_document
 
@@ -81,12 +81,12 @@ def test_three_forms_agree():
     ],
 )
 def test_bad_specs_raise(doc):
-    with pytest.raises((ParseError, Exception)):
+    with pytest.raises((ParseError, GeometryError)):
         triangle_from_spec(doc)
 
 
 def test_impossible_sides_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises((ParseError, GeometryError)):
         triangle_from_spec({"sides": {"alpha": 1, "beta": 1, "gamma": 3}})
 
 
@@ -255,6 +255,45 @@ def test_verify_passes_at_extreme_sizes(tmp_path, capsys, form, scale):
     code = main(["verify", write_spec(tmp_path, scaled_345(form, scale))])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
+    assert captured.out.endswith("verdict: PASS\n")
+
+
+def equilateral(form, side):
+    """The equilateral triangle of the given side, in the sides or the angles form."""
+    if form == "sides":
+        return {"sides": {"alpha": side, "beta": side, "gamma": side}}
+    return {"angles": {"B_deg": 60, "Gamma_deg": 60, "scale": side}}
+
+
+SCALAR_COMMANDS = [["verify"], ["verify", "--json"], ["metrics"], ["metrics", "--json"],
+                   ["construct"], ["construct", "--json"], ["construct", "--phi", "37.5"],
+                   ["construct", "--phi", "37.5", "--json"]]
+
+
+@pytest.mark.parametrize("side", [5e-324, 1e-320, 1e-315, 1e-310, 1e-308])
+@pytest.mark.parametrize("form", ["sides", "angles"])
+def test_layouts_below_the_normal_range_exit_two_on_one_line(tmp_path, capsys, form, side):
+    # Laid out in the input's units, a triangle below the normal range rounds
+    # to another shape: the equilateral one of side 5e-324 to a right one,
+    # which verify used to pass.  Every scalar command refuses it alike.
+    path = write_spec(tmp_path, equilateral(form, side))
+    errors = set()
+    for command in SCALAR_COMMANDS:
+        code = main([*command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), command
+        errors.add(captured.err)
+    assert errors == {f"error: laid out, the triangle's largest coordinate {side!r} is below "
+                      "binary64's normal range, where rounding changes its shape\n"}
+
+
+@pytest.mark.parametrize("side", [2.3e-308, 1e-300])
+@pytest.mark.parametrize("form", ["sides", "angles"])
+def test_layouts_just_inside_the_normal_range_keep_their_shape(tmp_path, capsys, form, side):
+    code = main(["verify", write_spec(tmp_path, equilateral(form, side))])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.startswith("case: acute (angle A = 60 deg)\n")
     assert captured.out.endswith("verdict: PASS\n")
 
 

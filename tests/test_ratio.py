@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import perptri.ratio as ratio_mod
 import perptri.geom as geom_mod
 from perptri.construction import construct, similarity_check
-from perptri.errors import DegenerateTriangleError
+from perptri.errors import GeometryError
 from perptri.geom import MATH, AngleCase, metrics
 from perptri.geom import Point2, Triangle
 from perptri.ratio import (
@@ -265,7 +265,7 @@ def test_too_thin_triangle_raises_naming_theta_and_bound():
     # Gamma = 1e-6 deg: the bound C eps / theta**2 is 32, past 1, so binary64
     # residuals confirm nothing and the report refuses a verdict.
     t = triangle_from_angles(math.radians(60.0), math.radians(1e-6), 1.0)
-    with pytest.raises(DegenerateTriangleError, match="too thin") as info:
+    with pytest.raises(GeometryError, match="too thin") as info:
         identity_report(t)
     message = str(info.value)
     assert "smallest angle 2.1" in message and "reaches 1" in message
@@ -283,11 +283,12 @@ def test_accepted_needles_are_judged_or_refused_on_the_bound_alone():
         gamma = Point2(rng.random(), 10.0 ** rng.uniform(-9.0, -6.5))
         try:
             t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), gamma)
-        except DegenerateTriangleError:
+        except GeometryError as exc:
+            assert str(exc) == "vertices are collinear at the triangle's own scale"
             continue
         try:
             identity_report(t)
-        except DegenerateTriangleError as exc:
+        except GeometryError as exc:
             assert re.fullmatch(r"smallest angle \S+ rad is too thin .* reaches 1", str(exc))
             refused += 1
         else:
@@ -333,7 +334,8 @@ def test_every_triangle_the_bound_accepts_runs_without_a_guard():
         m = t.frame_metrics
         try:
             smallest, bound = judged_bound(m)
-        except DegenerateTriangleError:
+        except GeometryError as exc:
+            assert re.fullmatch(r"smallest angle \S+ rad is too thin .* reaches 1", str(exc))
             continue
         judged += 1
         assert min(m.s - m.alpha, m.s - m.beta, m.s - m.gamma) >= 8.0 * EPS * m.s
@@ -438,7 +440,7 @@ def test_valid_triangle_passes_or_is_too_thin(ang_b, share, right, turn, size_de
                        for p in t.vertices()))
     try:
         report = identity_report(moved)
-    except DegenerateTriangleError as exc:
+    except GeometryError as exc:
         assert "too thin" in str(exc)
         return
     assert report.passed, (report.first_failing, report.smallest_angle)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from perptri import geom
+from perptri.errors import GeometryError
 from perptri.geom import Point2
 from perptri.sampling import (
     DELTA_MAIN,
@@ -15,6 +16,7 @@ from perptri.sampling import (
     SCALE_DECADES,
     STRATA,
     TriangleCorpus,
+    canonical_triangle,
     concat_corpora,
     sample_corpus,
     triangle_from_angles,
@@ -52,6 +54,23 @@ def test_triangle_from_angles_equilateral():
 def test_triangle_from_angles_rejects(ang_b, ang_g, scale):
     with pytest.raises(ValueError):
         triangle_from_angles(ang_b, ang_g, scale)
+
+
+def test_layout_below_the_normal_range_is_refused():
+    # Largest coordinate 1e-310: rounded there, Gamma would move off its shape.
+    for refuse in (lambda: triangle_from_angles(math.pi / 3.0, math.pi / 3.0, 1e-310),
+                   lambda: canonical_triangle(1e-310, 5e-311, 8.66e-311)):
+        with pytest.raises(GeometryError, match="^laid out, the triangle's largest coordinate "
+                                                "1e-310 is below binary64's normal range"):
+            refuse()
+    corpus = TriangleCorpus(np.array([math.pi / 3.0]), np.array([math.pi / 3.0]),
+                            np.array([1e-310]))
+    with pytest.raises(GeometryError, match="^laid out"):
+        corpus.triangle(0)
+    # The largest coordinate decides: a subnormal Gamma of a normal-size
+    # triangle, or a tiny base under a normal-size Gamma, is kept.
+    assert canonical_triangle(1.0, 1e-310, 1e-310).g == Point2(1e-310, 1e-310)
+    assert canonical_triangle(1e-310, 0.0, 1.0).b == Point2(1e-310, 0.0)
 
 
 def test_same_seed_same_corpus():
