@@ -10,8 +10,9 @@ argument is "-" or omitted) in exactly one of three forms:
 
 Sides are laid out with A at the origin and B at (gamma, 0); the angle form
 places A at the origin and B at (scale, 0).  Both refuse a layout below
-binary64's normal range (`sampling.canonical_triangle`).  Angles are degrees
-at this boundary only.  `render` is the one command that writes a figure.
+binary64's normal range or beyond binary64 (`sampling.canonical_triangle`).
+Angles are degrees at this boundary only.  `render` is the one command that
+writes a figure, drawn in the triangle's frame (`svg`).
 
 Each command builds one payload, a dict, and one exit code, and prints
 nothing itself.  `main` prints the payload: as strict JSON under --json
@@ -130,7 +131,6 @@ def triangle_from_spec(doc) -> Triangle:
         alpha = _as_number(body["alpha"], "alpha")
         beta = _as_number(body["beta"], "beta")
         gamma = _as_number(body["gamma"], "gamma")
-        _require(min(alpha, beta, gamma) > 0.0, "side lengths must be positive")
         # The lengths scaled exactly so the largest lies in [0.5, 1): neither
         # their sum nor their squares overflow or underflow.
         exp = frame_exponent(MATH, alpha, beta, gamma)
@@ -149,7 +149,6 @@ def triangle_from_spec(doc) -> Triangle:
     scale = _as_number(body["scale"], "scale")
     _require(b_deg > 0.0 and g_deg > 0.0 and b_deg + g_deg < 180.0,
              "angles must be positive with B_deg + Gamma_deg < 180")
-    _require(scale > 0.0, "scale must be positive")
     return triangle_from_angles(math.radians(b_deg), math.radians(g_deg), scale)
 
 

@@ -209,9 +209,6 @@ class Triangle:
         object.__setattr__(self, "frame", f)
         object.__setattr__(self, "frame_metrics", anchored_metrics(MATH, *f[1:]))
 
-    def vertices(self) -> tuple[Point2, Point2, Point2]:
-        return self.a, self.b, self.g
-
 
 @dataclass(frozen=True)
 class TriangleMetrics:

@@ -58,7 +58,7 @@ def triangle_from_angles(ang_b: float, ang_g: float, scale: float) -> Triangle:
             f"base angles ({ang_b!r}, {ang_g!r}) do not leave room for angle A"
         )
     if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive, got {scale!r}")
+        raise GeometryError(f"scale must be positive, got {scale!r}")
     return canonical_triangle(*_layout(MATH, ang_b, ang_g, scale))
 
 
@@ -69,13 +69,15 @@ def canonical_triangle(bx: float, gx: float, gy: float) -> Triangle:
     Below binary64's normal range that rounding changes the shape, not just
     the position (an equilateral triangle of side 5e-324 lays out as a right
     one), so a layout whose largest coordinate is below sys.float_info.min is
-    refused.
+    refused; so is one whose largest coordinate overflowed.
     """
     largest = max(abs(bx), abs(gx), abs(gy))
     if largest < sys.float_info.min:
         raise GeometryError(
             f"laid out, the triangle's largest coordinate {largest!r} is below "
             f"binary64's normal range, where rounding changes its shape")
+    if not math.isfinite(largest):
+        raise GeometryError("laid out in the input's units, the triangle does not fit binary64")
     return Triangle(Point2(0.0, 0.0), Point2(bx, 0.0), Point2(gx, gy))
 
 

@@ -1,8 +1,10 @@
 """Handwritten SVG rendering of a derived-triangle construction.
 
-No plotting dependency: the document is assembled from f-strings.  Geometry
-is emitted with the y-axis flipped (SVG y grows downward) so figures keep
-the conventional mathematical orientation, and the viewBox is auto-fitted
+No plotting dependency: the document is assembled from f-strings.  A figure
+is drawn in its source's frame (`geom.frame`: A at the origin, scaled by
+2**-exp), so it depends only on the triangle's shape.  Geometry is emitted
+with the y-axis flipped (SVG y grows downward) so figures keep the
+conventional mathematical orientation, and the viewBox is auto-fitted
 around all six vertices with a 10% margin.
 """
 
@@ -66,12 +68,10 @@ def _triangle_path(cls: str, pts: list[tuple[float, float]]) -> str:
     return f'<path class="{cls}" d="M {coords} Z"/>'
 
 
-def _phi_arc(d: DerivedConstruction, size: float) -> str:
-    """Arc at vertex B from the AB direction to its rotation by phi."""
-    b = _flip(d.source.b)
-    _, sx, sy, _, _ = d.source.frame
+def _phi_arc(d: DerivedConstruction, b: tuple[float, float], size: float) -> str:
+    """Arc at vertex B (flipped, A at the origin) from the AB direction to its rotation by phi."""
     norm = d.source.frame_metrics.gamma
-    ux, uy = sx / norm, sy / norm
+    ux, uy = b[0] / norm, -b[1] / norm
     c, s = math.cos(d.phi), math.sin(d.phi)
     vx, vy = c * ux - s * uy, s * ux + c * uy
     r = 0.12 * size
@@ -89,9 +89,10 @@ def _phi_arc(d: DerivedConstruction, size: float) -> str:
 
 
 def svg_document(d: DerivedConstruction) -> str:
-    """The complete SVG document for one construction."""
-    src = [_flip(p) for p in d.source.vertices()]
-    der = [_flip(p) for p in (d.ap, d.bp, d.gp)]
+    """The complete SVG document for one construction, drawn in its source's frame."""
+    _, bx, by, gx, gy = d.source.frame
+    src = [(0.0, 0.0), (bx, -by), (gx, -gy)]
+    der = [_flip(p) for p in (d.ap_rel, d.bp_rel, d.gp_rel)]
     pts = src + der
 
     xs = [p[0] for p in pts]
@@ -142,7 +143,7 @@ def svg_document(d: DerivedConstruction) -> str:
         *lines,
         _triangle_path("triangle-source", src),
         _triangle_path("triangle-derived", der),
-        _phi_arc(d, size),
+        _phi_arc(d, src[1], size),
         *labels,
         "</svg>",
     ]

@@ -287,6 +287,42 @@ def test_layouts_below_the_normal_range_exit_two_on_one_line(tmp_path, capsys, f
                       "binary64's normal range, where rounding changes its shape\n"}
 
 
+def test_layout_beyond_binary64_exits_two_on_one_line(tmp_path, capsys):
+    # Gamma lies about 2e308 from A: the layout, not a vertex the user never
+    # gave, is named in the one line every command prints.
+    path = write_spec(tmp_path, {"angles": {"B_deg": 179, "Gamma_deg": 0.5, "scale": 1e308}})
+    errors = set()
+    for command in [*SCALAR_COMMANDS, ["render", "--out", str(tmp_path / "fig.svg")]]:
+        code = main([*command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), command
+        errors.add(captured.err)
+    assert errors == {"error: laid out in the input's units, the triangle does not fit "
+                      "binary64\n"}
+    assert not (tmp_path / "fig.svg").exists()
+
+
+@pytest.mark.parametrize("doc, err", [
+    ({"sides": {"alpha": 0, "beta": 3, "gamma": 4}},
+     "sides (0.0, 3.0, 4.0) violate the strict triangle inequality"),
+    ({"sides": {"alpha": 5, "beta": -3, "gamma": 4}},
+     "sides (5.0, -3.0, 4.0) violate the strict triangle inequality"),
+    ({"sides": {"alpha": 0, "beta": 0, "gamma": 0}},
+     "sides (0.0, 0.0, 0.0) violate the strict triangle inequality"),
+    ({"sides": {"alpha": -1, "beta": -1, "gamma": -1}},
+     "sides (-1.0, -1.0, -1.0) violate the strict triangle inequality"),
+    ({"angles": {"B_deg": 60, "Gamma_deg": 60, "scale": 0}}, "scale must be positive, got 0.0"),
+    ({"angles": {"B_deg": 60, "Gamma_deg": 60, "scale": -2}},
+     "scale must be positive, got -2.0"),
+], ids=["zero-side", "negative-side", "zero-sides", "negative-sides", "zero-scale",
+        "negative-scale"])
+def test_non_positive_sides_and_scales_exit_two_on_one_line(tmp_path, capsys, doc, err):
+    path = write_spec(tmp_path, doc)
+    for command in SCALAR_COMMANDS:
+        assert main([*command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n"), command
+
+
 @pytest.mark.parametrize("side", [2.3e-308, 1e-300])
 @pytest.mark.parametrize("form", ["sides", "angles"])
 def test_layouts_just_inside_the_normal_range_keep_their_shape(tmp_path, capsys, form, side):
@@ -475,6 +511,20 @@ def test_render_writes_the_construction_svg(tmp_path, capsys):
     code = main(["render", "--out", str(out_path), write_spec(tmp_path, SPEC_VERTICES)])
     assert code == 0
     expected = svg_document(construct(triangle_from_spec(SPEC_VERTICES)))
+    assert out_path.read_text(encoding="utf-8") == expected
+
+
+def test_render_draws_what_construct_cannot_print(tmp_path, capsys):
+    # A' lies beyond binary64 in the input's units, where construct prints
+    # it; render draws in the frame and converts nothing.
+    doc = {"sides": {"alpha": 1.7e308, "beta": 1.7e308, "gamma": 1.7e308}}
+    spec = write_spec(tmp_path, doc)
+    assert main(["construct", spec]) == 2
+    assert capsys.readouterr() == ("", "error: A' does not fit binary64 in the input's units\n")
+    out_path = tmp_path / "fig.svg"
+    assert main(["render", "--out", str(out_path), spec]) == 0
+    assert capsys.readouterr() == (f"wrote {out_path}\n", "")
+    expected = svg_document(construct(triangle_from_spec(doc)))
     assert out_path.read_text(encoding="utf-8") == expected
 
 

@@ -52,7 +52,7 @@ def test_triangle_from_angles_equilateral():
     ],
 )
 def test_triangle_from_angles_rejects(ang_b, ang_g, scale):
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryError):
         triangle_from_angles(ang_b, ang_g, scale)
 
 

@@ -1,8 +1,14 @@
 """SVG rendering: structure of the emitted document, not its aesthetics."""
 
+import math
 import xml.etree.ElementTree as ET
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perptri.cli import triangle_from_spec
 from perptri.construction import construct
+from perptri.geom import Point2, Triangle
 from perptri.svg import render_svg, svg_document
 
 
@@ -38,14 +44,14 @@ def test_vertex_labels_present(obtuse_iso):
         assert label in doc
 
 
+def source_path(doc):
+    return next(line for line in doc.splitlines() if 'class="triangle-source"' in line)
+
+
 def test_y_axis_is_flipped(equilateral):
-    # Gamma sits at height +sqrt(3)/2; with the y-flip its rendered
-    # coordinate is negative.
-    doc = svg_document(construct(equilateral))
-    source_path = next(
-        line for line in doc.splitlines() if 'class="triangle-source"' in line
-    )
-    assert "-0.866025" in source_path
+    # Gamma sits at height +sqrt(3)/2, +sqrt(3)/4 in the frame (exp = 1);
+    # with the y-flip its rendered coordinate is negative.
+    assert "-0.433013" in source_path(svg_document(construct(equilateral)))
 
 
 def test_render_svg_writes_file(tmp_path, t345):
@@ -60,6 +66,35 @@ def test_viewbox_covers_all_vertices(obtuse_iso):
     d = construct(obtuse_iso)
     root = ET.fromstring(svg_document(d))
     x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
-    for p in (*d.source.vertices(), d.ap, d.bp, d.gp):
-        assert x0 <= p.x <= x0 + w
-        assert y0 <= -p.y <= y0 + h
+    # Drawn in the frame: A at the origin, B and Gamma from the frame, A'B'Gamma' relative to A.
+    _, bx, by, gx, gy = d.source.frame
+    derived = [(p.x, p.y) for p in (d.ap_rel, d.bp_rel, d.gp_rel)]
+    for x, y in [(0.0, 0.0), (bx, by), (gx, gy), *derived]:
+        assert x0 <= x <= x0 + w
+        assert y0 <= -y <= y0 + h
+
+
+# A dyadic triangle: its coordinates, moved by integers up to 2**40 and scaled
+# by 2**k, stay exact in binary64.
+DYADIC = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.3125, 0.8125))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(-500, 500), ox=st.integers(-2**40, 2**40), oy=st.integers(-2**40, 2**40),
+       phi_deg=st.sampled_from([90.0, 60.0, 37.5]))
+def test_figure_depends_only_on_the_shape(k, ox, oy, phi_deg):
+    # Drawn in the triangle's frame, an exactly translated or 2**k-scaled
+    # copy gives the same bytes.
+    phi = math.radians(phi_deg)
+    copy = Triangle(*(Point2(math.ldexp(p.x + ox, k), math.ldexp(p.y + oy, k))
+                      for p in DYADIC))
+    assert svg_document(construct(copy, phi)) == svg_document(construct(Triangle(*DYADIC), phi))
+
+
+def test_offset_triangle_draws_its_copy_at_the_origin():
+    far = triangle_from_spec({"vertices": {"A": [100000, 100000], "B": [100001, 100000],
+                                           "Gamma": [100000.3, 100000.8]}})
+    near = triangle_from_spec({"vertices": {"A": [0, 0], "B": [1, 0], "Gamma": [0.3, 0.8]}})
+    path = source_path(svg_document(construct(far)))
+    assert path == source_path(svg_document(construct(near)))
+    assert path == '<path class="triangle-source" d="M 0 0 L 0.5 0 L 0.15 -0.4 Z"/>'
