@@ -4,7 +4,8 @@ The package never trusts a single formula: the shoelace value (pure
 coordinate geometry) is cross-checked against Heron's radical, the
 polynomial form of 16 E^2, the cotangent-sum formula, and the two-sides-
 and-included-angle sine formula.  `area_routes` computes all five from the
-metrics the triangle keeps and its cotangent sum and returns them by name,
+metrics the triangle keeps, their squared sides (`side_squares`), its
+cotangent sum and sin A and returns them by name,
 in the triangle's frame; `in_units` converts each back to the input's units.
 """
 
@@ -12,7 +13,7 @@ import math
 
 from perptri import Point2, Triangle, metrics
 from perptri.geom import MATH, in_units
-from perptri.ratio import area_routes, cot_sum
+from perptri.ratio import area_routes, cot_sum, side_squares
 
 TRIANGLES = {
     "right 3-4-5": Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3)),
@@ -26,8 +27,8 @@ def main() -> None:
     for name, t in TRIANGLES.items():
         fm = t.frame_metrics
         m = metrics(t)
-        areas = {label: in_units(value, 2 * t.frame.exp, label)
-                 for label, value in area_routes(MATH, fm, cot_sum(MATH, fm)).items()}
+        routes = area_routes(MATH, fm, side_squares(fm), cot_sum(MATH, fm), math.sin(fm.ang_a))
+        areas = {label: in_units(value, 2 * t.frame.exp, label) for label, value in routes.items()}
         print(f"{name}  (alpha={m.alpha:.6g}, beta={m.beta:.6g}, gamma={m.gamma:.6g})")
         for label, value in areas.items():
             print(f"    {label:<18} {value:.15g}")

@@ -43,7 +43,14 @@ from .extremal import (
     right_triangle_min,
 )
 from .geom import MATH, Point2, Triangle, frame_exponent, in_units, metrics
-from .ratio import BOUND_CONSTANT, area_routes, cot_sum, identity_report, judged_bound
+from .ratio import (
+    BOUND_CONSTANT,
+    area_routes,
+    cot_sum,
+    identity_report,
+    judged_bound,
+    side_squares,
+)
 from .sampling import STRATA, canonical_triangle, triangle_from_angles
 from .svg import render_svg
 
@@ -179,8 +186,9 @@ def cmd_metrics(args):
     fm = t.frame_metrics
     judged_bound(fm)
     m = metrics(t)
+    routes = area_routes(MATH, fm, side_squares(fm), cot_sum(MATH, fm), math.sin(fm.ang_a))
     areas = {name: in_units(value, 2 * t.frame.exp, f"area ({name})")
-             for name, value in area_routes(MATH, fm, cot_sum(MATH, fm)).items()}
+             for name, value in routes.items()}
     return {
         "alpha": m.alpha,
         "beta": m.beta,

@@ -114,7 +114,7 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     _, bx, by, gx, gy = t.frame
     m = t.frame_metrics
     total = cot_sum(MATH, m)
-    rel, area_derived = derived_triangle(math.hypot, bx, by, gx, gy, math.cos(phi), math.sin(phi))
+    rel, area_derived = derived_triangle(bx, by, gx, gy, math.cos(phi), math.sin(phi))
     ap, bp, gp = (Point2(x, y) for x, y in rel)
     return DerivedConstruction(
         source=t,

@@ -15,11 +15,11 @@ scalar path to read.  Lengths measured in the frame are converted back to the
 input's units, exactly, by `in_units` (lengths times 2**exp, areas times
 2**(2 exp)) only where they are printed or returned.
 
-`frame`, `anchored_metrics`, `angle_cases`, `cot` and `derived_triangle` take
-floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies the
-elementary functions for either.  `NUMPY` is built, and numpy imported, on its
-first access, so code that works on floats never loads numpy.  None of them
-judges thinness: every scalar command judges `ratio.judged_bound` first.
+`frame`, `anchored_metrics`, `angle_cases`, `angle_trig` and `derived_triangle`
+take floats or numpy arrays; an `Ops` namespace, `MATH` or `NUMPY`, supplies
+the elementary functions for either.  `NUMPY` is built, and numpy imported, on
+its first access, so code that works on floats never loads numpy.  None of
+them judges thinness: every scalar command judges `ratio.judged_bound` first.
 """
 
 from __future__ import annotations
@@ -100,16 +100,21 @@ def in_units(value: float, exp: int, name: str) -> float:
     return result
 
 
-def cot(ops: Ops, x):
-    """Cotangent as cos/sin, for x in (0, pi).
+def angle_trig(ops: Ops, x):
+    """(cot x, cot(x/2), sin x) = (cos x / sin x, (1 + cos x) / sin x, sin x), x in (0, pi).
 
-    cos/sin keeps the correct sign through the obtuse branch; 1/tan would
-    blow up at pi/2 where the cotangent is merely zero.  At a computed right
-    angle cos/sin is the cotangent of the angle as rounded, of the size of
-    its roundoff, which the residuals carry like any other.  The bound, inf
-    at x = 0, keeps the scalar commands from dividing by sin 0.
+    x is a float (ops = MATH) or an array (ops = NUMPY).  One cos and one sin
+    serve all three: the chain's cotangent, its half-angle cotangent (which
+    it compares with the side route sqrt(s (s - a) / ((s - b)(s - c)))) and
+    the sine formula's area.  At a computed right angle cot x is the
+    cotangent of the angle as rounded, of the size of its roundoff, which the
+    residuals carry like any other.  1 + cos x cancels as x nears pi, leaving
+    cot(x/2) an absolute error of about eps / (pi - x); since pi - x >=
+    2 theta, the bound C eps / theta**2 covers it.  The bound, inf at x = 0,
+    keeps the scalar commands from dividing by sin 0; arrays carry inf there.
     """
-    return ops.cos(x) / ops.sin(x)
+    cos_x, sin_x = ops.cos(x), ops.sin(x)
+    return cos_x / sin_x, (1.0 + cos_x) / sin_x, sin_x
 
 
 @dataclass(frozen=True)
@@ -130,23 +135,26 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def _rotated_line(hypot, cos_phi, sin_phi, px, py, dx, dy):
-    """Line (a, b, c) through (px, py) along (dx, dy) turned by phi: unit normal (a, b)."""
+def _rotated_line(cos_phi, sin_phi, px, py, dx, dy):
+    """Line (a, b, c), a x + b y = c, through (px, py) along (dx, dy) turned by phi.
+
+    (a, b) is the turned direction's normal, as long as the direction, not a
+    unit vector: where two lines cross does not depend on their scale.
+    """
     rx = cos_phi * dx - sin_phi * dy
     ry = sin_phi * dx + cos_phi * dy
-    norm = hypot(rx, ry)
-    a, b = -ry / norm, rx / norm
+    a, b = -ry, rx
     return a, b, a * px + b * py
 
 
 def _crossing(l1, l2):
-    """The point where two lines in normal form cross."""
+    """The point where two lines a x + b y = c cross."""
     (a1, b1, c1), (a2, b2, c2) = l1, l2
     det = a1 * b2 - a2 * b1
     return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
 
 
-def derived_triangle(hypot, bx, by, gx, gy, cos_phi, sin_phi):
+def derived_triangle(bx, by, gx, gy, cos_phi, sin_phi):
     """A', B' and Gamma' relative to A, and the area they bound by the shoelace formula.
 
     B and Gamma are given relative to A.  The lines run through B along A->B,
@@ -155,12 +163,14 @@ def derived_triangle(hypot, bx, by, gx, gy, cos_phi, sin_phi):
     they are the perpendiculars whatever the orientation.  A' joins the lines
     at B and Gamma, B' those at Gamma and A, Gamma' those at A and B.  Anchored
     at A, the line offsets are of the size of the triangle, not of its
-    position.  Coordinates are floats (hypot = math.hypot) or numpy arrays
-    (hypot = np.hypot); the line coefficients are freed before the area is taken.
+    position.  The lines are not normalized (`_rotated_line`): at
+    (cos_phi, sin_phi) = (0, 1) each line's a and b are its side's direction,
+    exactly, and only c and the crossings round.  Coordinates are floats or
+    numpy arrays; the line coefficients are freed before the area is taken.
     """
-    line_ab = _rotated_line(hypot, cos_phi, sin_phi, bx, by, bx, by)
-    line_bg = _rotated_line(hypot, cos_phi, sin_phi, gx, gy, gx - bx, gy - by)
-    line_ga = _rotated_line(hypot, cos_phi, sin_phi, 0.0, 0.0, -gx, -gy)
+    line_ab = _rotated_line(cos_phi, sin_phi, bx, by, bx, by)
+    line_bg = _rotated_line(cos_phi, sin_phi, gx, gy, gx - bx, gy - by)
+    line_ga = _rotated_line(cos_phi, sin_phi, 0.0, 0.0, -gx, -gy)
     (apx, apy), (bpx, bpy), (gpx, gpy) = vertices = (
         _crossing(line_ab, line_bg), _crossing(line_bg, line_ga), _crossing(line_ga, line_ab))
     del line_ab, line_bg, line_ga

@@ -48,12 +48,13 @@ frame and metrics, and `sweep.evaluate_corpus` on each chunk's frame arrays
 and metrics, keeping only reductions of the per-triangle arrays.  The
 input's type picks the elementary functions: a float (a numpy float64 is
 one) takes `geom.MATH`, anything else, in practice an array, takes
-`geom.NUMPY`.  Neither serves the other's input: one triangle costs about
-20 us through `math`, 100 us through numpy ufuncs on floats and 210 us as a
-numpy batch of one (2-core Xeon, Python 3.11, numpy 2.4), where 2**14
-triangles as arrays take about 11 ms.  Only `geom.NUMPY` imports numpy, on
+`geom.NUMPY`.  Neither serves the other's input: the chain on one triangle
+costs about 10 us through `math`, 50 us through numpy ufuncs on floats and
+150 us as a numpy batch of one (2-core Xeon, Python 3.11, numpy 2.4), where
+2**14 triangles as arrays take about 7 ms, three tenths of it in the six
+cos and sin calls of `geom.angle_trig`.  Only `geom.NUMPY` imports numpy, on
 its first access, so `perptri verify` and `metrics`, which work on one
-triangle, never load it.  The cotangent and the derived triangle come from
+triangle, never load it.  The cotangents and the derived triangle come from
 `geom`, which `construct` shares.
 """
 
@@ -72,8 +73,8 @@ from .geom import (
     Ops,
     Triangle,
     TriangleMetrics,
+    angle_trig,
     classify_angle,
-    cot,
     derived_triangle,
 )
 
@@ -142,15 +143,16 @@ def _norm(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _term_norm(vmax, lhs, rhs, w2, p2, q2, r2):
-    """Residual of lhs = rhs = 2 w2 (p2 + q2 - r2), scaled by the dominant monomial.
+def _term_norm(vmax, lhs, two_w2, p2, q2, r2):
+    """lhs = rhs = two_w2 (p2 + q2 - r2): the residual, scaled by the dominant monomial, and rhs.
 
     Both sides can cancel to roundoff of the monomials (near a right angle,
     where the cotangent is roundoff-sized), so the honest scale is the
     largest term entering the identity, not the nearly zero difference.
     """
-    dominant = vmax(abs(lhs), 2.0 * w2 * p2, 2.0 * w2 * q2, 2.0 * w2 * r2)
-    return abs(lhs - rhs) / (1.0 + dominant)
+    rhs = two_w2 * (p2 + q2 - r2)
+    dominant = vmax(abs(lhs), two_w2 * p2, two_w2 * q2, two_w2 * r2)
+    return abs(lhs - rhs) / (1.0 + dominant), rhs
 
 
 @dataclass(frozen=True)
@@ -170,28 +172,41 @@ class IdentityChain:
 
 def cot_sum(ops: Ops, m: TriangleMetrics):
     """cot A + cot B + cot Gamma of metrics m, summed as the chain sums its three cotangents."""
-    return cot(ops, m.ang_a) + cot(ops, m.ang_b) + cot(ops, m.ang_g)
+    return angle_trig(ops, m.ang_a)[0] + angle_trig(ops, m.ang_b)[0] + angle_trig(ops, m.ang_g)[0]
 
 
-def area_routes(ops: Ops, m: TriangleMetrics, csum) -> dict:
+def side_squares(m: TriangleMetrics) -> tuple:
+    """(a2, b2, g2, sum_sq, pairs, quads, sixteen) of one triangle's metrics m or many.
+
+    The squared sides, their sum, the sums of their pairwise products and of
+    their squares, and 2 pairs - quads, the polynomial for 16 E**2: what the
+    chain and `area_routes` read.  A plain tuple, as it is built on every
+    `perptri verify`.
+    """
+    a2, b2, g2 = m.alpha * m.alpha, m.beta * m.beta, m.gamma * m.gamma
+    pairs = a2 * b2 + b2 * g2 + g2 * a2
+    quads = a2 * a2 + b2 * b2 + g2 * g2
+    return a2, b2, g2, a2 + b2 + g2, pairs, quads, 2.0 * pairs - quads
+
+
+def area_routes(ops: Ops, m: TriangleMetrics, sq: tuple, csum, sin_a) -> dict:
     """The five area routes of frame metrics m by name, for one triangle's floats or arrays.
 
     The shoelace reference (m.area), Heron's radical, the squared-side
     polynomial for 16 E**2 (read as 0 where it rounds below 0), the
     cotangent formula for the cot sum csum (`cot_sum`) and half the sine
-    product.  ops is `geom.MATH` for floats, `geom.NUMPY` for arrays.  The
-    chain passes the cot sum it holds, so a sweep's chunk takes no further
-    cotangent.
+    product for sin A (`geom.angle_trig`).  sq is `side_squares(m)` and ops
+    is `geom.MATH` for floats, `geom.NUMPY` for arrays.  The chain passes the
+    squares, cot sum and sine it holds, so a sweep's chunk computes each once.
     """
     alpha, beta, gamma, s = m.alpha, m.beta, m.gamma, m.s
-    a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
-    sixteen = 2.0 * (a2 * b2 + b2 * g2 + g2 * a2) - (a2 * a2 + b2 * b2 + g2 * g2)
+    _, _, _, sum_sq, _, _, sixteen = sq
     return {
         "shoelace": m.area,
         "heron": ops.sqrt(s * (s - alpha) * (s - beta) * (s - gamma)),
         "sixteen_sq_poly": ops.sqrt(ops.max(sixteen, 0.0)) / 4.0,
-        "cot_formula": (a2 + b2 + g2) / (4.0 * csum),
-        "sine_formula": 0.5 * beta * gamma * ops.sin(m.ang_a),
+        "cot_formula": sum_sq / (4.0 * csum),
+        "sine_formula": 0.5 * beta * gamma * sin_a,
     }
 
 
@@ -205,63 +220,72 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
     zero, and its arrays carry inf or NaN.
     """
     ops = MATH if isinstance(bx, float) else geom.NUMPY
-    hypot, sqrt, vmax, vmin = ops.hypot, ops.sqrt, ops.max, ops.min
+    sqrt, vmax, vmin = ops.sqrt, ops.max, ops.min
+    s, area = m.s, m.area
 
-    alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = (
-        m.alpha, m.beta, m.gamma, m.ang_a, m.ang_b, m.ang_g, m.s, m.area)
-    a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
-
-    cot_a, cot_b, cot_g = cot(ops, ang_a), cot(ops, ang_b), cot(ops, ang_g)
+    cot_a, half_cot_a, sin_a = angle_trig(ops, m.ang_a)
+    cot_b, half_cot_b = angle_trig(ops, m.ang_b)[:2]
+    cot_g, half_cot_g = angle_trig(ops, m.ang_g)[:2]
     csum = cot_a + cot_b + cot_g
 
-    areas = area_routes(ops, m, csum)
+    # half_angle_cots is taken first, so that a chunk of the sweep frees the
+    # half-angle cotangents and s - x before the other links build theirs.
+    fa, fb, fg = s - m.alpha, s - m.beta, s - m.gamma
+    half_angle_cots = vmax(
+        _norm(sqrt(s * fa / (fb * fg)), half_cot_a),
+        _norm(sqrt(s * fb / (fa * fg)), half_cot_b),
+        _norm(sqrt(s * fg / (fa * fb)), half_cot_g),
+    )
+    del half_cot_a, half_cot_b, half_cot_g, fa, fb, fg
+
+    sq = side_squares(m)
+    a2, b2, g2, sum_sq, pairs, quads, sixteen = sq
+    areas = area_routes(ops, m, sq, csum, sin_a)
+    largest_area = vmax(*areas.values())
+    area_agreement = (largest_area - vmin(*areas.values())) / largest_area
+    del sq, sin_a, largest_area
 
     # The geometric route; keeping only the area frees the derived vertices.
-    area_derived = derived_triangle(hypot, bx, by, gx, gy, 0.0, 1.0)[1]
+    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
     ratio_geometric = area_derived / area
-
-    cot_side_sum = g2 * cot_a + b2 * cot_g + a2 * cot_b
-    sum_sq = a2 + b2 + g2
-    pairs = a2 * b2 + b2 * g2 + g2 * a2
-    quads = a2 * a2 + b2 * b2 + g2 * g2
-    sixteen = 2.0 * pairs - quads
-
-    fa, fb, fg = s - alpha, s - beta, s - gamma
-
-    largest_area = vmax(*areas.values())
 
     # Residuals in CHECK_ORDER.  Each link's intermediates are deleted once
     # its residuals are taken, so that a chunk of the sweep never holds them
     # all at once.
+    cot_side_sum = g2 * cot_a + b2 * cot_g + a2 * cot_b
+    eight_area, sixteen_area_sq, sum_sq_sq = 8.0 * area, 16.0 * area * area, sum_sq * sum_sq
     residuals = {
         "area_increment": _norm(area_derived, area + 0.5 * cot_side_sum),
-        "sixteen_area_sq": _norm(sixteen, 16.0 * area * area),
+        "sixteen_area_sq": _norm(sixteen, sixteen_area_sq),
     }
-    term_a_rhs = 2.0 * g2 * (b2 + g2 - a2)
-    term_g_rhs = 2.0 * b2 * (a2 + b2 - g2)
-    term_b_rhs = 2.0 * a2 * (g2 + a2 - b2)
-    residuals["cot_term_a"] = _term_norm(vmax, 8.0 * area * g2 * cot_a, term_a_rhs, g2, b2, g2, a2)
-    residuals["cot_term_g"] = _term_norm(vmax, 8.0 * area * b2 * cot_g, term_g_rhs, b2, a2, b2, g2)
-    residuals["cot_term_b"] = _term_norm(vmax, 8.0 * area * a2 * cot_b, term_b_rhs, a2, g2, a2, b2)
-    chain_rhs = sixteen + term_a_rhs + term_g_rhs + term_b_rhs - 2.0 * pairs - quads
-    del term_a_rhs, term_g_rhs, term_b_rhs
-    residuals["squared_sum_expansion"] = (abs(-(sum_sq * sum_sq) - (-2.0 * pairs - quads))
-                                          / (1.0 + sum_sq * sum_sq))
-    quadratic_lhs = 16.0 * area * area + 8.0 * area * cot_side_sum - sum_sq * sum_sq
-    residuals["chain_sum"] = abs(quadratic_lhs - chain_rhs) / (sum_sq * sum_sq)
+    quadratic_lhs = sixteen_area_sq + eight_area * cot_side_sum - sum_sq_sq
+    del area_derived, cot_side_sum, sixteen_area_sq
+    # Each cot term's right side joins the chain's sum, and is deleted, as
+    # soon as it is made, so that one of them is held at a time.
+    residuals["cot_term_a"], term_rhs = _term_norm(vmax, eight_area * g2 * cot_a, 2.0 * g2,
+                                                   b2, g2, a2)
+    chain_rhs = sixteen + term_rhs
+    del term_rhs
+    residuals["cot_term_g"], term_rhs = _term_norm(vmax, eight_area * b2 * cot_g, 2.0 * b2,
+                                                   a2, b2, g2)
+    chain_rhs = chain_rhs + term_rhs
+    del term_rhs
+    residuals["cot_term_b"], term_rhs = _term_norm(vmax, eight_area * a2 * cot_b, 2.0 * a2,
+                                                   g2, a2, b2)
+    chain_rhs = chain_rhs + term_rhs - 2.0 * pairs - quads
+    del term_rhs, eight_area
+    residuals["squared_sum_expansion"] = (abs(-sum_sq_sq - (-2.0 * pairs - quads))
+                                          / (1.0 + sum_sq_sq))
+    residuals["chain_sum"] = abs(quadratic_lhs - chain_rhs) / sum_sq_sq
     del chain_rhs
-    residuals["area_quadratic"] = abs(quadratic_lhs) / (sum_sq * sum_sq)
+    residuals["area_quadratic"] = abs(quadratic_lhs) / sum_sq_sq
     del quadratic_lhs
-    residuals["half_angle_cots"] = vmax(
-        _norm(sqrt(s * fa / (fb * fg)), cot(ops, 0.5 * ang_a)),
-        _norm(sqrt(s * fb / (fa * fg)), cot(ops, 0.5 * ang_b)),
-        _norm(sqrt(s * fg / (fa * fb)), cot(ops, 0.5 * ang_g)),
-    )
+    residuals["half_angle_cots"] = half_angle_cots
     residuals["area_from_cots"] = _norm(areas["cot_formula"], area)
     ratio_formula = csum * csum
     residuals["area_ratio"] = abs(ratio_geometric - ratio_formula) / (1.0 + ratio_formula)
     del ratio_formula
-    residuals["area_agreement"] = (largest_area - vmin(*areas.values())) / largest_area
+    residuals["area_agreement"] = area_agreement
 
     return IdentityChain(
         areas=areas,

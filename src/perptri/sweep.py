@@ -11,8 +11,8 @@ triangles with a residual over the bound `perptri verify` judges by
 chunk reductions are combined in chunk order, so the result equals
 np.count_nonzero / np.max / np.argmin over the whole corpus exactly.  Its
 memory is the corpus (24 bytes per triangle) plus one chunk's arrays per
-thread, about 6.2 MiB whatever the corpus size; about 11 ms per chunk on two
-cores.
+thread, about 6 MiB whatever the corpus size; about 10 ms per chunk on each
+of two cores (2-core Xeon, numpy 2.4), 7 of them in the chain.
 
 `run_sweep` samples a corpus and evaluates it.  The per-triangle arrays a
 chunk produces are not kept; `identity_chain` gives them for any corpus.
@@ -33,7 +33,7 @@ from .sampling import TriangleCorpus, sample_corpus
 
 #: Triangles per chunk of `evaluate_corpus`.  Timed at n = 10**6 on two cores,
 #: 2**12 and 2**13 pay per-call overhead and 2**15 and up run slower again;
-#: a chunk's arrays peak near 6.2 MiB (about 0.4 KiB per triangle).
+#: a chunk's arrays peak near 6 MiB (about 0.4 KiB per triangle).
 CHUNK = 2**14
 
 

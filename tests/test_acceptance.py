@@ -23,7 +23,7 @@ from perptri.extremal import (
     right_triangle_min,
     slice_min_value,
 )
-from perptri.geom import MATH, cot
+from perptri.geom import MATH, angle_trig
 from perptri.sampling import concat_corpora, sample_corpus
 from perptri.sweep import evaluate_corpus
 
@@ -95,7 +95,7 @@ def test_acceptance_3_right_triangle_minimum_four():
     worst = 0.0
     for b in grid:
         b = float(b)
-        lhs = cot(MATH, HALF_PI) + cot(MATH, b) + cot(MATH, HALF_PI - b)
+        lhs = sum(angle_trig(MATH, x)[0] for x in (HALF_PI, b, HALF_PI - b))
         rhs = 2.0 / math.sin(2.0 * b)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     ok = (

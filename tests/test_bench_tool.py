@@ -1,0 +1,33 @@
+"""tools/bench_sweep_memory.py names what differs between two sweeps' outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_sweep_memory.py"
+SPEC = importlib.util.spec_from_file_location("bench_sweep_memory", TOOL)
+bench = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench)
+
+
+def output(code, doc):
+    """An output as `run_child` returns it: the exit line, then stdout."""
+    return f"exit {code}\n" + json.dumps(doc, indent=2) + "\n"
+
+
+def test_differing_paths_name_the_values_that_differ():
+    doc = {"n": 3, "max_residuals": {"area_ratio": 1e-16, "chain_sum": 2e-16},
+           "argmin": [1, None]}
+    changed = json.loads(json.dumps(doc))
+    changed["max_residuals"]["area_ratio"] = 2e-16
+    changed["argmin"][1] = 0.5
+    assert bench.differing_paths([output(0, doc), output(0, doc)]) == []
+    assert bench.differing_paths([output(0, doc), output(0, changed), output(0, doc)]) == [
+        "argmin/1", "max_residuals/area_ratio"]
+
+
+def test_differing_paths_name_the_exit_code_a_missing_key_and_non_json():
+    doc = {"over_bound": None}
+    assert bench.differing_paths([output(0, doc), output(1, doc)]) == ["exit"]
+    assert bench.differing_paths([output(0, doc), output(0, {})]) == ["over_bound"]
+    assert bench.differing_paths([output(0, doc), "exit 0\nnot json\n"]) == ["over_bound", "stdout"]

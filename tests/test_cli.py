@@ -205,7 +205,7 @@ identity residuals
   squared_sum_expansion                   0  PASS
   chain_sum               1.81898940355e-16  PASS
   area_quadratic          1.81898940355e-16  PASS
-  half_angle_cots         1.11022302463e-16  PASS
+  half_angle_cots         2.22044604925e-16  PASS
   area_from_cots                          0  PASS
   area_ratio              1.66316895236e-16  PASS
   area_agreement                          0  PASS

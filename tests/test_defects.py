@@ -3,11 +3,11 @@
 Each defect changes one input of `ratio.identity_chain` by a relative
 DELTA = 1e-6: a field of the `TriangleMetrics` it reads (made wrong where
 `geom.anchored_metrics` measures, for `Triangle` and for the sweep alike),
-`ratio.cot`, or `ratio.derived_triangle`.  A residual catches a defect when
-it is over the bound on more than half of `sample_corpus(20000, 5)`; on this
-corpus every residual is over it on at least 98 % of the triangles or on
-none.  Each defect must also be seen end to end: by the sweep's `over_bound`
-and by `perptri verify`, which exits 1.
+the cotangents `ratio.angle_trig` returns, or `ratio.derived_triangle`.
+A residual catches a defect when it is over the bound on more than half of
+`sample_corpus(20000, 5)`; on this corpus every residual is over it on at
+least 98 % of the triangles or on none.  Each defect must also be seen end
+to end: by the sweep's `over_bound` and by `perptri verify`, which exits 1.
 
 `squared_sum_expansion` catches none of the seven: it compares
 -(sum alpha^2)^2 with -2 sum alpha^2 beta^2 - sum alpha^4, which holds for
@@ -36,7 +36,7 @@ DELTA = 1e-6
 HALF_PI = 0.5 * math.pi
 
 #: The kernel's own routines, kept before any test replaces them.
-MEASURE, COT, DERIVED = geom_mod.anchored_metrics, ratio_mod.cot, ratio_mod.derived_triangle
+MEASURE, TRIG, DERIVED = geom_mod.anchored_metrics, ratio_mod.angle_trig, ratio_mod.derived_triangle
 
 
 def metrics_defect(change):
@@ -58,15 +58,19 @@ def swapped_b_and_gamma(m):
 
 
 def wrong_cot(monkeypatch):
-    monkeypatch.setattr(ratio_mod, "cot", lambda ops, x: COT(ops, x) * (1.0 + DELTA))
+    """cot x and cot(x/2) times 1 + DELTA; sin x, which gives no cotangent, is kept."""
+    def trig(ops, x):
+        cot, half_cot, sin = TRIG(ops, x)
+        return cot * (1.0 + DELTA), half_cot * (1.0 + DELTA), sin
+    monkeypatch.setattr(ratio_mod, "angle_trig", trig)
 
 
 def tilted_lines(monkeypatch):
     """The derived triangle's lines turned by pi/2 + DELTA rad, not pi/2."""
     cos_phi, sin_phi = math.cos(HALF_PI + DELTA), math.sin(HALF_PI + DELTA)
     monkeypatch.setattr(ratio_mod, "derived_triangle",
-                        lambda hypot, bx, by, gx, gy, _cos, _sin:
-                        DERIVED(hypot, bx, by, gx, gy, cos_phi, sin_phi))
+                        lambda bx, by, gx, gy, _cos, _sin:
+                        DERIVED(bx, by, gx, gy, cos_phi, sin_phi))
 
 
 def all_but(*names):

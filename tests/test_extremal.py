@@ -21,7 +21,7 @@ from perptri.extremal import (
     slice_argmin,
     slice_min_value,
 )
-from perptri.geom import MATH, NUMPY, anchored_metrics, cot, frame
+from perptri.geom import MATH, NUMPY, anchored_metrics, angle_trig, frame
 from perptri.ratio import identity_chain
 from perptri.sampling import sample_corpus
 from perptri.sweep import evaluate_corpus
@@ -94,7 +94,7 @@ def test_closed_forms_are_consistent(k):
 def test_two_angle_form_matches_three_angle_form(ang_b, ang_g):
     # Both base angles acute: the slice with k = cot B is the cot sum written
     # through B and Gamma alone, claimed exact there.
-    full = cot(MATH, math.pi - ang_b - ang_g) + cot(MATH, ang_b) + cot(MATH, ang_g)
+    full = sum(angle_trig(MATH, x)[0] for x in (math.pi - ang_b - ang_g, ang_b, ang_g))
     short = cot_sum_slice(1.0 / math.tan(ang_b), ang_g)
     assert short == pytest.approx(full, rel=1e-11, abs=1e-11)
 

@@ -6,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import perptri.geom as geom_mod
 from perptri.construction import construct
 from perptri.errors import GeometryError
 from perptri.geom import (
@@ -17,13 +18,13 @@ from perptri.geom import (
     Point2,
     Triangle,
     anchored_metrics,
+    angle_trig,
     clamp_unit,
-    cot,
     derived_triangle,
     frame,
     metrics,
 )
-from perptri.ratio import area_routes, cot_sum, identity_report, judged_bound
+from perptri.ratio import area_routes, cot_sum, identity_report, judged_bound, side_squares
 
 SQRT3 = math.sqrt(3.0)
 EPS = sys.float_info.epsilon
@@ -70,12 +71,42 @@ def test_scalar_and_array_acos_agree():
 def test_derived_vertices_at_phi_90_345():
     # The perpendiculars to AB at B (x = 4), to A-Gamma at A (y = 0) and to
     # B-Gamma at Gamma (4x - 3y = -9) meet in A' = (4, 25/3), B' = (-9/4, 0)
-    # and Gamma' = B = (4, 0), which bound 6.25 * (25/3) / 2 = 625/24.
-    (ap, bp, gp), area = derived_triangle(math.hypot, 4.0, 0.0, 0.0, 3.0, 0.0, 1.0)
-    assert ap == pytest.approx((4.0, 25.0 / 3.0), abs=1e-14)
-    assert bp == pytest.approx((-2.25, 0.0), abs=1e-14)
-    assert gp == pytest.approx((4.0, 0.0), abs=1e-14)
-    assert area == pytest.approx(625.0 / 24.0, rel=1e-15)
+    # and Gamma' = B = (4, 0), which bound 6.25 * (25/3) / 2 = 625/24.  The
+    # lines' coefficients are exact integers, so each result is the correctly
+    # rounded value.
+    (ap, bp, gp), area = derived_triangle(4.0, 0.0, 0.0, 3.0, 0.0, 1.0)
+    assert (ap, bp, gp) == ((4.0, 25.0 / 3.0), (-2.25, 0.0), (4.0, 0.0))
+    assert area == 625.0 / 24.0
+
+
+def test_derived_vertices_at_phi_90_of_an_obtuse_integer_triangle():
+    # B = (5, 0), Gamma = (-3, 4): A = acos(-3/5), cot A = -3/4 and
+    # cot B = cot Gamma = 2.  The perpendiculars x = 5, 3x + 4y = 0 and
+    # 8x - 4y = -40 meet in A' = (5, 20), B' = (-8, -6) and Gamma' = (5, 15/4),
+    # which bound 845/8 = E (cot A + cot B + cot Gamma)^2 = 10 * 3.25^2.
+    (ap, bp, gp), area = derived_triangle(5.0, 0.0, -3.0, 4.0, 0.0, 1.0)
+    assert (ap, bp, gp) == ((5.0, 20.0), (-8.0, -6.0), (5.0, 3.75))
+    assert area == 105.625
+
+
+@given(xy=st.lists(st.integers(-2**20, 2**20), min_size=4, max_size=4),
+       k=st.integers(-60, 60), which=st.integers(0, 2), phi=st.floats(0.1, 0.5 * math.pi))
+@settings(max_examples=200, deadline=None)
+def test_a_lines_scale_leaves_its_crossings_bit_identical(xy, k, which, phi):
+    # The derived lines are not normalized: scaling one line's (a, b, c) by
+    # 2**k, exactly, leaves both of its crossings the same bits (repr tells
+    # -0.0 from 0.0).
+    bx, by, gx, gy = (math.ldexp(v, -18) for v in xy)
+    assume(bx * gy - by * gx != 0.0)
+    c, s = math.cos(phi), math.sin(phi)
+    lines = [geom_mod._rotated_line(c, s, bx, by, bx, by),
+             geom_mod._rotated_line(c, s, gx, gy, gx - bx, gy - by),
+             geom_mod._rotated_line(c, s, 0.0, 0.0, -gx, -gy)]
+    scaled = list(lines)
+    scaled[which] = tuple(math.ldexp(v, k) for v in lines[which])
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        want = geom_mod._crossing(lines[i], lines[j])
+        assert repr(geom_mod._crossing(scaled[i], scaled[j])) == repr(want)
 
 
 def test_derived_vertices_arrays_match_floats():
@@ -84,9 +115,9 @@ def test_derived_vertices_arrays_match_floats():
     bx, by, gx, gy = rng.uniform(-5.0, 5.0, (4, 200))
     for phi in (math.pi / 6, 1.0, 0.5 * math.pi):
         c, s = math.cos(phi), math.sin(phi)
-        arrays = derived_triangle(np.hypot, bx, by, gx, gy, c, s)[0]
+        arrays = derived_triangle(bx, by, gx, gy, c, s)[0]
         for i in range(200):
-            floats = derived_triangle(math.hypot, bx[i], by[i], gx[i], gy[i], c, s)[0]
+            floats = derived_triangle(bx[i], by[i], gx[i], gy[i], c, s)[0]
             for (x, y), (xs, ys) in zip(floats, arrays):
                 assert (x, y) == pytest.approx((xs[i], ys[i]), rel=1e-15, abs=1e-13)
 
@@ -225,11 +256,11 @@ def test_metrics_measure_an_angle_of_zero_without_raising():
 
 
 def test_cot_of_an_angle_of_zero_is_inf_on_arrays():
-    assert cot(MATH, 0.25 * math.pi) == pytest.approx(1.0, abs=1e-15)
+    assert angle_trig(MATH, 0.25 * math.pi)[0] == pytest.approx(1.0, abs=1e-15)
     # No scalar command takes the cotangent of 0: the bound refuses theta = 0
     # first.  Arrays carry inf there.
     with np.errstate(divide="ignore"):
-        assert cot(NUMPY, np.array([0.0]))[0] == math.inf
+        assert angle_trig(NUMPY, np.array([0.0]))[0][0] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -308,5 +339,5 @@ def test_heron_matches_shoelace(ang_b, ang_g, s):
     if ang_b + ang_g > math.pi - 0.2:
         return
     m = _triangle(ang_b, ang_g, s).frame_metrics
-    areas = area_routes(MATH, m, cot_sum(MATH, m))
+    areas = area_routes(MATH, m, side_squares(m), cot_sum(MATH, m), math.sin(m.ang_a))
     assert areas["heron"] == pytest.approx(areas["shoelace"], rel=1e-10)

@@ -1,11 +1,12 @@
 """Area routes, the cotangent, and the angle-form cross-checks.
 
 The routes live in `ratio.area_routes`, which `ratio.identity_chain` and
-`perptri metrics` call, and the cotangent in `geom.cot`; every other module
-shares them.
+`perptri metrics` call, and the cotangents in `geom.angle_trig`; every other
+module shares them.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,12 +20,19 @@ from perptri.geom import (
     Point2,
     Triangle,
     anchored_metrics,
-    cot,
+    angle_trig,
     frame,
     in_units,
     metrics,
 )
-from perptri.ratio import area_routes, cot_sum, identity_chain, identity_report, judged_bound
+from perptri.ratio import (
+    area_routes,
+    cot_sum,
+    identity_chain,
+    identity_report,
+    judged_bound,
+    side_squares,
+)
 from perptri.sampling import sample_corpus
 
 SQRT3 = math.sqrt(3.0)
@@ -38,12 +46,13 @@ def areas(t: Triangle) -> dict:
     """The five area routes of t, in the input's units."""
     m = t.frame_metrics
     return {name: in_units(value, 2 * t.frame.exp, name)
-            for name, value in area_routes(MATH, m, cot_sum(MATH, m)).items()}
+            for name, value in area_routes(MATH, m, side_squares(m), cot_sum(MATH, m),
+                                           math.sin(m.ang_a)).items()}
 
 
 class TestCot:
     def test_quarter_pi(self):
-        assert cot(MATH, math.pi / 4.0) == pytest.approx(1.0, abs=1e-15)
+        assert angle_trig(MATH, math.pi / 4.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_right_angle_is_exactly_zero(self):
         # There is no right-angle branch: at the binary64 pi/2 cot is cos/sin,
@@ -56,8 +65,8 @@ class TestCot:
         half_pi = math.pi / 2.0
         true_half_pi = Decimal("1.57079632679489661923132169163975144209858469968755")
         offset = float(true_half_pi - Decimal(half_pi))
-        assert cot(MATH, half_pi) == math.cos(half_pi) / math.sin(half_pi)
-        assert cot(MATH, half_pi) == offset
+        assert angle_trig(MATH, half_pi)[0] == math.cos(half_pi) / math.sin(half_pi)
+        assert angle_trig(MATH, half_pi)[0] == offset
         assert 0.0 < offset < 1e-16
 
     def test_band_absorbs_roundoff_neighbours(self):
@@ -68,10 +77,10 @@ class TestCot:
         half_pi = math.pi / 2.0
         xs = [math.nextafter(half_pi, 0.0), math.nextafter(half_pi, 4.0),
               half_pi - 5e-13, half_pi + 5e-13, half_pi - 1e-9]
-        assert [cot(MATH, x) for x in xs] == [math.cos(x) / math.sin(x) for x in xs]
-        assert cot(MATH, xs[0]) > 0.0 > cot(MATH, xs[1])
+        assert [angle_trig(MATH, x)[0] for x in xs] == [math.cos(x) / math.sin(x) for x in xs]
+        assert angle_trig(MATH, xs[0])[0] > 0.0 > angle_trig(MATH, xs[1])[0]
         for x in xs[2:]:
-            assert cot(MATH, x) == pytest.approx(half_pi - x, rel=1e-3)
+            assert angle_trig(MATH, x)[0] == pytest.approx(half_pi - x, rel=1e-3)
 
     def test_band_gap_is_the_zeroed_cotangent(self):
         # What a band would zero inside |x - pi/2| <= 1e-12 is returned as
@@ -80,18 +89,42 @@ class TestCot:
         half_pi = math.pi / 2.0
         xs = [half_pi + 5e-13, half_pi - 5e-13, half_pi + 1e-15, half_pi, 1.0]
         arr = np.array(xs)
-        got = cot(NUMPY, arr)
+        got = angle_trig(NUMPY, arr)[0]
         assert got.tolist() == (np.cos(arr) / np.sin(arr)).tolist()
-        assert got.tolist() == [cot(MATH, x) for x in xs]
+        assert got.tolist() == [angle_trig(MATH, x)[0] for x in xs]
         assert (got[:3] != 0.0).all()
         assert np.abs(got[:2]) == pytest.approx(np.abs(arr[:2] - half_pi), rel=1e-3)
 
     def test_obtuse_branch_is_negative(self):
-        assert cot(MATH, 3.0 * math.pi / 4.0) == pytest.approx(-1.0, abs=1e-15)
-        assert cot(MATH, 2.0 * math.pi / 3.0) == pytest.approx(-1.0 / SQRT3, abs=1e-15)
+        assert angle_trig(MATH, 3.0 * math.pi / 4.0)[0] == pytest.approx(-1.0, abs=1e-15)
+        assert angle_trig(MATH, 2.0 * math.pi / 3.0)[0] == pytest.approx(-1.0 / SQRT3, abs=1e-15)
 
     def test_sixty_degrees(self):
-        assert cot(MATH, math.pi / 3.0) == pytest.approx(1.0 / SQRT3, abs=1e-15)
+        assert angle_trig(MATH, math.pi / 3.0)[0] == pytest.approx(1.0 / SQRT3, abs=1e-15)
+
+    def test_half_angle_cot_agrees_with_the_half_angles_quotient(self):
+        # (1 + cos x) / sin x against cos(x/2) / sin(x/2), x/2 exact, relative
+        # to 1 + |cot(x/2)|: within 2 ulp where pi - x >= 1.  Nearer pi,
+        # 1 + cos x cancels and the error grows as eps / (pi - x); a triangle
+        # with an angle x has pi - x >= 2 theta, where its bound is
+        # C eps / theta**2.
+        half_pi = 0.5 * math.pi
+        xs = np.concatenate([
+            np.linspace(1e-7, math.pi - 1e-7, 20001),
+            np.geomspace(1e-7, 1.0, 2001),
+            math.pi - np.geomspace(1e-7, 1.0, 2001),
+            half_pi + np.linspace(-1e-6, 1e-6, 2001),
+            [math.nextafter(half_pi, 0.0), half_pi, math.nextafter(half_pi, 4.0)],
+        ])
+        quotient = np.cos(0.5 * xs) / np.sin(0.5 * xs)
+        allowed = 2.0 * sys.float_info.epsilon * (1.0 + np.abs(quotient))
+        allowed /= np.minimum(1.0, math.pi - xs)
+        half_cot = angle_trig(NUMPY, xs)[1]
+        assert (np.abs(half_cot - quotient) <= allowed).all()
+        for i in range(0, len(xs), 97):
+            x = float(xs[i])
+            got = angle_trig(MATH, x)[1]
+            assert abs(got - math.cos(0.5 * x) / math.sin(0.5 * x)) <= allowed[i]
 
 
 class TestHeron:
@@ -194,6 +227,6 @@ def test_law_of_cosines_in_cot_form_over_corpus():
     for i in range(len(corpus)):
         m = metrics(corpus.triangle(i))
         a2 = m.alpha**2
-        predicted = m.beta**2 + m.gamma**2 - 4.0 * m.area * cot(MATH, m.ang_a)
+        predicted = m.beta**2 + m.gamma**2 - 4.0 * m.area * angle_trig(MATH, m.ang_a)[0]
         scale = m.alpha**2 + m.beta**2 + m.gamma**2
         assert abs(a2 - predicted) / (1.0 + scale) < 1e-10

@@ -24,6 +24,7 @@ from perptri.ratio import (
     identity_report,
     judged_bound,
     residual_bound,
+    side_squares,
     smallest_angle,
     within_bound,
 )
@@ -39,15 +40,19 @@ def residuals(t):
 
 def test_area_routes_are_the_chains_areas_bit_for_bit(t345, equilateral, obtuse_iso):
     # One body of the five routes: the chain's areas are area_routes of its
-    # metrics and cot sum, on floats and on a sampled chunk of arrays.
+    # metrics, their squares, its cot sum and sin A, on floats and on a
+    # sampled chunk of arrays.
     for t in (t345, equilateral, obtuse_iso):
-        chain = identity_chain(*t.frame[1:], t.frame_metrics)
-        assert area_routes(MATH, t.frame_metrics, chain.cot_sum) == chain.areas
+        m = t.frame_metrics
+        chain = identity_chain(*t.frame[1:], m)
+        routes = area_routes(MATH, m, side_squares(m), chain.cot_sum, math.sin(m.ang_a))
+        assert routes == chain.areas
     bx, gx, gy = sample_corpus(2**14, 3).vertex_arrays()
     _, bx, by, gx, gy = geom_mod.frame(geom_mod.NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     m = geom_mod.anchored_metrics(geom_mod.NUMPY, bx, by, gx, gy)
     chain = identity_chain(bx, by, gx, gy, m)
-    routes = area_routes(geom_mod.NUMPY, m, chain.cot_sum)
+    routes = area_routes(geom_mod.NUMPY, m, side_squares(m), chain.cot_sum,
+                         geom_mod.NUMPY.sin(m.ang_a))
     assert list(routes) == list(chain.areas)
     for name, value in routes.items():
         assert value.tobytes() == chain.areas[name].tobytes(), name

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from perptri.construction import construct
-from perptri.geom import MATH, NUMPY, anchored_metrics, angle_cases, cot, frame
+from perptri.geom import MATH, NUMPY, anchored_metrics, angle_cases, angle_trig, frame
 import perptri.ratio as ratio_mod
 from perptri.ratio import (
     BOUND_CONSTANT,
@@ -85,7 +85,7 @@ def test_bridge_values_match_scalar(bridge_corpus, bridge_chain):
     for i in range(len(bridge_corpus)):
         d = construct(bridge_corpus.triangle(i))
         ang_b, ang_g = float(bridge_corpus.ang_b[i]), float(bridge_corpus.ang_g[i])
-        total = cot(MATH, math.pi - ang_b - ang_g) + cot(MATH, ang_b) + cot(MATH, ang_g)
+        total = sum(angle_trig(MATH, x)[0] for x in (math.pi - ang_b - ang_g, ang_b, ang_g))
         assert float(bridge_chain.cot_sum[i]) == pytest.approx(total, rel=1e-12)
         assert float(bridge_chain.ratio_geometric[i]) == pytest.approx(
             d.ratio_geometric, rel=1e-12
@@ -178,11 +178,18 @@ def test_sweep_counts_residuals_over_the_bound(monkeypatch):
     assert evaluate_corpus(sample_corpus(CHUNK + 7, seed=45)).over_bound == CHUNK + 7
 
 
-@pytest.mark.parametrize("delta, seed", [(0.01, 46), (1e-4, 47)])
-def test_bound_keeps_an_eightfold_margin(delta, seed):
+@pytest.mark.parametrize("delta, seed, stratum", [
+    pytest.param(0.01, 46, "all", id="0.01-46"),
+    pytest.param(1e-4, 47, "all", id="0.0001-47"),
+    pytest.param(1e-4, 48, "obtuse", id="0.0001-48-obtuse"),
+    pytest.param(1e-4, 49, "right", id="0.0001-49-right"),
+])
+def test_bound_keeps_an_eightfold_margin(delta, seed, stratum):
     # Over 10**5 triangles at either sampler floor, every residual stays
     # within an eighth of the bound; BOUND_CONSTANT was set with that margin.
-    chain, m = chain_of(sample_corpus(10**5, seed=seed, delta=delta))
+    # The obtuse stratum holds angles near pi, where 1 + cos x in the
+    # half-angle cotangent (1 + cos x) / sin x cancels.
+    chain, m = chain_of(sample_corpus(10**5, seed=seed, stratum=stratum, delta=delta))
     eighth = bound_of(m) / 8
     assert max(float(np.max(chain.residuals[key] / eighth)) for key in CHECK_ORDER) <= 1.0
 

@@ -15,9 +15,11 @@ processes with PYTHONPATH=<tree>/src:
 With several trees, each run visits every tree, and the order alternates from
 run to run (first to last, then last to first), so drift on a shared machine
 falls on both sides alike.  Every sweep must print the same bytes and exit
-with the same code as the first; otherwise the script says which differ and
-exits 1 after writing its report.  The report holds every run, the median and
-quartiles of each measure per tree, the machine (CPUs, CPU model, Python,
+with the same code as the first; otherwise the script names the JSON paths
+whose values differ (such as max_residuals/area_ratio, or exit for the exit
+code) and the runs that printed each output, and exits 1 after writing its
+report.  The report holds every run, the median and quartiles of each
+measure per tree, the differing paths, the machine (CPUs, CPU model, Python,
 numpy), and each tree's directory name and git HEAD (where it is a git
 checkout).
 
@@ -98,6 +100,37 @@ def measure(tree: Path, n: int, seed: int) -> tuple[dict, str]:
     }, output
 
 
+def leaves(value, path: str = ""):
+    """(path, value) for every leaf of a parsed JSON document; paths join keys with /."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from leaves(item, f"{path}/{key}" if path else str(key))
+    else:
+        yield path, value
+
+
+def differing_paths(outputs: list[str]) -> list[str]:
+    """The paths whose values are not the same in every output of `run_child`.
+
+    "exit" is the exit status and "stdout" the whole of an output that is not
+    JSON; a path missing from some outputs differs.
+    """
+    flat = []
+    for output in outputs:
+        code, _, printed = output.partition("\n")
+        try:
+            values = dict(leaves(json.loads(printed)))
+        except ValueError:
+            values = {"stdout": printed}
+        values["exit"] = code
+        flat.append(values)
+    missing = object()
+    return sorted(path for path in set().union(*flat)
+                  if any(values.get(path, missing) != flat[0].get(path, missing)
+                         for values in flat[1:]))
+
+
 def summary(values: list[float]) -> dict:
     """Median and quartiles (the value itself for a single run)."""
     q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
@@ -151,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             runs[tree].append(result)
             outputs.setdefault(output, []).append(f"{tree} run {i}")
     identical = len(outputs) == 1
+    differing = differing_paths(list(outputs))
 
     report = {
         "benchmark": "perptri sweep --n N --seed S --json, fresh processes",
@@ -160,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine(),
         "git_head": command_output(["git", "rev-parse", "HEAD"], ROOT),
         "identical_output": identical,
+        "differing_paths": differing,
         "trees": [{
             "tree": tree.name,
             "git_head": command_output(["git", "rev-parse", "HEAD"], tree)
@@ -177,9 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         print("  ".join((f"{entry['tree']:>{width}}", *cells)))
     print(f"medians of {args.runs} run(s) each; report in {args.out}")
     if not identical:
-        for output, where in outputs.items():
-            print(f"output {output.splitlines()[0]!r}..., from {', '.join(where)}", file=sys.stderr)
-        print("the sweeps printed different output", file=sys.stderr)
+        for i, where in enumerate(outputs.values()):
+            print(f"output {i}: {', '.join(where)}", file=sys.stderr)
+        print(f"the sweeps printed different values at {', '.join(differing)}", file=sys.stderr)
         return 1
     return 0
 
