@@ -8,9 +8,9 @@ argument is "-" or omitted) in exactly one of three forms:
     {"sides":    {"alpha": a, "beta": b, "gamma": c}}
     {"angles":   {"B_deg": b, "Gamma_deg": g, "scale": s}}
 
-Sides are laid out with A at the origin and B at (gamma, 0); the angle form
-places A at the origin and B at (scale, 0).  Both refuse a layout below
-binary64's normal range or beyond binary64 (`sampling.canonical_triangle`).
+`FORMS` holds each form's keys, value reader and layout, so each rule of a spec
+is checked once.  `sampling` lays sides and angles out, A at the origin and B at
+(gamma, 0) or (scale, 0), and refuses a layout binary64 cannot hold.
 Angles are degrees at this boundary only.  `render` is the one command that
 writes a figure, drawn in the triangle's frame (`svg`).
 
@@ -42,7 +42,7 @@ from .extremal import (
     minimize_slice,
     right_triangle_min,
 )
-from .geom import MATH, Point2, Triangle, frame_exponent, in_units, metrics
+from .geom import MATH, Point2, Triangle, in_units, metrics
 from .ratio import (
     BOUND_CONSTANT,
     area_routes,
@@ -51,7 +51,7 @@ from .ratio import (
     judged_bound,
     side_squares,
 )
-from .sampling import STRATA, canonical_triangle, triangle_from_angles
+from .sampling import STRATA, triangle_from_angles, triangle_from_sides
 from .svg import render_svg
 
 
@@ -60,19 +60,16 @@ def fmt(value: float) -> str:
     return f"{value + 0.0:.12g}"
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
-
-
-def _as_number(value, name: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{name} must be a number")
+def _as_number(value, *name) -> float:
+    """value as a finite float; its messages name it by the parts of name, joined."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{''.join(name)} must be a number")
     try:
         result = float(value)
     except OverflowError:  # an integer too large for a float
         result = math.inf
-    _require(math.isfinite(result), f"{name} must be finite")
+    if not math.isfinite(result):
+        raise ParseError(f"{''.join(name)} must be finite")
     return result
 
 
@@ -107,56 +104,41 @@ def sweep_count(text: str) -> int:
 
 
 def _as_point(value, name: str) -> Point2:
-    _require(isinstance(value, (list, tuple)) and len(value) == 2,
-             f"{name} must be a [x, y] pair")
-    return Point2(_as_number(value[0], f"{name}[0]"), _as_number(value[1], f"{name}[1]"))
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"{name} must be a [x, y] pair")
+    return Point2(_as_number(value[0], name, "[0]"), _as_number(value[1], name, "[1]"))
+
+
+def _triangle_from_degrees(b_deg: float, g_deg: float, scale: float) -> Triangle:
+    if not (b_deg > 0.0 and g_deg > 0.0 and b_deg + g_deg < 180.0):
+        raise ParseError("angles must be positive with B_deg + Gamma_deg < 180")
+    return triangle_from_angles(math.radians(b_deg), math.radians(g_deg), scale)
+
+
+#: The forms of a specification: each one's keys, in the order its builder
+#: takes their values, the reader of one value, and the builder.
+FORMS = {
+    "vertices": (("A", "B", "Gamma"), _as_point, Triangle),
+    "sides": (("alpha", "beta", "gamma"), _as_number, triangle_from_sides),
+    "angles": (("B_deg", "Gamma_deg", "scale"), _as_number, _triangle_from_degrees),
+}
 
 
 def triangle_from_spec(doc) -> Triangle:
-    """Build a Triangle from a parsed specification document."""
-    _require(isinstance(doc, dict), "specification must be a JSON object")
-    forms = [key for key in ("vertices", "sides", "angles") if key in doc]
-    _require(len(forms) == 1,
-             "specification needs exactly one of: vertices, sides, angles")
-    unknown = set(doc) - {"vertices", "sides", "angles"}
-    _require(not unknown, f"unknown keys in specification: {sorted(unknown)}")
-    body = doc[forms[0]]
-    _require(isinstance(body, dict), f"{forms[0]} must be a JSON object")
-
-    if forms[0] == "vertices":
-        _require(set(body) == {"A", "B", "Gamma"},
-                 'vertices must contain exactly "A", "B", "Gamma"')
-        return Triangle(
-            _as_point(body["A"], "A"),
-            _as_point(body["B"], "B"),
-            _as_point(body["Gamma"], "Gamma"),
-        )
-
-    if forms[0] == "sides":
-        _require(set(body) == {"alpha", "beta", "gamma"},
-                 'sides must contain exactly "alpha", "beta", "gamma"')
-        alpha = _as_number(body["alpha"], "alpha")
-        beta = _as_number(body["beta"], "beta")
-        gamma = _as_number(body["gamma"], "gamma")
-        # The lengths scaled exactly so the largest lies in [0.5, 1): neither
-        # their sum nor their squares overflow or underflow.
-        exp = frame_exponent(MATH, alpha, beta, gamma)
-        a, b, c = math.ldexp(alpha, -exp), math.ldexp(beta, -exp), math.ldexp(gamma, -exp)
-        if not max(a, b, c) < 0.5 * (a + b + c):
-            raise GeometryError(
-                f"sides ({alpha}, {beta}, {gamma}) violate the strict triangle inequality"
-            )
-        ang_a = MATH.acos((b * b + c * c - a * a) / (2.0 * b * c))
-        return canonical_triangle(gamma, beta * math.cos(ang_a), beta * math.sin(ang_a))
-
-    _require(set(body) == {"B_deg", "Gamma_deg", "scale"},
-             'angles must contain exactly "B_deg", "Gamma_deg", "scale"')
-    b_deg = _as_number(body["B_deg"], "B_deg")
-    g_deg = _as_number(body["Gamma_deg"], "Gamma_deg")
-    scale = _as_number(body["scale"], "scale")
-    _require(b_deg > 0.0 and g_deg > 0.0 and b_deg + g_deg < 180.0,
-             "angles must be positive with B_deg + Gamma_deg < 180")
-    return triangle_from_angles(math.radians(b_deg), math.radians(g_deg), scale)
+    """Build a Triangle from a parsed specification document, in one of the `FORMS`."""
+    if not isinstance(doc, dict):
+        raise ParseError("specification must be a JSON object")
+    if len(FORMS.keys() & doc.keys()) != 1:
+        raise ParseError(f"specification needs exactly one of: {', '.join(FORMS)}")
+    if len(doc) != 1:
+        raise ParseError(f"unknown keys in specification: {sorted(set(doc) - set(FORMS))}")
+    (form, body), = doc.items()
+    keys, read, build = FORMS[form]
+    if not isinstance(body, dict):
+        raise ParseError(f"{form} must be a JSON object")
+    if body.keys() != set(keys):
+        raise ParseError(f"{form} must contain exactly {', '.join(map(json.dumps, keys))}")
+    return build(*[read(body[key], key) for key in keys])
 
 
 def load_triangle(spec_arg: str | None) -> Triangle:

@@ -114,7 +114,9 @@ def construct(t: Triangle, phi: float = 0.5 * math.pi) -> DerivedConstruction:
     _, bx, by, gx, gy = t.frame
     m = t.frame_metrics
     total = cot_sum(MATH, m)
-    rel, area_derived = derived_triangle(bx, by, gx, gy, math.cos(phi), math.sin(phi))
+    # At pi/2 the chain's exact perpendiculars: math.cos(pi / 2) is 6.1e-17, not 0.
+    turn = (0.0, 1.0) if phi == 0.5 * math.pi else (math.cos(phi), math.sin(phi))
+    rel, area_derived = derived_triangle(bx, by, gx, gy, *turn)
     ap, bp, gp = (Point2(x, y) for x, y in rel)
     return DerivedConstruction(
         source=t,

@@ -128,9 +128,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError(f"non-finite point ({self.x!r}, {self.y!r})")
 
-    def __sub__(self, other: Point2) -> Point2:
-        return Point2(self.x - other.x, self.y - other.y)
-
     def dist(self, other: Point2) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 

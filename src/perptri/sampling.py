@@ -12,9 +12,8 @@ stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
 inside the acute-A stratum -- that is deliberate, the identities are claimed
 and checked for every labeling, not just the convenient one.
 
-Only the corpus code imports numpy, when it runs; `STRATA`,
-`triangle_from_angles` and `canonical_triangle` serve the scalar commands
-without it.
+Only the corpus code imports numpy, when it runs; `STRATA` and the scalar
+layouts (`triangle_from_sides`, `triangle_from_angles`) serve without it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import geom
 from .errors import GeometryError
-from .geom import MATH, AngleCase, Ops, Point2, Triangle, angle_cases
+from .geom import MATH, AngleCase, Ops, Point2, Triangle, angle_cases, frame_exponent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,6 +43,27 @@ DELTA_STRESS = 1e-4
 SCALE_DECADES = (-2.0, 2.0)
 
 STRATA = ("all", "acute", "right", "obtuse")
+
+
+def triangle_from_sides(alpha: float, beta: float, gamma: float) -> Triangle:
+    """Triangle with |B Gamma| = alpha, |Gamma A| = beta, |AB| = gamma, A at the origin.
+
+    No trigonometry: on the sides a, b, c scaled by 2**-exp, Gamma is at
+    x = (b^2 + c^2 - a^2) / (2c), a^2 taken from the nearer of b^2 and c^2 by an
+    exact difference, and y = 2E/c, E by Kahan's Heron; 3-4-5 lays out exactly.
+    """
+    exp = frame_exponent(MATH, alpha, beta, gamma)
+    a, b, c = math.ldexp(alpha, -exp), math.ldexp(beta, -exp), math.ldexp(gamma, -exp)
+    if not max(a, b, c) < 0.5 * (a + b + c):
+        raise GeometryError(
+            f"sides ({alpha}, {beta}, {gamma}) violate the strict triangle inequality")
+    near, far = (b, c) if abs(b - a) <= abs(c - a) else (c, b)
+    x = ((near - a) * (near + a) + far * far) / (2.0 * c)
+    p, q, r = sorted((a, b, c), reverse=True)
+    y = math.sqrt((p + (q + r)) * (r - (p - q)) * (r + (p - q)) * (p + (q - r))) / (2.0 * c)
+    # x = b cos A and y = b sin A: held to b, neither rounds past binary64.
+    x, y = max(-b, min(x, b)), min(y, b)
+    return canonical_triangle(gamma, math.ldexp(x, exp), math.ldexp(y, exp))
 
 
 def triangle_from_angles(ang_b: float, ang_g: float, scale: float) -> Triangle:
@@ -65,11 +85,10 @@ def triangle_from_angles(ang_b: float, ang_g: float, scale: float) -> Triangle:
 def canonical_triangle(bx: float, gx: float, gy: float) -> Triangle:
     """The Triangle with A at the origin, B at (bx, 0) and Gamma at (gx, gy).
 
-    The sides and angles forms lay their triangle out in the input's units.
-    Below binary64's normal range that rounding changes the shape, not just
-    the position (an equilateral triangle of side 5e-324 lays out as a right
-    one), so a layout whose largest coordinate is below sys.float_info.min is
-    refused; so is one whose largest coordinate overflowed.
+    The sides and angles layouts are in the input's units, where below the
+    normal range rounding changes the shape, not just the position (an
+    equilateral triangle of side 5e-324 lays out as a right one): a layout whose
+    largest coordinate is below sys.float_info.min, or overflowed, is refused.
     """
     largest = max(abs(bx), abs(gx), abs(gy))
     if largest < sys.float_info.min:

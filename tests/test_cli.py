@@ -85,6 +85,47 @@ def test_bad_specs_raise(doc):
         triangle_from_spec(doc)
 
 
+@pytest.mark.parametrize("doc, err", [
+    ([], "specification must be a JSON object"),
+    ("text", "specification must be a JSON object"),
+    ({}, "specification needs exactly one of: vertices, sides, angles"),
+    ({"vertices": {}, "sides": {}}, "specification needs exactly one of: vertices, sides, angles"),
+    ({"vertices": {"A": [0, 0], "B": [4, 0], "Gamma": [0, 3]}, "phi": 45, "zeta": 1},
+     "unknown keys in specification: ['phi', 'zeta']"),
+    ({"sides": [5, 3, 4]}, "sides must be a JSON object"),
+    ({"angles": None}, "angles must be a JSON object"),
+    ({"vertices": {"A": [0, 0], "B": [1, 0]}}, 'vertices must contain exactly "A", "B", "Gamma"'),
+    ({"sides": {"alpha": 1, "beta": 1, "gamma": 1, "extra": 2}},
+     'sides must contain exactly "alpha", "beta", "gamma"'),
+    ({"angles": {"B_deg": 30, "Gamma_deg": 30}},
+     'angles must contain exactly "B_deg", "Gamma_deg", "scale"'),
+    ({"sides": {"alpha": "5", "beta": 3, "gamma": 4}}, "alpha must be a number"),
+    ({"angles": {"B_deg": 30, "Gamma_deg": True, "scale": 1}}, "Gamma_deg must be a number"),
+    ({"vertices": {"A": [0, 0], "B": [4, None], "Gamma": [0, 3]}}, "B[1] must be a number"),
+    ({"sides": {"alpha": 10**400, "beta": 1, "gamma": 1}}, "alpha must be finite"),
+    ({"angles": {"B_deg": 30, "Gamma_deg": 30, "scale": math.inf}}, "scale must be finite"),
+    ({"vertices": {"A": [0, 0], "B": [4, 0], "Gamma": [math.nan, 3]}},
+     "Gamma[0] must be finite"),
+    ({"vertices": {"A": [0], "B": [4, 0], "Gamma": [0, 3]}}, "A must be a [x, y] pair"),
+    ({"vertices": {"A": [0, 0], "B": {"x": 4, "y": 0}, "Gamma": [0, 3]}},
+     "B must be a [x, y] pair"),
+    ({"angles": {"B_deg": 90, "Gamma_deg": 90, "scale": 1}},
+     "angles must be positive with B_deg + Gamma_deg < 180"),
+    ({"angles": {"B_deg": 0, "Gamma_deg": 30, "scale": 1}},
+     "angles must be positive with B_deg + Gamma_deg < 180"),
+    ({"sides": {"alpha": 1, "beta": 1, "gamma": 3}},
+     "sides (1.0, 1.0, 3.0) violate the strict triangle inequality"),
+    ({"sides": {"alpha": 1, "beta": 1, "gamma": 2}},
+     "sides (1.0, 1.0, 2.0) violate the strict triangle inequality"),
+], ids=["list", "string", "no-form", "two-forms", "unknown-keys", "sides-body", "angles-body",
+        "vertices-keys", "sides-keys", "angles-keys", "string-number", "bool-number",
+        "null-coordinate", "huge-integer", "infinite-scale", "nan-coordinate", "short-pair",
+        "object-pair", "angle-sum", "zero-angle", "long-side", "flat-sides"])
+def test_spec_errors_print_their_one_line(tmp_path, capsys, doc, err):
+    assert main(["metrics", write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_impossible_sides_rejected():
     with pytest.raises((ParseError, GeometryError)):
         triangle_from_spec({"sides": {"alpha": 1, "beta": 1, "gamma": 3}})
@@ -92,14 +133,17 @@ def test_impossible_sides_rejected():
 
 def test_sides_form_takes_the_correctly_rounded_cosine():
     # Squared unscaled with `**2` (libm pow), the cosine of A comes out one ulp
-    # high and Gamma moves in its last digits; the sides form must take the
-    # exact cosine, rounded once.
+    # high and Gamma moves in its last digits.  Gamma's x = beta cos A and
+    # y**2 = beta**2 - x**2 must match their exact values to an ulp or two of
+    # the largest side.
     alpha, beta, gamma = 3.2123826716726754e29, 1.887081152381928e29, 3.823025227943602e29
     t = triangle_from_spec({"sides": {"alpha": alpha, "beta": beta, "gamma": gamma}})
     assert (t.g.x, t.g.y) == (1.0276148169877274e29, 1.5827454197003334e29)
     a, b, c = map(Fraction, (alpha, beta, gamma))
-    ang_a = math.acos(float((b * b + c * c - a * a) / (2 * b * c)))
-    assert (t.g.x, t.g.y) == (beta * math.cos(ang_a), beta * math.sin(ang_a))
+    x = (b * b + c * c - a * a) / (2 * c)
+    ulp = math.ulp(max(alpha, beta, gamma))
+    assert abs(Fraction(t.g.x) - x) <= ulp
+    assert abs(Fraction(t.g.y) ** 2 - (b * b - x * x)) <= 2 * ulp * Fraction(t.g.y)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 from perptri.construction import construct, similarity_check
 from perptri.errors import GeometryError
-from perptri.geom import AngleCase, Point2, Triangle, angle_cases, classify_angle, metrics
-from perptri.ratio import identity_report
+from perptri.geom import (
+    AngleCase,
+    Point2,
+    Triangle,
+    angle_cases,
+    classify_angle,
+    derived_triangle,
+    metrics,
+)
+from perptri.ratio import identity_chain, identity_report
 from perptri.sampling import triangle_from_angles
 
 SQRT3 = math.sqrt(3.0)
@@ -67,6 +75,22 @@ def test_right_case_345(t345):
     assert d.ratio_formula == pytest.approx(625.0 / 144.0, rel=1e-12)
 
 
+def test_construct_at_phi_90_builds_the_exact_perpendiculars(t345):
+    # math.cos(pi / 2) is 6.1e-17, which would lift B' and Gamma' of 3-4-5
+    # off the x-axis by 1e-16: at 90 degrees construct builds the chain's lines.
+    d = construct(t345, math.radians(90.0))
+    assert (d.bp, d.gp) == (Point2(-2.25, 0.0), Point2(4.0, 0.0))
+    rng = random.Random(90)
+    for _ in range(2000):
+        ang_b = rng.uniform(0.01, math.pi - 0.03)
+        t = triangle_from_angles(ang_b, rng.uniform(0.01, math.pi - 0.02 - ang_b),
+                                 10.0 ** rng.uniform(-3.0, 3.0))
+        d = construct(t)
+        frame = t.frame[1:]
+        assert d.frame_area_derived == derived_triangle(*frame, 0.0, 1.0)[1]
+        assert d.ratio_geometric == identity_chain(*frame, t.frame_metrics).ratio_geometric
+
+
 def test_acute_case_equilateral(equilateral):
     d = construct(equilateral)
     assert d.case is AngleCase.ACUTE
@@ -98,9 +122,11 @@ def _rotated(dx: float, dy: float, phi: float) -> tuple[float, float]:
     return math.cos(phi) * dx - math.sin(phi) * dy, math.sin(phi) * dx + math.cos(phi) * dy
 
 
-def _distance_to_perpendicular(p: Point2, anchor: Point2, side: Point2) -> float:
-    # The perpendicular to `side` through `anchor` has unit normal side / |side|.
-    return abs((p.x - anchor.x) * side.x + (p.y - anchor.y) * side.y) / math.hypot(side.x, side.y)
+def _distance_to_perpendicular(p: Point2, anchor: Point2, start: Point2, end: Point2) -> float:
+    # The perpendicular through `anchor` to the side from start to end has
+    # unit normal (end - start) / |end - start|.
+    sx, sy = end.x - start.x, end.y - start.y
+    return abs((p.x - anchor.x) * sx + (p.y - anchor.y) * sy) / math.hypot(sx, sy)
 
 
 def test_lines_pass_through_their_anchors(t345):
@@ -108,23 +134,23 @@ def test_lines_pass_through_their_anchors(t345):
     # through its anchor; every derived vertex sits on both of its lines.
     d = construct(t345)
     scale = 5.0  # |B Gamma|, the longest side
-    ab, bg, ga = t345.b - t345.a, t345.g - t345.b, t345.a - t345.g
-    assert _distance_to_perpendicular(d.ap, t345.b, ab) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.ap, t345.g, bg) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.bp, t345.g, bg) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.bp, t345.a, ga) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.gp, t345.a, ga) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.gp, t345.b, ab) < 1e-12 * scale
+    a, b, g = t345.a, t345.b, t345.g
+    assert _distance_to_perpendicular(d.ap, b, a, b) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.ap, g, b, g) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.bp, g, b, g) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.bp, a, g, a) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.gp, a, g, a) < 1e-12 * scale
+    assert _distance_to_perpendicular(d.gp, b, a, b) < 1e-12 * scale
 
 
 def test_perpendicularity_at_phi_90(equilateral):
     # A' and Gamma' share the line anchored at B, which at phi = pi/2 is
     # perpendicular to AB.
     d = construct(equilateral)
-    side = equilateral.b - equilateral.a
+    sx, sy = equilateral.b.x - equilateral.a.x, equilateral.b.y - equilateral.a.y
     dx, dy = d.gp.x - d.ap.x, d.gp.y - d.ap.y
     norm = math.hypot(dx, dy)
-    assert abs(side.x * dx + side.y * dy) / norm < 1e-14
+    assert abs(sx * dx + sy * dy) / norm < 1e-14
 
 
 @pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 4, math.pi / 3, 1.0, HALF_PI])

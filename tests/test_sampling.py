@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from perptri.sampling import (
     concat_corpora,
     sample_corpus,
     triangle_from_angles,
+    triangle_from_sides,
 )
 
 HALF_PI = 0.5 * math.pi
@@ -54,6 +57,58 @@ def test_triangle_from_angles_equilateral():
 def test_triangle_from_angles_rejects(ang_b, ang_g, scale):
     with pytest.raises(GeometryError):
         triangle_from_angles(ang_b, ang_g, scale)
+
+
+def test_triangle_from_sides_lays_345_out_exactly():
+    t = triangle_from_sides(5.0, 3.0, 4.0)
+    assert (t.a, t.b, t.g) == (Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0))
+
+
+def test_triangle_from_sides_fits_at_the_top_of_binary64():
+    # Unheld, Gamma's y = beta sin A rounds to 1.0 in the frame and overflows
+    # when put back at 2**1024.
+    big = sys.float_info.max
+    t = triangle_from_sides(big, big, 3.82299169072416e296)
+    assert t.g.y == big
+
+
+def thin_and_general_sides(rng: random.Random, n: int):
+    """n seeded side triples, in turn a needle, a flat triangle and a general one.
+
+    A needle's small side lies 1e-15 to 1e-1 of the others, a flat triangle's
+    long side 1e-14 to 1e-1 short of the sum of the others; each side takes
+    each role, and sizes span 10**+-100.  Only triples that keep the strict
+    triangle inequality after scaling are given.
+    """
+    made = 0
+    while made < n:
+        kind = made % 3
+        if kind == 0:
+            small = 10.0 ** rng.uniform(-15.0, -1.0)
+            sides = [small, 1.0, 1.0 + small * rng.uniform(-0.999, 0.999)]
+        elif kind == 1:
+            q, r = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
+            sides = [(q + r) * (1.0 - 10.0 ** rng.uniform(-14.0, -1.0)), q, r]
+        else:
+            sides = [rng.uniform(0.01, 1.0) for _ in range(3)]
+        rng.shuffle(sides)
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        sides = [side * scale for side in sides]
+        if max(sides) < 0.5 * sum(sides):
+            made += 1
+            yield sides
+
+
+def test_triangle_from_sides_keeps_thin_sides():
+    # An acos of the law of cosines loses digits as 1/A near A = 0 or pi
+    # (alpha = 1e-6 would come back 4.4e-5 off); the layout takes none.
+    # Measured back, every side must be within 4 eps of the largest (the
+    # worst seen is 1.98 eps).
+    eps = 2.0 ** -52
+    for sides in thin_and_general_sides(random.Random(20), 100_002):
+        m = geom.metrics(triangle_from_sides(*sides))
+        worst = max(abs(got - want) for got, want in zip((m.alpha, m.beta, m.gamma), sides))
+        assert worst <= 4.0 * eps * max(sides), sides
 
 
 def test_layout_below_the_normal_range_is_refused():
