@@ -10,84 +10,40 @@ intermediate identity it rests on, and confirms the extremal values both in
 closed form and numerically.
 
 Only the sweep and the brute-force lattice work on arrays, and only they
-import numpy: the sweep's names below are resolved on first access.
+import numpy.  Importing the package imports none of its modules: each public
+name, and each module as an attribute (`perptri.sweep`), is imported on its
+first access (PEP 562), so a command pays only for the modules it runs.
 """
-
-from .construction import DerivedConstruction, construct, similarity_check
-from .errors import GeometryError, ParseError
-from .extremal import (
-    ExtremalReport,
-    cot_sum_lattice_min,
-    cot_sum_slice,
-    global_cot_sum_min,
-    minimize_slice,
-    right_cot_sum,
-    right_triangle_min,
-    slice_min_value,
-)
-from .geom import (
-    AngleCase,
-    Point2,
-    Triangle,
-    TriangleMetrics,
-    classify_angle,
-    metrics,
-)
-from .ratio import VerifyReport, identity_report
-from .sampling import (
-    DELTA_MAIN,
-    DELTA_STRESS,
-    TriangleCorpus,
-    concat_corpora,
-    sample_corpus,
-    triangle_from_angles,
-)
-from .svg import render_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleCase",
-    "DELTA_MAIN",
-    "DELTA_STRESS",
-    "DerivedConstruction",
-    "ExtremalReport",
-    "GeometryError",
-    "ParseError",
-    "Point2",
-    "SweepResult",
-    "Triangle",
-    "TriangleCorpus",
-    "TriangleMetrics",
-    "VerifyReport",
-    "classify_angle",
-    "concat_corpora",
-    "construct",
-    "cot_sum_lattice_min",
-    "cot_sum_slice",
-    "evaluate_corpus",
-    "global_cot_sum_min",
-    "identity_report",
-    "metrics",
-    "minimize_slice",
-    "render_svg",
-    "right_cot_sum",
-    "right_triangle_min",
-    "run_sweep",
-    "sample_corpus",
-    "similarity_check",
-    "slice_min_value",
-    "triangle_from_angles",
-]
+#: Each module's public names.
+_EXPORTS = {
+    "construction": ("DerivedConstruction", "construct", "similarity_check"),
+    "errors": ("GeometryError", "ParseError"),
+    "extremal": ("ExtremalReport", "cot_sum_lattice_min", "cot_sum_slice", "global_cot_sum_min",
+                 "minimize_slice", "right_cot_sum", "right_triangle_min", "slice_min_value"),
+    "geom": ("AngleCase", "Point2", "Triangle", "TriangleMetrics", "classify_angle", "metrics"),
+    "ratio": ("VerifyReport", "identity_report"),
+    "sampling": ("DELTA_MAIN", "DELTA_STRESS", "TriangleCorpus", "concat_corpora",
+                 "sample_corpus", "triangle_from_angles"),
+    "svg": ("render_svg",),
+    "sweep": ("SweepResult", "evaluate_corpus", "run_sweep"),
+}
+_MODULES = {*_EXPORTS, "cli"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-
-_SWEEP_NAMES = ("SweepResult", "evaluate_corpus", "run_sweep")
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    """The sweep's names, imported (with numpy) on first access."""
-    if name not in _SWEEP_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import sweep
+    """A module, or a public name of one, imported on first access."""
+    from importlib import import_module
 
-    return getattr(sweep, name)
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later accesses skip this function
+    return value

@@ -23,8 +23,14 @@ prints nothing on stdout.  Exit codes: 0 success, 1 verification failure,
 2 bad input (a ParseError or a GeometryError: a bad specification, a
 triangle or value binary64 cannot take, or any command-line mistake,
 reported as one `error:` line), 3 internal error (any other exception,
-reported on one line).  The text formats every float to 12 significant digits (`fmt`), so
-identical invocations are byte-identical.
+reported on one line), 130 interrupted (SIGINT, one `error:` line) and 141
+stdout closed by its reader (as for SIGPIPE, silently).  The text formats every
+float to 12 significant digits (`fmt`), so identical invocations are
+byte-identical.
+
+A command imports the modules only it runs (`construction`, `extremal`, `svg`,
+`sweep` and, through the sweep, numpy) inside its function, so `verify` and
+`metrics` load none of them.
 """
 
 from __future__ import annotations
@@ -35,13 +41,7 @@ import math
 import os
 import sys
 
-from .construction import construct, similarity_check
 from .errors import GeometryError, ParseError
-from .extremal import (
-    global_cot_sum_min,
-    minimize_slice,
-    right_triangle_min,
-)
 from .geom import MATH, Point2, Triangle, in_units, metrics
 from .ratio import (
     BOUND_CONSTANT,
@@ -52,7 +52,6 @@ from .ratio import (
     side_squares,
 )
 from .sampling import STRATA, triangle_from_angles, triangle_from_sides
-from .svg import render_svg
 
 
 def fmt(value: float) -> str:
@@ -229,6 +228,8 @@ def _verify_text(p):
 
 
 def cmd_construct(args):
+    from .construction import construct, similarity_check
+
     t = load_triangle(args.spec)
     d = construct(t, math.radians(args.phi))
     disc = similarity_check(t, d)
@@ -263,8 +264,6 @@ def _construct_text(p):
 
 
 def cmd_sweep(args):
-    # Imported here: the sweep is the one command on arrays, and only it
-    # should pay for numpy.
     from .sweep import run_sweep
 
     result = run_sweep(args.n, args.seed, stratum=args.stratum)
@@ -308,6 +307,8 @@ def _sweep_text(p):
 
 
 def cmd_minimize(args):
+    from .extremal import global_cot_sum_min, minimize_slice, right_triangle_min
+
     if args.right:
         min_sq, ang = right_triangle_min()
         return {
@@ -353,6 +354,9 @@ def _minimize_text(p):
 
 
 def cmd_render(args):
+    from .construction import construct
+    from .svg import render_svg
+
     t = load_triangle(args.spec)
     render_svg(construct(t, math.radians(args.phi)), args.out)
     return {"out": args.out}, 0
@@ -441,7 +445,19 @@ def main(argv=None) -> int:
         else:
             for line in args.text(payload):
                 print(line)
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush at
+        # exit raises nothing, and exit as a process killed by SIGPIPE would.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (ParseError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

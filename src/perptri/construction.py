@@ -16,13 +16,12 @@ along AB; at phi = pi/2 that is the right case.  Both are judged on angle A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GeometryError
 from .geom import (
     CASE_BAND,
     MATH,
-    AngleCase,
     Point2,
     Triangle,
     anchored_metrics,
@@ -33,8 +32,9 @@ from .geom import (
 from .ratio import cot_sum, judged_bound
 
 
-@dataclass(frozen=True)
-class DerivedConstruction:
+class DerivedConstruction(namedtuple("DerivedConstruction", (
+        "source ap_rel bp_rel gp_rel phi case frame_area_derived ratio_geometric "
+        "ratio_formula"))):
     """The triangle bounded by three rotated side lines, and both ratio routes.
 
     Every measurement is made in the source's frame (`Triangle.frame`), so it
@@ -52,15 +52,7 @@ class DerivedConstruction:
     ratio_geometric is reported without a closed form.
     """
 
-    source: Triangle
-    ap_rel: Point2
-    bp_rel: Point2
-    gp_rel: Point2
-    phi: float
-    case: AngleCase
-    frame_area_derived: float
-    ratio_geometric: float
-    ratio_formula: float
+    __slots__ = ()
 
     @property
     def area_derived(self) -> float:

@@ -22,8 +22,8 @@ confirms them against a derivative-free golden-section search.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 #: 1/phi, the golden-section interval reduction factor per iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -121,20 +121,17 @@ def slice_argmin(k: float) -> float:
     return math.atan2(1.0, math.sqrt(k * k + 1.0) - k)
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(namedtuple(
+        "ExtremalReport", "k argmin min_value numeric_argmin numeric_min agreement_err")):
     """Closed-form slice minimum next to its golden-section confirmation."""
 
-    k: float
-    argmin: float
-    min_value: float
-    numeric_argmin: float
-    numeric_min: float
-    agreement_err: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.min_value > 0.0:
+    def __new__(cls, k, argmin, min_value, numeric_argmin, numeric_min, agreement_err):
+        if not min_value > 0.0:
             raise ValueError("slice minima are positive by construction")
+        return super().__new__(cls, k, argmin, min_value, numeric_argmin, numeric_min,
+                               agreement_err)
 
 
 def minimize_slice(k: float) -> ExtremalReport:

@@ -28,7 +28,6 @@ import enum
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .errors import GeometryError
 
@@ -117,16 +116,26 @@ def angle_trig(ops: Ops, x):
     return cos_x / sin_x, (1.0 + cos_x) / sin_x, sin_x
 
 
-@dataclass(frozen=True)
 class Point2:
-    """A 2-D point with finite coordinates."""
+    """A 2-D point with finite coordinates; equal to, and hashed as, another with the same x, y."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite point ({self.x!r}, {self.y!r})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"non-finite point ({x!r}, {y!r})")
+        self.x, self.y = x, y
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
 
     def dist(self, other: Point2) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -174,7 +183,6 @@ def derived_triangle(bx, by, gx, gy, cos_phi, sin_phi):
     return vertices, 0.5 * abs((bpx - apx) * (gpy - apy) - (bpy - apy) * (gpx - apx))
 
 
-@dataclass(frozen=True)
 class Triangle:
     """Vertices A, B, Gamma of a non-degenerate triangle.
 
@@ -187,19 +195,14 @@ class Triangle:
     the triangle's measurements, which every path reads.  A doubled area
     of 0 and vertices whose differences overflow are rejected (`Point2`
     rejects a non-finite coordinate); thinness is `ratio.judged_bound`'s to
-    judge.
+    judge.  Two triangles are equal, and hash alike, when their stored a, b
+    and g are.
     """
 
-    a: Point2
-    b: Point2
-    g: Point2
-    #: The triangle's frame (`frame`), in which every measurement is made.
-    frame: Frame = field(init=False, repr=False, compare=False)
-    #: anchored_metrics of the frame, in the frame's units (`metrics` converts).
-    frame_metrics: TriangleMetrics = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "g", "frame", "frame_metrics")
 
-    def __post_init__(self) -> None:
-        f = frame(MATH, self.a.x, self.a.y, self.b.x, self.b.y, self.g.x, self.g.y)
+    def __init__(self, a: Point2, b: Point2, g: Point2) -> None:
+        f = frame(MATH, a.x, a.y, b.x, b.y, g.x, g.y)
         exp, bx, by, gx, gy = f
         if not math.isfinite(bx + by + gx + gy):
             raise GeometryError("vertices lie farther apart than binary64 can measure")
@@ -209,16 +212,27 @@ class Triangle:
         if doubled == 0.0:
             raise GeometryError("vertices are collinear at the triangle's own scale")
         if doubled < 0.0:
-            b, g = self.b, self.g
-            object.__setattr__(self, "b", g)
-            object.__setattr__(self, "g", b)
+            b, g = g, b
             f = Frame(exp, gx, gy, bx, by)
-        object.__setattr__(self, "frame", f)
-        object.__setattr__(self, "frame_metrics", anchored_metrics(MATH, *f[1:]))
+        self.a, self.b, self.g = a, b, g
+        #: The triangle's frame (`frame`), in which every measurement is made.
+        self.frame = f
+        #: anchored_metrics of the frame, in the frame's units (`metrics` converts).
+        self.frame_metrics = anchored_metrics(MATH, *f[1:])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.g) == (other.a, other.b, other.g)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.g))
+
+    def __repr__(self) -> str:
+        return f"Triangle(a={self.a!r}, b={self.b!r}, g={self.g!r})"
 
 
-@dataclass(frozen=True)
-class TriangleMetrics:
+class TriangleMetrics(namedtuple("TriangleMetrics", "alpha beta gamma ang_a ang_b ang_g s area")):
     """Scalar summary of a triangle.
 
     alpha = |B Gamma|, beta = |Gamma A|, gamma = |A B|: each side faces the
@@ -227,14 +241,7 @@ class TriangleMetrics:
     reference value for every analytic area route.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    ang_a: float
-    ang_b: float
-    ang_g: float
-    s: float
-    area: float
+    __slots__ = ()
 
     def in_units(self, exp: int) -> TriangleMetrics:
         """These metrics, measured in a frame with exponent exp, in the input's units."""

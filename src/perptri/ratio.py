@@ -62,14 +62,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from . import geom
 from .errors import GeometryError
 from .geom import (
     MATH,
-    AngleCase,
     Ops,
     Triangle,
     TriangleMetrics,
@@ -77,9 +75,6 @@ from .geom import (
     classify_angle,
     derived_triangle,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Every residual the chain produces, in the order in which sub-identities are
 #: blamed when something fails: the chain links first, then the aggregate forms
@@ -155,19 +150,16 @@ def _term_norm(vmax, lhs, two_w2, p2, q2, r2):
     return abs(lhs - rhs) / (1.0 + dominant), rhs
 
 
-@dataclass(frozen=True)
-class IdentityChain:
+class IdentityChain(namedtuple("IdentityChain", "areas residuals cot_sum ratio_geometric")):
     """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER.
 
     areas holds the five area routes by name (`area_routes`): the shoelace
     reference, Heron, the squared-side polynomial, the cotangent formula and
-    half the sine product.
+    half the sine product.  cot_sum and ratio_geometric are floats or arrays,
+    as the coordinates are.
     """
 
-    areas: dict
-    residuals: dict
-    cot_sum: float | np.ndarray
-    ratio_geometric: float | np.ndarray
+    __slots__ = ()
 
 
 def cot_sum(ops: Ops, m: TriangleMetrics):
@@ -295,21 +287,17 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "case smallest_angle bound residuals within")):
     """One triangle's residuals, each judged against the one bound.
 
-    smallest_angle is theta (`smallest_angle`) and bound is the
-    residual_bound it gives; within tells for each residual whether it is
-    within the bound (a NaN never is).  The triangle's own measurements stay
-    on the triangle, as `Triangle.frame_metrics`.
+    case is the triangle's `geom.AngleCase`, smallest_angle is theta
+    (`smallest_angle`) and bound is the residual_bound it gives; residuals
+    maps each name of CHECK_ORDER to its value, and within tells for each
+    whether it is within the bound (a NaN never is).  The triangle's own
+    measurements stay on the triangle, as `Triangle.frame_metrics`.
     """
 
-    case: AngleCase
-    smallest_angle: float
-    bound: float
-    residuals: dict[str, float]
-    within: dict[str, bool]
+    __slots__ = ()
 
     @property
     def first_failing(self) -> str | None:

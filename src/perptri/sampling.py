@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from . import geom
 from .errors import GeometryError
 from .geom import MATH, AngleCase, Ops, Point2, Triangle, angle_cases, frame_exponent
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Default sliver floor (radians): no sampled angle sits closer than this to
 #: 0, and A stays below pi minus this.  `perptri sweep` samples with it.
@@ -110,22 +106,25 @@ def _layout(ops: Ops, ang_b, ang_g, scale):
     return scale, beta * ops.cos(ang_a), beta * ops.sin(ang_a)
 
 
-@dataclass(frozen=True)
-class TriangleCorpus:
-    """A vectorized batch of triangles: base angles plus scale, canonical layout."""
+class TriangleCorpus(namedtuple("TriangleCorpus", "ang_b ang_g scale")):
+    """A vectorized batch of triangles: base angles plus scale (float64 arrays), canonical layout.
 
-    ang_b: np.ndarray
-    ang_g: np.ndarray
-    scale: np.ndarray
+    len() counts the triangles, not the fields.
+    """
+
+    __slots__ = ()
+
+    # namedtuple's _make, which _replace calls, checks the field count by len().
+    _make = classmethod(tuple.__new__)
 
     def __len__(self) -> int:
         return int(self.ang_b.size)
 
     @property
-    def ang_a(self) -> np.ndarray:
+    def ang_a(self):
         return math.pi - self.ang_b - self.ang_g
 
-    def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def vertex_arrays(self) -> tuple:
         """(bx, gx, gy): A is at the origin, B at (bx, 0), Gamma at (gx, gy)."""
         return _layout(geom.NUMPY, self.ang_b, self.ang_g, self.scale)
 
@@ -145,8 +144,8 @@ def concat_corpora(*parts: TriangleCorpus) -> TriangleCorpus:
     )
 
 
-def _simplex_pairs(rng: np.random.Generator, n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """n uniform points of the open angle simplex, by the fold trick.
+def _simplex_pairs(rng, n: int, delta: float) -> tuple:
+    """n uniform points of the open angle simplex, by the fold trick, drawn from numpy's rng.
 
     The fold and the shift by delta are done in place, so the draw holds two
     n-arrays and the fold's sum and mask, not a copy of each.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -37,7 +36,6 @@ from .sampling import TriangleCorpus, sample_corpus
 CHUNK = 2**14
 
 
-@dataclass(frozen=True)
 class SweepResult:
     """What a sweep reports: its corpus and the reductions over every triangle.
 
@@ -45,15 +43,29 @@ class SweepResult:
     for an empty corpus); argmin_index is the first index holding
     min_cot_sum, None for an empty corpus.  over_bound counts the triangles
     with a residual not within the bound (`ratio.within_bound`; a NaN never
-    is).  Equality compares the reductions, not the corpus.
+    is).  Equality compares the reductions, not the corpus.  The fields are
+    instance attributes, not class attributes (tuple getters or slots): the
+    traced benchmark run (perfbench/spans.py) wraps as a property any of
+    max_residuals, min_cot_sum and argmin_index it finds in the class.
     """
 
-    corpus: TriangleCorpus = field(compare=False)
-    case_counts: dict[str, int]
-    max_residuals: dict[str, float]
-    min_cot_sum: float
-    argmin_index: int | None
-    over_bound: int
+    def __init__(self, corpus: TriangleCorpus, case_counts: dict, max_residuals: dict,
+                 min_cot_sum: float, argmin_index: int | None, over_bound: int) -> None:
+        self.corpus = corpus
+        self.case_counts = case_counts
+        self.max_residuals = max_residuals
+        self.min_cot_sum = min_cot_sum
+        self.argmin_index = argmin_index
+        self.over_bound = over_bound
+
+    def _reductions(self) -> tuple:
+        return (self.case_counts, self.max_residuals, self.min_cot_sum, self.argmin_index,
+                self.over_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._reductions() == other._reductions()
 
     def __len__(self) -> int:
         return len(self.corpus)
@@ -110,9 +122,13 @@ def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
         return SweepResult(corpus, {case.value: 0 for case in AngleCase},
                            dict.fromkeys(CHECK_ORDER, math.nan), math.nan, None, 0)
     starts = range(0, len(corpus), CHUNK)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts)))
+    try:
         counts, maxima, minima, argmins, overs = zip(
             *pool.map(partial(_reduce_chunk, corpus), starts))
+    finally:
+        # After an interrupt or a failed chunk, the chunks not yet started are dropped.
+        pool.shutdown(cancel_futures=True)
     # np.argmin over the chunk minima picks the first chunk holding the
     # corpus minimum (or its first NaN), and that chunk's own argmin is then
     # the corpus's first occurrence; np.max of the chunk maxima is exact.

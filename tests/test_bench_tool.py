@@ -1,4 +1,5 @@
-"""tools/bench_sweep_memory.py names what differs between two sweeps' outputs."""
+"""The benchmark tools: bench_sweep_memory.py names what differs between two sweeps' outputs,
+and bench_startup.py writes its report."""
 
 import importlib.util
 import json
@@ -31,3 +32,18 @@ def test_differing_paths_name_the_exit_code_a_missing_key_and_non_json():
     assert bench.differing_paths([output(0, doc), output(1, doc)]) == ["exit"]
     assert bench.differing_paths([output(0, doc), output(0, {})]) == ["over_bound"]
     assert bench.differing_paths([output(0, doc), "exit 0\nnot json\n"]) == ["over_bound", "stdout"]
+
+
+def test_startup_benchmark_writes_its_report(tmp_path, monkeypatch):
+    # tools/bench_startup.py imports its helpers from bench_sweep_memory.py.
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    startup = importlib.import_module("bench_startup")
+    out = tmp_path / "startup.json"
+    assert startup.main(["--runs", "1", "--src", str(TOOL.parent.parent), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["identical_output"] and report["runs_per_tree"] == 1
+    assert set(report["machine"]) >= {"nproc", "cpu_model", "python"}
+    (tree,) = report["trees"]
+    for mode in ("bytecode", "source"):
+        for measure in ("import_ms", "verify_wall_ms", "verify_peak_rss_mib"):
+            assert tree["summary"][mode][measure]["min"] > 0.0

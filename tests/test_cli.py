@@ -3,7 +3,6 @@
 import argparse
 import collections
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -210,7 +209,7 @@ def test_verify_json(tmp_path, capsys):
 def test_verify_json_prints_a_nan_residual_as_null(tmp_path, capsys, monkeypatch):
     def with_nan(t):
         report = ratio_mod.identity_report(t)
-        return dataclasses.replace(report, residuals={**report.residuals, "area_ratio": math.nan})
+        return report._replace(residuals={**report.residuals, "area_ratio": math.nan})
 
     monkeypatch.setattr(cli_mod, "identity_report", with_nan)
     assert main(["verify", "--json", write_spec(tmp_path, SPEC_VERTICES)]) == 0
@@ -867,6 +866,43 @@ def test_library_value_error_exits_three(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: ValueError('defect')\n"
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout and an interrupt: 141 and 130, at most one stderr line
+# ---------------------------------------------------------------------------
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["metrics", "--json"], ["verify"]])
+def test_closed_stdout_exits_141_silently(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main([*argv, write_spec(tmp_path, SPEC_VERTICES)]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_of_a_process_exits_141_silently():
+    # The reader is gone before the child writes, as it reads its spec first;
+    # the flush at exit then finds stdout on devnull and raises nothing.
+    proc = subprocess.Popen([sys.executable, "-m", "perptri", "metrics", "--json", "-"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(json.dumps(SPEC_VERTICES).encode(), timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_interrupted_sweep_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("perptri.sweep.run_sweep", interrupted)
+    assert main(["sweep", "--n", "10"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_unexpected_exception_exits_three():

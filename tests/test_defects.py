@@ -14,7 +14,6 @@ to end: by the sweep's `over_bound` and by `perptri verify`, which exits 1.
 any three numbers, so it checks only the binary64 arithmetic of that step.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -50,11 +49,11 @@ def metrics_defect(change):
 
 def relative(name):
     """The metrics with field name times 1 + DELTA."""
-    return lambda m: dataclasses.replace(m, **{name: getattr(m, name) * (1.0 + DELTA)})
+    return lambda m: m._replace(**{name: getattr(m, name) * (1.0 + DELTA)})
 
 
 def swapped_b_and_gamma(m):
-    return dataclasses.replace(m, ang_b=m.ang_g, ang_g=m.ang_b)
+    return m._replace(ang_b=m.ang_g, ang_g=m.ang_b)
 
 
 def wrong_cot(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from perptri.extremal import (
     SEARCH_HI,
     SEARCH_LO,
+    ExtremalReport,
     cot_sum_lattice_min,
     cot_sum_slice,
     cot_sum_slice_deriv,
@@ -195,3 +196,10 @@ def test_cot_sum_bound_over_corpus():
         third = math.pi / 3.0
         assert np.max(np.abs(ang_b - third)) < 0.06
         assert np.max(np.abs(ang_g - third)) < 0.06
+
+
+def test_report_refuses_a_minimum_that_is_not_positive():
+    report = minimize_slice(1.0)
+    assert report == ExtremalReport(*report)
+    with pytest.raises(ValueError, match="positive"):
+        ExtremalReport(*report._replace(min_value=0.0))

@@ -1,6 +1,5 @@
 """The identity chain behind the area ratio, and its reporting layer."""
 
-import dataclasses
 import math
 import random
 import re
@@ -358,7 +357,7 @@ def _with_residuals(monkeypatch, **values):
 
     def patched(*coords):
         chain = real(*coords)
-        return dataclasses.replace(chain, residuals={**chain.residuals, **values})
+        return chain._replace(residuals={**chain.residuals, **values})
 
     monkeypatch.setattr(ratio_mod, "identity_chain", patched)
 
@@ -398,7 +397,7 @@ def test_wrong_area_is_blamed_on_the_first_link_at_any_scale(scale, monkeypatch)
     real = geom_mod.anchored_metrics
 
     def wrong_area(ops, *coords):
-        return dataclasses.replace(real(ops, *coords), area=1.1 * real(ops, *coords).area)
+        return real(ops, *coords)._replace(area=1.1 * real(ops, *coords).area)
 
     monkeypatch.setattr(geom_mod, "anchored_metrics", wrong_area)
     t = Triangle(Point2(0.0, 0.0), Point2(4.0 * scale, 0.0), Point2(0.0, 3.0 * scale))

@@ -10,6 +10,7 @@ corpus, exactly.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from perptri.construction import construct
 from perptri.geom import MATH, NUMPY, anchored_metrics, angle_cases, angle_trig, frame
 import perptri.ratio as ratio_mod
+import perptri.sweep as sweep_mod
 from perptri.ratio import (
     BOUND_CONSTANT,
     CHECK_ORDER,
@@ -27,7 +29,7 @@ from perptri.ratio import (
     smallest_angle,
     within_bound,
 )
-from perptri.sampling import STRATA, TriangleCorpus, concat_corpora, sample_corpus
+from perptri.sampling import STRATA, concat_corpora, sample_corpus
 from perptri.sweep import CHUNK, _reduce_chunk, evaluate_corpus, run_sweep
 
 BRIDGE_ABS = 1e-13
@@ -160,7 +162,7 @@ def test_chunk_merge_propagates_nan():
     corpus = sample_corpus(3 * CHUNK + 9, seed=44)
     scale = corpus.scale.copy()
     scale[2 * CHUNK + 5] = math.nan
-    corpus = TriangleCorpus(ang_b=corpus.ang_b, ang_g=corpus.ang_g, scale=scale)
+    corpus = corpus._replace(scale=scale)
     result = evaluate_corpus(corpus)
     _assert_whole_corpus_reductions(result, corpus)
     assert result.argmin_index == 2 * CHUNK + 5
@@ -211,6 +213,24 @@ def test_obtuse_stratum_ratio_holds():
     result = run_sweep(500, seed=31, stratum="obtuse")
     assert result.case_counts["obtuse"] == 500
     assert result.max_residuals["area_ratio"] <= 1e-8
+
+
+def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
+    # The first chunk is interrupted while the others take 10 ms each: the
+    # sweep stops after the few chunks already running, not after all 200.
+    started = []
+
+    def reduce_chunk(corpus, start):
+        started.append(start)
+        if start == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.01)
+
+    monkeypatch.setattr(sweep_mod, "CHUNK", 1)
+    monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_corpus(sample_corpus(200, seed=46))
+    assert len(started) < 20
 
 
 def test_empty_sweep():

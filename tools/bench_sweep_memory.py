@@ -74,7 +74,8 @@ def run_child(argv: list[str], env: dict) -> tuple[float, object, str]:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.stdout.close()
-    return wall, usage, f"exit {os.waitstatus_to_exitcode(status)}\n" + out.decode()
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return wall, usage, f"exit {proc.returncode}\n" + out.decode()
 
 
 def measure(tree: Path, n: int, seed: int) -> tuple[dict, str]:
@@ -162,6 +163,27 @@ def machine() -> dict:
     }
 
 
+def source_trees(parser: argparse.ArgumentParser, src: list[Path] | None) -> list[Path]:
+    """The --src trees, resolved (default: this checkout); each must hold src/perptri."""
+    trees = [tree.resolve() for tree in src or [ROOT]]
+    for tree in trees:
+        if not (tree / "src" / "perptri").is_dir():
+            parser.error(f"{tree} holds no src/perptri")
+    return trees
+
+
+def alternating(trees: list[Path], runs: int):
+    """(run index, tree) for every run of every tree, the order reversed from run to run."""
+    for i in range(runs):
+        for tree in trees if i % 2 == 0 else trees[::-1]:
+            yield i, tree
+
+
+def tree_head(tree: Path) -> str | None:
+    """A tree's git HEAD, None where it is not a git checkout."""
+    return command_output(["git", "rev-parse", "HEAD"], tree) if (tree / ".git").exists() else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path,
@@ -171,18 +193,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=10, help="runs per tree")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep_memory.json")
     args = parser.parse_args(argv)
-    trees = [tree.resolve() for tree in args.src or [ROOT]]
-    for tree in trees:
-        if not (tree / "src" / "perptri").is_dir():
-            parser.error(f"{tree} holds no src/perptri")
+    trees = source_trees(parser, args.src)
 
     runs = {tree: [] for tree in trees}
     outputs = {}
-    for i in range(args.runs):
-        for tree in trees if i % 2 == 0 else trees[::-1]:
-            result, output = measure(tree, args.n, args.seed)
-            runs[tree].append(result)
-            outputs.setdefault(output, []).append(f"{tree} run {i}")
+    for i, tree in alternating(trees, args.runs):
+        result, output = measure(tree, args.n, args.seed)
+        runs[tree].append(result)
+        outputs.setdefault(output, []).append(f"{tree} run {i}")
     identical = len(outputs) == 1
     differing = differing_paths(list(outputs))
 
@@ -197,8 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         "differing_paths": differing,
         "trees": [{
             "tree": tree.name,
-            "git_head": command_output(["git", "rev-parse", "HEAD"], tree)
-            if (tree / ".git").exists() else None,
+            "git_head": tree_head(tree),
             "summary": {key: summary([run[key] for run in runs[tree]]) for key in runs[tree][0]},
             "runs": runs[tree],
         } for tree in trees],
