@@ -6,12 +6,12 @@ on these primitives are verified to tolerance, never symbolically.
 
 Every measurement is made in one frame, which `frame` computes: B and Gamma
 relative to A, scaled by the power of two 2**-exp that brings the largest
-coordinate into [0.5, 1).  The scaling is exact in binary64, so squares of
-sides neither overflow nor underflow at any size, and every dimensionless
-result (angles, cotangents, ratios, residuals, verdicts) is the same, bit for
-bit, for a triangle and each of its 2**k-scaled copies.  `Triangle` computes
-its frame and measures its metrics there, once, and keeps both for every
-scalar path to read.  Lengths measured in the frame are converted back to the
+coordinate into [0.5, 1).  The scaling is exact in binary64, so crosses,
+dots and squares of sides neither overflow nor underflow at any size, and
+every dimensionless result (angles, cotangents, ratios, residuals, verdicts)
+is the same, bit for bit, for a triangle and each of its 2**k-scaled copies.
+`Triangle` computes its frame and measures its metrics there, once, and keeps
+both for every scalar path to read.  Lengths measured in the frame are converted back to the
 input's units, exactly, by `in_units` (lengths times 2**exp, areas times
 2**(2 exp)) only where they are printed or returned.
 
@@ -31,21 +31,11 @@ from collections import namedtuple
 
 from .errors import GeometryError
 
-def clamp_unit(value: float) -> float:
-    """Clamp into [-1, 1]; guards acos against roundoff just outside range.
-
-    NaN passes through, as it does through np.clip.
-    """
-    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
-
-
 #: The elementary functions the float and array routines use beyond arithmetic
-#: operators: acos clips into [-1, 1] first, and max and min are n-ary and
-#: elementwise.
-Ops = namedtuple("Ops", "hypot acos cos sin sqrt frexp ldexp max min")
+#: operators; max and min are n-ary and elementwise.
+Ops = namedtuple("Ops", "hypot atan2 cos sin sqrt frexp ldexp max min")
 
-MATH = Ops(math.hypot, lambda c: math.acos(clamp_unit(c)), math.cos, math.sin, math.sqrt,
-           math.frexp, math.ldexp, max, min)
+MATH = Ops(math.hypot, math.atan2, math.cos, math.sin, math.sqrt, math.frexp, math.ldexp, max, min)
 
 
 def __getattr__(name: str):
@@ -54,8 +44,8 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import numpy as np
 
-    ops = Ops(np.hypot, lambda c: np.arccos(np.clip(c, -1.0, 1.0)), np.cos, np.sin, np.sqrt,
-              np.frexp, np.ldexp, lambda *xs: functools.reduce(np.maximum, xs),
+    ops = Ops(np.hypot, np.arctan2, np.cos, np.sin, np.sqrt, np.frexp, np.ldexp,
+              lambda *xs: functools.reduce(np.maximum, xs),
               lambda *xs: functools.reduce(np.minimum, xs))
     globals()["NUMPY"] = ops
     return ops
@@ -207,8 +197,8 @@ class Triangle:
         if not math.isfinite(bx + by + gx + gy):
             raise GeometryError("vertices lie farther apart than binary64 can measure")
         doubled = bx * gy - by * gx
-        # Checked before measuring: coincident vertices would divide by zero
-        # in the metrics' angles.
+        # Checked before measuring: a doubled area of 0 has no triangle, and
+        # its metrics would give angles of 0 and pi.
         if doubled == 0.0:
             raise GeometryError("vertices are collinear at the triangle's own scale")
         if doubled < 0.0:
@@ -254,22 +244,27 @@ class TriangleMetrics(namedtuple("TriangleMetrics", "alpha beta gamma ang_a ang_
 def anchored_metrics(ops: Ops, bx, by, gx, gy) -> TriangleMetrics:
     """Metrics of the triangle A, B, Gamma from B and Gamma in a frame anchored at A.
 
-    Sides by hypot, angles by the Law of Cosines (acos clipped), area by the
-    shoelace formula, all in the frame's units.  The coordinates must be of
-    about unit size, as `frame` makes them, so that no squared side overflows
-    or underflows.  A pure measurement: an angle whose cosine rounded to 1 is
-    returned as 0.0, and `ratio.judged_bound` refuses it.
+    Sides by hypot, area by the shoelace formula, all in the frame's units.
+    Each angle is atan2(|cross|, dot) of the two edges leaving its vertex
+    (Kahan, "Miscalculating Area and Angles of a Needle-like Triangle",
+    2014): within a few eps rad of the exact angle of these coordinates,
+    near 0 and pi too.  Every cross is the doubled area, but each is taken
+    from its own vertex's edges: the one at A alone is off by up to ~eps
+    beta / alpha at B and Gamma where alpha is short.  The coordinates must
+    be of about unit size, as `frame` makes them, so that no product
+    overflows or underflows.  A pure measurement: thinness is
+    `ratio.judged_bound`'s to judge.
     """
-    alpha = ops.hypot(gx - bx, gy - by)
+    ux, uy = gx - bx, gy - by
+    alpha = ops.hypot(ux, uy)
     beta = ops.hypot(gx, gy)
     gamma = ops.hypot(bx, by)
-    a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
-    ang_a = ops.acos((b2 + g2 - a2) / (2.0 * beta * gamma))
-    ang_b = ops.acos((a2 + g2 - b2) / (2.0 * alpha * gamma))
-    ang_g = ops.acos((a2 + b2 - g2) / (2.0 * alpha * beta))
+    doubled = abs(bx * gy - by * gx)
+    ang_a = ops.atan2(doubled, bx * gx + by * gy)
+    ang_b = ops.atan2(abs(bx * uy - by * ux), -(bx * ux + by * uy))
+    ang_g = ops.atan2(abs(gx * uy - gy * ux), gx * ux + gy * uy)
     s = 0.5 * (alpha + beta + gamma)
-    area = 0.5 * abs(bx * gy - by * gx)
-    return TriangleMetrics(alpha, beta, gamma, ang_a, ang_b, ang_g, s, area)
+    return TriangleMetrics(alpha, beta, gamma, ang_a, ang_b, ang_g, s, 0.5 * doubled)
 
 
 def metrics(t: Triangle) -> TriangleMetrics:

@@ -174,6 +174,21 @@ def test_metrics_from_stdin(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["gamma"] == pytest.approx(4.0)
 
 
+def test_metrics_of_the_laid_out_needle(tmp_path, capsys):
+    # Side 1e-6 between two unit sides: A = 2 asin(5e-7) rad, which is
+    # 5.7295779513084708e-05 deg, to the last bit.  The cotangent and sine
+    # areas, which read the angles, then agree with the shoelace; heron and
+    # sixteen_sq_poly read only the sides.
+    spec = write_spec(tmp_path, {"sides": {"alpha": 1e-6, "beta": 1, "gamma": 1}})
+    assert main(["metrics", "--json", spec]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["alpha"] == 1e-6
+    assert payload["angles_deg"]["A"] == 5.729577951308471e-05
+    areas = payload["areas"]
+    for route in ("cot_formula", "sine_formula"):
+        assert abs(areas[route] - areas["shoelace"]) <= 4 * math.ulp(areas["shoelace"]), route
+
+
 def test_verify_passes(tmp_path, capsys):
     code = main(["verify", write_spec(tmp_path, SPEC_VERTICES)])
     out = capsys.readouterr().out
@@ -240,18 +255,18 @@ case: right (angle A = 90 deg)
 smallest angle theta: 0.643501108793 rad
 bound: 64 eps/theta^2 = 3.43179707972e-14
 identity residuals
-  area_increment          3.94563296119e-17  PASS
+  area_increment                          0  PASS
   sixteen_area_sq                         0  PASS
   cot_term_a              9.60507293449e-18  PASS
-  cot_term_g              1.25040516632e-17  PASS
-  cot_term_b               7.9836262445e-17  PASS
+  cot_term_g              2.50081033264e-17  PASS
+  cot_term_b              3.99181312225e-17  PASS
   squared_sum_expansion                   0  PASS
-  chain_sum               1.81898940355e-16  PASS
-  area_quadratic          1.81898940355e-16  PASS
-  half_angle_cots         2.22044604925e-16  PASS
-  area_from_cots                          0  PASS
-  area_ratio              1.66316895236e-16  PASS
-  area_agreement                          0  PASS
+  chain_sum                               0  PASS
+  area_quadratic                          0  PASS
+  half_angle_cots         1.48029736617e-16  PASS
+  area_from_cots          2.53765262771e-17  PASS
+  area_ratio              4.98950685709e-16  PASS
+  area_agreement          2.96059473233e-16  PASS
 verdict: PASS
 """, "")
 
@@ -389,14 +404,15 @@ def test_area_out_of_range_exits_two(tmp_path, capsys, command, scale):
     assert captured.err == "error: area does not fit binary64 in the input's units\n"
 
 
-def test_zero_computed_angle_exits_two_on_the_bound_in_verify(tmp_path, capsys):
-    # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives A = 0.0.
-    # verify, metrics, construct and render all judge theta = 0 against the
-    # bound before they take a cotangent, and print the same line.
+def test_flat_apex_is_measured_and_exits_two_on_the_bound_in_verify(tmp_path, capsys):
+    # A = 2e-7 deg, laid out with Gamma = (1, 3.4906584289728926e-09): atan2
+    # measures the laid-out angle A, not 0.  verify, metrics, construct and
+    # render all judge theta against the bound before they take a cotangent,
+    # and print the same line.
     spec = write_spec(tmp_path, {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999,
                                             "scale": 1}})
-    err = ("error: smallest angle 0.0 rad is too thin to verify in binary64: "
-           "the bound 64 eps/theta^2 = inf reaches 1\n")
+    err = ("error: smallest angle 3.4906584289728926e-09 rad is too thin to verify in binary64: "
+           "the bound 64 eps/theta^2 = 1.17e+03 reaches 1\n")
     for command in (["verify"], ["metrics"], ["construct"], ["construct", "--phi", "30"],
                     ["render", "--out", str(tmp_path / "fig.svg")]):
         assert main([*command, spec]) == 2

@@ -205,14 +205,16 @@ def test_similarity_all_cases(t345, equilateral, obtuse_iso, phi):
 
 
 def test_construct_refuses_a_sliver_too_thin_to_judge():
-    # A sliver whose derived angle at Gamma' rounds to 0 (angle A is 1.4e-8
-    # rad): its bound reaches 1, so construct refuses it with the line
-    # identity_report gives, before any derived vertex is made.
-    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
-                 Point2(0.5992623340540111, 8.311044459826255e-09))
+    # A sliver with angle A = atan2(h, x) = 1.3868791658574667e-08 rad: its
+    # bound reaches 1, so construct refuses it with the line identity_report
+    # gives, before any derived vertex is made.
+    x, h = 0.5992623340540111, 8.311044459826255e-09
+    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(x, h))
     with pytest.raises(GeometryError, match="^smallest angle .* reaches 1$") as report_info:
         identity_report(t)
-    assert str(report_info.value).endswith("= 32 reaches 1")
+    assert str(report_info.value) == (
+        f"smallest angle {math.atan2(h, x)!r} rad is too thin to verify in binary64: "
+        "the bound 64 eps/theta^2 = 73.9 reaches 1")
     for phi in (HALF_PI, 0.3):
         with pytest.raises(GeometryError, match="^smallest angle .* reaches 1$") as info:
             construct(t, phi)

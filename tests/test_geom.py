@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from perptri.geom import (
     Triangle,
     anchored_metrics,
     angle_trig,
-    clamp_unit,
     derived_triangle,
     frame,
     metrics,
@@ -43,22 +43,6 @@ def test_point_rejects_non_finite():
 
 def test_point_distance():
     assert Point2(3.0, 4.0).dist(Point2(0.0, 0.0)) == 5.0
-
-
-def test_clamp_unit():
-    assert clamp_unit(1.0 + 1e-16) == 1.0
-    assert clamp_unit(-1.5) == -1.0
-    assert clamp_unit(0.25) == 0.25
-    assert math.isnan(clamp_unit(math.nan))
-
-
-def test_scalar_and_array_acos_agree():
-    # Both clip into [-1, 1] and both let NaN through.
-    values = [math.nan, 2.0, -2.0]
-    for one in (1.0, -1.0):
-        values += [math.nextafter(one, -math.inf), one, math.nextafter(one, math.inf)]
-    scalar = np.array([MATH.acos(v) for v in values])
-    np.testing.assert_array_equal(scalar, NUMPY.acos(np.array(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +175,21 @@ def test_acceptance_and_relabeling_do_not_depend_on_scale():
     sliver = Triangle(*(Point2(*p) for p in shapes[3]))
     with pytest.raises(GeometryError, match=THIN) as info:
         identity_report(sliver)
+    # The sliver's copy is the same triangle only where every coordinate
+    # survives the scaling; below that its y coordinate, 1e-10 * 2**k, is
+    # subnormal and rounds, and the bound reports that other triangle's theta.
+    inexact = []
     for k in range(-1000, 1001):
         assert [outcome(shape, k) for shape in shapes] == expected, k
+        coords = [v for p in shapes[3] for v in p]
+        if any(math.ldexp(math.ldexp(v, k), -k) != v for v in coords):
+            inexact.append(k)
+            continue
         scaled = Triangle(*(Point2(math.ldexp(x, k), math.ldexp(y, k)) for x, y in shapes[3]))
         with pytest.raises(GeometryError, match=THIN) as scaled_info:
             identity_report(scaled)
         assert str(scaled_info.value) == str(info.value), k
+    assert inexact == [k for k in range(-1000, 1001) if math.ldexp(1e-10, k) < sys.float_info.min]
 
 
 def test_clockwise_input_is_relabeled():
@@ -242,14 +235,68 @@ def test_angle_at_matches_metrics(obtuse_iso):
     assert m.ang_a == pytest.approx(2.0 * math.pi / 3.0, abs=1e-14)
 
 
-def test_metrics_measure_an_angle_of_zero_without_raising():
-    # A = 2e-7 deg: the law of cosines rounds cos A to 1, so acos gives 0.0.
-    # The metrics report it; the bound, inf at theta = 0, refuses it.
+def test_metrics_measure_a_flat_apex():
+    # A = 2e-7 deg, measured as laid out, to the bit of the exact cross and
+    # dot; not 0.  The bound, 1.2e3 here, refuses it.
     b = math.radians(89.9999999)
     t = _triangle(b, b, 1.0)
     m = anchored_metrics(MATH, *t.frame[1:])
-    assert m.ang_a == 0.0
-    assert m.ang_b > 0.0 and m.ang_g > 0.0
+    assert m.ang_a == 3.4906584289728926e-09
+    assert (m.ang_a, m.ang_b, m.ang_g) == _exact_angles(*t.frame[1:])
+    with pytest.raises(GeometryError, match=THIN):
+        judged_bound(m)
+
+
+def _exact_angles(bx, by, gx, gy):
+    """The angles at A, B and Gamma of a frame, from its exact cross and dot.
+
+    Each vertex's cross and dot are rational in the frame coordinates:
+    computed as Fractions, they are rounded once each and passed to atan2.
+    """
+    b, g = (Fraction(bx), Fraction(by)), (Fraction(gx), Fraction(gy))
+    u = (g[0] - b[0], g[1] - b[1])
+    doubled = float(abs(b[0] * g[1] - b[1] * g[0]))
+    return (math.atan2(doubled, float(b[0] * g[0] + b[1] * g[1])),
+            math.atan2(doubled, float(-(b[0] * u[0] + b[1] * u[1]))),
+            math.atan2(doubled, float(g[0] * u[0] + g[1] * u[1])))
+
+
+def _accuracy_frames(rng, n):
+    """Frames of n seeded triangles A = (0, 0), B = (1, 0), Gamma, in turn a
+    needle at A (half of them with Gamma near B, so that alpha is short), A
+    near pi, or general; each is turned, sized and moved up to 10**3 sizes."""
+    for i in range(n):
+        t = 10.0 ** rng.uniform(-9.0, -1.0)
+        r = rng.uniform(0.2, 5.0)
+        if i % 3 == 0:
+            if rng.random() < 0.5:
+                r = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -1.0)
+            gamma = (r * math.cos(t), r * math.sin(t))
+        elif i % 3 == 1:
+            gamma = (-r * math.cos(t), r * math.sin(t))
+        else:
+            gamma = (rng.uniform(-2.0, 2.0), rng.uniform(0.05, 2.0))
+        size, turn = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
+        offset = size * 10.0 ** rng.uniform(-1.0, 3.0)
+        direction = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(turn), math.sin(turn)
+        ox, oy = offset * math.cos(direction), offset * math.sin(direction)
+        yield frame(MATH, *(v for px, py in ((0.0, 0.0), (1.0, 0.0), gamma)
+                            for v in (ox + size * (c * px - s * py), oy + size * (s * px + c * py))))
+
+
+def test_angles_are_accurate_to_a_few_eps_on_floats_and_arrays():
+    # Each angle is atan2 of the cross and dot of the edges leaving its
+    # vertex, so it is within a few eps of _exact_angles, whatever the shape.
+    # Over these 20000 triangles the worst was 2 eps on both paths (one ulp
+    # of pi).  The needles with alpha short are why each vertex takes its own
+    # cross: the one at A was off by up to 2e7 eps at B or Gamma there.
+    frames = [f[1:] for f in _accuracy_frames(random.Random(22), 20000)]
+    arrays = anchored_metrics(NUMPY, *np.array(frames).T)
+    for i, f in enumerate(frames):
+        want = _exact_angles(*f)
+        for got in (anchored_metrics(MATH, *f)[3:6], [a[i] for a in arrays[3:6]]):
+            assert max(abs(x - w) for x, w in zip(got, want)) <= 8 * EPS, f
 
 
 def test_cot_of_an_angle_of_zero_is_inf_on_arrays():

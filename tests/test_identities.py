@@ -183,12 +183,13 @@ def test_needle_is_refused_by_the_bound_before_the_radicands():
     # A valid needle whose s - gamma rounds to 0: the chain has no radical to
     # take, but judged_bound refuses it first, with one message for the
     # report, the construction and the metrics alike.
-    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0),
-                 Point2(0.40084707137978337, 1.2010387776921146e-08))
+    x, h = 0.40084707137978337, 1.2010387776921146e-08
+    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(x, h))
     m = t.frame_metrics
     assert m.s - m.gamma == 0.0
-    assert refusals(t) == {"smallest angle 2.1073424255447017e-08 rad is too thin to verify "
-                           "in binary64: the bound 64 eps/theta^2 = 32 reaches 1"}
+    assert m.ang_b == math.atan2(h, 1.0 - x) == 2.004561307007169e-08
+    assert refusals(t) == {"smallest angle 2.004561307007169e-08 rad is too thin to verify "
+                           "in binary64: the bound 64 eps/theta^2 = 35.4 reaches 1"}
 
 
 class TestCotSum:
@@ -202,13 +203,14 @@ class TestCotSum:
         assert chain(obtuse_iso).cot_sum == pytest.approx(5.0 / SQRT3, abs=1e-14)
 
     def test_out_of_range_angle_raises(self):
-        # A = 2e-7 deg: the law of cosines rounds cos A to 1, so A = 0.0.  Its
-        # bound is inf, so judged_bound refuses it before any cotangent.
+        # A = 2e-7 deg, measured as laid out (Gamma = (1, 3.49e-9)): its
+        # bound is 1.2e3, so judged_bound refuses it before any cotangent.
         t = triangle_from_spec(
             {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
         )
-        assert refusals(t) == {"smallest angle 0.0 rad is too thin to verify in binary64: "
-                               "the bound 64 eps/theta^2 = inf reaches 1"}
+        assert t.frame_metrics.ang_a == math.atan2(t.g.y, t.g.x) == 3.4906584289728926e-09
+        assert refusals(t) == {"smallest angle 3.4906584289728926e-09 rad is too thin to verify "
+                               "in binary64: the bound 64 eps/theta^2 = 1.17e+03 reaches 1"}
 
 
 def test_area_sine_345(t345):

@@ -266,13 +266,16 @@ def test_verdict_survives_any_rigid_motion(ang_b, share, log_size, turn, ox, oy)
 
 
 def test_too_thin_triangle_raises_naming_theta_and_bound():
-    # Gamma = 1e-6 deg: the bound C eps / theta**2 is 32, past 1, so binary64
-    # residuals confirm nothing and the report refuses a verdict.
+    # Gamma = 1e-6 deg, measured within an eps rad: the bound C eps / theta**2
+    # is 46.7, past 1, so binary64 residuals confirm nothing and the report
+    # refuses a verdict.
     t = triangle_from_angles(math.radians(60.0), math.radians(1e-6), 1.0)
     with pytest.raises(GeometryError, match="too thin") as info:
         identity_report(t)
     message = str(info.value)
-    assert "smallest angle 2.1" in message and "reaches 1" in message
+    theta = float(re.match(r"smallest angle (\S+) rad", message).group(1))
+    assert abs(theta - math.radians(1e-6)) <= sys.float_info.epsilon
+    assert message.endswith("the bound 64 eps/theta^2 = 46.7 reaches 1")
     assert "\n" not in message
 
 
