@@ -97,11 +97,14 @@ CHECK_ORDER: tuple[str, ...] = (
 
 #: C of the one bound C * eps / theta**2 that judges every residual: the least
 #: power of two at least 8 times the largest measured residual / (eps /
-#: theta**2).  That was 5.97 over 10**7 sampled triangles, half at each of the
+#: theta**2).  It was set on angles taken by acos of the law of cosines, before
+#: commit 45163bd: 5.97 over 10**7 sampled triangles, half at each of the
 #: sampler's floors 0.01 and 1e-4 (arrays), and 5.5 over 7 * 10**5 triangles
 #: rotated and moved up to 10**8 sizes away, many of them right, with angles
-#: down to 1e-6 (floats).  Over 10**5 right triangles of the sampler's right
-#: stratum, rotated and moved up to 10**8 sizes away, the largest was 4.75.
+#: down to 1e-6 (floats); over 10**5 right triangles of the sampler's right
+#: stratum, moved likewise, 4.75.  With today's atan2 angles, 2 * 10**5
+#: triangles at each floor (seeds 46 and 47) reach 4.85 and 4.94.  C stays 64
+#: until it is refitted on a new table.
 BOUND_CONSTANT = 64.0
 
 

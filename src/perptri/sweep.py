@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -115,9 +116,6 @@ def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
     propagates and the first occurrence wins a tie, as in np.max and
     np.argmin over the whole corpus.
     """
-    # Imported here so that importing the package (and the CLI) stays cheap.
-    from concurrent.futures import ThreadPoolExecutor
-
     if not len(corpus):
         return SweepResult(corpus, {case.value: 0 for case in AngleCase},
                            dict.fromkeys(CHECK_ORDER, math.nan), math.nan, None, 0)

@@ -1,5 +1,5 @@
 """The benchmark tools: bench_sweep_memory.py names what differs between two sweeps' outputs,
-and bench_startup.py writes its report."""
+and each of the two writes its report."""
 
 import importlib.util
 import json
@@ -32,6 +32,15 @@ def test_differing_paths_name_the_exit_code_a_missing_key_and_non_json():
     assert bench.differing_paths([output(0, doc), output(1, doc)]) == ["exit"]
     assert bench.differing_paths([output(0, doc), output(0, {})]) == ["over_bound"]
     assert bench.differing_paths([output(0, doc), "exit 0\nnot json\n"]) == ["over_bound", "stdout"]
+
+
+def test_sweep_memory_benchmark_writes_its_report(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert bench.main(["--n", "20000", "--runs", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["identical_output"] and report["runs_per_tree"] == 1
+    (tree,) = report["trees"]
+    assert tree["summary"]["peak_rss_mib"]["median"] > 0.0
 
 
 def test_startup_benchmark_writes_its_report(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -910,6 +911,34 @@ def test_closed_stdout_of_a_process_exits_141_silently():
     proc.stdout.close()
     _, err = proc.communicate(json.dumps(SPEC_VERTICES).encode(), timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+def test_interrupted_sweep_of_a_process_exits_130_with_one_line():
+    # Python's own SIGINT handler, in a real process, while the sweep's pool
+    # waits.  The child installs that handler itself, since a child started
+    # with SIGINT ignored (a background job of a non-interactive shell) would
+    # get none.  It writes a line only once its sweep is under way, and sweeps
+    # again until the signal lands, so the signal reaches neither its start-up
+    # nor its exit.
+    code = ("import signal, sys\n"
+            "from perptri import cli, sweep\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "evaluate = sweep.evaluate_corpus\n"
+            "def announced(corpus):\n"
+            "    print('sweeping', flush=True)\n"
+            "    while True:\n"
+            "        evaluate(corpus)\n"
+            "sweep.evaluate_corpus = announced\n"
+            "sys.exit(cli.main(['sweep', '--n', '1000000']))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"sweeping\n"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")
 
 
 def test_interrupted_sweep_exits_130_with_one_line(capsys, monkeypatch):
