@@ -140,13 +140,6 @@ def test_right_cot_sum_domain():
 # numeric confirmation layer
 # ---------------------------------------------------------------------------
 
-def test_minimize_slice_agreement_over_grid():
-    for k in np.logspace(-2, 2, 9):
-        report = minimize_slice(float(k))
-        assert report.agreement_err <= 1e-9
-        assert abs(report.numeric_argmin - report.argmin) <= 1e-6
-
-
 def test_global_minimum_is_sqrt3_at_equilateral():
     total, ang_b, ang_g = global_cot_sum_min()
     assert total == SQRT3

@@ -51,9 +51,6 @@ def areas(t: Triangle) -> dict:
 
 
 class TestCot:
-    def test_quarter_pi(self):
-        assert angle_trig(MATH, math.pi / 4.0)[0] == pytest.approx(1.0, abs=1e-15)
-
     def test_right_angle_is_exactly_zero(self):
         # There is no right-angle branch: at the binary64 pi/2 cot is cos/sin,
         # the cotangent of the angle as rounded.  That value is exactly the
@@ -69,11 +66,10 @@ class TestCot:
         assert angle_trig(MATH, half_pi)[0] == offset
         assert 0.0 < offset < 1e-16
 
-    def test_band_absorbs_roundoff_neighbours(self):
-        # No band zeroes the neighbours of pi/2: one ulp either side, 5e-13
-        # off and 1e-9 off, cot is cos/sin bit for bit and of the size of the
-        # offset, with the cotangent's sign (negative past pi/2).  The
-        # residuals carry these roundoff-sized values; no constant remains.
+    def test_neighbours_of_a_right_angle_are_cos_over_sin(self):
+        # One ulp either side of pi/2, 5e-13 off and 1e-9 off, cot is cos/sin
+        # bit for bit and of the size of the offset, with the cotangent's sign
+        # (negative past pi/2).
         half_pi = math.pi / 2.0
         xs = [math.nextafter(half_pi, 0.0), math.nextafter(half_pi, 4.0),
               half_pi - 5e-13, half_pi + 5e-13, half_pi - 1e-9]
@@ -82,10 +78,9 @@ class TestCot:
         for x in xs[2:]:
             assert angle_trig(MATH, x)[0] == pytest.approx(half_pi - x, rel=1e-3)
 
-    def test_band_gap_is_the_zeroed_cotangent(self):
-        # What a band would zero inside |x - pi/2| <= 1e-12 is returned as
-        # is, by numpy's functions on arrays as by math's on floats: the gap
-        # between cot and 0 there is the cotangent itself, about |x - pi/2|.
+    def test_near_a_right_angle_arrays_match_floats(self):
+        # On arrays cot is numpy's cos/sin, equal bit for bit to math's on
+        # floats; within 1e-12 of pi/2 it is nonzero and about |x - pi/2|.
         half_pi = math.pi / 2.0
         xs = [half_pi + 5e-13, half_pi - 5e-13, half_pi + 1e-15, half_pi, 1.0]
         arr = np.array(xs)
@@ -127,11 +122,16 @@ class TestCot:
             assert abs(got - math.cos(0.5 * x) / math.sin(0.5 * x)) <= allowed[i]
 
 
+def test_areas_345(t345):
+    # Integer squared sides make Heron and the polynomial exact: 16 E^2 = 576,
+    # E = 6; sin A = 1; and (25 + 9 + 16) / (4 * 25/12) = 6 by cotangents.
+    got = areas(t345)
+    assert (got["heron"], got["sixteen_sq_poly"], got["sine_formula"]) == (6.0, 6.0, 6.0)
+    assert got["cot_formula"] == pytest.approx(6.0, rel=1e-13)
+
+
 class TestHeron:
     """Heron's route, and the strict triangle inequality the sides form needs."""
-
-    def test_345(self, t345):
-        assert areas(t345)["heron"] == 6.0
 
     def test_equilateral(self, equilateral):
         assert areas(equilateral)["heron"] == pytest.approx(SQRT3 / 4.0, abs=1e-16)
@@ -145,11 +145,6 @@ class TestHeron:
             triangle_from_spec({"sides": {"alpha": 1.0, "beta": 1.0, "gamma": 3.0}})
 
 
-def test_sixteen_area_squared_345(t345):
-    # Integer squared sides make the polynomial exact: 16 E^2 = 576, E = 6.
-    assert areas(t345)["sixteen_sq_poly"] == 6.0
-
-
 def test_sixteen_area_route_clamps_negative_rounding():
     # On needles the polynomial can round below zero; the route reads 0.0
     # there, not NaN.  Their zero angles make other routes inf or NaN.
@@ -160,12 +155,6 @@ def test_sixteen_area_route_clamps_negative_rounding():
     poly = needles.areas["sixteen_sq_poly"]
     assert not np.isnan(poly).any()
     assert (poly == 0.0).any()
-
-
-def test_cot_half_angles_345(t345):
-    # s = 6, so the radicals collapse to the integers 1, 3, 2, which the
-    # half-angle cotangents must match.
-    assert identity_report(t345).residuals["half_angle_cots"] <= 5e-16
 
 
 def refusals(t: Triangle) -> set:
@@ -211,15 +200,6 @@ class TestCotSum:
         assert t.frame_metrics.ang_a == math.atan2(t.g.y, t.g.x) == 3.4906584289728926e-09
         assert refusals(t) == {"smallest angle 3.4906584289728926e-09 rad is too thin to verify "
                                "in binary64: the bound 64 eps/theta^2 = 1.17e+03 reaches 1"}
-
-
-def test_area_sine_345(t345):
-    assert areas(t345)["sine_formula"] == 6.0
-
-
-def test_area_from_cots_345(t345):
-    # (25 + 9 + 16) / (4 * 25/12) = 6
-    assert areas(t345)["cot_formula"] == pytest.approx(6.0, rel=1e-13)
 
 
 def test_law_of_cosines_in_cot_form_over_corpus():

@@ -57,11 +57,6 @@ def test_area_routes_are_the_chains_areas_bit_for_bit(t345, equilateral, obtuse_
         assert value.tobytes() == chain.areas[name].tobytes(), name
 
 
-def test_check_order_covers_every_residual(t345):
-    assert len(set(CHECK_ORDER)) == len(CHECK_ORDER) == 12
-    assert list(residuals(t345)) == list(CHECK_ORDER)
-
-
 def test_bound_constant_is_a_power_of_two():
     mantissa, _ = math.frexp(BOUND_CONSTANT)
     assert mantissa == 0.5 and BOUND_CONSTANT >= 8.0
@@ -118,32 +113,6 @@ def test_345_chain_values_are_exact(t345):
     )
     assert 8.0 * m.area * side_sum == pytest.approx(1924.0, rel=1e-13)
     assert 576.0 + 1924.0 - 50.0**2 == 0.0
-
-
-def test_345_residuals_tiny(t345):
-    r = residuals(t345)
-    assert r["area_ratio"] < 1e-12
-    assert r["area_increment"] < 1e-12
-    assert r["area_quadratic"] < 1e-12
-    assert r["chain_sum"] < 1e-12
-    # The opposing polynomial is an exact zero, 25 = 9 + 16, and cot A is
-    # cos/sin of the rounded right angle, of the size of its roundoff.
-    assert r["cot_term_a"] <= EPS
-    assert r["cot_term_g"] < 1e-13
-    assert r["cot_term_b"] < 1e-13
-
-
-def test_squared_sum_expansion_exact_on_integers(t345):
-    # -(50)^2 = -2*(144 + 400 + 225) - (81 + 256 + 625), exactly, in float
-    assert residuals(t345)["squared_sum_expansion"] == 0.0
-
-
-def test_residuals_tiny_on_all_cases(t345, equilateral, obtuse_iso):
-    for t in (t345, equilateral, obtuse_iso):
-        r = residuals(t)
-        assert r["area_ratio"] < 1e-12
-        assert r["chain_sum"] < 1e-12
-        assert max(r[key] for key in COT_TERMS) < 1e-12
 
 
 def test_cot_term_scaling_survives_large_right_triangles():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from perptri.cli import triangle_from_spec
 from perptri.construction import construct
 from perptri.geom import Point2, Triangle
-from perptri.svg import render_svg, svg_document
+from perptri.svg import svg_document
 
 
 def test_document_structure(equilateral):
@@ -52,14 +52,6 @@ def test_y_axis_is_flipped(equilateral):
     # Gamma sits at height +sqrt(3)/2, +sqrt(3)/4 in the frame (exp = 1);
     # with the y-flip its rendered coordinate is negative.
     assert "-0.433013" in source_path(svg_document(construct(equilateral)))
-
-
-def test_render_svg_writes_file(tmp_path, t345):
-    out = tmp_path / "construction.svg"
-    render_svg(construct(t345), out)
-    text = out.read_text(encoding="utf-8")
-    assert text.startswith("<svg")
-    assert text.endswith("</svg>\n")
 
 
 def test_viewbox_covers_all_vertices(obtuse_iso):
