@@ -51,6 +51,9 @@ def areas(t: Triangle) -> dict:
 
 
 class TestCot:
+    def test_quarter_pi(self):
+        assert angle_trig(MATH, math.pi / 4.0)[0] == pytest.approx(1.0, abs=1e-15)
+
     def test_right_angle_is_exactly_zero(self):
         # There is no right-angle branch: at the binary64 pi/2 cot is cos/sin,
         # the cotangent of the angle as rounded.  That value is exactly the

@@ -115,6 +115,14 @@ def test_345_chain_values_are_exact(t345):
     assert 576.0 + 1924.0 - 50.0**2 == 0.0
 
 
+def test_residuals_tiny_on_all_cases(t345, equilateral, obtuse_iso):
+    for t in (t345, equilateral, obtuse_iso):
+        r = residuals(t)
+        assert r["area_ratio"] < 1e-12
+        assert r["chain_sum"] < 1e-12
+        assert max(r[key] for key in COT_TERMS) < 1e-12
+
+
 def test_cot_term_scaling_survives_large_right_triangles():
     # A near-degenerate right triangle at scale 100: both sides of the
     # cot-A identity cancel to roundoff of huge monomials.  The residual
