@@ -24,12 +24,10 @@ def summarize(title: str, result, elapsed: float) -> None:
     print("    worst residuals:")
     for key, value in sorted(result.max_residuals.items(), key=lambda kv: -kv[1]):
         print(f"        {key:<22} {value:.3e}")
-    idx = result.argmin_index
-    corpus = result.corpus
+    ang_b, ang_g, _ = result.argmin_row
     print(f"    smallest cot sum {result.min_cot_sum:.8f} "
           f"(equilateral would be 1.73205081) at "
-          f"B = {float(corpus.ang_b[idx]):.5f} rad, "
-          f"Gamma = {float(corpus.ang_g[idx]):.5f} rad")
+          f"B = {ang_b:.5f} rad, Gamma = {ang_g:.5f} rad")
     print()
 
 

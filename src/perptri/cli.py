@@ -267,14 +267,14 @@ def cmd_sweep(args):
     from .sweep import run_sweep
 
     result = run_sweep(args.n, args.seed, stratum=args.stratum)
-    idx, argmin = result.argmin_index, None
-    if idx is not None:
-        corpus = result.corpus
-        t = corpus.triangle(idx)
+    argmin = None
+    if result.argmin_row is not None:
+        ang_b, ang_g, scale = result.argmin_row
+        t = triangle_from_angles(ang_b, ang_g, scale)
         argmin = {
-            "ang_b_deg": math.degrees(float(corpus.ang_b[idx])),
-            "ang_gamma_deg": math.degrees(float(corpus.ang_g[idx])),
-            "scale": float(corpus.scale[idx]),
+            "ang_b_deg": math.degrees(ang_b),
+            "ang_gamma_deg": math.degrees(ang_g),
+            "scale": scale,
             "vertices": {"A": [t.a.x, t.a.y], "B": [t.b.x, t.b.y], "Gamma": [t.g.x, t.g.y]},
             "cot_sum": result.min_cot_sum,
         }

@@ -40,6 +40,10 @@ SCALE_DECADES = (-2.0, 2.0)
 
 STRATA = ("all", "acute", "right", "obtuse")
 
+#: The strata `corpus_rows` draws chunk by chunk; the others re-draw after
+#: the whole first pass.
+CHUNKED_STRATA = ("all", "right")
+
 
 def triangle_from_sides(alpha: float, beta: float, gamma: float) -> Triangle:
     """Triangle with |B Gamma| = alpha, |Gamma A| = beta, |AB| = gamma, A at the origin.
@@ -144,23 +148,86 @@ def concat_corpora(*parts: TriangleCorpus) -> TriangleCorpus:
     )
 
 
-def _simplex_pairs(rng, n: int, delta: float) -> tuple:
-    """n uniform points of the open angle simplex, by the fold trick, drawn from numpy's rng.
+def _fold(u, v, span: float, delta: float) -> tuple:
+    """Draws u, v uniform on [0, span = pi - 3 delta), folded into the open angle simplex.
 
-    The fold and the shift by delta are done in place, so the draw holds two
-    n-arrays and the fold's sum and mask, not a copy of each.
+    The fold and the shift by delta are done in place, so they hold the fold's
+    sum and mask besides the two arrays, not a copy of each.
     """
     import numpy as np
 
-    span = math.pi - 3.0 * delta
-    u = rng.uniform(0.0, span, n)
-    v = rng.uniform(0.0, span, n)
     over = u + v > span
     np.subtract(span, u, out=u, where=over)
     np.subtract(span, v, out=v, where=over)
     u += delta
     v += delta
     return u, v
+
+
+def corpus_rows(
+    bit_generator,
+    n: int,
+    start: int,
+    stop: int,
+    stratum: str = "all",
+    delta: float = DELTA_MAIN,
+) -> TriangleCorpus:
+    """Rows [start, stop) of the n-triangle corpus drawn from bit_generator's stream.
+
+    The corpus takes its scale exponents from the stream's draws 0..n-1, then
+    B (or the simplex's u) from n..2n-1 and v from 2n..3n-1, so the scale stream
+    never depends on the stratum.  Each chunk reaches its draws by PCG64's
+    jump-ahead (`advance`) on a copy of the stream, so it is drawn on its own,
+    bit for bit as in the whole corpus, and bit_generator is never advanced.
+    The acute and obtuse strata re-draw the pairs of the wrong case from 3n
+    on, in index order, after the whole first pass: they are drawn only whole.
+    """
+    if n < 0:
+        raise ValueError(f"n must be a non-negative number of triangles, got {n}")
+    if stratum not in STRATA:
+        raise ValueError(f"unknown stratum {stratum!r}; expected one of {STRATA}")
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"rows [{start}, {stop}) are not rows of a corpus of {n}")
+    if stratum not in CHUNKED_STRATA and (start, stop) != (0, n):
+        raise ValueError(f"the {stratum} stratum re-draws after the whole corpus: "
+                         f"rows [0, {n}) only")
+    import numpy as np
+
+    state = bit_generator.state
+    stream = type(bit_generator)(0)
+
+    def at(position: int):
+        """A generator at the stream's draw number position."""
+        stream.state = state
+        stream.advance(position)
+        return np.random.Generator(stream)
+
+    size = stop - start
+    exponents = at(start).uniform(*SCALE_DECADES, size)
+    if stratum == "right":
+        ang_b = at(n + start).uniform(delta, 0.5 * math.pi - delta, size)
+        ang_g = 0.5 * math.pi - ang_b
+    else:
+        span = math.pi - 3.0 * delta
+        ang_b, ang_g = _fold(at(n + start).uniform(0.0, span, size),
+                             at(2 * n + start).uniform(0.0, span, size), span, delta)
+        if stratum != "all":
+            # angle_cases gives one mask per AngleCase, in order.  Only the
+            # re-drawn pairs can change case, so only they are tested again;
+            # the indices stay ascending, so each pass draws in index order.
+            wanted = [case.value for case in AngleCase].index(stratum)
+            wrong = np.flatnonzero(~angle_cases(math.pi - ang_b - ang_g)[wanted])
+            rng = at(3 * n)
+            while wrong.size:
+                b, g = _fold(rng.uniform(0.0, span, wrong.size),
+                             rng.uniform(0.0, span, wrong.size), span, delta)
+                ang_b[wrong], ang_g[wrong] = b, g
+                wrong = wrong[~angle_cases(math.pi - b - g)[wanted]]
+    # The scales are made last, into a new array, for glibc's sake: it raises
+    # its mmap threshold to the largest mapped block freed.  Freed before the
+    # angles are drawn, the exponents would send the fold's sum to the heap,
+    # where it stays resident after it is freed (8 MiB at n = 10**6).
+    return TriangleCorpus(ang_b=ang_b, ang_g=ang_g, scale=10.0 ** exponents)
 
 
 def sample_corpus(
@@ -171,39 +238,11 @@ def sample_corpus(
 ) -> TriangleCorpus:
     """Draw n triangles, deterministic for a fixed (n, seed, stratum, delta).
 
-    seed is anything numpy's default_rng accepts (an int, or a sequence of
-    ints for derived sub-corpora).  The scale stream is drawn before the
-    angle stream so stratum rejection never shifts it.
+    seed is anything numpy's default_rng accepts whose bit generator can jump
+    ahead (an int, a sequence of ints for derived sub-corpora, a SeedSequence
+    or None); a Generator passed in is not advanced.  The rows are those of
+    `corpus_rows`.
     """
-    if n < 0:
-        raise ValueError(f"n must be a non-negative number of triangles, got {n}")
-    if stratum not in STRATA:
-        raise ValueError(f"unknown stratum {stratum!r}; expected one of {STRATA}")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    exponents = rng.uniform(*SCALE_DECADES, n)
-    if stratum == "right":
-        ang_b = rng.uniform(delta, 0.5 * math.pi - delta, n)
-        ang_g = 0.5 * math.pi - ang_b
-    else:
-        ang_b, ang_g = _simplex_pairs(rng, n, delta)
-        if stratum != "all":
-            # angle_cases gives one mask per AngleCase, in order.  Only the
-            # re-drawn pairs can change case, so only they are tested again;
-            # the indices stay ascending, so each pass draws in index order.
-            wanted = [case.value for case in AngleCase].index(stratum)
-            wrong = np.flatnonzero(~angle_cases(math.pi - ang_b - ang_g)[wanted])
-            while wrong.size:
-                b, g = _simplex_pairs(rng, wrong.size, delta)
-                ang_b[wrong], ang_g[wrong] = b, g
-                wrong = wrong[~angle_cases(math.pi - b - g)[wanted]]
-    # The scales are made last, into a new array, for glibc's sake: it raises
-    # its trim threshold to twice the largest mapped block freed.  Freed here,
-    # the exponents are such a block in every stratum (the only one in the
-    # right stratum), so sweep workers keep their chunk arrays instead of
-    # faulting them in again on every chunk (9x the page faults and a fifth
-    # more wall time at n = 10**6).  Freed before the angles are drawn, they
-    # would send the fold's sum to the heap, where it stays resident after it
-    # is freed (8 MiB at n = 10**6).
-    return TriangleCorpus(ang_b=ang_b, ang_g=ang_g, scale=10.0 ** exponents)
+    return corpus_rows(np.random.default_rng(seed).bit_generator, n, 0, n, stratum, delta)

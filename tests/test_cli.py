@@ -850,12 +850,12 @@ def test_interrupted_sweep_of_a_process_exits_130_with_one_line():
     code = ("import signal, sys\n"
             "from perptri import cli, sweep\n"
             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-            "evaluate = sweep.evaluate_corpus\n"
-            "def announced(corpus):\n"
+            "reduce_chunks = sweep._reduce_chunks\n"
+            "def announced(n, reduce_at):\n"
             "    print('sweeping', flush=True)\n"
             "    while True:\n"
-            "        evaluate(corpus)\n"
-            "sweep.evaluate_corpus = announced\n"
+            "        reduce_chunks(n, reduce_at)\n"
+            "sweep._reduce_chunks = announced\n"
             "sys.exit(cli.main(['sweep', '--n', '1000000']))\n")
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)

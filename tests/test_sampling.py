@@ -13,6 +13,7 @@ from perptri import geom
 from perptri.errors import GeometryError
 from perptri.geom import Point2
 from perptri.sampling import (
+    CHUNKED_STRATA,
     DELTA_MAIN,
     DELTA_STRESS,
     SCALE_DECADES,
@@ -20,6 +21,7 @@ from perptri.sampling import (
     TriangleCorpus,
     canonical_triangle,
     concat_corpora,
+    corpus_rows,
     sample_corpus,
     triangle_from_angles,
     triangle_from_sides,
@@ -314,6 +316,31 @@ def test_corpus_is_pinned(stratum, delta, n, seed):
     assert digest[:16] == CORPUS_DIGESTS[stratum, delta, n, seed]
     # The scale stream comes first, ten to the power of the draw.
     assert np.array_equal(c.scale, 10.0 ** np.random.default_rng(seed).uniform(-2, 2, n))
+
+
+@pytest.mark.parametrize("stratum", CHUNKED_STRATA)
+@pytest.mark.parametrize("seed", [7, (7, 3)])
+def test_rows_drawn_chunk_by_chunk_are_the_corpus(stratum, seed):
+    # Chunks drawn on their own, last first, put together are the corpus bit
+    # for bit, and leave the shared bit generator where it was.
+    n = 1000
+    bit_generator = np.random.default_rng(seed).bit_generator
+    state = bit_generator.state
+    cuts = [0, 1, 333, 334, 999, n]
+    chunks = [corpus_rows(bit_generator, n, start, stop, stratum, DELTA_STRESS)
+              for start, stop in reversed(list(zip(cuts, cuts[1:])))][::-1]
+    assert bit_generator.state == state
+    whole = sample_corpus(n, seed, stratum, delta=DELTA_STRESS)
+    for field, parts in zip(whole, zip(*chunks)):
+        assert np.array_equal(np.concatenate(parts), field)
+
+
+@pytest.mark.parametrize("stratum", sorted(set(STRATA) - set(CHUNKED_STRATA)))
+def test_re_drawn_strata_are_drawn_only_whole(stratum):
+    bit_generator = np.random.default_rng(7).bit_generator
+    with pytest.raises(ValueError, match="re-draws after the whole corpus"):
+        corpus_rows(bit_generator, 10, 0, 5, stratum)
+    assert len(corpus_rows(bit_generator, 10, 0, 10, stratum)) == 10
 
 
 def test_sampling_peak_memory():

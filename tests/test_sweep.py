@@ -4,9 +4,10 @@
 kernel, on arrays and on one triangle's floats; the bridge tests below pin
 the two entries together, and hold the per-triangle cot sum and ratio against
 the independent routes (the cot sum of the corpus's sampled angles,
-`construction.construct`).  The chunked, threaded `evaluate_corpus` is in turn
-pinned to np.max / np.argmin / np.count_nonzero of that chain over the whole
-corpus, exactly.
+`construction.construct`).  The chunked, threaded sweeps -- `evaluate_corpus`
+on a held corpus and the streamed `run_sweep` -- are in turn pinned to
+np.max / np.argmin / np.count_nonzero of that chain over the whole corpus,
+exactly.
 """
 
 import math
@@ -123,10 +124,13 @@ def _assert_whole_corpus_reductions(result, corpus):
     assert result.over_bound == len(corpus) - int(np.count_nonzero(all_within))
     if not len(corpus):
         assert result.argmin_index is None
+        assert result.argmin_row is None
         assert math.isnan(result.min_cot_sum)
         assert all(math.isnan(value) for value in result.max_residuals.values())
         return
     assert result.argmin_index == int(np.argmin(chain.cot_sum))
+    row = (float(field[result.argmin_index]) for field in corpus)
+    assert all(map(_same, result.argmin_row, row))
     assert _same(result.min_cot_sum, float(np.min(chain.cot_sum)))
     for key in CHECK_ORDER:
         assert _same(result.max_residuals[key], float(np.max(chain.residuals[key]))), key
@@ -135,11 +139,11 @@ def _assert_whole_corpus_reductions(result, corpus):
 @pytest.mark.parametrize("stratum", STRATA)
 @pytest.mark.parametrize("n", [0, 1, CHUNK, 3 * CHUNK + 17])
 def test_chunked_sweep_equals_one_shot_reduction(n, stratum):
-    seed = [41, n]
-    result = run_sweep(n, seed, stratum)
-    corpus = sample_corpus(n, seed, stratum)
-    _assert_whole_corpus_reductions(result, corpus)
-    assert result == evaluate_corpus(corpus)
+    for seed in ([41, n], 41 + n):
+        result = run_sweep(n, seed, stratum)
+        corpus = sample_corpus(n, seed, stratum)
+        _assert_whole_corpus_reductions(result, corpus)
+        assert result == evaluate_corpus(corpus)
 
 
 def test_chunk_merge_keeps_first_of_ties():
@@ -205,10 +209,11 @@ def test_right_stratum_gamma_prime_collapse():
 
 def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
     # The first chunk is interrupted while the others take 10 ms each: the
-    # sweep stops after the few chunks already running, not after all 200.
+    # sweep stops after the few chunks already running, not after all 200,
+    # whether its chunks are slices of a held corpus or drawn by the workers.
     started = []
 
-    def reduce_chunk(corpus, start):
+    def reduce_chunk(chunk, start):
         started.append(start)
         if start == 0:
             raise KeyboardInterrupt
@@ -216,15 +221,19 @@ def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "CHUNK", 1)
     monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)
-    with pytest.raises(KeyboardInterrupt):
-        evaluate_corpus(sample_corpus(200, seed=46))
-    assert len(started) < 20
+    for sweep in (lambda: evaluate_corpus(sample_corpus(200, seed=46)),
+                  lambda: run_sweep(200, 46)):
+        started.clear()
+        with pytest.raises(KeyboardInterrupt):
+            sweep()
+        assert 0 in started and len(started) < 20
 
 
 def test_empty_sweep():
     result = evaluate_corpus(sample_corpus(0, seed=0))
     assert len(result) == 0
     assert result.argmin_index is None
+    assert result.argmin_row is None
     assert math.isnan(result.min_cot_sum)
     assert result.case_counts == {"acute": 0, "right": 0, "obtuse": 0}
     assert list(result.max_residuals) == list(CHECK_ORDER)
@@ -252,3 +261,21 @@ def test_chunk_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * 2**20
+
+
+def test_streamed_sweep_never_holds_the_corpus(monkeypatch):
+    # Each worker draws its own chunk, so two workers hold about two chunks'
+    # arrays (2 x 6.2 MiB) at any n, never the corpus's 24 bytes per triangle
+    # (33 while it was drawn whole, 24 MiB and 33 MiB here).  The first call
+    # only keeps lazy set-up out of the count.
+    monkeypatch.setattr(sweep_mod, "_usable_cpus", lambda: 2)
+    n = 64 * CHUNK
+    run_sweep(2 * CHUNK, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_sweep(n, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n

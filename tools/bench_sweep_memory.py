@@ -1,6 +1,6 @@
 """Wall time, peak memory and page faults of `perptri sweep`, one fresh process a run.
 
-    python tools/bench_sweep_memory.py --n 1000000 --seed 0 --runs 10 \\
+    python tools/bench_sweep_memory.py --n 200000 --n 1000000 --seed 0 --runs 10 \\
         --src /path/to/parent --src . --out BENCH_sweep_memory.json
 
 Each run of a source tree (a checkout holding `src/perptri`) starts two
@@ -8,20 +8,20 @@ processes with PYTHONPATH=<tree>/src:
 
     sweep  `python -m perptri sweep --n N --seed S --json`; its wall time, and
            the peak RSS and minor page faults that wait4 reports for it
-    stages the same sample_corpus + evaluate_corpus in one process, reading its
-           RSS (VmRSS) and peak (VmHWM) after the imports, after sampling and
-           after evaluation
+    stages the same `sweep.run_sweep(N, S)` in one process, reading its RSS
+           (VmRSS) and peak (VmHWM) after the imports and after the sweep
 
-With several trees, each run visits every tree, and the order alternates from
-run to run (first to last, then last to first), so drift on a shared machine
-falls on both sides alike.  Every sweep must print the same bytes and exit
-with the same code as the first; otherwise the script names the JSON paths
-whose values differ (such as max_residuals/area_ratio, or exit for the exit
-code) and the runs that printed each output, and exits 1 after writing its
-report.  The report holds every run, the median and quartiles of each
-measure per tree, the differing paths, the machine (CPUs, CPU model, Python,
-numpy), and each tree's directory name and git HEAD (where it is a git
-checkout).
+--n may be given several times; each size is measured in turn.  With several
+trees, each run visits every tree, and the order alternates from run to run
+(first to last, then last to first), so drift on a shared machine falls on
+both sides alike.  At each size every sweep must print the same bytes and
+exit with the same code as the first; otherwise the script names the JSON
+paths whose values differ (such as max_residuals/area_ratio, or exit for the
+exit code) and the runs that printed each output, and exits 1 after writing
+its report.  The report holds every run, the median and quartiles of each
+measure per tree and size, the differing paths per size, the machine (CPUs,
+CPU model, Python, numpy), and each tree's directory name and git HEAD
+(where it is a git checkout).
 
 Linux only: wait4 gives the peak and the faults, /proc/self/status the stage
 RSS.  Linux carries a process's peak RSS across fork and exec, so a child's
@@ -46,24 +46,21 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = """
 import json
 import sys
-from perptri.sampling import sample_corpus
-from perptri.sweep import evaluate_corpus
+from perptri.sweep import run_sweep
 
 def rss():
     status = dict(line.split(":", 1) for line in open("/proc/self/status"))
     return [int(status[key].split()[0]) / 1024.0 for key in ("VmRSS", "VmHWM")]
 
 stages = {"imports": rss()}
-corpus = sample_corpus(int(sys.argv[1]), int(sys.argv[2]))
-stages["sampling"] = rss()
-evaluate_corpus(corpus)
-stages["evaluation"] = rss()
+run_sweep(int(sys.argv[1]), int(sys.argv[2]))
+stages["sweep"] = rss()
 print(json.dumps({stage: dict(zip(("rss_mib", "peak_mib"), values))
                   for stage, values in stages.items()}))
 """
 
-MEASURES = ("wall_s", "peak_rss_mib", "minor_faults", "rss_after_sampling_mib",
-            "rss_after_evaluation_mib", "peak_after_sampling_mib")
+MEASURES = ("wall_s", "peak_rss_mib", "minor_faults", "rss_after_imports_mib",
+            "rss_after_sweep_mib", "peak_after_sweep_mib")
 
 
 def run_child(argv: list[str], env: dict) -> tuple[float, object, str]:
@@ -94,10 +91,9 @@ def measure(tree: Path, n: int, seed: int) -> tuple[dict, str]:
         "peak_rss_mib": usage.ru_maxrss / 1024.0,
         "minor_faults": usage.ru_minflt,
         "rss_after_imports_mib": stages["imports"]["rss_mib"],
-        "rss_after_sampling_mib": stages["sampling"]["rss_mib"],
-        "rss_after_evaluation_mib": stages["evaluation"]["rss_mib"],
-        "peak_after_sampling_mib": stages["sampling"]["peak_mib"],
-        "peak_after_evaluation_mib": stages["evaluation"]["peak_mib"],
+        "peak_after_imports_mib": stages["imports"]["peak_mib"],
+        "rss_after_sweep_mib": stages["sweep"]["rss_mib"],
+        "peak_after_sweep_mib": stages["sweep"]["peak_mib"],
     }, output
 
 
@@ -188,52 +184,57 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path,
                         help="a source tree to measure (repeatable; default: this checkout)")
-    parser.add_argument("--n", type=int, default=1_000_000, help="triangles per sweep")
+    parser.add_argument("--n", type=int, action="append",
+                        help="triangles per sweep (repeatable; default: 1000000)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=10, help="runs per tree")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep_memory.json")
     args = parser.parse_args(argv)
     trees = source_trees(parser, args.src)
+    sizes = args.n or [1_000_000]
 
-    runs = {tree: [] for tree in trees}
-    outputs = {}
-    for i, tree in alternating(trees, args.runs):
-        result, output = measure(tree, args.n, args.seed)
-        runs[tree].append(result)
-        outputs.setdefault(output, []).append(f"{tree} run {i}")
-    identical = len(outputs) == 1
-    differing = differing_paths(list(outputs))
+    runs = {(n, tree): [] for n in sizes for tree in trees}
+    outputs = {n: {} for n in sizes}
+    for n in sizes:
+        for i, tree in alternating(trees, args.runs):
+            result, output = measure(tree, n, args.seed)
+            runs[n, tree].append(result)
+            outputs[n].setdefault(output, []).append(f"{tree} run {i}")
+    differing = {n: differing_paths(list(outputs[n])) for n in sizes}
 
     report = {
         "benchmark": "perptri sweep --n N --seed S --json, fresh processes",
-        "n": args.n,
+        "n": sizes,
         "seed": args.seed,
         "runs_per_tree": args.runs,
         "machine": machine(),
         "git_head": command_output(["git", "rev-parse", "HEAD"], ROOT),
-        "identical_output": identical,
-        "differing_paths": differing,
+        "identical_output": all(len(outputs[n]) == 1 for n in sizes),
+        "differing_paths": {str(n): paths for n, paths in differing.items()},
         "trees": [{
             "tree": tree.name,
+            "n": n,
             "git_head": tree_head(tree),
-            "summary": {key: summary([run[key] for run in runs[tree]]) for key in runs[tree][0]},
-            "runs": runs[tree],
-        } for tree in trees],
+            "summary": {key: summary([run[key] for run in runs[n, tree]])
+                        for key in runs[n, tree][0]},
+            "runs": runs[n, tree],
+        } for n in sizes for tree in trees],
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(entry["tree"]) for entry in report["trees"])
-    print("  ".join((f"{'tree':>{width}}", *MEASURES)))
+    print("  ".join((f"{'tree':>{width}}", f"{'n':>9}", *MEASURES)))
     for entry in report["trees"]:
         cells = (f"{entry['summary'][key]['median']:>{len(key)}.5g}" for key in MEASURES)
-        print("  ".join((f"{entry['tree']:>{width}}", *cells)))
+        print("  ".join((f"{entry['tree']:>{width}}", f"{entry['n']:>9}", *cells)))
     print(f"medians of {args.runs} run(s) each; report in {args.out}")
-    if not identical:
-        for i, where in enumerate(outputs.values()):
-            print(f"output {i}: {', '.join(where)}", file=sys.stderr)
-        print(f"the sweeps printed different values at {', '.join(differing)}", file=sys.stderr)
-        return 1
-    return 0
+    for n in sizes:
+        if len(outputs[n]) > 1:
+            for i, where in enumerate(outputs[n].values()):
+                print(f"n = {n}, output {i}: {', '.join(where)}", file=sys.stderr)
+            print(f"at n = {n} the sweeps printed different values at "
+                  f"{', '.join(differing[n])}", file=sys.stderr)
+    return 0 if report["identical_output"] else 1
 
 
 if __name__ == "__main__":
