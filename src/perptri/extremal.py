@@ -17,6 +17,12 @@ Restricted to right triangles the sum collapses to 2 / sin(2B), with minimum
 
 Closed forms are never returned unchecked: every public entry point first
 confirms them against a derivative-free golden-section search.
+
+Arguments are checked once, at the public functions.  A search evaluates
+the bare slice `_slice`, with no checks per probe: `minimize_slice` checks
+k before it searches, the outer stage of `global_cot_sum_min` probes only
+k in [1e-3, 1e2], and golden-section probes only x inside its bracket
+[SEARCH_LO, SEARCH_HI], a subset of (0, pi/2).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
+from functools import partial
 
 #: 1/phi, the golden-section interval reduction factor per iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,13 +55,15 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tup
 
     Classic two-probe golden-section: each iteration reuses one interior
     evaluation and shrinks the bracket by 1/phi until it is X_TOL wide (at
-    most MAX_ITER iterations).
+    most MAX_ITER iterations).  Every x that f sees lies in [lo, hi], so f
+    need not check x: callers check their arguments once, before the search.
     """
     c = hi - INV_PHI * (hi - lo)
     d = lo + INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    iterations = 0
-    while (hi - lo) > X_TOL and iterations < MAX_ITER:
+    for _ in range(MAX_ITER):
+        if not (hi - lo) > X_TOL:
+            break
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - INV_PHI * (hi - lo)
@@ -63,7 +72,6 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tup
             lo, c, fc = c, d, fd
             d = lo + INV_PHI * (hi - lo)
             fd = f(d)
-        iterations += 1
     x = 0.5 * (lo + hi)
     return x, f(x)
 
@@ -89,12 +97,17 @@ def slice_min_value(k: float) -> float:
     return (2.0 * k * k - k * root + 2.0) / root
 
 
+def _slice(k: float, x: float) -> float:
+    """The slice g_k(x), unchecked: the one body of the formula, which searches evaluate."""
+    c = math.cos(x) / math.sin(x)
+    return (c * c + k * c + k * k + 1.0) / (c + k)
+
+
 def cot_sum_slice(k: float, x: float) -> float:
     """The cotangent sum with one base-angle cotangent held fixed at k."""
     _check_k(k)
     _check_x(x)
-    c = math.cos(x) / math.sin(x)
-    return (c * c + k * c + k * k + 1.0) / (c + k)
+    return _slice(k, x)
 
 
 def cot_sum_slice_deriv(k: float, x: float) -> float:
@@ -121,6 +134,11 @@ def slice_argmin(k: float) -> float:
     return math.atan2(1.0, math.sqrt(k * k + 1.0) - k)
 
 
+def _numeric_slice_min(k: float) -> tuple[float, float]:
+    """Golden-section (argmin, minimum) of the slice at a k already known to be valid."""
+    return golden_section_min(partial(_slice, k), SEARCH_LO, SEARCH_HI)
+
+
 class ExtremalReport(namedtuple(
         "ExtremalReport", "k argmin min_value numeric_argmin numeric_min agreement_err")):
     """Closed-form slice minimum next to its golden-section confirmation."""
@@ -142,9 +160,7 @@ def minimize_slice(k: float) -> ExtremalReport:
     argmin of a flat quadratic bottom to about sqrt(eps) only).
     """
     _check_k(k)
-    numeric_argmin, numeric_min = golden_section_min(
-        lambda x: cot_sum_slice(k, x), SEARCH_LO, SEARCH_HI
-    )
+    numeric_argmin, numeric_min = _numeric_slice_min(k)
     argmin = slice_argmin(k)
     min_value = slice_min_value(k)
     return ExtremalReport(
@@ -166,7 +182,7 @@ def global_cot_sum_min() -> tuple[float, float, float]:
     RuntimeError if the numeric route strays from the closed form.
     """
     k_star, numeric_min = golden_section_min(
-        lambda k: minimize_slice(k).numeric_min, 1e-3, 1e2
+        lambda k: _numeric_slice_min(k)[1], 1e-3, 1e2
     )
     if abs(numeric_min * numeric_min - 3.0) > 1e-8:
         raise RuntimeError(

@@ -1,5 +1,5 @@
 """The benchmark tools: bench_sweep_memory.py names what differs between two sweeps' outputs,
-and each of the two writes its report."""
+and each of the three writes its report."""
 
 import importlib.util
 import json
@@ -56,3 +56,16 @@ def test_startup_benchmark_writes_its_report(tmp_path, monkeypatch):
     for mode in ("bytecode", "source"):
         for measure in ("import_ms", "verify_wall_ms", "verify_peak_rss_mib"):
             assert tree["summary"][mode][measure]["min"] > 0.0
+
+
+def test_extremal_benchmark_writes_its_report(tmp_path, monkeypatch):
+    # tools/bench_extremal.py imports its helpers from bench_sweep_memory.py.
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    extremal = importlib.import_module("bench_extremal")
+    out = tmp_path / "extremal.json"
+    assert extremal.main(["--runs", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["identical_output"] and report["runs_per_tree"] == 1
+    (tree,) = report["trees"]
+    for measure in ("pass_p10_us", "pass_median_us", "global_median_us", "slice_median_us"):
+        assert tree["summary"][measure]["min"] > 0.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perptri import extremal
 from perptri.extremal import (
     SEARCH_HI,
     SEARCH_LO,
@@ -29,6 +30,18 @@ from perptri.sweep import evaluate_corpus
 
 SQRT3 = math.sqrt(3.0)
 
+#: The slices whose minima perfbench's extremal_search times.
+SLICE_KS = tuple(float(k) for k in np.logspace(-2.0, 2.0, 41))
+
+#: Unimodal objectives on a bracket, each with its minimum at m.
+UNIMODAL = {
+    "parabola": lambda x, m: (x - m) ** 2,
+    "vee": lambda x, m: abs(x - m),
+    "increasing": lambda x, m: x,
+    "decreasing": lambda x, m: -x,
+    "log": lambda x, m: math.log1p(abs(x - m)),
+}
+
 
 # ---------------------------------------------------------------------------
 # golden section on a known function
@@ -46,6 +59,42 @@ def test_golden_section_respects_bracket():
     # minimum of an increasing function is at the left edge
     x, _ = golden_section_min(math.exp, 1.0, 3.0)
     assert x == pytest.approx(1.0, abs=1e-8)
+
+
+@given(
+    lo=st.floats(min_value=-1e6, max_value=1e6),
+    width=st.floats(min_value=0.0, max_value=1e6),
+    at=st.floats(min_value=-0.5, max_value=1.5),
+    shape=st.sampled_from(sorted(UNIMODAL)),
+)
+@settings(max_examples=200, deadline=None)
+def test_golden_section_probes_only_inside_the_bracket(lo, width, at, shape):
+    # The invariant that lets a search evaluate the unchecked slice: every x
+    # the objective sees lies in [lo, hi], whatever the bracket and wherever
+    # the minimum (inside it or not).
+    hi = lo + width
+    m = lo + at * width
+    probes = []
+
+    def f(x):
+        probes.append(x)
+        return UNIMODAL[shape](x, m)
+
+    golden_section_min(f, lo, hi)
+    assert probes
+    assert all(lo <= x <= hi for x in probes), (min(probes), max(probes))
+
+
+def test_slice_search_is_the_search_of_the_public_slice():
+    # minimize_slice searches the unchecked slice; the report must equal, to
+    # the bit, the one built from a search of the checked cot_sum_slice.
+    for k in SLICE_KS:
+        numeric_argmin, numeric_min = golden_section_min(
+            lambda x: cot_sum_slice(k, x), SEARCH_LO, SEARCH_HI)
+        min_value = slice_min_value(k)
+        assert minimize_slice(k) == ExtremalReport(
+            k, slice_argmin(k), min_value, numeric_argmin, numeric_min,
+            abs(min_value - numeric_min)), k
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +163,19 @@ def test_deriv_matches_finite_differences(k, x):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad_k", [0.0, -1.0, math.nan, math.inf])
-def test_bad_k_raises(bad_k):
+def test_bad_k_raises(bad_k, monkeypatch):
     with pytest.raises(ValueError):
         slice_min_value(bad_k)
     with pytest.raises(ValueError):
         slice_argmin(bad_k)
+
+    def evaluated(k, x):
+        raise AssertionError(f"the slice was evaluated at k={k!r}")
+
+    # minimize_slice checks k once, before its search makes any evaluation.
+    monkeypatch.setattr(extremal, "_slice", evaluated)
+    with pytest.raises(ValueError, match="slice parameter k"):
+        minimize_slice(bad_k)
 
 
 @pytest.mark.parametrize("bad_x", [0.0, -0.5, math.pi / 2.0, 3.0])

@@ -45,7 +45,7 @@ from bench_sweep_memory import (
     machine,
     run_child,
     source_trees,
-    summary,
+    spread,
     tree_head,
 )
 
@@ -96,11 +96,6 @@ def measure(path: Path, spec: Path) -> tuple[dict, str]:
         "verify_wall_ms": wall_s * 1e3,
         "verify_peak_rss_mib": peak_mib,
     }, output
-
-
-def spread(values: list[float]) -> dict:
-    """Minimum, median and quartiles."""
-    return {**summary(values), "min": min(values)}
 
 
 def main(argv: list[str] | None = None) -> int:

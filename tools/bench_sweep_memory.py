@@ -134,6 +134,11 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def spread(values: list[float]) -> dict:
+    """Minimum, median and quartiles."""
+    return {**summary(values), "min": min(values)}
+
+
 def command_output(argv: list[str], cwd: Path | None = None) -> str | None:
     try:
         done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, timeout=60)
