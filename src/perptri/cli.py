@@ -73,32 +73,13 @@ def _as_number(value, *name) -> float:
 
 
 def non_negative_int(text: str) -> int:
-    """The value of --seed, and of --n before `sweep_count`: a non-negative integer.
+    """The value of --n and --seed: a non-negative integer.
 
-    The message names no option: argparse puts "argument --seed: " before it.
+    The message names no option: argparse puts "argument --n: " before it.
     """
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
-    return n
-
-
-#: A sweep's peak bytes per sampled triangle (the acute and obtuse strata's draw).
-SWEEP_BYTES_PER_TRIANGLE = 46
-
-
-def sweep_count(text: str) -> int:
-    """The value of --n: a non-negative count whose sweep fits physical memory (os.sysconf)."""
-    n = non_negative_int(text)
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        memory = sys.maxsize
-    need = n * SWEEP_BYTES_PER_TRIANGLE
-    if need > memory:
-        raise argparse.ArgumentTypeError(
-            f"a sweep of {n} triangles needs {need} bytes ({SWEEP_BYTES_PER_TRIANGLE} per "
-            f"triangle), more than the {memory} bytes of physical memory")
     return n
 
 
@@ -416,7 +397,7 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("sweep", help="residual sweep over a seeded random corpus")
     add_json(p)
-    p.add_argument("--n", type=sweep_count, default=1000,
+    p.add_argument("--n", type=non_negative_int, default=1000,
                    help="number of triangles (default 1000)")
     p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default 0)")
     p.add_argument("--stratum", choices=STRATA, default="all", help="angle-A stratum")

@@ -44,7 +44,7 @@ the one body of the five area routes, which the chain and `perptri metrics`
 call.  The chain takes B and Gamma in a frame anchored at vertex A and the
 metrics measured there, so that residuals depend on a triangle's shape, not
 its position or size.  `identity_report` runs it on one triangle's stored
-frame and metrics, and `sweep.evaluate_corpus` on each chunk's frame arrays
+frame and metrics, and `sweep._reduce_chunk` on each chunk's frame arrays
 and metrics, keeping only reductions of the per-triangle arrays.  The
 input's type picks the elementary functions: a float (a numpy float64 is
 one) takes `geom.MATH`, anything else, in practice an array, takes

@@ -8,9 +8,12 @@ reproduces every corpus coordinate-for-coordinate.
 
 Strata select by the classification of angle A (acute / right / obtuse),
 the rule `geom.angle_cases` applies to every triangle; the "all"
-stratum is the raw simplex draw.  B or Gamma may themselves be obtuse
-inside the acute-A stratum -- that is deliberate, the identities are claimed
-and checked for every labeling, not just the convenient one.
+stratum is the raw simplex draw.  Each stratum is drawn directly, uniform on
+its own region of the simplex (Devroye, *Non-Uniform Random Variate
+Generation*, 1986, ch. 11), so any chunk of any corpus is drawn on its own.
+B or Gamma may themselves be obtuse inside the acute-A stratum -- that is
+deliberate, the identities are claimed and checked for every labeling, not
+just the convenient one.
 
 Only the corpus code imports numpy, when it runs; `STRATA` and the scalar
 layouts (`triangle_from_sides`, `triangle_from_angles`) serve without it.
@@ -24,7 +27,7 @@ from collections import namedtuple
 
 from . import geom
 from .errors import GeometryError
-from .geom import MATH, AngleCase, Ops, Point2, Triangle, angle_cases, frame_exponent
+from .geom import MATH, Ops, Point2, Triangle, frame_exponent
 
 #: Default sliver floor (radians): no sampled angle sits closer than this to
 #: 0, and A stays below pi minus this.  `perptri sweep` samples with it.
@@ -39,10 +42,6 @@ DELTA_STRESS = 1e-4
 SCALE_DECADES = (-2.0, 2.0)
 
 STRATA = ("all", "acute", "right", "obtuse")
-
-#: The strata `corpus_rows` draws chunk by chunk; the others re-draw after
-#: the whole first pass.
-CHUNKED_STRATA = ("all", "right")
 
 
 def triangle_from_sides(alpha: float, beta: float, gamma: float) -> Triangle:
@@ -149,10 +148,10 @@ def concat_corpora(*parts: TriangleCorpus) -> TriangleCorpus:
 
 
 def _fold(u, v, span: float, delta: float) -> tuple:
-    """Draws u, v uniform on [0, span = pi - 3 delta), folded into the open angle simplex.
+    """Draws u, v uniform on [0, span), folded into u + v <= span and shifted by delta.
 
-    The fold and the shift by delta are done in place, so they hold the fold's
-    sum and mask besides the two arrays, not a copy of each.
+    The fold and the shift are done in place, so they hold the fold's sum and
+    mask besides the two arrays, not a copy of each.
     """
     import numpy as np
 
@@ -175,12 +174,13 @@ def corpus_rows(
     """Rows [start, stop) of the n-triangle corpus drawn from bit_generator's stream.
 
     The corpus takes its scale exponents from the stream's draws 0..n-1, then
-    B (or the simplex's u) from n..2n-1 and v from 2n..3n-1, so the scale stream
-    never depends on the stratum.  Each chunk reaches its draws by PCG64's
-    jump-ahead (`advance`) on a copy of the stream, so it is drawn on its own,
-    bit for bit as in the whole corpus, and bit_generator is never advanced.
-    The acute and obtuse strata re-draw the pairs of the wrong case from 3n
-    on, in index order, after the whole first pass: they are drawn only whole.
+    B (or the first uniform of its angle pair) from n..2n-1 and the second
+    from 2n..3n-1, so the scale stream never depends on the stratum.  Each
+    chunk reaches its draws by PCG64's jump-ahead (`advance`) on a copy of the
+    stream, so it is drawn on its own, bit for bit as in the whole corpus, and
+    bit_generator is never advanced.  The acute and obtuse strata keep
+    B + Gamma at least 2 `geom.CASE_BAND` (read at each call) from pi/2, so
+    `geom.angle_cases` puts each of their rows in its case.
     """
     if n < 0:
         raise ValueError(f"n must be a non-negative number of triangles, got {n}")
@@ -188,9 +188,6 @@ def corpus_rows(
         raise ValueError(f"unknown stratum {stratum!r}; expected one of {STRATA}")
     if not 0 <= start <= stop <= n:
         raise ValueError(f"rows [{start}, {stop}) are not rows of a corpus of {n}")
-    if stratum not in CHUNKED_STRATA and (start, stop) != (0, n):
-        raise ValueError(f"the {stratum} stratum re-draws after the whole corpus: "
-                         f"rows [0, {n}) only")
     import numpy as np
 
     state = bit_generator.state
@@ -203,26 +200,25 @@ def corpus_rows(
         return np.random.Generator(stream)
 
     size = stop - start
+    margin = 2.0 * geom.CASE_BAND
     exponents = at(start).uniform(*SCALE_DECADES, size)
     if stratum == "right":
         ang_b = at(n + start).uniform(delta, 0.5 * math.pi - delta, size)
         ang_g = 0.5 * math.pi - ang_b
+    elif stratum == "acute":
+        # On this trapezoid of the simplex t = B + Gamma - 2 delta has density
+        # proportional to t on [low, high): t by its inverse CDF, then B - delta
+        # uniform on [0, t).
+        low, high = 0.5 * math.pi + margin - 2.0 * delta, math.pi - 3.0 * delta
+        ang_g = np.sqrt(low * low + (high * high - low * low) * at(n + start).random(size))
+        ang_b = ang_g * at(2 * n + start).random(size)
+        ang_g -= ang_b
+        ang_b += delta
+        ang_g += delta
     else:
-        span = math.pi - 3.0 * delta
+        span = math.pi - 3.0 * delta if stratum == "all" else 0.5 * math.pi - margin - 2.0 * delta
         ang_b, ang_g = _fold(at(n + start).uniform(0.0, span, size),
                              at(2 * n + start).uniform(0.0, span, size), span, delta)
-        if stratum != "all":
-            # angle_cases gives one mask per AngleCase, in order.  Only the
-            # re-drawn pairs can change case, so only they are tested again;
-            # the indices stay ascending, so each pass draws in index order.
-            wanted = [case.value for case in AngleCase].index(stratum)
-            wrong = np.flatnonzero(~angle_cases(math.pi - ang_b - ang_g)[wanted])
-            rng = at(3 * n)
-            while wrong.size:
-                b, g = _fold(rng.uniform(0.0, span, wrong.size),
-                             rng.uniform(0.0, span, wrong.size), span, delta)
-                ang_b[wrong], ang_g[wrong] = b, g
-                wrong = wrong[~angle_cases(math.pi - b - g)[wanted]]
     # The scales are made last, into a new array, for glibc's sake: it raises
     # its mmap threshold to the largest mapped block freed.  Freed before the
     # angles are drawn, the exponents would send the fold's sum to the heap,

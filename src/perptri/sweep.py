@@ -13,30 +13,30 @@ result equals np.count_nonzero / np.max / np.argmin over the whole corpus
 exactly.  About 10 ms per chunk on each of two cores (2-core Xeon, numpy 2.4),
 7 of them in the chain.
 
-Two producers feed the one reducer.  `run_sweep` streams the "all" and
-"right" strata: each worker draws its own chunk of the seeded corpus
-(`sampling.corpus_rows`), so no corpus is held, and a sweep needs about 6 MiB
-of chunk arrays per thread whatever its size: on two cores `perptri sweep`
-peaks at 48.5 MiB at n = 10**6 and 49.9 MiB at n = 10**7, 28.6 of them the
-interpreter and numpy (70.7 and 349.7 MiB when the corpus was held).  The acute
-and obtuse strata re-draw after the whole first pass, so they are sampled
-whole and `evaluate_corpus` slices that corpus (24 bytes per triangle held,
-46 while it is drawn).  The per-triangle arrays a chunk produces are not
-kept; `identity_chain` gives them for any corpus.
+`run_sweep` streams every stratum: each worker draws its own chunk of the
+seeded corpus (`sampling.corpus_rows`), and at most two chunks per worker are
+in flight, so neither the corpus nor a list of every chunk's result is held.
+A sweep needs about 6 MiB of chunk arrays per thread whatever its size and
+stratum: on two cores `perptri sweep` peaks at 48.3 to 48.9 MiB in every
+stratum at n = 10**6, 10**7 and 10**8, 28.6 of them the interpreter and numpy.
+`evaluate_corpus` runs the same reducer over the slices of a held corpus.
+The per-triangle arrays a chunk produces are not kept; `identity_chain`
+gives them for any corpus.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from .geom import NUMPY, AngleCase, anchored_metrics, angle_cases, frame
 from .ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
-from .sampling import CHUNKED_STRATA, TriangleCorpus, corpus_rows, sample_corpus
+from .sampling import TriangleCorpus, corpus_rows
 
 #: Triangles per chunk.  Timed at n = 10**6 on two cores, 2**12 and 2**13 pay
 #: per-call overhead and 2**15 and up run slower again; a chunk's arrays peak
@@ -127,13 +127,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _combine(earlier: tuple, later: tuple) -> tuple:
+    """The reductions of two runs of rows, earlier before later, as one.
+
+    A NaN propagates and the first occurrence wins a tie, as in np.max and
+    np.argmin over the whole corpus.
+    """
+    counts, maxima, minimum, index, row, over = earlier
+    later_counts, later_maxima, later_minimum, later_index, later_row, later_over = later
+    if not math.isnan(minimum) and (math.isnan(later_minimum) or later_minimum < minimum):
+        minimum, index, row = later_minimum, later_index, later_row
+    return ([a + b for a, b in zip(counts, later_counts)],
+            [b if math.isnan(b) or b > a else a for a, b in zip(maxima, later_maxima)],
+            minimum, index, row, over + later_over)
+
+
 def _reduce_chunks(n: int, reduce_at) -> SweepResult:
     """Run reduce_at(start) for every chunk of an n-triangle corpus and combine the reductions.
 
     Chunks run on a thread pool (numpy releases the interpreter lock inside
-    its loops) and their reductions are combined here in chunk order: a NaN
-    propagates and the first occurrence wins a tie, as in np.max and
-    np.argmin over the whole corpus.
+    its loops), at most two per worker submitted and not yet combined, and
+    their reductions are combined here in chunk order (`_combine`), so the
+    memory a sweep holds does not grow with n.
     """
     if not n:
         return SweepResult(0, {case.value: 0 for case in AngleCase},
@@ -148,26 +163,25 @@ def _reduce_chunks(n: int, reduce_at) -> SweepResult:
     # against 8.4k at n = 10**6, and 24.8k against 8.4k at n = 2 * 10**5
     # (two cores).
     np.empty(4 * 2**20, np.uint8)
-    starts = range(0, n, CHUNK)
-    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts)))
+    workers = min(_usable_cpus(), -(-n // CHUNK))
+    pool = ThreadPoolExecutor(max_workers=workers)
+
+    def in_chunk_order():
+        pending = deque()
+        for start in range(0, n, CHUNK):
+            pending.append(pool.submit(reduce_at, start))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
     try:
-        counts, maxima, minima, argmins, rows, overs = zip(*pool.map(reduce_at, starts))
+        counts, maxima, *rest = reduce(_combine, in_chunk_order())
     finally:
         # After an interrupt or a failed chunk, the chunks not yet started are dropped.
         pool.shutdown(cancel_futures=True)
-    # np.argmin over the chunk minima picks the first chunk holding the
-    # corpus minimum (or its first NaN), and that chunk's own argmin is then
-    # the corpus's first occurrence; np.max of the chunk maxima is exact.
-    best = int(np.argmin(minima))
-    return SweepResult(
-        n=n,
-        case_counts=dict(zip((case.value for case in AngleCase), np.sum(counts, axis=0).tolist())),
-        max_residuals=dict(zip(CHECK_ORDER, np.max(maxima, axis=0).tolist())),
-        min_cot_sum=minima[best],
-        argmin_index=argmins[best],
-        argmin_row=rows[best],
-        over_bound=sum(overs),
-    )
+    return SweepResult(n, dict(zip((case.value for case in AngleCase), counts)),
+                       dict(zip(CHECK_ORDER, maxima)), *rest)
 
 
 def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
@@ -176,15 +190,13 @@ def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
 
 
 def run_sweep(n: int, seed, stratum: str = "all") -> SweepResult:
-    """Sweep the n-triangle corpus `sample_corpus(n, seed, stratum)` draws.
+    """Sweep the n-triangle corpus `sampling.sample_corpus(n, seed, stratum)` draws.
 
-    Deterministic for fixed arguments.  The "all" and "right" strata are
-    streamed, each chunk drawn by the worker that reduces it from one bit
-    generator made here (so seed=None, too, gives one corpus); the others,
-    and a negative n, which `sample_corpus` refuses, go through
-    `evaluate_corpus`.
+    Deterministic for fixed arguments.  Each chunk is drawn by the worker that
+    reduces it, from one bit generator made here (so seed=None, too, gives one
+    corpus).  n and the stratum are checked before any chunk starts, by
+    `corpus_rows` on no rows.
     """
-    if n < 0 or stratum not in CHUNKED_STRATA:
-        return evaluate_corpus(sample_corpus(n, seed, stratum=stratum))
     bit_generator = np.random.default_rng(seed).bit_generator
+    corpus_rows(bit_generator, n, 0, 0, stratum)
     return _reduce_chunks(n, partial(_drawn_chunk, bit_generator, n, stratum))

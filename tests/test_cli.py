@@ -1,12 +1,10 @@
 """Command-line interface: input forms, outputs, exit codes."""
 
-import argparse
 import collections
 import contextlib
 import io
 import json
 import math
-import os
 import random
 import re
 import signal
@@ -593,35 +591,26 @@ def test_sweep_negative_count_or_seed_exits_two(capsys, option, value):
     assert captured.err == f"error: argument {option}: must be non-negative, got {value}\n"
 
 
-@pytest.mark.parametrize("n", [10**20, 10**15], ids=["1e20", "1e15"])
-def test_sweep_beyond_physical_memory_exits_two(capsys, monkeypatch, n):
-    # --n is judged against physical memory before anything is allocated.
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the sweep ran")
+def test_sweep_of_any_size_streams_until_interrupted(capsys, monkeypatch):
+    # No --n is refused for its size: a sweep of 10**20 triangles starts
+    # streaming, and an interrupt in its fourth chunk stops it after the
+    # chunks already submitted, a window of two per worker.
+    import perptri.sweep as sweep_mod
 
-    monkeypatch.setattr("perptri.sweep.run_sweep", unreachable)
-    assert main(["sweep", "--n", str(n)]) == 2
+    started = []
+
+    def reduce_chunk(chunk, start):
+        started.append(start)
+        if start >= 3 * sweep_mod.CHUNK:
+            raise KeyboardInterrupt
+        return [1, 0, 0], [0.0] * len(CHECK_ORDER), 1.0, start, (1.0, 1.0, 1.0), 0
+
+    monkeypatch.setattr(sweep_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)
+    assert main(["sweep", "--n", str(10**20)]) == 130
     captured = capsys.readouterr()
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: argument --n: a sweep of {n} triangles needs {46 * n} bytes "
-        f"(46 per triangle), more than the {memory} bytes of physical memory\n")
-
-
-def test_sweep_count_is_judged_against_physical_memory(monkeypatch):
-    # 46 bytes a triangle against page size times pages, or sys.maxsize
-    # where os.sysconf is missing.
-    pages = {"SC_PAGE_SIZE": 46, "SC_PHYS_PAGES": 1000}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert cli_mod.sweep_count("1000") == 1000
-    with pytest.raises(argparse.ArgumentTypeError, match=r"^a sweep of 1001 triangles needs "
-                       r"46046 bytes \(46 per triangle\), more than the 46000 bytes"):
-        cli_mod.sweep_count("1001")
-    monkeypatch.delattr(os, "sysconf")
-    assert cli_mod.sweep_count(str(sys.maxsize // 46)) == sys.maxsize // 46
-    with pytest.raises(argparse.ArgumentTypeError, match=f" more than the {sys.maxsize} bytes"):
-        cli_mod.sweep_count(str(sys.maxsize // 46 + 1))
+    assert (captured.out, captured.err) == ("", "error: interrupted\n")
+    assert 3 * sweep_mod.CHUNK in started and len(started) <= 3 * 2 * 2
 
 
 @pytest.mark.parametrize("argv", [

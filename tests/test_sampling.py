@@ -13,7 +13,6 @@ from perptri import geom
 from perptri.errors import GeometryError
 from perptri.geom import Point2
 from perptri.sampling import (
-    CHUNKED_STRATA,
     DELTA_MAIN,
     DELTA_STRESS,
     SCALE_DECADES,
@@ -151,8 +150,8 @@ def test_composite_seeds_are_distinct_streams():
 
 
 def test_scale_stream_is_stratum_independent():
-    # Scales are drawn before the angle stream, so switching stratum (which
-    # may reject and redraw angles) never shifts them.
+    # Scales are drawn before the angle stream, so switching stratum, which
+    # changes how the angles are drawn, never shifts them.
     scales = [sample_corpus(80, seed=11, stratum=s).scale for s in STRATA]
     for other in scales[1:]:
         assert np.array_equal(scales[0], other)
@@ -202,6 +201,30 @@ def test_strata_follow_angle_cases(stratum, monkeypatch):
     assert bool(np.all(acute if stratum == "acute" else obtuse))
 
 
+def ks_statistic(x, y) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic: the largest gap between two empirical CDFs."""
+    x, y = np.sort(x), np.sort(y)
+    points = np.concatenate([x, y])
+    return float(np.max(np.abs(np.searchsorted(x, points, "right") / x.size
+                               - np.searchsorted(y, points, "right") / y.size)))
+
+
+@pytest.mark.parametrize("delta", [DELTA_MAIN, DELTA_STRESS], ids=["main", "stress"])
+@pytest.mark.parametrize("stratum", ["acute", "obtuse"])
+def test_strata_are_the_simplex_draw_restricted_to_their_case(stratum, delta):
+    # Drawn directly, each stratum is uniform on its region of the simplex,
+    # as the whole-simplex draw kept to the stratum's case is: B, Gamma and A
+    # each pass a two-sample Kolmogorov-Smirnov test at alpha = 0.001.
+    whole = sample_corpus(10**6, [23, 0], delta=delta)
+    acute, _, obtuse = geom.angle_cases(whole.ang_a)
+    kept = acute if stratum == "acute" else obtuse
+    drawn = sample_corpus(10**5, [23, 1], stratum, delta=delta)
+    for name in ("ang_b", "ang_g", "ang_a"):
+        x, y = getattr(drawn, name), getattr(whole, name)[kept]
+        limit = 1.95 * math.sqrt((x.size + y.size) / (x.size * y.size))
+        assert ks_statistic(x, y) < limit, name
+
+
 def test_right_stratum():
     c = sample_corpus(300, seed=9, stratum="right")
     assert float(np.max(np.abs(c.ang_a - HALF_PI))) < 1e-12
@@ -249,9 +272,11 @@ def test_simplex_coverage_spans_cases():
     assert 0 < acute < 500
 
 
-# sha256 of ang_b's bytes followed by ang_g's, first 16 hex digits, recorded
-# before the sampler drew in place.  Any rewrite of the sampler (in place,
-# chunked, threaded) must reproduce these corpora bit for bit.
+# sha256 of ang_b's bytes followed by ang_g's, first 16 hex digits.  The all
+# and right corpora were recorded before the sampler drew in place, the acute
+# and obtuse ones when those strata began to be drawn directly (the same
+# distributions, new draws).  Any rewrite of the sampler (in place, chunked,
+# threaded) must reproduce these corpora bit for bit.
 CORPUS_DIGESTS = {
     ("all", DELTA_MAIN, 1, 7): "492b6ddf93f954c0",
     ("all", DELTA_MAIN, 1, (7, 3)): "1a90d9ad7963beb5",
@@ -265,18 +290,18 @@ CORPUS_DIGESTS = {
     ("all", DELTA_STRESS, 2**14 + 3, (7, 3)): "291b29a91cd0da7c",
     ("all", DELTA_STRESS, 10**5, 7): "1deb414d069d2564",
     ("all", DELTA_STRESS, 10**5, (7, 3)): "f71398c14b0c2693",
-    ("acute", DELTA_MAIN, 1, 7): "de5626edef968ef8",
-    ("acute", DELTA_MAIN, 1, (7, 3)): "1a90d9ad7963beb5",
-    ("acute", DELTA_MAIN, 2**14 + 3, 7): "e817635377afca63",
-    ("acute", DELTA_MAIN, 2**14 + 3, (7, 3)): "79479e083c832c24",
-    ("acute", DELTA_MAIN, 10**5, 7): "d710ac3870b0f38a",
-    ("acute", DELTA_MAIN, 10**5, (7, 3)): "0f52926255a32b01",
-    ("acute", DELTA_STRESS, 1, 7): "faff23f0b69ec73a",
-    ("acute", DELTA_STRESS, 1, (7, 3)): "d8a1751feaf7bdbf",
-    ("acute", DELTA_STRESS, 2**14 + 3, 7): "4b8c4c709b06239f",
-    ("acute", DELTA_STRESS, 2**14 + 3, (7, 3)): "8921101f8b332230",
-    ("acute", DELTA_STRESS, 10**5, 7): "d9b6e368b1b3d1f2",
-    ("acute", DELTA_STRESS, 10**5, (7, 3)): "9cc267cbe892ee87",
+    ("acute", DELTA_MAIN, 1, 7): "eda3d4fbbfd66e53",
+    ("acute", DELTA_MAIN, 1, (7, 3)): "919e557254bafb0a",
+    ("acute", DELTA_MAIN, 2**14 + 3, 7): "468c64b8b7d6655c",
+    ("acute", DELTA_MAIN, 2**14 + 3, (7, 3)): "0d4d237cd74f5892",
+    ("acute", DELTA_MAIN, 10**5, 7): "2143257346c7a172",
+    ("acute", DELTA_MAIN, 10**5, (7, 3)): "ca42d849cde2a2b2",
+    ("acute", DELTA_STRESS, 1, 7): "3788a675e2c2ce84",
+    ("acute", DELTA_STRESS, 1, (7, 3)): "f287c45364266a03",
+    ("acute", DELTA_STRESS, 2**14 + 3, 7): "a76c62766e5ab83c",
+    ("acute", DELTA_STRESS, 2**14 + 3, (7, 3)): "ecfa77b458e5b685",
+    ("acute", DELTA_STRESS, 10**5, 7): "3ac4b84351355a79",
+    ("acute", DELTA_STRESS, 10**5, (7, 3)): "dacad3376980d833",
     ("right", DELTA_MAIN, 1, 7): "da57e13ecf3cfbcb",
     ("right", DELTA_MAIN, 1, (7, 3)): "242eee2e0a1c0556",
     ("right", DELTA_MAIN, 2**14 + 3, 7): "d378eda9247438c4",
@@ -289,18 +314,18 @@ CORPUS_DIGESTS = {
     ("right", DELTA_STRESS, 2**14 + 3, (7, 3)): "d57602e7ee013c21",
     ("right", DELTA_STRESS, 10**5, 7): "b0015915c99c7cb8",
     ("right", DELTA_STRESS, 10**5, (7, 3)): "3dcc5a43f2ef982e",
-    ("obtuse", DELTA_MAIN, 1, 7): "492b6ddf93f954c0",
-    ("obtuse", DELTA_MAIN, 1, (7, 3)): "43fce4a6d223e116",
-    ("obtuse", DELTA_MAIN, 2**14 + 3, 7): "80b86f4b77751356",
-    ("obtuse", DELTA_MAIN, 2**14 + 3, (7, 3)): "33dc0f09359e3ff8",
-    ("obtuse", DELTA_MAIN, 10**5, 7): "eb9c5b3e24615778",
-    ("obtuse", DELTA_MAIN, 10**5, (7, 3)): "5a22cbb9f3aa339d",
-    ("obtuse", DELTA_STRESS, 1, 7): "d8d4b2cb1c48cb35",
-    ("obtuse", DELTA_STRESS, 1, (7, 3)): "8a25ae305434a464",
-    ("obtuse", DELTA_STRESS, 2**14 + 3, 7): "9354dca037bde64c",
-    ("obtuse", DELTA_STRESS, 2**14 + 3, (7, 3)): "07975328b1e4e08c",
-    ("obtuse", DELTA_STRESS, 10**5, 7): "e28d697531458b5b",
-    ("obtuse", DELTA_STRESS, 10**5, (7, 3)): "45543fcde41ed881",
+    ("obtuse", DELTA_MAIN, 1, 7): "0c0d06fbffd03666",
+    ("obtuse", DELTA_MAIN, 1, (7, 3)): "ae466ee595bb0c48",
+    ("obtuse", DELTA_MAIN, 2**14 + 3, 7): "67d87f3c996256e3",
+    ("obtuse", DELTA_MAIN, 2**14 + 3, (7, 3)): "309a7dfe82640a06",
+    ("obtuse", DELTA_MAIN, 10**5, 7): "42e84d1a0b32c22e",
+    ("obtuse", DELTA_MAIN, 10**5, (7, 3)): "c999976b5864fc3e",
+    ("obtuse", DELTA_STRESS, 1, 7): "6e30a7ce1a346b55",
+    ("obtuse", DELTA_STRESS, 1, (7, 3)): "75ea6947b4013029",
+    ("obtuse", DELTA_STRESS, 2**14 + 3, 7): "00d8913560683f41",
+    ("obtuse", DELTA_STRESS, 2**14 + 3, (7, 3)): "8901223b7a5ecb95",
+    ("obtuse", DELTA_STRESS, 10**5, 7): "3b1079677dc39fbd",
+    ("obtuse", DELTA_STRESS, 10**5, (7, 3)): "7c4e6d2e982b1ac3",
 }
 
 
@@ -318,7 +343,7 @@ def test_corpus_is_pinned(stratum, delta, n, seed):
     assert np.array_equal(c.scale, 10.0 ** np.random.default_rng(seed).uniform(-2, 2, n))
 
 
-@pytest.mark.parametrize("stratum", CHUNKED_STRATA)
+@pytest.mark.parametrize("stratum", STRATA)
 @pytest.mark.parametrize("seed", [7, (7, 3)])
 def test_rows_drawn_chunk_by_chunk_are_the_corpus(stratum, seed):
     # Chunks drawn on their own, last first, put together are the corpus bit
@@ -333,14 +358,6 @@ def test_rows_drawn_chunk_by_chunk_are_the_corpus(stratum, seed):
     whole = sample_corpus(n, seed, stratum, delta=DELTA_STRESS)
     for field, parts in zip(whole, zip(*chunks)):
         assert np.array_equal(np.concatenate(parts), field)
-
-
-@pytest.mark.parametrize("stratum", sorted(set(STRATA) - set(CHUNKED_STRATA)))
-def test_re_drawn_strata_are_drawn_only_whole(stratum):
-    bit_generator = np.random.default_rng(7).bit_generator
-    with pytest.raises(ValueError, match="re-draws after the whole corpus"):
-        corpus_rows(bit_generator, 10, 0, 5, stratum)
-    assert len(corpus_rows(bit_generator, 10, 0, 10, stratum)) == 10
 
 
 def test_sampling_peak_memory():

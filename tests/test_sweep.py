@@ -279,3 +279,26 @@ def test_streamed_sweep_never_holds_the_corpus(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * n
+
+
+def test_sweep_memory_is_flat_in_n(monkeypatch):
+    # At most two chunks per worker are in flight and each reduction is
+    # combined as it is reached, so a sweep of 4000 one-triangle chunks peaks
+    # no higher than one of 1000 (3.3 MiB higher while every chunk's future
+    # and result were held).  The first call only keeps lazy set-up out of
+    # the count.
+    def reduce_at(start):
+        return [1, 0, 0], [0.0] * len(CHECK_ORDER), 1.0, start, (1.0, 1.0, 1.0), 0
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep_mod._reduce_chunks(n, reduce_at)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(sweep_mod, "CHUNK", 1)
+    peak(1000)
+    assert peak(4000) <= peak(1000) + 2**14

@@ -1,27 +1,29 @@
 """Wall time, peak memory and page faults of `perptri sweep`, one fresh process a run.
 
     python tools/bench_sweep_memory.py --n 200000 --n 1000000 --seed 0 --runs 10 \\
-        --src /path/to/parent --src . --out BENCH_sweep_memory.json
+        --stratum all --stratum obtuse --src /path/to/parent --src . \\
+        --out BENCH_sweep_memory.json
 
 Each run of a source tree (a checkout holding `src/perptri`) starts two
 processes with PYTHONPATH=<tree>/src:
 
-    sweep  `python -m perptri sweep --n N --seed S --json`; its wall time, and
-           the peak RSS and minor page faults that wait4 reports for it
-    stages the same `sweep.run_sweep(N, S)` in one process, reading its RSS
+    sweep  `python -m perptri sweep --n N --seed S --stratum T --json`; its wall
+           time, and the peak RSS and minor page faults that wait4 reports for it
+    stages the same `sweep.run_sweep(N, S, T)` in one process, reading its RSS
            (VmRSS) and peak (VmHWM) after the imports and after the sweep
 
---n may be given several times; each size is measured in turn.  With several
-trees, each run visits every tree, and the order alternates from run to run
-(first to last, then last to first), so drift on a shared machine falls on
-both sides alike.  At each size every sweep must print the same bytes and
-exit with the same code as the first; otherwise the script names the JSON
-paths whose values differ (such as max_residuals/area_ratio, or exit for the
-exit code) and the runs that printed each output, and exits 1 after writing
-its report.  The report holds every run, the median and quartiles of each
-measure per tree and size, the differing paths per size, the machine (CPUs,
-CPU model, Python, numpy), and each tree's directory name and git HEAD
-(where it is a git checkout).
+--n and --stratum may be given several times; each stratum is measured at
+each size in turn.  With several trees, each run visits every tree, and the
+order alternates from run to run (first to last, then last to first), so
+drift on a shared machine falls on both sides alike.  At each stratum and
+size every sweep must print the same bytes and exit with the same code as
+the first; otherwise the script names the JSON paths whose values differ
+(such as max_residuals/area_ratio, or exit for the exit code) and the runs
+that printed each output, and exits 1 after writing its report.  The report
+holds every run, the median and quartiles of each measure per tree, stratum
+and size, the differing paths per stratum and size (keyed "stratum/n"), the
+machine (CPUs, CPU model, Python, numpy), and each tree's directory name and
+git HEAD (where it is a git checkout).
 
 Linux only: wait4 gives the peak and the faults, /proc/self/status the stage
 RSS.  Linux carries a process's peak RSS across fork and exec, so a child's
@@ -53,7 +55,7 @@ def rss():
     return [int(status[key].split()[0]) / 1024.0 for key in ("VmRSS", "VmHWM")]
 
 stages = {"imports": rss()}
-run_sweep(int(sys.argv[1]), int(sys.argv[2]))
+run_sweep(int(sys.argv[1]), int(sys.argv[2]), sys.argv[3])
 stages["sweep"] = rss()
 print(json.dumps({stage: dict(zip(("rss_mib", "peak_mib"), values))
                   for stage, values in stages.items()}))
@@ -75,13 +77,13 @@ def run_child(argv: list[str], env: dict) -> tuple[float, object, str]:
     return wall, usage, f"exit {proc.returncode}\n" + out.decode()
 
 
-def measure(tree: Path, n: int, seed: int) -> tuple[dict, str]:
+def measure(tree: Path, n: int, seed: int, stratum: str) -> tuple[dict, str]:
     """One run on one tree: its measures and the sweep's exit code and output."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     wall, usage, output = run_child(
-        [sys.executable, "-m", "perptri", "sweep", "--n", str(n), "--seed", str(seed), "--json"],
-        env)
-    _, _, stage_out = run_child([sys.executable, "-c", STAGES, str(n), str(seed)], env)
+        [sys.executable, "-m", "perptri", "sweep", "--n", str(n), "--seed", str(seed),
+         "--stratum", stratum, "--json"], env)
+    _, _, stage_out = run_child([sys.executable, "-c", STAGES, str(n), str(seed), stratum], env)
     code, _, printed = stage_out.partition("\n")
     if code != "exit 0":
         raise SystemExit(f"the stage process on {tree} ended with {code}")
@@ -192,53 +194,63 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, action="append",
                         help="triangles per sweep (repeatable; default: 1000000)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--stratum", action="append",
+                        help="angle-A stratum to sweep (repeatable; default: all)")
     parser.add_argument("--runs", type=int, default=10, help="runs per tree")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep_memory.json")
     args = parser.parse_args(argv)
     trees = source_trees(parser, args.src)
     sizes = args.n or [1_000_000]
+    strata = args.stratum or ["all"]
+    cases = [(stratum, n) for stratum in strata for n in sizes]
 
-    runs = {(n, tree): [] for n in sizes for tree in trees}
-    outputs = {n: {} for n in sizes}
-    for n in sizes:
+    runs = {(case, tree): [] for case in cases for tree in trees}
+    outputs = {case: {} for case in cases}
+    for case in cases:
+        stratum, n = case
         for i, tree in alternating(trees, args.runs):
-            result, output = measure(tree, n, args.seed)
-            runs[n, tree].append(result)
-            outputs[n].setdefault(output, []).append(f"{tree} run {i}")
-    differing = {n: differing_paths(list(outputs[n])) for n in sizes}
+            result, output = measure(tree, n, args.seed, stratum)
+            runs[case, tree].append(result)
+            outputs[case].setdefault(output, []).append(f"{tree} run {i}")
+    differing = {case: differing_paths(list(outputs[case])) for case in cases}
 
     report = {
-        "benchmark": "perptri sweep --n N --seed S --json, fresh processes",
+        "benchmark": "perptri sweep --n N --seed S --stratum T --json, fresh processes",
         "n": sizes,
+        "strata": strata,
         "seed": args.seed,
         "runs_per_tree": args.runs,
         "machine": machine(),
         "git_head": command_output(["git", "rev-parse", "HEAD"], ROOT),
-        "identical_output": all(len(outputs[n]) == 1 for n in sizes),
-        "differing_paths": {str(n): paths for n, paths in differing.items()},
+        "identical_output": all(len(outputs[case]) == 1 for case in cases),
+        "differing_paths": {f"{stratum}/{n}": paths
+                            for (stratum, n), paths in differing.items()},
         "trees": [{
             "tree": tree.name,
+            "stratum": stratum,
             "n": n,
             "git_head": tree_head(tree),
-            "summary": {key: summary([run[key] for run in runs[n, tree]])
-                        for key in runs[n, tree][0]},
-            "runs": runs[n, tree],
-        } for n in sizes for tree in trees],
+            "summary": {key: summary([run[key] for run in runs[(stratum, n), tree]])
+                        for key in runs[(stratum, n), tree][0]},
+            "runs": runs[(stratum, n), tree],
+        } for stratum, n in cases for tree in trees],
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(entry["tree"]) for entry in report["trees"])
-    print("  ".join((f"{'tree':>{width}}", f"{'n':>9}", *MEASURES)))
+    print("  ".join((f"{'tree':>{width}}", f"{'stratum':>7}", f"{'n':>9}", *MEASURES)))
     for entry in report["trees"]:
         cells = (f"{entry['summary'][key]['median']:>{len(key)}.5g}" for key in MEASURES)
-        print("  ".join((f"{entry['tree']:>{width}}", f"{entry['n']:>9}", *cells)))
+        print("  ".join((f"{entry['tree']:>{width}}", f"{entry['stratum']:>7}",
+                         f"{entry['n']:>9}", *cells)))
     print(f"medians of {args.runs} run(s) each; report in {args.out}")
-    for n in sizes:
-        if len(outputs[n]) > 1:
-            for i, where in enumerate(outputs[n].values()):
-                print(f"n = {n}, output {i}: {', '.join(where)}", file=sys.stderr)
-            print(f"at n = {n} the sweeps printed different values at "
-                  f"{', '.join(differing[n])}", file=sys.stderr)
+    for case in cases:
+        if len(outputs[case]) > 1:
+            stratum, n = case
+            for i, where in enumerate(outputs[case].values()):
+                print(f"{stratum} n = {n}, output {i}: {', '.join(where)}", file=sys.stderr)
+            print(f"in the {stratum} stratum at n = {n} the sweeps printed different values "
+                  f"at {', '.join(differing[case])}", file=sys.stderr)
     return 0 if report["identical_output"] else 1
 
 
