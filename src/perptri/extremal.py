@@ -16,7 +16,10 @@ Restricted to right triangles the sum collapses to 2 / sin(2B), with minimum
 2 at B = pi/4, hence a minimum ratio of 4.
 
 Closed forms are never returned unchecked: every public entry point first
-confirms them against a derivative-free golden-section search.
+confirms them against a derivative-free golden-section search.  Each search
+stops once its bracket is sqrt(eps) wide: near a minimum the objective is
+flat to second order, so below that width its two probes differ by rounding
+only and the search would choose on noise.
 
 Arguments are checked once, at the public functions.  A search evaluates
 the bare slice `_slice`, with no checks per probe: `minimize_slice` checks
@@ -39,8 +42,12 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_LO = 1e-4
 SEARCH_HI = 0.5 * math.pi - 1e-4
 
-#: Bracket width at which golden-section stops, and its iteration cap.
-X_TOL = 1e-10
+#: Bracket width at which golden-section stops, and its iteration cap.  The
+#: width is sqrt(eps) = 2**-26: f(m + h) - f(m) ~ f''(m) h**2 / 2 falls below
+#: the rounding of f(m) once h is under about sqrt(eps), so narrower brackets
+#: are chosen by rounding (Brent 1973, ch. 5; Numerical Recipes, sec. 10.2).
+#: The rule is absolute: every minimizer searched here is of size about 1.
+X_TOL = 2.0 ** -26
 MAX_ITER = 200
 
 #: The brute-force lattice spans (LATTICE_MARGIN, pi - LATTICE_MARGIN) in each
@@ -54,8 +61,9 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tup
     """Minimize a unimodal f on [lo, hi]; returns (argmin, f(argmin)).
 
     Classic two-probe golden-section: each iteration reuses one interior
-    evaluation and shrinks the bracket by 1/phi until it is X_TOL wide (at
-    most MAX_ITER iterations).  Every x that f sees lies in [lo, hi], so f
+    evaluation and shrinks the bracket by 1/phi until it is X_TOL = sqrt(eps)
+    wide (at most MAX_ITER iterations); in a narrower bracket the two probes
+    differ by rounding only.  Every x that f sees lies in [lo, hi], so f
     need not check x: callers check their arguments once, before the search.
     """
     c = hi - INV_PHI * (hi - lo)

@@ -67,5 +67,6 @@ def test_extremal_benchmark_writes_its_report(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["identical_output"] and report["runs_per_tree"] == 1
     (tree,) = report["trees"]
-    for measure in ("pass_p10_us", "pass_median_us", "global_median_us", "slice_median_us"):
+    for measure in ("pass_p10_us", "pass_median_us", "global_median_us", "slice_median_us",
+                    "slice_evals_per_pass"):
         assert tree["summary"][measure]["min"] > 0.0

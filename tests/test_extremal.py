@@ -204,6 +204,29 @@ def test_global_minimum_is_sqrt3_at_equilateral():
     assert ang_g == math.pi / 3.0
 
 
+def test_searches_stop_at_sqrt_eps_and_keep_the_minima(monkeypatch):
+    # Each search stops once its bracket is sqrt(eps) wide, where its probes
+    # differ by rounding only: 2142 slice evaluations for the global search
+    # and 42 per slice.  The minima lose nothing by the earlier stop: each
+    # stays within 1e-13 of its closed form (1.42e-14 measured).
+    calls = 0
+
+    def counted(k, x):
+        nonlocal calls
+        calls += 1
+        return bare(k, x)
+
+    bare = extremal._slice
+    monkeypatch.setattr(extremal, "_slice", counted)
+    global_cot_sum_min()
+    assert calls == 2142
+    for k in SLICE_KS:
+        calls = 0
+        report = minimize_slice(k)
+        assert calls == 42, k
+        assert abs(report.numeric_min - slice_min_value(k)) <= 1e-13, k
+
+
 def test_right_family_minimum():
     min_sq, argmin = right_triangle_min()
     assert min_sq == 4.0

@@ -194,16 +194,6 @@ class TestCotSum:
     def test_obtuse(self, obtuse_iso):
         assert chain(obtuse_iso).cot_sum == pytest.approx(5.0 / SQRT3, abs=1e-14)
 
-    def test_out_of_range_angle_raises(self):
-        # A = 2e-7 deg, measured as laid out (Gamma = (1, 3.49e-9)): its
-        # bound is 1.2e3, so judged_bound refuses it before any cotangent.
-        t = triangle_from_spec(
-            {"angles": {"B_deg": 89.9999999, "Gamma_deg": 89.9999999, "scale": 1}}
-        )
-        assert t.frame_metrics.ang_a == math.atan2(t.g.y, t.g.x) == 3.4906584289728926e-09
-        assert refusals(t) == {"smallest angle 3.4906584289728926e-09 rad is too thin to verify "
-                               "in binary64: the bound 64 eps/theta^2 = 1.17e+03 reaches 1"}
-
 
 def test_law_of_cosines_in_cot_form_over_corpus():
     # alpha^2 = beta^2 + gamma^2 - 4 E cot A, the step that rewrites the Law

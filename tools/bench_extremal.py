@@ -9,8 +9,9 @@ perfbench's `extremal_search` does: `global_cot_sum_min()`,
 `right_triangle_min()` and `minimize_slice(k)` for the 41 k of its SLICE_KS,
 each pass timed with perf_counter.  A run records the 10th percentile and the
 median of its passes (µs), and the medians of the global search alone and of
-one slice search (the 41-slice table over 41).  The child then prints its
-results: every `ExtremalReport` of the table, and the global stage's k* and
+one slice search (the 41-slice table over 41).  One more pass, not timed,
+counts the calls of `extremal._slice` through a counting wrapper
+(slice_evals_per_pass).  The child then prints its results: every `ExtremalReport` of the table, and the global stage's k* and
 numeric minimum, from golden-section over k of `minimize_slice(k).numeric_min`.
 Each run also starts `python -m perptri minimize --json` and
 `python -m perptri minimize --right --json` and keeps their exit codes and
@@ -54,6 +55,7 @@ import time
 
 import numpy as np
 
+from perptri import extremal
 from perptri.extremal import (global_cot_sum_min, golden_section_min, minimize_slice,
                               right_triangle_min)
 
@@ -70,12 +72,27 @@ for _ in range(int(sys.argv[1])):
     passes.append((end - start) * 1e6)
     globals_.append((after_global - start) * 1e6)
     tables.append((end - after_right) * 1e6)
+evals, bare_slice = [0], extremal._slice
+
+
+def counted_slice(k, x):
+    evals[0] += 1
+    return bare_slice(k, x)
+
+
+extremal._slice = counted_slice
+global_cot_sum_min()
+right_triangle_min()
+for k in SLICE_KS:
+    minimize_slice(k)
+extremal._slice = bare_slice
 k_star, numeric_min = golden_section_min(lambda k: minimize_slice(k).numeric_min, 1e-3, 1e2)
 print(json.dumps({
     "pass_p10_us": statistics.quantiles(passes, n=10, method="inclusive")[0],
     "pass_median_us": statistics.median(passes),
     "global_median_us": statistics.median(globals_),
     "slice_median_us": statistics.median(tables) / len(SLICE_KS),
+    "slice_evals_per_pass": evals[0],
 }))
 print(json.dumps({
     "global_cot_sum_min": global_min,
