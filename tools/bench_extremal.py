@@ -11,8 +11,9 @@ each pass timed with perf_counter.  A run records the 10th percentile and the
 median of its passes (µs), and the medians of the global search alone and of
 one slice search (the 41-slice table over 41).  One more pass, not timed,
 counts the calls of `extremal._slice` through a counting wrapper
-(slice_evals_per_pass).  The child then prints its results: every `ExtremalReport` of the table, and the global stage's k* and
-numeric minimum, from golden-section over k of `minimize_slice(k).numeric_min`.
+(slice_evals_per_pass).  The child then prints its results: every
+`ExtremalReport` of the table, and the global stage's k* and numeric
+minimum, from golden-section over k of `minimize_slice(k).numeric_min`.
 Each run also starts `python -m perptri minimize --json` and
 `python -m perptri minimize --right --json` and keeps their exit codes and
 bytes.
