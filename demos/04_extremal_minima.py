@@ -5,7 +5,8 @@ remaining free angle: the slice minimum f(k) = 2 sqrt(k^2+1) - k (in its
 equivalent radical form) bottoms out at k = 1/sqrt(3), giving the global
 minimum sqrt(3) -- the equilateral triangle, ratio 3.  Right triangles are
 pinned to 2/sin(2B), minimum 2 at B = 45 degrees, ratio 4.  Every closed
-form is confirmed by golden-section search and a brute-force lattice.
+form is confirmed by a numeric search (Brent's method) and a brute-force
+lattice.
 """
 
 import math
@@ -22,7 +23,7 @@ from perptri import (
 
 
 def main() -> None:
-    print("slice minima (closed form vs golden-section):")
+    print("slice minima (closed form vs Brent's method):")
     print(f"    {'k':>10} {'argmin':>12} {'numeric':>12} {'min value':>12} {'err':>9}")
     for k in np.logspace(-1.5, 1.5, 7):
         r = minimize_slice(float(k))

@@ -16,16 +16,17 @@ Restricted to right triangles the sum collapses to 2 / sin(2B), with minimum
 2 at B = pi/4, hence a minimum ratio of 4.
 
 Closed forms are never returned unchecked: every public entry point first
-confirms them against a derivative-free golden-section search.  Each search
+confirms them against a derivative-free search, Brent's method.  Each search
 stops once its bracket is sqrt(eps) wide: near a minimum the objective is
-flat to second order, so below that width its two probes differ by rounding
+flat to second order, so below that width two probes differ by rounding
 only and the search would choose on noise.
 
-Arguments are checked once, at the public functions.  A search evaluates
-the bare slice `_slice`, with no checks per probe: `minimize_slice` checks
-k before it searches, the outer stage of `global_cot_sum_min` probes only
-k in [1e-3, 1e2], and golden-section probes only x inside its bracket
-[SEARCH_LO, SEARCH_HI], a subset of (0, pi/2).
+Arguments are checked once, at the public functions.  A search evaluates a
+bare objective, with no checks per probe: the slice `_slice` or the right
+family's `_right_cot_sum`.  `minimize_slice` checks k before it searches,
+the outer stage of `global_cot_sum_min` probes only k in [1e-3, 1e2], and
+`brent_min` probes only x inside its bracket [SEARCH_LO, SEARCH_HI], a
+subset of (0, pi/2).
 """
 
 from __future__ import annotations
@@ -35,17 +36,18 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import partial
 
-#: 1/phi, the golden-section interval reduction factor per iteration.
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: 1 - 1/phi = (3 - sqrt(5))/2, the share of the larger part of the bracket
+#: that a golden-section step of Brent's method covers.
+GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 #: Search interval for slice minimization, slightly inset from (0, pi/2).
 SEARCH_LO = 1e-4
 SEARCH_HI = 0.5 * math.pi - 1e-4
 
-#: Bracket width at which golden-section stops, and its iteration cap.  The
+#: Bracket width at which a search stops, and its iteration cap.  The
 #: width is sqrt(eps) = 2**-26: f(m + h) - f(m) ~ f''(m) h**2 / 2 falls below
 #: the rounding of f(m) once h is under about sqrt(eps), so narrower brackets
-#: are chosen by rounding (Brent 1973, ch. 5; Numerical Recipes, sec. 10.2).
+#: are chosen by rounding (Brent 1973, ch. 5; Numerical Recipes, sec. 10.3).
 #: The rule is absolute: every minimizer searched here is of size about 1.
 X_TOL = 2.0 ** -26
 MAX_ITER = 200
@@ -57,31 +59,77 @@ LATTICE_MARGIN = 1e-4
 LATTICE_CHUNK = 250
 
 
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def brent_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Minimize a unimodal f on [lo, hi]; returns (argmin, f(argmin)).
 
-    Classic two-probe golden-section: each iteration reuses one interior
-    evaluation and shrinks the bracket by 1/phi until it is X_TOL = sqrt(eps)
-    wide (at most MAX_ITER iterations); in a narrower bracket the two probes
-    differ by rounding only.  Every x that f sees lies in [lo, hi], so f
-    need not check x: callers check their arguments once, before the search.
+    Brent's method (Brent 1973, ch. 5, procedure localmin; Numerical
+    Recipes, sec. 10.3).  Each probe is the vertex of the parabola through
+    the three best points so far, unless the parabola is not trusted: its
+    step is not under half the step before last, or its vertex leaves the
+    bracket.  A golden-section step into the larger part of the bracket
+    replaces it then.  On a smooth minimum the parabolic steps converge
+    superlinearly.  No probe lies closer than X_TOL/4 to the best point.
+    One change to localmin: a probe that only ties the best point does not
+    replace it.  Near the minimum a tie is rounding, and keeping the point
+    lets the bracket close around it instead of walking along a flat bottom.
+
+    The search stops when the best point lies within X_TOL/2 of both ends
+    of the bracket, so the bracket is at most X_TOL = sqrt(eps) wide, or
+    after MAX_ITER iterations.  It returns that best probe.  Every x that f
+    sees lies in [lo, hi], so f need not check x: callers check their
+    arguments once, before the search.
     """
-    c = hi - INV_PHI * (hi - lo)
-    d = lo + INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
+    tol1 = 0.25 * X_TOL
+    tol2 = 0.5 * X_TOL
+    x = w = v = lo + GOLDEN * (hi - lo)
+    fx = fw = fv = f(x)
+    d = e = 0.0
     for _ in range(MAX_ITER):
-        if not (hi - lo) > X_TOL:
+        if x - lo <= tol2 and hi - x <= tol2:
             break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - INV_PHI * (hi - lo)
-            fc = f(c)
+        xm = 0.5 * (lo + hi)
+        if -tol1 <= e <= tol1:
+            e = (lo if x >= xm else hi) - x
+            d = GOLDEN * e
         else:
-            lo, c, fc = c, d, fd
-            d = lo + INV_PHI * (hi - lo)
-            fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+            # The parabola through (v, fv), (w, fw), (x, fx) has its vertex at x + p/q.
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            e_last, e = e, d
+            if abs(p) < abs(0.5 * q * e_last) and q * (lo - x) < p < q * (hi - x):
+                d = p / q
+                if x + d - lo < tol2 or hi - (x + d) < tol2:
+                    d = tol1 if x < xm else -tol1
+            else:
+                e = (lo if x >= xm else hi) - x
+                d = GOLDEN * e
+        if d >= tol1 or d <= -tol1:
+            u = x + d
+        else:
+            u = x + tol1 if d > 0.0 else x - tol1
+        fu = f(u)
+        if fu < fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _check_k(k: float) -> None:
@@ -143,13 +191,13 @@ def slice_argmin(k: float) -> float:
 
 
 def _numeric_slice_min(k: float) -> tuple[float, float]:
-    """Golden-section (argmin, minimum) of the slice at a k already known to be valid."""
-    return golden_section_min(partial(_slice, k), SEARCH_LO, SEARCH_HI)
+    """Numeric (argmin, minimum) of the slice at a k already known to be valid."""
+    return brent_min(partial(_slice, k), SEARCH_LO, SEARCH_HI)
 
 
 class ExtremalReport(namedtuple(
         "ExtremalReport", "k argmin min_value numeric_argmin numeric_min agreement_err")):
-    """Closed-form slice minimum next to its golden-section confirmation."""
+    """Closed-form slice minimum next to its numeric confirmation."""
 
     __slots__ = ()
 
@@ -164,8 +212,8 @@ def minimize_slice(k: float) -> ExtremalReport:
     """Minimize the fixed-k slice both ways and report the pair.
 
     agreement_err is |min_value - numeric_min|; the argmin discrepancy is
-    left in the report for callers to judge (golden-section resolves the
-    argmin of a flat quadratic bottom to about sqrt(eps) only).
+    left in the report for callers to judge (a search resolves the argmin of
+    a flat quadratic bottom to about sqrt(eps) only).
     """
     _check_k(k)
     numeric_argmin, numeric_min = _numeric_slice_min(k)
@@ -184,12 +232,12 @@ def minimize_slice(k: float) -> ExtremalReport:
 def global_cot_sum_min() -> tuple[float, float, float]:
     """Global minimum of the cotangent sum: (sqrt(3), pi/3, pi/3).
 
-    Confirmed before returning by a two-stage numeric search: golden-section
+    Confirmed before returning by a two-stage numeric search: Brent's method
     over k composed with the numeric slice minimum (valid because the inner
     minimum is unique and the envelope is unimodal in k).  Raises
     RuntimeError if the numeric route strays from the closed form.
     """
-    k_star, numeric_min = golden_section_min(
+    k_star, numeric_min = brent_min(
         lambda k: _numeric_slice_min(k)[1], 1e-3, 1e2
     )
     if abs(numeric_min * numeric_min - 3.0) > 1e-8:
@@ -203,22 +251,25 @@ def global_cot_sum_min() -> tuple[float, float, float]:
     return math.sqrt(3.0), math.pi / 3.0, math.pi / 3.0
 
 
+def _right_cot_sum(ang_b: float) -> float:
+    """2 / sin(2B), unchecked: the one body of the right family's sum, which searches evaluate."""
+    return 2.0 / math.sin(2.0 * ang_b)
+
+
 def right_cot_sum(ang_b: float) -> float:
     """Cotangent sum of a right triangle with base angle B: 2 / sin(2B)."""
     if not 0.0 < ang_b < 0.5 * math.pi:
         raise ValueError(f"base angle of a right triangle must be in (0, pi/2), got {ang_b!r}")
-    return 2.0 / math.sin(2.0 * ang_b)
+    return _right_cot_sum(ang_b)
 
 
 def right_triangle_min() -> tuple[float, float]:
     """Minimum squared cotangent sum over right triangles: (4, pi/4).
 
     The sum is 2/sin(2B) >= 2 with equality at the right isosceles triangle;
-    golden-section over B confirms before the closed form is returned.
+    Brent's method over B confirms before the closed form is returned.
     """
-    numeric_argmin, numeric_min = golden_section_min(
-        right_cot_sum, SEARCH_LO, SEARCH_HI
-    )
+    numeric_argmin, numeric_min = brent_min(_right_cot_sum, SEARCH_LO, SEARCH_HI)
     if abs(numeric_min - 2.0) > 1e-9:
         raise RuntimeError(
             f"numeric right-triangle minimum {numeric_min!r} strays from 2"

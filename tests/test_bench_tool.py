@@ -68,5 +68,8 @@ def test_extremal_benchmark_writes_its_report(tmp_path, monkeypatch):
     assert report["identical_output"] and report["runs_per_tree"] == 1
     (tree,) = report["trees"]
     for measure in ("pass_p10_us", "pass_median_us", "global_median_us", "slice_median_us",
-                    "slice_evals_per_pass"):
+                    "slice_evals_per_pass", "global_evals", "right_evals", "table_evals"):
         assert tree["summary"][measure]["min"] > 0.0
+    evals = tree["summary"]
+    assert (evals["slice_evals_per_pass"]["min"]
+            == evals["global_evals"]["min"] + evals["table_evals"]["min"])

@@ -12,11 +12,11 @@ from perptri.extremal import (
     SEARCH_HI,
     SEARCH_LO,
     ExtremalReport,
+    brent_min,
     cot_sum_lattice_min,
     cot_sum_slice,
     cot_sum_slice_deriv,
     global_cot_sum_min,
-    golden_section_min,
     minimize_slice,
     right_cot_sum,
     right_triangle_min,
@@ -44,20 +44,36 @@ UNIMODAL = {
 
 
 # ---------------------------------------------------------------------------
-# golden section on a known function
+# Brent's method on a known function
 # ---------------------------------------------------------------------------
 
-def test_golden_section_on_parabola():
+def test_search_on_parabola():
     # argmin of a flat quadratic bottom resolves to about sqrt(eps) only;
     # the minimum value itself is much sharper.
-    x, fx = golden_section_min(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0)
+    x, fx = brent_min(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0)
     assert x == pytest.approx(2.0, abs=1e-7)
     assert fx == pytest.approx(1.0, abs=1e-15)
 
 
-def test_golden_section_respects_bracket():
+def test_search_of_a_parabola_stops_after_a_handful_of_probes():
+    # One parabolic step lands on the vertex; two probes X_TOL/4 either side
+    # of it then close the bracket.  Golden-section needs 44 probes for the
+    # same sqrt(eps) bracket, shrinking it by 0.618 per probe.
+    probes = []
+
+    def f(x):
+        probes.append(x)
+        return (x - 2.0) ** 2 + 1.0
+
+    x, fx = brent_min(f, 0.0, 5.0)
+    assert len(probes) <= 6, len(probes)
+    assert (x, fx) == (2.0, 1.0)
+    assert all(abs(p - x) <= 0.5 * extremal.X_TOL for p in probes[-2:]), probes
+
+
+def test_search_finds_the_edge_minimum_of_an_increasing_function():
     # minimum of an increasing function is at the left edge
-    x, _ = golden_section_min(math.exp, 1.0, 3.0)
+    x, _ = brent_min(math.exp, 1.0, 3.0)
     assert x == pytest.approx(1.0, abs=1e-8)
 
 
@@ -68,7 +84,7 @@ def test_golden_section_respects_bracket():
     shape=st.sampled_from(sorted(UNIMODAL)),
 )
 @settings(max_examples=200, deadline=None)
-def test_golden_section_probes_only_inside_the_bracket(lo, width, at, shape):
+def test_search_probes_only_inside_the_bracket(lo, width, at, shape):
     # The invariant that lets a search evaluate the unchecked slice: every x
     # the objective sees lies in [lo, hi], whatever the bracket and wherever
     # the minimum (inside it or not).
@@ -80,7 +96,7 @@ def test_golden_section_probes_only_inside_the_bracket(lo, width, at, shape):
         probes.append(x)
         return UNIMODAL[shape](x, m)
 
-    golden_section_min(f, lo, hi)
+    brent_min(f, lo, hi)
     assert probes
     assert all(lo <= x <= hi for x in probes), (min(probes), max(probes))
 
@@ -89,7 +105,7 @@ def test_slice_search_is_the_search_of_the_public_slice():
     # minimize_slice searches the unchecked slice; the report must equal, to
     # the bit, the one built from a search of the checked cot_sum_slice.
     for k in SLICE_KS:
-        numeric_argmin, numeric_min = golden_section_min(
+        numeric_argmin, numeric_min = brent_min(
             lambda x: cot_sum_slice(k, x), SEARCH_LO, SEARCH_HI)
         min_value = slice_min_value(k)
         assert minimize_slice(k) == ExtremalReport(
@@ -206,25 +222,29 @@ def test_global_minimum_is_sqrt3_at_equilateral():
 
 def test_searches_stop_at_sqrt_eps_and_keep_the_minima(monkeypatch):
     # Each search stops once its bracket is sqrt(eps) wide, where its probes
-    # differ by rounding only: 2142 slice evaluations for the global search
-    # and 42 per slice.  The minima lose nothing by the earlier stop: each
-    # stays within 1e-13 of its closed form (1.42e-14 measured).
-    calls = 0
+    # differ by rounding only: 262 slice evaluations for the global search,
+    # 578 for the 41-slice table (9 to 28 a slice) and 6 of the right
+    # family's unchecked 2/sin 2B.  Each slice minimum stays within 1e-13 of
+    # its closed form (1.42e-14 measured).
+    calls = {"slice": 0, "right": 0}
 
-    def counted(k, x):
-        nonlocal calls
-        calls += 1
-        return bare(k, x)
+    def counted(name, bare):
+        def evaluate(*args):
+            calls[name] += 1
+            return bare(*args)
+        return evaluate
 
-    bare = extremal._slice
-    monkeypatch.setattr(extremal, "_slice", counted)
+    monkeypatch.setattr(extremal, "_slice", counted("slice", extremal._slice))
+    monkeypatch.setattr(extremal, "_right_cot_sum",
+                        counted("right", extremal._right_cot_sum))
     global_cot_sum_min()
-    assert calls == 2142
+    assert calls == {"slice": 262, "right": 0}
+    right_triangle_min()
+    assert calls == {"slice": 262, "right": 6}
     for k in SLICE_KS:
-        calls = 0
         report = minimize_slice(k)
-        assert calls == 42, k
         assert abs(report.numeric_min - slice_min_value(k)) <= 1e-13, k
+    assert calls == {"slice": 262 + 578, "right": 6}
 
 
 def test_right_family_minimum():

@@ -10,10 +10,16 @@ perfbench's `extremal_search` does: `global_cot_sum_min()`,
 each pass timed with perf_counter.  A run records the 10th percentile and the
 median of its passes (µs), and the medians of the global search alone and of
 one slice search (the 41-slice table over 41).  One more pass, not timed,
-counts the calls of `extremal._slice` through a counting wrapper
-(slice_evals_per_pass).  The child then prints its results: every
-`ExtremalReport` of the table, and the global stage's k* and numeric
-minimum, from golden-section over k of `minimize_slice(k).numeric_min`.
+counts evaluations through counting wrappers: the slice `extremal._slice`
+in the global search (global_evals) and in the table (table_evals), their
+sum (slice_evals_per_pass), and the right family's 2/sin 2B in its search
+(right_evals).  The child then prints its results: every `ExtremalReport`
+of the table, and the global stage's k* and numeric minimum, from the
+tree's search over k of `minimize_slice(k).numeric_min`.  A tree from
+before Brent's method searched with `golden_section_min`, and its right
+search evaluated the checked `right_cot_sum`; the child uses those names
+where `brent_min` and `_right_cot_sum` are missing, so such a tree can be
+measured as the parent.
 Each run also starts `python -m perptri minimize --json` and
 `python -m perptri minimize --right --json` and keeps their exit codes and
 bytes.
@@ -57,8 +63,10 @@ import time
 import numpy as np
 
 from perptri import extremal
-from perptri.extremal import (global_cot_sum_min, golden_section_min, minimize_slice,
-                              right_triangle_min)
+from perptri.extremal import global_cot_sum_min, minimize_slice, right_triangle_min
+
+search = getattr(extremal, "brent_min", None) or extremal.golden_section_min
+right_body = "_right_cot_sum" if hasattr(extremal, "_right_cot_sum") else "right_cot_sum"
 
 SLICE_KS = tuple(float(k) for k in np.logspace(-2.0, 2.0, 41))
 passes, globals_, tables = [], [], []
@@ -73,27 +81,36 @@ for _ in range(int(sys.argv[1])):
     passes.append((end - start) * 1e6)
     globals_.append((after_global - start) * 1e6)
     tables.append((end - after_right) * 1e6)
-evals, bare_slice = [0], extremal._slice
+evals = {"slice": 0, "right": 0}
 
 
-def counted_slice(k, x):
-    evals[0] += 1
-    return bare_slice(k, x)
+def counting(name, bare):
+    def evaluate(*args):
+        evals[name] += 1
+        return bare(*args)
+    return evaluate
 
 
-extremal._slice = counted_slice
+bare_slice, bare_right = extremal._slice, getattr(extremal, right_body)
+extremal._slice = counting("slice", bare_slice)
+setattr(extremal, right_body, counting("right", bare_right))
 global_cot_sum_min()
+global_evals = evals["slice"]
 right_triangle_min()
 for k in SLICE_KS:
     minimize_slice(k)
 extremal._slice = bare_slice
-k_star, numeric_min = golden_section_min(lambda k: minimize_slice(k).numeric_min, 1e-3, 1e2)
+setattr(extremal, right_body, bare_right)
+k_star, numeric_min = search(lambda k: minimize_slice(k).numeric_min, 1e-3, 1e2)
 print(json.dumps({
     "pass_p10_us": statistics.quantiles(passes, n=10, method="inclusive")[0],
     "pass_median_us": statistics.median(passes),
     "global_median_us": statistics.median(globals_),
     "slice_median_us": statistics.median(tables) / len(SLICE_KS),
-    "slice_evals_per_pass": evals[0],
+    "slice_evals_per_pass": evals["slice"],
+    "global_evals": global_evals,
+    "right_evals": evals["right"],
+    "table_evals": evals["slice"] - global_evals,
 }))
 print(json.dumps({
     "global_cot_sum_min": global_min,
