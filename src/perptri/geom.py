@@ -143,6 +143,18 @@ def _rotated_line(cos_phi, sin_phi, px, py, dx, dy):
     return a, b, a * px + b * py
 
 
+def _perpendicular_line(cos_phi, sin_phi, px, py, dx, dy):
+    """Line (dx, dy, dx px + dy py) through (px, py), perpendicular to (dx, dy).
+
+    `_rotated_line` at (cos_phi, sin_phi) = (0, 1), whose arguments it takes
+    and does not read, is (-dx, -dy, -(dx px + dy py)) up to the signs of
+    zeros: this line negated, exactly, without the products by 0 and 1.
+    Negating both lines of a crossing leaves every product in `_crossing` as
+    it was, so the crossings keep their bits.
+    """
+    return dx, dy, dx * px + dy * py
+
+
 def _crossing(l1, l2):
     """The point where two lines a x + b y = c cross."""
     (a1, b1, c1), (a2, b2, c2) = l1, l2
@@ -159,14 +171,16 @@ def derived_triangle(bx, by, gx, gy, cos_phi, sin_phi):
     they are the perpendiculars whatever the orientation.  A' joins the lines
     at B and Gamma, B' those at Gamma and A, Gamma' those at A and B.  Anchored
     at A, the line offsets are of the size of the triangle, not of its
-    position.  The lines are not normalized (`_rotated_line`): at
-    (cos_phi, sin_phi) = (0, 1) each line's a and b are its side's direction,
-    exactly, and only c and the crossings round.  Coordinates are floats or
-    numpy arrays; the line coefficients are freed before the area is taken.
+    position.  The lines are not normalized (`_rotated_line`).  At
+    (cos_phi, sin_phi) = (0, 1) each line is `_perpendicular_line`: its a and
+    b are its side's direction, exactly, and only c and the crossings round.
+    Coordinates are floats or numpy arrays; the line coefficients are freed
+    before the area is taken.
     """
-    line_ab = _rotated_line(cos_phi, sin_phi, bx, by, bx, by)
-    line_bg = _rotated_line(cos_phi, sin_phi, gx, gy, gx - bx, gy - by)
-    line_ga = _rotated_line(cos_phi, sin_phi, 0.0, 0.0, -gx, -gy)
+    line = _perpendicular_line if cos_phi == 0.0 and sin_phi == 1.0 else _rotated_line
+    line_ab = line(cos_phi, sin_phi, bx, by, bx, by)
+    line_bg = line(cos_phi, sin_phi, gx, gy, gx - bx, gy - by)
+    line_ga = line(cos_phi, sin_phi, 0.0, 0.0, -gx, -gy)
     (apx, apy), (bpx, bpy), (gpx, gpy) = vertices = (
         _crossing(line_ab, line_bg), _crossing(line_bg, line_ga), _crossing(line_ga, line_ab))
     del line_ab, line_bg, line_ga

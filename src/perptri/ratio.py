@@ -45,17 +45,18 @@ call.  The chain takes B and Gamma in a frame anchored at vertex A and the
 metrics measured there, so that residuals depend on a triangle's shape, not
 its position or size.  `identity_report` runs it on one triangle's stored
 frame and metrics, and `sweep._reduce_chunk` on each chunk's frame arrays
-and metrics, keeping only reductions of the per-triangle arrays.  The
-input's type picks the elementary functions: a float (a numpy float64 is
-one) takes `geom.MATH`, anything else, in practice an array, takes
-`geom.NUMPY`.  Neither serves the other's input: the chain on one triangle
-costs about 10 us through `math`, 50 us through numpy ufuncs on floats and
-150 us as a numpy batch of one (2-core Xeon, Python 3.11, numpy 2.4), where
-2**14 triangles as arrays take about 7 ms, three tenths of it in the six
-cos and sin calls of `geom.angle_trig`.  Only `geom.NUMPY` imports numpy, on
-its first access, so `perptri verify` and `metrics`, which work on one
-triangle, never load it.  The cotangents and the derived triangle come from
-`geom`, which `construct` shares.
+and metrics, which it hands over in a list the chain empties, keeping only
+reductions of the per-triangle arrays.  The input's type picks the
+elementary functions: a float (a numpy float64 is one) takes `geom.MATH`,
+anything else, in practice an array, takes `geom.NUMPY`.  Neither serves
+the other's input: the chain on one triangle costs about 10 us through
+`math`, 50 us through numpy ufuncs on floats and 150 us as a numpy batch of
+one (2-core Xeon, Python 3.11, numpy 2.4), where 2**14 triangles as arrays
+take about 7 ms, three tenths of it in the six cos and sin calls of
+`geom.angle_trig`.  Only `geom.NUMPY` imports numpy, on its first access,
+so `perptri verify` and `metrics`, which work on one triangle, never load
+it.  The cotangents and the derived triangle come from `geom`, which
+`construct` shares.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def _term_norm(vmax, lhs, two_w2, p2, q2, r2):
     largest term entering the identity, not the nearly zero difference.
     """
     rhs = two_w2 * (p2 + q2 - r2)
-    dominant = vmax(abs(lhs), two_w2 * p2, two_w2 * q2, two_w2 * r2)
+    # The largest term, one product at a time, as vmax would take it of all four.
+    dominant = vmax(vmax(vmax(abs(lhs), two_w2 * p2), two_w2 * q2), two_w2 * r2)
     return abs(lhs - rhs) / (1.0 + dominant), rhs
 
 
@@ -205,50 +207,62 @@ def area_routes(ops: Ops, m: TriangleMetrics, sq: tuple, csum, sin_a) -> dict:
     }
 
 
-def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
+def identity_chain(inputs: list) -> IdentityChain:
     """The identity chain at phi = pi/2 for B and Gamma in a frame (`geom.frame`).
 
-    The coordinates are four floats or four arrays and m their
-    `geom.anchored_metrics` (`Triangle.frame_metrics`); every result is in the
-    frame's units.  It divides by sines and by each s - x, so it needs a
-    triangle `judged_bound` accepts: a thinner one's floats may divide by
-    zero, and its arrays carry inf or NaN.
+    inputs is the list [bx, by, gx, gy, m]: four coordinates, floats or
+    arrays, and m their `geom.anchored_metrics` (`Triangle.frame_metrics`).
+    The chain takes them out and empties the list, so that a caller that
+    keeps no other reference to them hands them over: each array then dies
+    at its last use here, and a sweep's chunk never holds the frame, the
+    metrics and the chain's intermediates at once.  Passed as arguments
+    they could not be freed before the call returns, since Python 3.10
+    keeps a call's arguments on the caller's stack until then.  Every
+    result is in the frame's units.  It divides by sines and by each s - x,
+    so it needs a triangle `judged_bound` accepts: a thinner one's floats
+    may divide by zero, and its arrays carry inf or NaN.
     """
+    bx, by, gx, gy, m = inputs
+    inputs.clear()
     ops = MATH if isinstance(bx, float) else geom.NUMPY
     sqrt, vmax, vmin = ops.sqrt, ops.max, ops.min
-    s, area = m.s, m.area
+    area = m.area
+
+    # The geometric route first, so that the frame is freed before the
+    # formula route builds its arrays; keeping only the area frees the
+    # derived vertices.
+    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
+    del bx, by, gx, gy
+    ratio_geometric = area_derived / area
 
     cot_a, half_cot_a, sin_a = angle_trig(ops, m.ang_a)
     cot_b, half_cot_b = angle_trig(ops, m.ang_b)[:2]
     cot_g, half_cot_g = angle_trig(ops, m.ang_g)[:2]
     csum = cot_a + cot_b + cot_g
 
-    # half_angle_cots is taken first, so that a chunk of the sweep frees the
-    # half-angle cotangents and s - x before the other links build theirs.
+    # half_angle_cots is taken before the side squares, so that a chunk of
+    # the sweep frees the half-angle cotangents and s - x before the other
+    # links build theirs.
+    s = m.s
     fa, fb, fg = s - m.alpha, s - m.beta, s - m.gamma
     half_angle_cots = vmax(
         _norm(sqrt(s * fa / (fb * fg)), half_cot_a),
         _norm(sqrt(s * fb / (fa * fg)), half_cot_b),
         _norm(sqrt(s * fg / (fa * fb)), half_cot_g),
     )
-    del half_cot_a, half_cot_b, half_cot_g, fa, fb, fg
+    del half_cot_a, half_cot_b, half_cot_g, fa, fb, fg, s
 
     sq = side_squares(m)
     a2, b2, g2, sum_sq, pairs, quads, sixteen = sq
     areas = area_routes(ops, m, sq, csum, sin_a)
-    largest_area = vmax(*areas.values())
-    area_agreement = (largest_area - vmin(*areas.values())) / largest_area
-    del sq, sin_a, largest_area
+    # The metrics' last use: the sides, s and the angles die with m.
+    del m, sq, sin_a
 
-    # The geometric route; keeping only the area frees the derived vertices.
-    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
-    ratio_geometric = area_derived / area
-
-    # Residuals in CHECK_ORDER.  Each link's intermediates are deleted once
-    # its residuals are taken, so that a chunk of the sweep never holds them
-    # all at once.
+    # Residuals in CHECK_ORDER.  Each intermediate is deleted at its last
+    # use, so that a chunk of the sweep never holds them all at once.
     cot_side_sum = g2 * cot_a + b2 * cot_g + a2 * cot_b
     eight_area, sixteen_area_sq, sum_sq_sq = 8.0 * area, 16.0 * area * area, sum_sq * sum_sq
+    del sum_sq
     residuals = {
         "area_increment": _norm(area_derived, area + 0.5 * cot_side_sum),
         "sixteen_area_sq": _norm(sixteen, sixteen_area_sq),
@@ -260,27 +274,29 @@ def identity_chain(bx, by, gx, gy, m: TriangleMetrics) -> IdentityChain:
     residuals["cot_term_a"], term_rhs = _term_norm(vmax, eight_area * g2 * cot_a, 2.0 * g2,
                                                    b2, g2, a2)
     chain_rhs = sixteen + term_rhs
-    del term_rhs
+    del term_rhs, cot_a, sixteen
     residuals["cot_term_g"], term_rhs = _term_norm(vmax, eight_area * b2 * cot_g, 2.0 * b2,
                                                    a2, b2, g2)
     chain_rhs = chain_rhs + term_rhs
-    del term_rhs
+    del term_rhs, cot_g
     residuals["cot_term_b"], term_rhs = _term_norm(vmax, eight_area * a2 * cot_b, 2.0 * a2,
                                                    g2, a2, b2)
     chain_rhs = chain_rhs + term_rhs - 2.0 * pairs - quads
-    del term_rhs, eight_area
+    del term_rhs, cot_b, eight_area, a2, b2, g2
     residuals["squared_sum_expansion"] = (abs(-sum_sq_sq - (-2.0 * pairs - quads))
                                           / (1.0 + sum_sq_sq))
+    del pairs, quads
     residuals["chain_sum"] = abs(quadratic_lhs - chain_rhs) / sum_sq_sq
     del chain_rhs
     residuals["area_quadratic"] = abs(quadratic_lhs) / sum_sq_sq
-    del quadratic_lhs
+    del quadratic_lhs, sum_sq_sq
     residuals["half_angle_cots"] = half_angle_cots
     residuals["area_from_cots"] = _norm(areas["cot_formula"], area)
     ratio_formula = csum * csum
     residuals["area_ratio"] = abs(ratio_geometric - ratio_formula) / (1.0 + ratio_formula)
     del ratio_formula
-    residuals["area_agreement"] = area_agreement
+    largest_area = vmax(*areas.values())
+    residuals["area_agreement"] = (largest_area - vmin(*areas.values())) / largest_area
 
     return IdentityChain(
         areas=areas,
@@ -335,7 +351,7 @@ def identity_report(t: Triangle) -> VerifyReport:
     """Every identity residual of t, judged against its bound (`judged_bound`, first)."""
     m = t.frame_metrics
     theta, bound = judged_bound(m)
-    residuals = identity_chain(*t.frame[1:], m).residuals
+    residuals = identity_chain([*t.frame[1:], m]).residuals
     return VerifyReport(
         case=classify_angle(m.ang_a),
         smallest_angle=theta,

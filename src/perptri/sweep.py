@@ -16,12 +16,14 @@ exactly.  About 10 ms per chunk on each of two cores (2-core Xeon, numpy 2.4),
 `run_sweep` streams every stratum: each worker draws its own chunk of the
 seeded corpus (`sampling.corpus_rows`), and at most two chunks per worker are
 in flight, so neither the corpus nor a list of every chunk's result is held.
-A sweep needs about 6 MiB of chunk arrays per thread whatever its size and
-stratum: on two cores `perptri sweep` peaks at 48.3 to 48.9 MiB in every
-stratum at n = 10**6, 10**7 and 10**8, 28.6 of them the interpreter and numpy.
-`evaluate_corpus` runs the same reducer over the slices of a held corpus.
-The per-triangle arrays a chunk produces are not kept; `identity_chain`
-gives them for any corpus.
+Each array of a chunk dies at its last use, in `_reduce_chunk`,
+`identity_chain` and `geom.derived_triangle`, so a sweep needs under 4 MiB
+of chunk arrays per thread whatever its size and stratum: on two cores
+`perptri sweep` peaks at 43.1 to 43.5 MiB in every stratum at n = 10**6 and
+10**7, 34.8 of them the interpreter, numpy and the package (its peak at
+n = 0).  `evaluate_corpus` runs the same reducer over the slices of a held
+corpus.  The per-triangle arrays a chunk produces are not kept;
+`identity_chain` gives them for any corpus.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .sampling import TriangleCorpus, corpus_rows
 
 #: Triangles per chunk.  Timed at n = 10**6 on two cores, 2**12 and 2**13 pay
 #: per-call overhead and 2**15 and up run slower again; a chunk's arrays peak
-#: near 6 MiB (about 0.4 KiB per triangle).
+#: near 3.8 MiB (about 0.23 KiB per triangle).
 CHUNK = 2**14
 
 
@@ -50,14 +52,16 @@ class SweepResult:
     max_residuals and min_cot_sum are NaN when any triangle's value is (and
     for an empty corpus); argmin_index is the first index holding
     min_cot_sum and argmin_row that triangle's (ang_b, ang_g, scale) as
-    floats, both None for an empty corpus.  over_bound counts the triangles
-    with a residual not within the bound (`ratio.within_bound`; a NaN never
-    is).  The corpus is not kept: a streamed sweep never holds it, so a
-    result is a few hundred bytes at any n.  Equality compares the
-    reductions.  The fields are instance attributes, not class attributes
-    (tuple getters or slots): the traced benchmark run (perfbench/spans.py)
-    wraps as a property any of max_residuals, min_cot_sum and argmin_index it
-    finds in the class.
+    floats, both None for an empty corpus.  The row is got once from the
+    index after the last chunk, drawn again in a streamed sweep and read
+    from the corpus in `evaluate_corpus`, so no chunk keeps one.  over_bound
+    counts the triangles with a residual not within the bound
+    (`ratio.within_bound`; a NaN never is).  The corpus is not kept: a
+    streamed sweep never holds it, so a result is a few hundred bytes at any
+    n.  Equality compares the reductions.  The fields are instance
+    attributes, not class attributes (tuple getters or slots): the traced
+    benchmark run (perfbench/spans.py) wraps as a property any of
+    max_residuals, min_cot_sum and argmin_index it finds in the class.
     """
 
     def __init__(self, n: int, case_counts: dict, max_residuals: dict, min_cot_sum: float,
@@ -83,40 +87,43 @@ class SweepResult:
         return self.n
 
 
-def _reduce_chunk(chunk: TriangleCorpus, start: int):
-    """Evaluate one chunk, the corpus's rows from start on, and keep only its reductions.
+def _reduce_chunk(rows_at, n: int, start: int):
+    """Evaluate the chunk of an n-triangle corpus from start on, and keep only its reductions.
 
-    Workers return a fresh tuple (case counts, max residuals, min cot sum, its
-    corpus index and row, the count of triangles over the bound); they share
-    no mutable state, so no lock is needed.  In the canonical layout A is the
+    rows_at(start, stop) gives the corpus's rows [start, stop) as a
+    `TriangleCorpus`.  The rows are got here and die once laid out, and the
+    frame and metrics go on to `identity_chain` in a list it empties, so
+    that each array of the chunk dies at its last use whatever the Python
+    version (3.10 keeps a call's arguments alive until it returns).  Workers
+    return a fresh tuple (case counts, max residuals, min cot sum, its
+    corpus index, the count of triangles over the bound); they share no
+    mutable state, so no lock is needed.  In the canonical layout A is the
     origin and B lies on the x axis.
     """
-    bx, gx, gy = chunk.vertex_arrays()
-    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    chain = identity_chain(bx, by, gx, gy, m)
+    bx, gx, gy = rows_at(start, min(start + CHUNK, n)).vertex_arrays()
+    inputs = list(frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)[1:])
+    del bx, gx, gy
+    m = anchored_metrics(NUMPY, *inputs)
     counts = [int(np.count_nonzero(mask)) for mask in angle_cases(m.ang_a)]
-    maxima = [float(np.max(chain.residuals[key])) for key in CHECK_ORDER]
-    argmin = int(np.argmin(chain.cot_sum))
+    bound = residual_bound(smallest_angle(NUMPY, m))
+    inputs.append(m)
+    del m
+    chain = identity_chain(inputs)
+    residuals, cot_sum = chain.residuals, chain.cot_sum
+    del chain
+    maxima = [float(np.max(residuals[key])) for key in CHECK_ORDER]
+    argmin = int(np.argmin(cot_sum))
     # Any residual is over the bound exactly when their NaN-propagating
     # maximum is.
-    worst = NUMPY.max(*(chain.residuals[key] for key in CHECK_ORDER))
-    within = within_bound(worst, residual_bound(smallest_angle(NUMPY, m)))
-    over = worst.size - int(np.count_nonzero(within))
-    row = tuple(float(field[argmin]) for field in chunk)
-    return counts, maxima, float(chain.cot_sum[argmin]), start + argmin, row, over
+    worst = NUMPY.max(*(residuals[key] for key in CHECK_ORDER))
+    del residuals
+    over = worst.size - int(np.count_nonzero(within_bound(worst, bound)))
+    return counts, maxima, float(cot_sum[argmin]), start + argmin, over
 
 
-def _sliced_chunk(corpus: TriangleCorpus, start: int):
-    """`_reduce_chunk` on corpus[start:start + CHUNK], a view of the shared corpus."""
-    stop = start + CHUNK
-    return _reduce_chunk(TriangleCorpus(*(field[start:stop] for field in corpus)), start)
-
-
-def _drawn_chunk(bit_generator, n: int, stratum: str, start: int):
-    """`_reduce_chunk` on rows [start, start + CHUNK) of the seeded corpus, drawn here."""
-    return _reduce_chunk(
-        corpus_rows(bit_generator, n, start, min(start + CHUNK, n), stratum), start)
+def _held_rows(corpus: TriangleCorpus, start: int, stop: int) -> TriangleCorpus:
+    """corpus[start:stop], views of the held corpus."""
+    return TriangleCorpus(*(field[start:stop] for field in corpus))
 
 
 def _usable_cpus() -> int:
@@ -133,22 +140,26 @@ def _combine(earlier: tuple, later: tuple) -> tuple:
     A NaN propagates and the first occurrence wins a tie, as in np.max and
     np.argmin over the whole corpus.
     """
-    counts, maxima, minimum, index, row, over = earlier
-    later_counts, later_maxima, later_minimum, later_index, later_row, later_over = later
+    counts, maxima, minimum, index, over = earlier
+    later_counts, later_maxima, later_minimum, later_index, later_over = later
     if not math.isnan(minimum) and (math.isnan(later_minimum) or later_minimum < minimum):
-        minimum, index, row = later_minimum, later_index, later_row
+        minimum, index = later_minimum, later_index
     return ([a + b for a, b in zip(counts, later_counts)],
             [b if math.isnan(b) or b > a else a for a, b in zip(maxima, later_maxima)],
-            minimum, index, row, over + later_over)
+            minimum, index, over + later_over)
 
 
-def _reduce_chunks(n: int, reduce_at) -> SweepResult:
-    """Run reduce_at(start) for every chunk of an n-triangle corpus and combine the reductions.
+def _reduce_chunks(n: int, rows_at) -> SweepResult:
+    """Reduce every chunk of an n-triangle corpus and combine the reductions.
 
-    Chunks run on a thread pool (numpy releases the interpreter lock inside
-    its loops), at most two per worker submitted and not yet combined, and
-    their reductions are combined here in chunk order (`_combine`), so the
-    memory a sweep holds does not grow with n.
+    rows_at(start, stop) gives the corpus's rows [start, stop) as a
+    `TriangleCorpus`.  Chunks run on a thread pool (numpy releases the
+    interpreter lock inside its loops), each getting its own rows
+    (`_reduce_chunk`), at most two per worker submitted and not yet
+    combined, and their reductions are combined here in chunk order
+    (`_combine`), so the memory a sweep holds does not grow with n.  The
+    argmin's row is got once, after the last chunk, so no worker keeps a
+    row.
     """
     if not n:
         return SweepResult(0, {case.value: 0 for case in AngleCase},
@@ -156,7 +167,7 @@ def _reduce_chunks(n: int, reduce_at) -> SweepResult:
     # For glibc's sake, one 4 MiB block, mapped since it is above the mmap
     # threshold, is freed before the pool starts, never touched, so it adds
     # no RSS: glibc then raises its mmap threshold to the block and its trim
-    # threshold to twice it, above a worker's ~6 MiB of chunk arrays.
+    # threshold to twice it, above a worker's ~4 MiB of chunk arrays.
     # Without it a streamed sweep frees no corpus-sized block, and each
     # worker's arena hands its chunk arrays back after every chunk and faults
     # them in again on the next: `perptri sweep` took 105k minor faults
@@ -169,34 +180,36 @@ def _reduce_chunks(n: int, reduce_at) -> SweepResult:
     def in_chunk_order():
         pending = deque()
         for start in range(0, n, CHUNK):
-            pending.append(pool.submit(reduce_at, start))
+            pending.append(pool.submit(_reduce_chunk, rows_at, n, start))
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
 
     try:
-        counts, maxima, *rest = reduce(_combine, in_chunk_order())
+        counts, maxima, minimum, index, over = reduce(_combine, in_chunk_order())
     finally:
         # After an interrupt or a failed chunk, the chunks not yet started are dropped.
         pool.shutdown(cancel_futures=True)
+    row = tuple(float(field[0]) for field in rows_at(index, index + 1))
     return SweepResult(n, dict(zip((case.value for case in AngleCase), counts)),
-                       dict(zip(CHECK_ORDER, maxima)), *rest)
+                       dict(zip(CHECK_ORDER, maxima)), minimum, index, row, over)
 
 
 def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
     """Run the identity chain over every triangle of a held corpus and reduce it."""
-    return _reduce_chunks(len(corpus), partial(_sliced_chunk, corpus))
+    return _reduce_chunks(len(corpus), partial(_held_rows, corpus))
 
 
 def run_sweep(n: int, seed, stratum: str = "all") -> SweepResult:
     """Sweep the n-triangle corpus `sampling.sample_corpus(n, seed, stratum)` draws.
 
     Deterministic for fixed arguments.  Each chunk is drawn by the worker that
-    reduces it, from one bit generator made here (so seed=None, too, gives one
-    corpus).  n and the stratum are checked before any chunk starts, by
-    `corpus_rows` on no rows.
+    reduces it, and the argmin's row once more at the end, from one bit
+    generator made here (so seed=None, too, gives one corpus).  n and the
+    stratum are checked before any chunk starts, by `corpus_rows` on no rows.
     """
-    bit_generator = np.random.default_rng(seed).bit_generator
-    corpus_rows(bit_generator, n, 0, 0, stratum)
-    return _reduce_chunks(n, partial(_drawn_chunk, bit_generator, n, stratum))
+    rows_at = partial(corpus_rows, np.random.default_rng(seed).bit_generator, n,
+                      stratum=stratum)
+    rows_at(0, 0)
+    return _reduce_chunks(n, rows_at)

@@ -599,11 +599,11 @@ def test_sweep_of_any_size_streams_until_interrupted(capsys, monkeypatch):
 
     started = []
 
-    def reduce_chunk(chunk, start):
+    def reduce_chunk(rows_at, n, start):
         started.append(start)
         if start >= 3 * sweep_mod.CHUNK:
             raise KeyboardInterrupt
-        return [1, 0, 0], [0.0] * len(CHECK_ORDER), 1.0, start, (1.0, 1.0, 1.0), 0
+        return [1, 0, 0], [0.0] * len(CHECK_ORDER), 1.0, start, 0
 
     monkeypatch.setattr(sweep_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)

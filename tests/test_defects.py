@@ -111,7 +111,7 @@ def over_bound_shares(corpus) -> dict:
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     m = geom_mod.anchored_metrics(NUMPY, bx, by, gx, gy)
-    residuals = identity_chain(bx, by, gx, gy, m).residuals
+    residuals = identity_chain([bx, by, gx, gy, m]).residuals
     bound = residual_bound(smallest_angle(NUMPY, m))
     return {name: float(np.mean(~within_bound(residuals[name], bound))) for name in CHECK_ORDER}
 

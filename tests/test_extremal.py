@@ -47,14 +47,6 @@ UNIMODAL = {
 # Brent's method on a known function
 # ---------------------------------------------------------------------------
 
-def test_search_on_parabola():
-    # argmin of a flat quadratic bottom resolves to about sqrt(eps) only;
-    # the minimum value itself is much sharper.
-    x, fx = brent_min(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0)
-    assert x == pytest.approx(2.0, abs=1e-7)
-    assert fx == pytest.approx(1.0, abs=1e-15)
-
-
 def test_search_of_a_parabola_stops_after_a_handful_of_probes():
     # One parabolic step lands on the vertex; two probes X_TOL/4 either side
     # of it then close the bracket.  Golden-section needs 44 probes for the
@@ -282,7 +274,7 @@ def test_cot_sum_bound_over_corpus():
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    near = identity_chain(bx, by, gx, gy, m).cot_sum < SQRT3 + 1e-3
+    near = identity_chain([bx, by, gx, gy, m]).cot_sum < SQRT3 + 1e-3
     if near.any():
         ang_b = corpus.ang_b[near]
         ang_g = corpus.ang_g[near]

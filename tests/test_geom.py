@@ -103,6 +103,27 @@ def test_derived_vertices_arrays_match_floats():
                 assert (x, y) == pytest.approx((xs[i], ys[i]), rel=1e-15, abs=1e-13)
 
 
+def test_perpendicular_lines_cross_where_the_rotated_lines_do(monkeypatch, t345, equilateral,
+                                                              obtuse_iso):
+    # At (cos phi, sin phi) = (0, 1) each line is _perpendicular_line, the
+    # line _rotated_line(0.0, 1.0, ...) builds, negated, without its products
+    # by 0 and 1: the vertices and the area keep their bits (== tells only
+    # the sign of a zero apart), on floats and on arrays, in general position
+    # and in the canonical layout with B on the x axis.
+    rng = np.random.default_rng(5)
+    xy = rng.uniform(-1.0, 1.0, (4, 10**5))
+    xy[1, ::2] = 0.0
+    fixtures = [t.frame[1:] for t in (t345, equilateral, obtuse_iso)]
+    cases = [tuple(xy), *map(tuple, xy.T[:2000].tolist()), *fixtures,
+             tuple(np.array(fixtures).T)]
+    got = [derived_triangle(*case, 0.0, 1.0) for case in cases]
+    monkeypatch.setattr(geom_mod, "_perpendicular_line", geom_mod._rotated_line)
+    want = [derived_triangle(*case, 0.0, 1.0) for case in cases]
+    for ((ap, bp, gp), area), ((want_ap, want_bp, want_gp), want_area) in zip(got, want):
+        for value, wanted in zip((*ap, *bp, *gp, area), (*want_ap, *want_bp, *want_gp, want_area)):
+            assert np.array_equal(value, wanted)
+
+
 # ---------------------------------------------------------------------------
 # triangles
 # ---------------------------------------------------------------------------

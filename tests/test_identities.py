@@ -39,7 +39,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def chain(t: Triangle):
-    return identity_chain(*t.frame[1:], t.frame_metrics)
+    return identity_chain([*t.frame[1:], t.frame_metrics])
 
 
 def areas(t: Triangle) -> dict:
@@ -151,7 +151,7 @@ def test_sixteen_area_route_clamps_negative_rounding():
     x = np.linspace(0.01, 0.99, 2000)
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, 1.0, 0.0, x, 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        needles = identity_chain(bx, by, gx, gy, anchored_metrics(NUMPY, bx, by, gx, gy))
+        needles = identity_chain([bx, by, gx, gy, anchored_metrics(NUMPY, bx, by, gx, gy)])
     poly = needles.areas["sixteen_sq_poly"]
     assert not np.isnan(poly).any()
     assert (poly == 0.0).any()

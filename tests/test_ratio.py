@@ -43,13 +43,13 @@ def test_area_routes_are_the_chains_areas_bit_for_bit(t345, equilateral, obtuse_
     # sampled chunk of arrays.
     for t in (t345, equilateral, obtuse_iso):
         m = t.frame_metrics
-        chain = identity_chain(*t.frame[1:], m)
+        chain = identity_chain([*t.frame[1:], m])
         routes = area_routes(MATH, m, side_squares(m), chain.cot_sum, math.sin(m.ang_a))
         assert routes == chain.areas
     bx, gx, gy = sample_corpus(2**14, 3).vertex_arrays()
     _, bx, by, gx, gy = geom_mod.frame(geom_mod.NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     m = geom_mod.anchored_metrics(geom_mod.NUMPY, bx, by, gx, gy)
-    chain = identity_chain(bx, by, gx, gy, m)
+    chain = identity_chain([bx, by, gx, gy, m])
     routes = area_routes(geom_mod.NUMPY, m, side_squares(m), chain.cot_sum,
                          geom_mod.NUMPY.sin(m.ang_a))
     assert list(routes) == list(chain.areas)
@@ -320,7 +320,7 @@ def test_every_triangle_the_bound_accepts_runs_without_a_guard():
         assert max(report.residuals.values()) <= BOUND_CONSTANT / 8.0 * EPS / smallest**2, t
         for phi in (0.5 * math.pi, rng.uniform(1e-3, 0.5 * math.pi)):
             similarity_check(t, construct(t, phi))
-        identity_chain(*t.frame[1:], m)
+        identity_chain([*t.frame[1:], m])
     assert judged > 3900
 
 

@@ -10,16 +10,20 @@ np.max / np.argmin / np.count_nonzero of that chain over the whole corpus,
 exactly.
 """
 
+import inspect
 import math
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from perptri.construction import construct
+import perptri.geom as geom_mod
 from perptri.geom import MATH, NUMPY, anchored_metrics, angle_cases, angle_trig, frame
 import perptri.ratio as ratio_mod
+import perptri.sampling as sampling_mod
 import perptri.sweep as sweep_mod
 from perptri.ratio import (
     CHECK_ORDER,
@@ -29,7 +33,7 @@ from perptri.ratio import (
     smallest_angle,
     within_bound,
 )
-from perptri.sampling import STRATA, concat_corpora, sample_corpus
+from perptri.sampling import STRATA, concat_corpora, corpus_rows, sample_corpus
 from perptri.sweep import CHUNK, _reduce_chunk, evaluate_corpus, run_sweep
 
 BRIDGE_ABS = 1e-13
@@ -43,7 +47,7 @@ def chain_of(corpus):
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
     m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    return identity_chain(bx, by, gx, gy, m), m
+    return identity_chain([bx, by, gx, gy, m]), m
 
 
 def bound_of(m):
@@ -213,7 +217,7 @@ def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
     # whether its chunks are slices of a held corpus or drawn by the workers.
     started = []
 
-    def reduce_chunk(chunk, start):
+    def reduce_chunk(rows_at, n, start):
         started.append(start)
         if start == 0:
             raise KeyboardInterrupt
@@ -246,39 +250,71 @@ def test_ratio_geometric_at_least_three(bridge_chain):
     assert float(bridge_chain.ratio_geometric.min()) >= 3.0 - 1e-9
 
 
-def test_chunk_peak_memory():
-    # One chunk's arrays, which each worker thread holds: identity_chain frees
-    # the derived vertices and each link's intermediates at their last use
-    # (7.7 MiB when all lived until it returned).  The first call only keeps
-    # lazy set-up out of the count.
-    corpus = sample_corpus(CHUNK, 0)
-    _reduce_chunk(corpus, 0)
+#: The most memory tracemalloc may count for one chunk, which each worker thread
+#: holds: 3.75 MiB measured (2-core Xeon, numpy 2.4), 6.3 MiB while the chunk's
+#: rows, frame and metrics lived until the chain returned.
+CHUNK_PEAK = 4.0 * 2**20
+
+
+def traced_peak(run):
+    """The most memory run() holds at once beyond what it started with, under tracemalloc.
+
+    A first call only keeps lazy set-up out of the count.
+    """
+    run()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _reduce_chunk(corpus, 0)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 2**20
+
+
+def test_chunk_peak_memory():
+    # One chunk of a held corpus: identity_chain frees the frame after the
+    # derived triangle, the metrics after the area routes and every other
+    # intermediate at its last use.
+    corpus = sample_corpus(CHUNK, 0)
+    assert traced_peak(lambda: _reduce_chunk(lambda start, stop: corpus, CHUNK, 0)) <= CHUNK_PEAK
+
+
+def drawn_chunk():
+    """A worker's chunk of the streamed sweep: its rows drawn, then reduced."""
+    rows_at = partial(corpus_rows, np.random.default_rng(0).bit_generator, 10**6)
+    return lambda: sweep_mod._reduce_chunk(rows_at, 10**6, 0)
+
+
+def test_drawn_chunk_peak_memory():
+    # _reduce_chunk draws the rows itself and frees them once the triangles
+    # are laid out, so a drawn chunk peaks no higher than a held one.
+    assert traced_peak(drawn_chunk()) <= CHUNK_PEAK
+
+
+def test_chunk_peak_does_not_rest_on_argument_stealing(monkeypatch):
+    # Python 3.10 keeps a call's arguments alive on the caller's stack until
+    # the call returns; 3.11 hands them to the callee.  With every package
+    # function wrapped in one that holds its arguments until it returns, as
+    # 3.10 does, the drawn chunk peaks no higher.
+    def held(fn):
+        def call(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (sweep_mod, ratio_mod, geom_mod, sampling_mod):
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value.__module__.startswith("perptri."):
+                monkeypatch.setattr(module, name, held(value))
+    assert traced_peak(drawn_chunk()) <= CHUNK_PEAK
 
 
 def test_streamed_sweep_never_holds_the_corpus(monkeypatch):
-    # Each worker draws its own chunk, so two workers hold about two chunks'
-    # arrays (2 x 6.2 MiB) at any n, never the corpus's 24 bytes per triangle
-    # (33 while it was drawn whole, 24 MiB and 33 MiB here).  The first call
-    # only keeps lazy set-up out of the count.
+    # Each worker draws its own chunk, so two workers hold at most two
+    # chunks' arrays at any n (12.5 MiB while the chain kept each chunk's
+    # rows, frame and metrics), never the corpus's 24 bytes per triangle (33
+    # while it was drawn whole, 24 MiB and 33 MiB here).
     monkeypatch.setattr(sweep_mod, "_usable_cpus", lambda: 2)
-    n = 64 * CHUNK
-    run_sweep(2 * CHUNK, 0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        run_sweep(n, 0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * n
+    assert traced_peak(lambda: run_sweep(64 * CHUNK, 0)) <= 2 * CHUNK_PEAK
 
 
 def test_sweep_memory_is_flat_in_n(monkeypatch):
@@ -287,18 +323,19 @@ def test_sweep_memory_is_flat_in_n(monkeypatch):
     # no higher than one of 1000 (3.3 MiB higher while every chunk's future
     # and result were held).  The first call only keeps lazy set-up out of
     # the count.
-    def reduce_at(start):
-        return [1, 0, 0], [0.0] * len(CHECK_ORDER), 1.0, start, (1.0, 1.0, 1.0), 0
+    def reduce_chunk(rows_at, n, start):
+        return [1, 0, 0], [0.0] * len(CHECK_ORDER), 1.0, start, 0
 
     def peak(n):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            sweep_mod._reduce_chunks(n, reduce_at)
+            sweep_mod._reduce_chunks(n, lambda start, stop: ((1.0,),) * 3)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
     monkeypatch.setattr(sweep_mod, "CHUNK", 1)
+    monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)
     peak(1000)
     assert peak(4000) <= peak(1000) + 2**14
