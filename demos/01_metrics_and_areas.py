@@ -4,9 +4,9 @@ The package never trusts a single formula: the shoelace value (pure
 coordinate geometry) is cross-checked against Heron's radical, the
 polynomial form of 16 E^2, the cotangent-sum formula, and the two-sides-
 and-included-angle sine formula.  `area_routes` computes all five from the
-metrics the triangle keeps, their squared sides (`side_squares`), its
-cotangent sum and sin A and returns them by name,
-in the triangle's frame; `in_units` converts each back to the input's units.
+metrics the triangle keeps, its squared sides (`side_squares`), its
+cotangent sum, sin A and s minus each side, and returns them by name, in the
+triangle's frame; `in_units` converts each back to the input's units.
 """
 
 import math
@@ -27,7 +27,9 @@ def main() -> None:
     for name, t in TRIANGLES.items():
         fm = t.frame_metrics
         m = metrics(t)
-        routes = area_routes(MATH, fm, side_squares(fm), cot_sum(MATH, fm), math.sin(fm.ang_a))
+        s = fm.s
+        routes = area_routes(MATH, fm, side_squares(*fm[:3]), cot_sum(MATH, fm),
+                             math.sin(fm.ang_a), (s - fm.alpha, s - fm.beta, s - fm.gamma))
         areas = {label: in_units(value, 2 * t.frame.exp, label) for label, value in routes.items()}
         print(f"{name}  (alpha={m.alpha:.6g}, beta={m.beta:.6g}, gamma={m.gamma:.6g})")
         for label, value in areas.items():

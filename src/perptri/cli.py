@@ -148,7 +148,9 @@ def cmd_metrics(args):
     fm = t.frame_metrics
     judged_bound(fm)
     m = metrics(t)
-    routes = area_routes(MATH, fm, side_squares(fm), cot_sum(MATH, fm), math.sin(fm.ang_a))
+    s = fm.s
+    routes = area_routes(MATH, fm, side_squares(*fm[:3]), cot_sum(MATH, fm), math.sin(fm.ang_a),
+                         (s - fm.alpha, s - fm.beta, s - fm.gamma))
     areas = {name: in_units(value, 2 * t.frame.exp, f"area ({name})")
              for name, value in routes.items()}
     return {

@@ -63,14 +63,21 @@ def frame_exponent(ops: Ops, *values):
 def frame(ops: Ops, ax, ay, bx, by, gx, gy) -> Frame:
     """The frame of the triangle A, B, Gamma: B and Gamma relative to A, scaled by 2**-exp.
 
-    The one place where A is subtracted and the scale is chosen.  Both steps
-    are exact unless a difference overflows, so a triangle and its exact
-    2**k-scaled copy have the same frame and exps that differ by k.
+    The one place where A is subtracted and the scale is chosen.  The
+    subtraction rounds: for A = (1e5, 0) and B = (0.1, 0) the frame's
+    bx * 2**exp differs from the exact B - A by 209715 / 2**55.  Only the
+    scaling is exact, so a 2**k-scaled copy of a triangle, whose differences
+    round alike, has the same frame and an exp that differs by k.  A float
+    by of 0.0, as in the sweep's canonical layout with B on the x axis, is
+    kept as it is: 0.0 * 2**-exp is 0.0, and against arrays the float
+    broadcasts to the same results as an array of zeros would give.
     """
     bx, by, gx, gy = bx - ax, by - ay, gx - ax, gy - ay
     exp = frame_exponent(ops, bx, by, gx, gy)
     ldexp = ops.ldexp
-    return Frame(exp, ldexp(bx, -exp), ldexp(by, -exp), ldexp(gx, -exp), ldexp(gy, -exp))
+    if by.__class__ is not float or by != 0.0:
+        by = ldexp(by, -exp)
+    return Frame(exp, ldexp(bx, -exp), by, ldexp(gx, -exp), ldexp(gy, -exp))
 
 
 def in_units(value: float, exp: int, name: str) -> float:

@@ -40,23 +40,28 @@ is the one thinness rule of the scalar path: where the bound reaches 1
 GeometryError before any angle is read.
 
 `identity_chain` is the one implementation of the chain, and `area_routes`
-the one body of the five area routes, which the chain and `perptri metrics`
-call.  The chain takes B and Gamma in a frame anchored at vertex A and the
-metrics measured there, so that residuals depend on a triangle's shape, not
-its position or size.  `identity_report` runs it on one triangle's stored
-frame and metrics, and `sweep._reduce_chunk` on each chunk's frame arrays
-and metrics, which it hands over in a list the chain empties, keeping only
-reductions of the per-triangle arrays.  The input's type picks the
-elementary functions: a float (a numpy float64 is one) takes `geom.MATH`,
-anything else, in practice an array, takes `geom.NUMPY`.  Neither serves
-the other's input: the chain on one triangle costs about 10 us through
-`math`, 50 us through numpy ufuncs on floats and 150 us as a numpy batch of
-one (2-core Xeon, Python 3.11, numpy 2.4), where 2**14 triangles as arrays
-take about 7 ms, three tenths of it in the six cos and sin calls of
-`geom.angle_trig`.  Only `geom.NUMPY` imports numpy, on its first access,
-so `perptri verify` and `metrics`, which work on one triangle, never load
-it.  The cotangents and the derived triangle come from `geom`, which
-`construct` shares.
+joins the two bodies of the five area routes, which the chain calls at two
+moments and `perptri metrics` at once.  The chain takes the metrics
+measured in a frame anchored at vertex A and the derived area its caller
+took from that frame, so that residuals depend on a triangle's shape, not
+its position or size.  `identity_report` takes the derived area from one
+triangle's stored frame and runs the chain on it and the stored metrics,
+and `sweep._reduce_chunk` does the same on each chunk's frame arrays before
+it measures them, so that the frame dies before the chain starts.  Both
+hand the two over in a list the chain empties.  The chain assigns each
+residual to a mapping as soon as it makes it: `identity_report`'s is a dict
+in CHECK_ORDER, and a sweep's reduces each residual and drops it, so that
+a chunk keeps only reductions of the per-triangle arrays.  The input's type
+picks the elementary functions: a float (a numpy float64 is one) takes
+`geom.MATH`, anything else, in practice an array, takes `geom.NUMPY`.
+Neither serves the other's input: the chain on one triangle costs about
+10 us through `math`, 50 us through numpy ufuncs on floats and 150 us as a
+numpy batch of one (2-core Xeon, Python 3.11, numpy 2.4), where 2**14
+triangles as arrays take about 7 ms, three tenths of it in the six cos and
+sin calls of `geom.angle_trig`.  Only `geom.NUMPY` imports numpy, on its
+first access, so `perptri verify` and `metrics`, which work on one
+triangle, never load it.  The cotangents and the derived triangle come from
+`geom`, which `construct` shares.
 """
 
 from __future__ import annotations
@@ -155,13 +160,15 @@ def _term_norm(vmax, lhs, two_w2, p2, q2, r2):
     return abs(lhs - rhs) / (1.0 + dominant), rhs
 
 
-class IdentityChain(namedtuple("IdentityChain", "areas residuals cot_sum ratio_geometric")):
-    """The chain on one triangle (floats) or many (arrays); residuals in CHECK_ORDER.
+#: Every name of CHECK_ORDER, each None: the chain fills a copy by default, in that order.
+_UNFILLED = dict.fromkeys(CHECK_ORDER)
 
-    areas holds the five area routes by name (`area_routes`): the shoelace
-    reference, Heron, the squared-side polynomial, the cotangent formula and
-    half the sine product.  cot_sum and ratio_geometric are floats or arrays,
-    as the coordinates are.
+
+class IdentityChain(namedtuple("IdentityChain", "residuals cot_sum")):
+    """The chain on one triangle (floats) or many (arrays): its residuals and cot sum.
+
+    residuals is what `identity_chain` assigned each residual to, by default
+    a dict in CHECK_ORDER; cot_sum is a float or an array, as the metrics are.
     """
 
     __slots__ = ()
@@ -172,103 +179,129 @@ def cot_sum(ops: Ops, m: TriangleMetrics):
     return angle_trig(ops, m.ang_a)[0] + angle_trig(ops, m.ang_b)[0] + angle_trig(ops, m.ang_g)[0]
 
 
-def side_squares(m: TriangleMetrics) -> tuple:
-    """(a2, b2, g2, sum_sq, pairs, quads, sixteen) of one triangle's metrics m or many.
+def side_squares(alpha, beta, gamma) -> tuple:
+    """(a2, b2, g2, sum_sq, pairs, quads, sixteen) of one triangle's sides or many.
 
     The squared sides, their sum, the sums of their pairwise products and of
     their squares, and 2 pairs - quads, the polynomial for 16 E**2: what the
     chain and `area_routes` read.  A plain tuple, as it is built on every
     `perptri verify`.
     """
-    a2, b2, g2 = m.alpha * m.alpha, m.beta * m.beta, m.gamma * m.gamma
+    a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
     pairs = a2 * b2 + b2 * g2 + g2 * a2
     quads = a2 * a2 + b2 * b2 + g2 * g2
     return a2, b2, g2, a2 + b2 + g2, pairs, quads, 2.0 * pairs - quads
 
 
-def area_routes(ops: Ops, m: TriangleMetrics, sq: tuple, csum, sin_a) -> dict:
+def _length_routes(ops: Ops, s, fa, fb, fg, beta, gamma, sin_a) -> tuple:
+    """(Heron's radical, half the sine product): the two area routes that need no side square.
+
+    fa, fb and fg are s - alpha, s - beta and s - gamma, and Heron
+    multiplies s (s - alpha)(s - beta)(s - gamma) in that order.
+    """
+    return ops.sqrt(s * fa * fb * fg), 0.5 * beta * gamma * sin_a
+
+
+def _square_routes(ops: Ops, sq: tuple, csum) -> tuple:
+    """(the squared-side polynomial's area, the cotangent formula's) of `side_squares` sq.
+
+    The polynomial for 16 E**2 is read as 0 where it rounds below 0.
+    """
+    _, _, _, sum_sq, _, _, sixteen = sq
+    return ops.sqrt(ops.max(sixteen, 0.0)) / 4.0, sum_sq / (4.0 * csum)
+
+
+def area_routes(ops: Ops, m: TriangleMetrics, sq: tuple, csum, sin_a, fs: tuple) -> dict:
     """The five area routes of frame metrics m by name, for one triangle's floats or arrays.
 
     The shoelace reference (m.area), Heron's radical, the squared-side
-    polynomial for 16 E**2 (read as 0 where it rounds below 0), the
-    cotangent formula for the cot sum csum (`cot_sum`) and half the sine
-    product for sin A (`geom.angle_trig`).  sq is `side_squares(m)` and ops
-    is `geom.MATH` for floats, `geom.NUMPY` for arrays.  The chain passes the
-    squares, cot sum and sine it holds, so a sweep's chunk computes each once.
+    polynomial for 16 E**2, the cotangent formula for the cot sum csum
+    (`cot_sum`) and half the sine product for sin A (`geom.angle_trig`).
+    sq is `side_squares` of m's sides, fs is (s - alpha, s - beta,
+    s - gamma) and ops is `geom.MATH` for floats, `geom.NUMPY` for arrays.
+    The routes' bodies are `_length_routes` and `_square_routes`, which the
+    chain calls at two moments: the first before it builds the side
+    squares, so that s - x, sin A and the sides are freed first.
     """
-    alpha, beta, gamma, s = m.alpha, m.beta, m.gamma, m.s
-    _, _, _, sum_sq, _, _, sixteen = sq
-    return {
-        "shoelace": m.area,
-        "heron": ops.sqrt(s * (s - alpha) * (s - beta) * (s - gamma)),
-        "sixteen_sq_poly": ops.sqrt(ops.max(sixteen, 0.0)) / 4.0,
-        "cot_formula": sum_sq / (4.0 * csum),
-        "sine_formula": 0.5 * beta * gamma * sin_a,
-    }
+    heron, sine = _length_routes(ops, m.s, *fs, m.beta, m.gamma, sin_a)
+    poly, cot = _square_routes(ops, sq, csum)
+    return {"shoelace": m.area, "heron": heron, "sixteen_sq_poly": poly,
+            "cot_formula": cot, "sine_formula": sine}
 
 
-def identity_chain(inputs: list) -> IdentityChain:
-    """The identity chain at phi = pi/2 for B and Gamma in a frame (`geom.frame`).
+def identity_chain(inputs: list, residuals=None) -> IdentityChain:
+    """The identity chain at phi = pi/2 of a triangle's frame metrics and derived area.
 
-    inputs is the list [bx, by, gx, gy, m]: four coordinates, floats or
-    arrays, and m their `geom.anchored_metrics` (`Triangle.frame_metrics`).
-    The chain takes them out and empties the list, so that a caller that
-    keeps no other reference to them hands them over: each array then dies
-    at its last use here, and a sweep's chunk never holds the frame, the
-    metrics and the chain's intermediates at once.  Passed as arguments
-    they could not be freed before the call returns, since Python 3.10
-    keeps a call's arguments on the caller's stack until then.  Every
-    result is in the frame's units.  It divides by sines and by each s - x,
-    so it needs a triangle `judged_bound` accepts: a thinner one's floats
-    may divide by zero, and its arrays carry inf or NaN.
+    inputs is the list [area_derived, m]: the area the caller took from the
+    triangle's frame (`geom.derived_triangle` at (cos phi, sin phi) =
+    (0, 1)) before measuring it, and m, the frame's `geom.anchored_metrics`
+    (`Triangle.frame_metrics`), floats or arrays.  The chain takes them out
+    and empties the list, so that a caller that keeps no other reference to
+    them hands them over: each array then dies at its last use here.  Passed
+    as arguments they could not be freed before the call returns, since
+    Python 3.10 keeps a call's arguments on the caller's stack until then.
+
+    Each residual is assigned to residuals[name] as soon as it is made, and
+    the chain keeps no reference to it.  By default residuals is a dict
+    keyed in CHECK_ORDER, so it lists them in that order whatever order they
+    are made in; a sweep's chunk passes an object that reduces each one as
+    it is assigned (`sweep._reduce_chunk`), so that it holds one residual at
+    a time.  The chain finishes the half-angle link, one angle at a time,
+    and the area-route residuals before it builds the side squares, which
+    the other links read.  Every result is in the frame's units.  It divides
+    by sines and by each s - x, so it needs a triangle `judged_bound`
+    accepts: a thinner one's floats may divide by zero, and its arrays carry
+    inf or NaN.
     """
-    bx, by, gx, gy, m = inputs
+    area_derived, m = inputs
     inputs.clear()
-    ops = MATH if isinstance(bx, float) else geom.NUMPY
+    if residuals is None:
+        residuals = _UNFILLED.copy()
+    alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = m
+    del m
+    ops = MATH if isinstance(area, float) else geom.NUMPY
     sqrt, vmax, vmin = ops.sqrt, ops.max, ops.min
-    area = m.area
 
-    # The geometric route first, so that the frame is freed before the
-    # formula route builds its arrays; keeping only the area frees the
-    # derived vertices.
-    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
-    del bx, by, gx, gy
-    ratio_geometric = area_derived / area
-
-    cot_a, half_cot_a, sin_a = angle_trig(ops, m.ang_a)
-    cot_b, half_cot_b = angle_trig(ops, m.ang_b)[:2]
-    cot_g, half_cot_g = angle_trig(ops, m.ang_g)[:2]
+    # Each half-angle cotangent is compared with its side route as soon as
+    # it is made, and each angle dies once its trigonometry is taken.
+    fa, fb, fg = s - alpha, s - beta, s - gamma
+    cot_a, half_cot, sin_a = angle_trig(ops, ang_a)
+    del ang_a
+    half_a = _norm(sqrt(s * fa / (fb * fg)), half_cot)
+    cot_b, half_cot = angle_trig(ops, ang_b)[:2]
+    del ang_b
+    half_b = _norm(sqrt(s * fb / (fa * fg)), half_cot)
+    cot_g, half_cot = angle_trig(ops, ang_g)[:2]
+    del ang_g
+    residuals["half_angle_cots"] = vmax(half_a, half_b, _norm(sqrt(s * fg / (fa * fb)), half_cot))
+    del half_a, half_b, half_cot
     csum = cot_a + cot_b + cot_g
+    ratio_formula = csum * csum
+    residuals["area_ratio"] = abs(area_derived / area - ratio_formula) / (1.0 + ratio_formula)
+    del ratio_formula
 
-    # half_angle_cots is taken before the side squares, so that a chunk of
-    # the sweep frees the half-angle cotangents and s - x before the other
-    # links build theirs.
-    s = m.s
-    fa, fb, fg = s - m.alpha, s - m.beta, s - m.gamma
-    half_angle_cots = vmax(
-        _norm(sqrt(s * fa / (fb * fg)), half_cot_a),
-        _norm(sqrt(s * fb / (fa * fg)), half_cot_b),
-        _norm(sqrt(s * fg / (fa * fb)), half_cot_g),
-    )
-    del half_cot_a, half_cot_b, half_cot_g, fa, fb, fg, s
-
-    sq = side_squares(m)
+    heron, sine = _length_routes(ops, s, fa, fb, fg, beta, gamma, sin_a)
+    del s, fa, fb, fg, sin_a
+    sq = side_squares(alpha, beta, gamma)
+    del alpha, beta, gamma
+    poly, cot = _square_routes(ops, sq, csum)
     a2, b2, g2, sum_sq, pairs, quads, sixteen = sq
-    areas = area_routes(ops, m, sq, csum, sin_a)
-    # The metrics' last use: the sides, s and the angles die with m.
-    del m, sq, sin_a
+    del sq
+    residuals["area_from_cots"] = _norm(cot, area)
+    # The routes in area_routes' order.
+    largest = vmax(area, heron, poly, cot, sine)
+    residuals["area_agreement"] = (largest - vmin(area, heron, poly, cot, sine)) / largest
+    del heron, poly, cot, sine, largest
 
-    # Residuals in CHECK_ORDER.  Each intermediate is deleted at its last
-    # use, so that a chunk of the sweep never holds them all at once.
+    # The links of the side squares.  Each intermediate is deleted at its
+    # last use, so that a chunk of the sweep never holds them all at once.
     cot_side_sum = g2 * cot_a + b2 * cot_g + a2 * cot_b
     eight_area, sixteen_area_sq, sum_sq_sq = 8.0 * area, 16.0 * area * area, sum_sq * sum_sq
     del sum_sq
-    residuals = {
-        "area_increment": _norm(area_derived, area + 0.5 * cot_side_sum),
-        "sixteen_area_sq": _norm(sixteen, sixteen_area_sq),
-    }
+    residuals["area_increment"] = _norm(area_derived, area + 0.5 * cot_side_sum)
+    residuals["sixteen_area_sq"] = _norm(sixteen, sixteen_area_sq)
     quadratic_lhs = sixteen_area_sq + eight_area * cot_side_sum - sum_sq_sq
-    del area_derived, cot_side_sum, sixteen_area_sq
+    del area_derived, area, cot_side_sum, sixteen_area_sq
     # Each cot term's right side joins the chain's sum, and is deleted, as
     # soon as it is made, so that one of them is held at a time.
     residuals["cot_term_a"], term_rhs = _term_norm(vmax, eight_area * g2 * cot_a, 2.0 * g2,
@@ -289,21 +322,7 @@ def identity_chain(inputs: list) -> IdentityChain:
     residuals["chain_sum"] = abs(quadratic_lhs - chain_rhs) / sum_sq_sq
     del chain_rhs
     residuals["area_quadratic"] = abs(quadratic_lhs) / sum_sq_sq
-    del quadratic_lhs, sum_sq_sq
-    residuals["half_angle_cots"] = half_angle_cots
-    residuals["area_from_cots"] = _norm(areas["cot_formula"], area)
-    ratio_formula = csum * csum
-    residuals["area_ratio"] = abs(ratio_geometric - ratio_formula) / (1.0 + ratio_formula)
-    del ratio_formula
-    largest_area = vmax(*areas.values())
-    residuals["area_agreement"] = (largest_area - vmin(*areas.values())) / largest_area
-
-    return IdentityChain(
-        areas=areas,
-        residuals=residuals,
-        cot_sum=csum,
-        ratio_geometric=ratio_geometric,
-    )
+    return IdentityChain(residuals, csum)
 
 
 class VerifyReport(namedtuple("VerifyReport", "case smallest_angle bound residuals within")):
@@ -351,7 +370,8 @@ def identity_report(t: Triangle) -> VerifyReport:
     """Every identity residual of t, judged against its bound (`judged_bound`, first)."""
     m = t.frame_metrics
     theta, bound = judged_bound(m)
-    residuals = identity_chain([*t.frame[1:], m]).residuals
+    area_derived = derived_triangle(*t.frame[1:], 0.0, 1.0)[1]
+    residuals = identity_chain([area_derived, m]).residuals
     return VerifyReport(
         case=classify_angle(m.ang_a),
         smallest_angle=theta,

@@ -17,13 +17,15 @@ exactly.  About 10 ms per chunk on each of two cores (2-core Xeon, numpy 2.4),
 seeded corpus (`sampling.corpus_rows`), and at most two chunks per worker are
 in flight, so neither the corpus nor a list of every chunk's result is held.
 Each array of a chunk dies at its last use, in `_reduce_chunk`,
-`identity_chain` and `geom.derived_triangle`, so a sweep needs under 4 MiB
-of chunk arrays per thread whatever its size and stratum: on two cores
-`perptri sweep` peaks at 43.1 to 43.5 MiB in every stratum at n = 10**6 and
-10**7, 34.8 of them the interpreter, numpy and the package (its peak at
-n = 0).  `evaluate_corpus` runs the same reducer over the slices of a held
-corpus.  The per-triangle arrays a chunk produces are not kept;
-`identity_chain` gives them for any corpus.
+`identity_chain` and `geom.derived_triangle`: the derived area is taken
+before the metrics are measured, and each residual is reduced as soon as
+the chain makes it, so a sweep needs under 3 MiB of chunk arrays per thread
+whatever its size and stratum: on two cores `perptri sweep` peaks at 41.2
+to 41.4 MiB in every stratum at n = 10**6 and 10**7, 34.8 of them the
+interpreter, numpy and the package (its peak at n = 0).  `evaluate_corpus`
+runs the same reducer over the slices of a held corpus.  The per-triangle
+arrays a chunk produces are not kept; `identity_chain` gives them for any
+corpus.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .geom import NUMPY, AngleCase, anchored_metrics, angle_cases, frame
+from .geom import NUMPY, AngleCase, anchored_metrics, angle_cases, derived_triangle, frame
 from .ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
 from .sampling import TriangleCorpus, corpus_rows
 
 #: Triangles per chunk.  Timed at n = 10**6 on two cores, 2**12 and 2**13 pay
 #: per-call overhead and 2**15 and up run slower again; a chunk's arrays peak
-#: near 3.8 MiB (about 0.23 KiB per triangle).
+#: near 2.75 MiB (about 0.17 KiB per triangle).
 CHUNK = 2**14
 
 
@@ -87,37 +89,60 @@ class SweepResult:
         return self.n
 
 
+class _ChunkMaxima:
+    """Where `identity_chain` assigns a chunk's residuals: each is reduced as it is made.
+
+    maxima[name] is the residual's np.max and worst the elementwise
+    np.maximum of every residual assigned so far.  Both propagate a NaN, so
+    a triangle has a residual over the bound exactly when its worst is over
+    it.  No residual is kept, so a chunk holds one at a time.
+    """
+
+    __slots__ = ("maxima", "worst")
+
+    def __init__(self) -> None:
+        self.maxima = {}
+        self.worst = None
+
+    def __setitem__(self, name: str, residual) -> None:
+        self.maxima[name] = float(np.max(residual))
+        if self.worst is None:
+            self.worst = residual.copy()
+        else:
+            np.maximum(self.worst, residual, out=self.worst)
+
+
 def _reduce_chunk(rows_at, n: int, start: int):
     """Evaluate the chunk of an n-triangle corpus from start on, and keep only its reductions.
 
     rows_at(start, stop) gives the corpus's rows [start, stop) as a
-    `TriangleCorpus`.  The rows are got here and die once laid out, and the
-    frame and metrics go on to `identity_chain` in a list it empties, so
-    that each array of the chunk dies at its last use whatever the Python
-    version (3.10 keeps a call's arguments alive until it returns).  Workers
-    return a fresh tuple (case counts, max residuals, min cot sum, its
-    corpus index, the count of triangles over the bound); they share no
+    `TriangleCorpus`.  The rows are got here and die once laid out.  The
+    derived area is taken from the frame before the metrics are measured,
+    so that the frame dies before the chain starts, and the derived area and
+    metrics go on to `identity_chain` in a list it empties, so that each
+    array of the chunk dies at its last use whatever the Python version
+    (3.10 keeps a call's arguments alive until it returns).  The chain
+    assigns each residual to a `_ChunkMaxima` as soon as it is made.
+    Workers return a fresh tuple (case counts, max residuals, min cot sum,
+    its corpus index, the count of triangles over the bound); they share no
     mutable state, so no lock is needed.  In the canonical layout A is the
-    origin and B lies on the x axis.
+    origin and B lies on the x axis: by stays the float 0.0 (`geom.frame`).
     """
     bx, gx, gy = rows_at(start, min(start + CHUNK, n)).vertex_arrays()
-    inputs = list(frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)[1:])
-    del bx, gx, gy
-    m = anchored_metrics(NUMPY, *inputs)
+    bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)[1:]
+    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
+    m = anchored_metrics(NUMPY, bx, by, gx, gy)
+    del bx, by, gx, gy
     counts = [int(np.count_nonzero(mask)) for mask in angle_cases(m.ang_a)]
     bound = residual_bound(smallest_angle(NUMPY, m))
-    inputs.append(m)
-    del m
-    chain = identity_chain(inputs)
-    residuals, cot_sum = chain.residuals, chain.cot_sum
-    del chain
-    maxima = [float(np.max(residuals[key])) for key in CHECK_ORDER]
+    inputs = [area_derived, m]
+    del area_derived, m
+    reduction = _ChunkMaxima()
+    cot_sum = identity_chain(inputs, reduction).cot_sum
     argmin = int(np.argmin(cot_sum))
-    # Any residual is over the bound exactly when their NaN-propagating
-    # maximum is.
-    worst = NUMPY.max(*(residuals[key] for key in CHECK_ORDER))
-    del residuals
+    worst = reduction.worst
     over = worst.size - int(np.count_nonzero(within_bound(worst, bound)))
+    maxima = [reduction.maxima[key] for key in CHECK_ORDER]
     return counts, maxima, float(cot_sum[argmin]), start + argmin, over
 
 
@@ -167,7 +192,7 @@ def _reduce_chunks(n: int, rows_at) -> SweepResult:
     # For glibc's sake, one 4 MiB block, mapped since it is above the mmap
     # threshold, is freed before the pool starts, never touched, so it adds
     # no RSS: glibc then raises its mmap threshold to the block and its trim
-    # threshold to twice it, above a worker's ~4 MiB of chunk arrays.
+    # threshold to twice it, above a worker's ~3 MiB of chunk arrays.
     # Without it a streamed sweep frees no corpus-sized block, and each
     # worker's arena hands its chunk arrays back after every chunk and faults
     # them in again on the next: `perptri sweep` took 105k minor faults

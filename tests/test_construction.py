@@ -20,7 +20,7 @@ from perptri.geom import (
     derived_triangle,
     metrics,
 )
-from perptri.ratio import identity_chain, identity_report
+from perptri.ratio import identity_report
 from perptri.sampling import triangle_from_angles
 
 SQRT3 = math.sqrt(3.0)
@@ -88,7 +88,7 @@ def test_construct_at_phi_90_builds_the_exact_perpendiculars(t345):
         d = construct(t)
         frame = t.frame[1:]
         assert d.frame_area_derived == derived_triangle(*frame, 0.0, 1.0)[1]
-        assert d.ratio_geometric == identity_chain([*frame, t.frame_metrics]).ratio_geometric
+        assert d.ratio_geometric == d.frame_area_derived / t.frame_metrics.area
 
 
 def test_acute_case_equilateral(equilateral):

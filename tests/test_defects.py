@@ -3,7 +3,8 @@
 Each defect changes one input of `ratio.identity_chain` by a relative
 DELTA = 1e-6: a field of the `TriangleMetrics` it reads (made wrong where
 `geom.anchored_metrics` measures, for `Triangle` and for the sweep alike),
-the cotangents `ratio.angle_trig` returns, or `ratio.derived_triangle`.
+the cotangents `ratio.angle_trig` returns, or the derived area its callers
+take from `geom.derived_triangle` (`identity_report` and the sweep).
 A residual catches a defect when it is over the bound on more than half of
 `sample_corpus(20000, 5)`; on this corpus every residual is over it on at
 least 98 % of the triangles or on none.  Each defect must also be seen end
@@ -67,9 +68,10 @@ def wrong_cot(monkeypatch):
 def tilted_lines(monkeypatch):
     """The derived triangle's lines turned by pi/2 + DELTA rad, not pi/2."""
     cos_phi, sin_phi = math.cos(HALF_PI + DELTA), math.sin(HALF_PI + DELTA)
-    monkeypatch.setattr(ratio_mod, "derived_triangle",
-                        lambda bx, by, gx, gy, _cos, _sin:
-                        DERIVED(bx, by, gx, gy, cos_phi, sin_phi))
+    for module in (ratio_mod, sweep_mod):
+        monkeypatch.setattr(module, "derived_triangle",
+                            lambda bx, by, gx, gy, _cos, _sin:
+                            DERIVED(bx, by, gx, gy, cos_phi, sin_phi))
 
 
 def all_but(*names):
@@ -110,8 +112,9 @@ def over_bound_shares(corpus) -> dict:
     """The share of the corpus over the bound, per residual, as the sweep measures it."""
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
+    area_derived = sweep_mod.derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
     m = geom_mod.anchored_metrics(NUMPY, bx, by, gx, gy)
-    residuals = identity_chain([bx, by, gx, gy, m]).residuals
+    residuals = identity_chain([area_derived, m]).residuals
     bound = residual_bound(smallest_angle(NUMPY, m))
     return {name: float(np.mean(~within_bound(residuals[name], bound))) for name in CHECK_ORDER}
 

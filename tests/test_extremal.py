@@ -23,7 +23,7 @@ from perptri.extremal import (
     slice_argmin,
     slice_min_value,
 )
-from perptri.geom import MATH, NUMPY, anchored_metrics, angle_trig, frame
+from perptri.geom import MATH, NUMPY, anchored_metrics, angle_trig, derived_triangle, frame
 from perptri.ratio import identity_chain
 from perptri.sampling import sample_corpus
 from perptri.sweep import evaluate_corpus
@@ -273,8 +273,9 @@ def test_cot_sum_bound_over_corpus():
     assert evaluate_corpus(corpus).min_cot_sum >= SQRT3 - 1e-12
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
+    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
     m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    near = identity_chain([bx, by, gx, gy, m]).cot_sum < SQRT3 + 1e-3
+    near = identity_chain([area_derived, m]).cot_sum < SQRT3 + 1e-3
     if near.any():
         ang_b = corpus.ang_b[near]
         ang_g = corpus.ang_g[near]

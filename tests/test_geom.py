@@ -399,5 +399,6 @@ def test_heron_matches_shoelace(ang_b, ang_g, s):
     if ang_b + ang_g > math.pi - 0.2:
         return
     m = _triangle(ang_b, ang_g, s).frame_metrics
-    areas = area_routes(MATH, m, side_squares(m), cot_sum(MATH, m), math.sin(m.ang_a))
+    areas = area_routes(MATH, m, side_squares(*m[:3]), cot_sum(MATH, m), math.sin(m.ang_a),
+                        (m.s - m.alpha, m.s - m.beta, m.s - m.gamma))
     assert areas["heron"] == pytest.approx(areas["shoelace"], rel=1e-10)

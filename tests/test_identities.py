@@ -1,8 +1,8 @@
 """Area routes, the cotangent, and the angle-form cross-checks.
 
-The routes live in `ratio.area_routes`, which `ratio.identity_chain` and
-`perptri metrics` call, and the cotangents in `geom.angle_trig`; every other
-module shares them.
+The routes live in `ratio.area_routes`, which `perptri metrics` calls and
+whose two bodies `ratio.identity_chain` calls, and the cotangents in
+`geom.angle_trig`; every other module shares them.
 """
 
 import math
@@ -21,6 +21,7 @@ from perptri.geom import (
     Triangle,
     anchored_metrics,
     angle_trig,
+    derived_triangle,
     frame,
     in_units,
     metrics,
@@ -39,15 +40,19 @@ SQRT3 = math.sqrt(3.0)
 
 
 def chain(t: Triangle):
-    return identity_chain([*t.frame[1:], t.frame_metrics])
+    return identity_chain([derived_triangle(*t.frame[1:], 0.0, 1.0)[1], t.frame_metrics])
+
+
+def routes_of(ops, m) -> dict:
+    """The five area routes of frame metrics m, floats (ops = MATH) or arrays (NUMPY)."""
+    return area_routes(ops, m, side_squares(*m[:3]), cot_sum(ops, m), ops.sin(m.ang_a),
+                       (m.s - m.alpha, m.s - m.beta, m.s - m.gamma))
 
 
 def areas(t: Triangle) -> dict:
     """The five area routes of t, in the input's units."""
-    m = t.frame_metrics
     return {name: in_units(value, 2 * t.frame.exp, name)
-            for name, value in area_routes(MATH, m, side_squares(m), cot_sum(MATH, m),
-                                           math.sin(m.ang_a)).items()}
+            for name, value in routes_of(MATH, t.frame_metrics).items()}
 
 
 class TestCot:
@@ -151,8 +156,7 @@ def test_sixteen_area_route_clamps_negative_rounding():
     x = np.linspace(0.01, 0.99, 2000)
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, 1.0, 0.0, x, 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        needles = identity_chain([bx, by, gx, gy, anchored_metrics(NUMPY, bx, by, gx, gy)])
-    poly = needles.areas["sixteen_sq_poly"]
+        poly = routes_of(NUMPY, anchored_metrics(NUMPY, bx, by, gx, gy))["sixteen_sq_poly"]
     assert not np.isnan(poly).any()
     assert (poly == 0.0).any()
 

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,24 +38,67 @@ def residuals(t):
     return identity_report(t).residuals
 
 
-def test_area_routes_are_the_chains_areas_bit_for_bit(t345, equilateral, obtuse_iso):
-    # One body of the five routes: the chain's areas are area_routes of its
-    # metrics, their squares, its cot sum and sin A, on floats and on a
-    # sampled chunk of arrays.
+def test_chain_reads_the_routes_of_area_routes_bit_for_bit(t345, equilateral, obtuse_iso,
+                                                          monkeypatch):
+    # One body of the five routes: the routes the chain makes are area_routes
+    # of its metrics, their squares, its cot sum, sin A and s - x, and its
+    # area residuals are taken from them and from the derived area, on floats
+    # and on a sampled chunk of arrays.
+    made = []
+
+    def recorded(real):
+        def call(*args):
+            made.append(real(*args))
+            return made[-1]
+        return call
+
+    for name in ("_length_routes", "_square_routes"):
+        monkeypatch.setattr(ratio_mod, name, recorded(getattr(ratio_mod, name)))
+
+    def check(ops, bx, by, gx, gy, m):
+        made.clear()
+        area_derived = geom_mod.derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
+        chain = identity_chain([area_derived, m])
+        (heron, sine), (poly, cot) = made
+        routes = area_routes(ops, m, side_squares(*m[:3]), chain.cot_sum, ops.sin(m.ang_a),
+                             (m.s - m.alpha, m.s - m.beta, m.s - m.gamma))
+        assert list(routes) == ["shoelace", "heron", "sixteen_sq_poly", "cot_formula",
+                                "sine_formula"]
+        largest = ops.max(*routes.values())
+        ratio_formula = chain.cot_sum * chain.cot_sum
+        expected = {
+            "heron": heron, "sixteen_sq_poly": poly, "cot_formula": cot, "sine_formula": sine,
+            "area_from_cots": abs(routes["cot_formula"] - m.area) / (1.0 + abs(m.area)),
+            "area_agreement": (largest - ops.min(*routes.values())) / largest,
+            "area_ratio": abs(area_derived / m.area - ratio_formula) / (1.0 + ratio_formula),
+        }
+        got = {**routes, **chain.residuals}
+        for name, value in expected.items():
+            assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+
     for t in (t345, equilateral, obtuse_iso):
-        m = t.frame_metrics
-        chain = identity_chain([*t.frame[1:], m])
-        routes = area_routes(MATH, m, side_squares(m), chain.cot_sum, math.sin(m.ang_a))
-        assert routes == chain.areas
+        check(MATH, *t.frame[1:], t.frame_metrics)
+    ops = geom_mod.NUMPY
     bx, gx, gy = sample_corpus(2**14, 3).vertex_arrays()
-    _, bx, by, gx, gy = geom_mod.frame(geom_mod.NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    m = geom_mod.anchored_metrics(geom_mod.NUMPY, bx, by, gx, gy)
-    chain = identity_chain([bx, by, gx, gy, m])
-    routes = area_routes(geom_mod.NUMPY, m, side_squares(m), chain.cot_sum,
-                         geom_mod.NUMPY.sin(m.ang_a))
-    assert list(routes) == list(chain.areas)
-    for name, value in routes.items():
-        assert value.tobytes() == chain.areas[name].tobytes(), name
+    _, bx, by, gx, gy = geom_mod.frame(ops, 0.0, 0.0, bx, 0.0, gx, gy)
+    check(ops, bx, by, gx, gy, geom_mod.anchored_metrics(ops, bx, by, gx, gy))
+
+
+def test_chain_assigns_each_residual_once_and_reports_list_them_in_check_order(t345):
+    # The chain assigns every name of CHECK_ORDER exactly once, in the order
+    # it makes them; identity_report lists them in CHECK_ORDER.
+    class Recorder:
+        def __init__(self):
+            self.names = []
+
+        def __setitem__(self, name, value):
+            self.names.append(name)
+
+    recorder = Recorder()
+    area_derived = geom_mod.derived_triangle(*t345.frame[1:], 0.0, 1.0)[1]
+    assert identity_chain([area_derived, t345.frame_metrics], recorder).residuals is recorder
+    assert sorted(recorder.names) == sorted(CHECK_ORDER)
+    assert list(identity_report(t345).residuals) == list(CHECK_ORDER)
 
 
 def test_bound_constant_is_a_power_of_two():
@@ -320,7 +364,6 @@ def test_every_triangle_the_bound_accepts_runs_without_a_guard():
         assert max(report.residuals.values()) <= BOUND_CONSTANT / 8.0 * EPS / smallest**2, t
         for phi in (0.5 * math.pi, rng.uniform(1e-3, 0.5 * math.pi)):
             similarity_check(t, construct(t, phi))
-        identity_chain([*t.frame[1:], m])
     assert judged > 3900
 
 

@@ -2,12 +2,12 @@
 
 `identity_chain` on a corpus's arrays and `identity_report` run the same
 kernel, on arrays and on one triangle's floats; the bridge tests below pin
-the two entries together, and hold the per-triangle cot sum and ratio against
-the independent routes (the cot sum of the corpus's sampled angles,
-`construction.construct`).  The chunked, threaded sweeps -- `evaluate_corpus`
-on a held corpus and the streamed `run_sweep` -- are in turn pinned to
-np.max / np.argmin / np.count_nonzero of that chain over the whole corpus,
-exactly.
+the two entries together, and hold the per-triangle cot sum and the derived
+area the sweep takes against the independent routes (the cot sum of the
+corpus's sampled angles, `construction.construct`).  The chunked, threaded
+sweeps -- `evaluate_corpus` on a held corpus and the streamed `run_sweep` --
+are in turn pinned to np.max / np.argmin / np.count_nonzero of that chain
+over the whole corpus, exactly.
 """
 
 import inspect
@@ -21,7 +21,15 @@ import pytest
 
 from perptri.construction import construct
 import perptri.geom as geom_mod
-from perptri.geom import MATH, NUMPY, anchored_metrics, angle_cases, angle_trig, frame
+from perptri.geom import (
+    MATH,
+    NUMPY,
+    anchored_metrics,
+    angle_cases,
+    angle_trig,
+    derived_triangle,
+    frame,
+)
 import perptri.ratio as ratio_mod
 import perptri.sampling as sampling_mod
 import perptri.sweep as sweep_mod
@@ -39,15 +47,20 @@ from perptri.sweep import CHUNK, _reduce_chunk, evaluate_corpus, run_sweep
 BRIDGE_ABS = 1e-13
 
 
-def chain_of(corpus):
-    """identity_chain over a whole corpus at once, and the metrics it reads.
+def derived_and_metrics(corpus):
+    """The derived area and the metrics of a whole corpus, in the frame the sweep uses.
 
-    Both in the frame the sweep uses, measured as the sweep measures them.
+    Both taken as the sweep takes them.
     """
     bx, gx, gy = corpus.vertex_arrays()
     _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    return identity_chain([bx, by, gx, gy, m]), m
+    return derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1], anchored_metrics(NUMPY, bx, by, gx, gy)
+
+
+def chain_of(corpus):
+    """identity_chain over a whole corpus at once, and the metrics it reads."""
+    area_derived, m = derived_and_metrics(corpus)
+    return identity_chain([area_derived, m]), m
 
 
 def bound_of(m):
@@ -88,14 +101,14 @@ def test_bridge_residuals_match_scalar(bridge_corpus, bridge_chain):
 
 
 def test_bridge_values_match_scalar(bridge_corpus, bridge_chain):
+    area_derived, m = derived_and_metrics(bridge_corpus)
+    ratio_geometric = area_derived / m.area
     for i in range(len(bridge_corpus)):
         d = construct(bridge_corpus.triangle(i))
         ang_b, ang_g = float(bridge_corpus.ang_b[i]), float(bridge_corpus.ang_g[i])
         total = sum(angle_trig(MATH, x)[0] for x in (math.pi - ang_b - ang_g, ang_b, ang_g))
         assert float(bridge_chain.cot_sum[i]) == pytest.approx(total, rel=1e-12)
-        assert float(bridge_chain.ratio_geometric[i]) == pytest.approx(
-            d.ratio_geometric, rel=1e-12
-        )
+        assert float(ratio_geometric[i]) == pytest.approx(d.ratio_geometric, rel=1e-12)
 
 
 def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_chain, bridge_result):
@@ -244,16 +257,16 @@ def test_empty_sweep():
     assert all(math.isnan(value) for value in result.max_residuals.values())
 
 
-def test_ratio_geometric_at_least_three(bridge_chain):
-    # E'/E = (cot sum)^2 >= 3 everywhere; the kernel's geometric route must
-    # land above the bound up to roundoff.
-    assert float(bridge_chain.ratio_geometric.min()) >= 3.0 - 1e-9
+def test_ratio_geometric_at_least_three(bridge_corpus):
+    # E'/E = (cot sum)^2 >= 3 everywhere; the geometric route the sweep takes
+    # must land above the bound up to roundoff.
+    area_derived, m = derived_and_metrics(bridge_corpus)
+    assert float((area_derived / m.area).min()) >= 3.0 - 1e-9
 
 
 #: The most memory tracemalloc may count for one chunk, which each worker thread
-#: holds: 3.75 MiB measured (2-core Xeon, numpy 2.4), 6.3 MiB while the chunk's
-#: rows, frame and metrics lived until the chain returned.
-CHUNK_PEAK = 4.0 * 2**20
+#: holds: 2.75 MiB measured (2-core Xeon, numpy 2.4), and a quarter MiB more.
+CHUNK_PEAK = 3.0 * 2**20
 
 
 def traced_peak(run):
@@ -272,9 +285,9 @@ def traced_peak(run):
 
 
 def test_chunk_peak_memory():
-    # One chunk of a held corpus: identity_chain frees the frame after the
-    # derived triangle, the metrics after the area routes and every other
-    # intermediate at its last use.
+    # One chunk of a held corpus: the frame dies once the derived area and
+    # the metrics are taken, each residual once reduced, and every other
+    # intermediate of identity_chain at its last use.
     corpus = sample_corpus(CHUNK, 0)
     assert traced_peak(lambda: _reduce_chunk(lambda start, stop: corpus, CHUNK, 0)) <= CHUNK_PEAK
 

@@ -29,7 +29,8 @@ script imports.  Every run must give the same results and bytes as the first;
 otherwise the script names the differing paths (such as slices/3/numeric_min
 or cli/minimize --json) and exits 1 after writing its report.  The report
 holds every run, the minimum, median and quartiles of each measure per tree,
-the machine, and each tree's git HEAD.
+the machine, and each tree's identity (git HEAD, whether its src/ differs
+from HEAD, and a SHA-256 of its src/).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from bench_sweep_memory import (
     run_child,
     source_trees,
     spread,
-    tree_head,
+    tree_identity,
 )
 
 #: Passes per run, as many as perfbench makes per round.
@@ -162,12 +163,12 @@ def main(argv: list[str] | None = None) -> int:
         "passes_per_run": PASSES,
         "runs_per_tree": args.runs,
         "machine": machine(),
-        "git_head": tree_head(ROOT),
+        **tree_identity(ROOT),
         "identical_output": identical,
         "differing_paths": differing,
         "trees": [{
             "tree": tree.name,
-            "git_head": tree_head(tree),
+            **tree_identity(tree),
             "summary": {key: spread([run[key] for run in runs[tree]]) for key in runs[tree][0]},
             "runs": runs[tree],
         } for tree in trees],

@@ -24,7 +24,8 @@ bench_sweep_memory.py, whose helpers this script imports.  Every verify must
 print the same bytes and exit with the same code as the first; otherwise the
 script names the differing JSON paths and exits 1 after writing its report.
 The report holds every run, the minimum, median and quartiles of each measure
-per tree and mode, the machine, and each tree's git HEAD.  Linux only (wait4).
+per tree and mode, the machine, and each tree's identity (git HEAD, whether
+its src/ differs from HEAD, and a SHA-256 of its src/).  Linux only (wait4).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from bench_sweep_memory import (
     run_child,
     source_trees,
     spread,
-    tree_head,
+    tree_identity,
 )
 
 SPEC = {"vertices": {"A": [0, 0], "B": [4, 0], "Gamma": [0, 3]}}
@@ -128,12 +129,12 @@ def main(argv: list[str] | None = None) -> int:
         "spec": SPEC,
         "runs_per_tree": args.runs,
         "machine": machine(),
-        "git_head": tree_head(ROOT),
+        **tree_identity(ROOT),
         "identical_output": identical,
         "differing_paths": differing,
         "trees": [{
             "tree": tree.name,
-            "git_head": tree_head(tree),
+            **tree_identity(tree),
             "summary": {mode: {key: spread([run[key] for run in runs[tree][mode]])
                                for key in runs[tree][mode][0]} for mode in MODES},
             "runs": runs[tree],

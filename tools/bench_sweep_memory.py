@@ -23,7 +23,9 @@ that printed each output, and exits 1 after writing its report.  The report
 holds every run, the median and quartiles of each measure per tree, stratum
 and size, the differing paths per stratum and size (keyed "stratum/n"), the
 machine (CPUs, CPU model, Python, numpy), and each tree's directory name and
-git HEAD (where it is a git checkout).
+identity (`tree_identity`): its git HEAD and whether its src/ differs from
+HEAD (where it is a git checkout), and a SHA-256 of its src/, so that a tree
+measured with uncommitted changes does not read as its parent.
 
 Linux only: wait4 gives the peak and the faults, /proc/self/status the stage
 RSS.  Linux carries a process's peak RSS across fork and exec, so a child's
@@ -34,6 +36,7 @@ script imports no numpy and stays far below the sweep's peak.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -182,9 +185,25 @@ def alternating(trees: list[Path], runs: int):
             yield i, tree
 
 
-def tree_head(tree: Path) -> str | None:
-    """A tree's git HEAD, None where it is not a git checkout."""
-    return command_output(["git", "rev-parse", "HEAD"], tree) if (tree / ".git").exists() else None
+def tree_identity(tree: Path) -> dict:
+    """A tree's git HEAD, whether its src/ differs from HEAD, and a SHA-256 of its src/.
+
+    git_head and src_dirty are None where the tree is not a git checkout.
+    src_sha256 hashes a list of every .py file under src/, by relative path
+    and the SHA-256 of its bytes, so trees with the same HEAD but different
+    sources differ in it.
+    """
+    checkout = (tree / ".git").exists()
+    status = (command_output(["git", "status", "--porcelain", "--", "src"], tree)
+              if checkout else None)
+    listing = "".join(f"{path.relative_to(tree).as_posix()} "
+                      f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+                      for path in sorted((tree / "src").rglob("*.py")))
+    return {
+        "git_head": command_output(["git", "rev-parse", "HEAD"], tree) if checkout else None,
+        "src_dirty": None if status is None else status != "",
+        "src_sha256": hashlib.sha256(listing.encode()).hexdigest(),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "runs_per_tree": args.runs,
         "machine": machine(),
-        "git_head": command_output(["git", "rev-parse", "HEAD"], ROOT),
+        **tree_identity(ROOT),
         "identical_output": all(len(outputs[case]) == 1 for case in cases),
         "differing_paths": {f"{stratum}/{n}": paths
                             for (stratum, n), paths in differing.items()},
@@ -229,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             "tree": tree.name,
             "stratum": stratum,
             "n": n,
-            "git_head": tree_head(tree),
+            **tree_identity(tree),
             "summary": {key: summary([run[key] for run in runs[(stratum, n), tree]])
                         for key in runs[(stratum, n), tree][0]},
             "runs": runs[(stratum, n), tree],
