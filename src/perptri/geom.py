@@ -114,7 +114,7 @@ def angle_trig(ops: Ops, x):
 
 
 class Point2:
-    """A 2-D point with finite coordinates; equal to, and hashed as, another with the same x, y."""
+    """A 2-D point with finite coordinates; equal to another with the same x, y."""
 
     __slots__ = ("x", "y")
 
@@ -127,9 +127,6 @@ class Point2:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, y={self.y!r})"
@@ -206,8 +203,7 @@ class Triangle:
     the triangle's measurements, which every path reads.  A doubled area
     of 0 and vertices whose differences overflow are rejected (`Point2`
     rejects a non-finite coordinate); thinness is `ratio.judged_bound`'s to
-    judge.  Two triangles are equal, and hash alike, when their stored a, b
-    and g are.
+    judge.
     """
 
     __slots__ = ("a", "b", "g", "frame", "frame_metrics")
@@ -230,14 +226,6 @@ class Triangle:
         self.frame = f
         #: anchored_metrics of the frame, in the frame's units (`metrics` converts).
         self.frame_metrics = anchored_metrics(MATH, *f[1:])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.g) == (other.a, other.b, other.g)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.g))
 
     def __repr__(self) -> str:
         return f"Triangle(a={self.a!r}, b={self.b!r}, g={self.g!r})"

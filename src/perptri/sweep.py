@@ -35,6 +35,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .sampling import TriangleCorpus, corpus_rows
 CHUNK = 2**14
 
 
-class SweepResult:
-    """What a sweep reports: its size and the reductions over every triangle.
+class SweepResult(SimpleNamespace):
+    """What a sweep reports: its size n, case_counts by angle case, and the reductions.
 
     max_residuals and min_cot_sum are NaN when any triangle's value is (and
     for an empty corpus); argmin_index is the first index holding
@@ -60,30 +61,11 @@ class SweepResult:
     counts the triangles with a residual not within the bound
     (`ratio.within_bound`; a NaN never is).  The corpus is not kept: a
     streamed sweep never holds it, so a result is a few hundred bytes at any
-    n.  Equality compares the reductions.  The fields are instance
-    attributes, not class attributes (tuple getters or slots): the traced
-    benchmark run (perfbench/spans.py) wraps as a property any of
-    max_residuals, min_cot_sum and argmin_index it finds in the class.
+    n.  Equality compares every field.  The fields are instance attributes,
+    not class attributes (tuple getters or slots): the traced benchmark run
+    (perfbench/spans.py) wraps as a property any of max_residuals,
+    min_cot_sum and argmin_index it finds in the class.
     """
-
-    def __init__(self, n: int, case_counts: dict, max_residuals: dict, min_cot_sum: float,
-                 argmin_index: int | None, argmin_row: tuple | None, over_bound: int) -> None:
-        self.n = n
-        self.case_counts = case_counts
-        self.max_residuals = max_residuals
-        self.min_cot_sum = min_cot_sum
-        self.argmin_index = argmin_index
-        self.argmin_row = argmin_row
-        self.over_bound = over_bound
-
-    def _reductions(self) -> tuple:
-        return (self.n, self.case_counts, self.max_residuals, self.min_cot_sum,
-                self.argmin_index, self.argmin_row, self.over_bound)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._reductions() == other._reductions()
 
     def __len__(self) -> int:
         return self.n
@@ -187,8 +169,10 @@ def _reduce_chunks(n: int, rows_at) -> SweepResult:
     row.
     """
     if not n:
-        return SweepResult(0, {case.value: 0 for case in AngleCase},
-                           dict.fromkeys(CHECK_ORDER, math.nan), math.nan, None, None, 0)
+        return SweepResult(n=0, case_counts={case.value: 0 for case in AngleCase},
+                           max_residuals=dict.fromkeys(CHECK_ORDER, math.nan),
+                           min_cot_sum=math.nan, argmin_index=None, argmin_row=None,
+                           over_bound=0)
     # For glibc's sake, one 4 MiB block, mapped since it is above the mmap
     # threshold, is freed before the pool starts, never touched, so it adds
     # no RSS: glibc then raises its mmap threshold to the block and its trim
@@ -217,8 +201,9 @@ def _reduce_chunks(n: int, rows_at) -> SweepResult:
         # After an interrupt or a failed chunk, the chunks not yet started are dropped.
         pool.shutdown(cancel_futures=True)
     row = tuple(float(field[0]) for field in rows_at(index, index + 1))
-    return SweepResult(n, dict(zip((case.value for case in AngleCase), counts)),
-                       dict(zip(CHECK_ORDER, maxima)), minimum, index, row, over)
+    return SweepResult(n=n, case_counts=dict(zip((case.value for case in AngleCase), counts)),
+                       max_residuals=dict(zip(CHECK_ORDER, maxima)), min_cot_sum=minimum,
+                       argmin_index=index, argmin_row=row, over_bound=over)
 
 
 def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:

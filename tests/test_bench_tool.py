@@ -1,13 +1,17 @@
-"""The benchmark tools: bench_sweep_memory.py names what differs between two sweeps' outputs,
-and each of the three writes its report."""
+"""The benchmark tool, tools/bench.py: it names what differs between two outputs, tells
+trees apart, writes each subcommand's report, fails on trees that print different
+sweeps, and refuses run and size counts out of range."""
 
 import importlib.util
 import json
 import re
+import shutil
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_sweep_memory.py"
-SPEC = importlib.util.spec_from_file_location("bench_sweep_memory", TOOL)
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
 bench = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench)
 
@@ -54,45 +58,61 @@ def test_tree_identity_tells_apart_sources_with_one_head(tmp_path):
     assert bench.tree_identity(tmp_path)["src_sha256"] != first["src_sha256"]
 
 
-def test_sweep_memory_benchmark_writes_its_report(tmp_path):
-    out = tmp_path / "sweep.json"
-    assert bench.main(["--n", "20000", "--runs", "1", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["identical_output"] and report["runs_per_tree"] == 1
-    (tree,) = report["trees"]
-    assert tree["summary"]["peak_rss_mib"]["median"] > 0.0
-    assert_identified(tree)
+SWEEP_MEASURES = ("wall_s", "peak_rss_mib", "minor_faults", "rss_after_imports_mib",
+                  "peak_after_imports_mib", "rss_after_sweep_mib", "peak_after_sweep_mib")
+STARTUP_MEASURES = ("import_ms", "verify_wall_ms", "verify_peak_rss_mib")
+EXTREMAL_MEASURES = ("pass_p10_us", "pass_median_us", "global_median_us", "slice_median_us",
+                     "slice_evals_per_pass", "global_evals", "right_evals", "table_evals")
 
 
-def test_startup_benchmark_writes_its_report(tmp_path, monkeypatch):
-    # tools/bench_startup.py imports its helpers from bench_sweep_memory.py.
-    monkeypatch.syspath_prepend(str(TOOL.parent))
-    startup = importlib.import_module("bench_startup")
-    out = tmp_path / "startup.json"
-    assert startup.main(["--runs", "1", "--src", str(TOOL.parent.parent), "--out", str(out)]) == 0
+@pytest.mark.parametrize("command, options, cases, measures", [
+    ("sweep", ["--n", "20000"], ["all/20000/0"], SWEEP_MEASURES),
+    ("startup", [], ["bytecode", "source"], STARTUP_MEASURES),
+    ("extremal", [], ["40 passes"], EXTREMAL_MEASURES),
+], ids=["sweep", "startup", "extremal"])
+def test_benchmark_writes_its_report(tmp_path, command, options, cases, measures):
+    out = tmp_path / "report.json"
+    argv = [command, "--runs", "1", "--src", str(ROOT), "--out", str(out), *options]
+    assert bench.main(argv) == 0
     report = json.loads(out.read_text())
     assert report["identical_output"] and report["runs_per_tree"] == 1
+    assert report["differing_paths"] == {case: [] for case in cases}
     assert set(report["machine"]) >= {"nproc", "cpu_model", "python"}
-    (tree,) = report["trees"]
-    assert_identified(tree)
-    for mode in ("bytecode", "source"):
-        for measure in ("import_ms", "verify_wall_ms", "verify_peak_rss_mib"):
-            assert tree["summary"][mode][measure]["min"] > 0.0
+    assert_identified(report)
+    assert [tree["case"] for tree in report["trees"]] == cases
+    for tree in report["trees"]:
+        assert_identified(tree)
+        assert list(tree["summary"]) == list(measures)
+        for measure in measures:
+            assert tree["summary"][measure]["min"] > 0.0
+    evals = report["trees"][0]["summary"]
+    if "slice_evals_per_pass" in evals:
+        assert (evals["slice_evals_per_pass"]["min"]
+                == evals["global_evals"]["min"] + evals["table_evals"]["min"])
 
 
-def test_extremal_benchmark_writes_its_report(tmp_path, monkeypatch):
-    # tools/bench_extremal.py imports its helpers from bench_sweep_memory.py.
-    monkeypatch.syspath_prepend(str(TOOL.parent))
-    extremal = importlib.import_module("bench_extremal")
-    out = tmp_path / "extremal.json"
-    assert extremal.main(["--runs", "1", "--out", str(out)]) == 0
+def test_sweep_fails_and_names_the_value_that_differs_between_trees(tmp_path, capsys):
+    # A copy of src/ with another bound constant prints another sweep.
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "perptri", other / "src" / "perptri",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    ratio = other / "src" / "perptri" / "ratio.py"
+    source, count = re.subn("^BOUND_CONSTANT = ", "BOUND_CONSTANT = 1.0 + ", ratio.read_text(),
+                            flags=re.M)
+    assert count == 1
+    ratio.write_text(source)
+    out = tmp_path / "report.json"
+    assert bench.main(["sweep", "--runs", "1", "--n", "1000", "--src", str(ROOT),
+                       "--src", str(other), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    assert report["identical_output"] and report["runs_per_tree"] == 1
-    (tree,) = report["trees"]
-    assert_identified(tree)
-    for measure in ("pass_p10_us", "pass_median_us", "global_median_us", "slice_median_us",
-                    "slice_evals_per_pass", "global_evals", "right_evals", "table_evals"):
-        assert tree["summary"][measure]["min"] > 0.0
-    evals = tree["summary"]
-    assert (evals["slice_evals_per_pass"]["min"]
-            == evals["global_evals"]["min"] + evals["table_evals"]["min"])
+    assert not report["identical_output"]
+    assert report["differing_paths"] == {"all/1000/0": ["bound_constant"]}
+    assert "bound_constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["extremal", "--runs", "0"], ["sweep", "--n", "-5"]],
+                         ids=["runs-0", "negative-n"])
+def test_out_of_range_counts_exit_2(argv):
+    with pytest.raises(SystemExit) as refused:
+        bench.main(argv)
+    assert refused.value.code == 2
