@@ -4,16 +4,14 @@ The package never trusts a single formula: the shoelace value (pure
 coordinate geometry) is cross-checked against Heron's radical, the
 polynomial form of 16 E^2, the cotangent-sum formula, and the two-sides-
 and-included-angle sine formula.  `area_routes` computes all five from the
-metrics the triangle keeps, its squared sides (`side_squares`), its
-cotangent sum, sin A and s minus each side, and returns them by name, in the
-triangle's frame; `in_units` converts each back to the input's units.
+metrics the triangle keeps and returns them by name, in the triangle's
+frame; `in_units` converts each back to the input's units.
 """
 
 import math
 
-from perptri import Point2, Triangle, metrics
-from perptri.geom import MATH, in_units
-from perptri.ratio import area_routes, cot_sum, side_squares
+from perptri.geom import MATH, Point2, Triangle, in_units, metrics
+from perptri.ratio import area_routes
 
 TRIANGLES = {
     "right 3-4-5": Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3)),
@@ -27,10 +25,8 @@ def main() -> None:
     for name, t in TRIANGLES.items():
         fm = t.frame_metrics
         m = metrics(t)
-        s = fm.s
-        routes = area_routes(MATH, fm, side_squares(*fm[:3]), cot_sum(MATH, fm),
-                             math.sin(fm.ang_a), (s - fm.alpha, s - fm.beta, s - fm.gamma))
-        areas = {label: in_units(value, 2 * t.frame.exp, label) for label, value in routes.items()}
+        areas = {label: in_units(value, 2 * t.frame.exp, label)
+                 for label, value in area_routes(MATH, fm).items()}
         print(f"{name}  (alpha={m.alpha:.6g}, beta={m.beta:.6g}, gamma={m.gamma:.6g})")
         for label, value in areas.items():
             print(f"    {label:<18} {value:.15g}")

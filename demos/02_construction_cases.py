@@ -14,7 +14,8 @@ factor (cot A + cot B + cot Gamma)^2.  Watch what the case of angle A does:
 
 import math
 
-from perptri import Point2, Triangle, construct, similarity_check
+from perptri.construction import construct, similarity_check
+from perptri.geom import Point2, Triangle
 
 CASES = {
     "acute (equilateral)": Triangle(

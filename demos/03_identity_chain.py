@@ -10,7 +10,9 @@ the first broken link rather than just "the ratio is off":
     memberwise sum that telescopes them back together.
 """
 
-from perptri import Point2, Triangle, identity_report, metrics, sample_corpus
+from perptri.geom import Point2, Triangle, metrics
+from perptri.ratio import identity_report
+from perptri.sampling import sample_corpus
 
 
 def show(name: str, t: Triangle) -> None:

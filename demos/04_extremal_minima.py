@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from perptri import (
+from perptri.extremal import (
     cot_sum_lattice_min,
     global_cot_sum_min,
     minimize_slice,

@@ -12,7 +12,8 @@ degrades, and the bound grows with it.
 
 import time
 
-from perptri import DELTA_STRESS, concat_corpora, evaluate_corpus, sample_corpus
+from perptri.sampling import DELTA_STRESS, concat_corpora, sample_corpus
+from perptri.sweep import evaluate_corpus
 
 
 def summarize(title: str, result, elapsed: float) -> None:

@@ -9,7 +9,9 @@ reads "Gamma' = B" because the two points coincide.
 import math
 from pathlib import Path
 
-from perptri import Point2, Triangle, construct, render_svg
+from perptri.construction import construct
+from perptri.geom import Point2, Triangle
+from perptri.svg import render_svg
 
 OUT_DIR = Path(__file__).resolve().parent / "figures"
 

@@ -43,14 +43,7 @@ import sys
 
 from .errors import GeometryError, ParseError
 from .geom import MATH, Point2, Triangle, in_units, metrics
-from .ratio import (
-    BOUND_CONSTANT,
-    area_routes,
-    cot_sum,
-    identity_report,
-    judged_bound,
-    side_squares,
-)
+from .ratio import BOUND_CONSTANT, area_routes, identity_report, judged_bound
 from .sampling import STRATA, triangle_from_angles, triangle_from_sides
 
 
@@ -148,11 +141,8 @@ def cmd_metrics(args):
     fm = t.frame_metrics
     judged_bound(fm)
     m = metrics(t)
-    s = fm.s
-    routes = area_routes(MATH, fm, side_squares(*fm[:3]), cot_sum(MATH, fm), math.sin(fm.ang_a),
-                         (s - fm.alpha, s - fm.beta, s - fm.gamma))
     areas = {name: in_units(value, 2 * t.frame.exp, f"area ({name})")
-             for name, value in routes.items()}
+             for name, value in area_routes(MATH, fm).items()}
     return {
         "alpha": m.alpha,
         "beta": m.beta,

@@ -211,20 +211,21 @@ def _square_routes(ops: Ops, sq: tuple, csum) -> tuple:
     return ops.sqrt(ops.max(sixteen, 0.0)) / 4.0, sum_sq / (4.0 * csum)
 
 
-def area_routes(ops: Ops, m: TriangleMetrics, sq: tuple, csum, sin_a, fs: tuple) -> dict:
+def area_routes(ops: Ops, m: TriangleMetrics) -> dict:
     """The five area routes of frame metrics m by name, for one triangle's floats or arrays.
 
     The shoelace reference (m.area), Heron's radical, the squared-side
-    polynomial for 16 E**2, the cotangent formula for the cot sum csum
-    (`cot_sum`) and half the sine product for sin A (`geom.angle_trig`).
-    sq is `side_squares` of m's sides, fs is (s - alpha, s - beta,
-    s - gamma) and ops is `geom.MATH` for floats, `geom.NUMPY` for arrays.
-    The routes' bodies are `_length_routes` and `_square_routes`, which the
-    chain calls at two moments: the first before it builds the side
-    squares, so that s - x, sin A and the sides are freed first.
+    polynomial for 16 E**2, the cotangent formula for the cot sum
+    (`cot_sum`) and half the sine product for sin A; ops is `geom.MATH`
+    for floats, `geom.NUMPY` for arrays.  The routes' bodies are
+    `_length_routes` and `_square_routes`, which the chain calls at two
+    moments: the first before it builds the side squares, so that s - x,
+    sin A and the sides are freed first.
     """
-    heron, sine = _length_routes(ops, m.s, *fs, m.beta, m.gamma, sin_a)
-    poly, cot = _square_routes(ops, sq, csum)
+    s = m.s
+    heron, sine = _length_routes(ops, s, s - m.alpha, s - m.beta, s - m.gamma, m.beta, m.gamma,
+                                 ops.sin(m.ang_a))
+    poly, cot = _square_routes(ops, side_squares(m.alpha, m.beta, m.gamma), cot_sum(ops, m))
     return {"shoelace": m.area, "heron": heron, "sixteen_sq_poly": poly,
             "cot_formula": cot, "sine_formula": sine}
 

@@ -24,7 +24,7 @@ from perptri.geom import (
     frame,
     metrics,
 )
-from perptri.ratio import area_routes, cot_sum, identity_report, judged_bound, side_squares
+from perptri.ratio import area_routes, identity_report, judged_bound
 
 SQRT3 = math.sqrt(3.0)
 EPS = sys.float_info.epsilon
@@ -399,6 +399,5 @@ def test_heron_matches_shoelace(ang_b, ang_g, s):
     if ang_b + ang_g > math.pi - 0.2:
         return
     m = _triangle(ang_b, ang_g, s).frame_metrics
-    areas = area_routes(MATH, m, side_squares(*m[:3]), cot_sum(MATH, m), math.sin(m.ang_a),
-                        (m.s - m.alpha, m.s - m.beta, m.s - m.gamma))
+    areas = area_routes(MATH, m)
     assert areas["heron"] == pytest.approx(areas["shoelace"], rel=1e-10)

@@ -28,11 +28,9 @@ from perptri.geom import (
 )
 from perptri.ratio import (
     area_routes,
-    cot_sum,
     identity_chain,
     identity_report,
     judged_bound,
-    side_squares,
 )
 from perptri.sampling import sample_corpus
 
@@ -45,8 +43,7 @@ def chain(t: Triangle):
 
 def routes_of(ops, m) -> dict:
     """The five area routes of frame metrics m, floats (ops = MATH) or arrays (NUMPY)."""
-    return area_routes(ops, m, side_squares(*m[:3]), cot_sum(ops, m), ops.sin(m.ang_a),
-                       (m.s - m.alpha, m.s - m.beta, m.s - m.gamma))
+    return area_routes(ops, m)
 
 
 def areas(t: Triangle) -> dict:

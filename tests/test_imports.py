@@ -95,23 +95,3 @@ def test_sweep_loads_numpy():
     # The probe sees numpy where it is used, so the checks above can fail.
     assert loads_numpy(RUN_MAIN, json.dumps(["sweep", "--n", "10"]))
 
-
-def test_every_public_name_resolves():
-    assert perptri.run_sweep(10, 0) == perptri.sweep.run_sweep(10, 0)
-    assert isinstance(perptri.run_sweep(0, 0), perptri.SweepResult)
-    namespace = {}
-    exec("from perptri import *", namespace)
-    assert set(perptri.__all__) <= set(namespace)
-    assert all(namespace[name] is getattr(perptri, name) for name in perptri.__all__)
-    with pytest.raises(AttributeError):
-        perptri.no_such_name
-
-
-def test_every_module_resolves_as_an_attribute():
-    # In a fresh interpreter, where no module of the package is loaded yet.
-    loaded = modules_after(
-        "import perptri\n"
-        "for name in ('cli', 'construction', 'errors', 'extremal', 'geom', 'ratio', 'sampling',\n"
-        "             'svg', 'sweep'):\n"
-        "    assert getattr(perptri, name) is sys.modules['perptri.' + name], name\n")
-    assert "perptri.sweep" in loaded

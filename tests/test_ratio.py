@@ -24,7 +24,6 @@ from perptri.ratio import (
     identity_report,
     judged_bound,
     residual_bound,
-    side_squares,
     smallest_angle,
     within_bound,
 )
@@ -41,9 +40,8 @@ def residuals(t):
 def test_chain_reads_the_routes_of_area_routes_bit_for_bit(t345, equilateral, obtuse_iso,
                                                           monkeypatch):
     # One body of the five routes: the routes the chain makes are area_routes
-    # of its metrics, their squares, its cot sum, sin A and s - x, and its
-    # area residuals are taken from them and from the derived area, on floats
-    # and on a sampled chunk of arrays.
+    # of its metrics, and its area residuals are taken from them and from the
+    # derived area, on floats and on a sampled chunk of arrays.
     made = []
 
     def recorded(real):
@@ -60,8 +58,7 @@ def test_chain_reads_the_routes_of_area_routes_bit_for_bit(t345, equilateral, ob
         area_derived = geom_mod.derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
         chain = identity_chain([area_derived, m])
         (heron, sine), (poly, cot) = made
-        routes = area_routes(ops, m, side_squares(*m[:3]), chain.cot_sum, ops.sin(m.ang_a),
-                             (m.s - m.alpha, m.s - m.beta, m.s - m.gamma))
+        routes = area_routes(ops, m)
         assert list(routes) == ["shoelace", "heron", "sixteen_sq_poly", "cot_formula",
                                 "sine_formula"]
         largest = ops.max(*routes.values())
