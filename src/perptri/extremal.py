@@ -8,7 +8,7 @@ hold one cotangent fixed at k > 0.  The resulting one-variable slice
 
 has a unique interior minimum at cot x = sqrt(k^2 + 1) - k whose value is
 
-    f(k) = (2 k^2 - k sqrt(k^2 + 1) + 2) / sqrt(k^2 + 1).
+    f(k) = 2 sqrt(k^2 + 1) - k.
 
 Minimizing f over k then gives the global minimum sqrt(3) of the cotangent
 sum (at the equilateral triangle), hence the minimum derived-area ratio 3.
@@ -133,8 +133,9 @@ def brent_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float,
 
 
 def _check_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"slice parameter k must be positive, got {k!r}")
+    # The slice squares k, so k * k must be finite too.
+    if not (k > 0.0 and math.isfinite(k * k)):
+        raise ValueError(f"slice parameter k must be positive with a finite square, got {k!r}")
 
 
 def _check_x(x: float) -> None:
@@ -143,14 +144,14 @@ def _check_x(x: float) -> None:
 
 
 def slice_min_value(k: float) -> float:
-    """Closed-form minimum of the fixed-k slice: (2k^2 - k sqrt(k^2+1) + 2)/sqrt(k^2+1).
+    """Closed-form minimum of the fixed-k slice: 2 sqrt(k^2+1) - k.
 
     Tends to 2 as k -> 0+ (the degenerate right-angle end) and attains its
-    own minimum sqrt(3) at k = 1/sqrt(3).
+    own minimum sqrt(3) at k = 1/sqrt(3).  It is at least sqrt(k^2+1) >= 1,
+    so it is positive.
     """
     _check_k(k)
-    root = math.sqrt(k * k + 1.0)
-    return (2.0 * k * k - k * root + 2.0) / root
+    return 2.0 * math.hypot(k, 1.0) - k
 
 
 def _slice(k: float, x: float) -> float:
@@ -181,13 +182,13 @@ def cot_sum_slice_deriv(k: float, x: float) -> float:
 
 
 def slice_argmin(k: float) -> float:
-    """Closed-form minimizer of the slice: arccot(sqrt(k^2+1) - k).
+    """Closed-form minimizer of the slice: arccot(sqrt(k^2+1) - k) = arctan(sqrt(k^2+1) + k).
 
-    Always in (pi/4, pi/2): the arccot argument lies in (0, 1).  arccot is
-    evaluated as atan2(1, .), continuous and positive on all of (0, pi).
+    Always in (pi/4, pi/2): the arccot argument lies in (0, 1).  The arctan
+    form adds where the arccot one would cancel, as k grows.
     """
     _check_k(k)
-    return math.atan2(1.0, math.sqrt(k * k + 1.0) - k)
+    return math.atan2(math.hypot(k, 1.0) + k, 1.0)
 
 
 def _numeric_slice_min(k: float) -> tuple[float, float]:
@@ -200,12 +201,6 @@ class ExtremalReport(namedtuple(
     """Closed-form slice minimum next to its numeric confirmation."""
 
     __slots__ = ()
-
-    def __new__(cls, k, argmin, min_value, numeric_argmin, numeric_min, agreement_err):
-        if not min_value > 0.0:
-            raise ValueError("slice minima are positive by construction")
-        return super().__new__(cls, k, argmin, min_value, numeric_argmin, numeric_min,
-                               agreement_err)
 
 
 def minimize_slice(k: float) -> ExtremalReport:

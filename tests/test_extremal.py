@@ -124,7 +124,7 @@ def test_slice_argmin_at_one():
 
 
 def test_slice_argmin_range():
-    for k in (0.01, 0.5, 1.0, 10.0, 100.0):
+    for k in (0.01, 0.5, 1.0, 10.0, 100.0, 1e8):
         x = slice_argmin(k)
         assert math.pi / 4.0 < x < math.pi / 2.0
 
@@ -170,7 +170,7 @@ def test_deriv_matches_finite_differences(k, x):
 # domain guards
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad_k", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad_k", [0.0, -1.0, math.nan, math.inf, 1e200])
 def test_bad_k_raises(bad_k, monkeypatch):
     with pytest.raises(ValueError):
         slice_min_value(bad_k)
@@ -282,10 +282,3 @@ def test_cot_sum_bound_over_corpus():
         third = math.pi / 3.0
         assert np.max(np.abs(ang_b - third)) < 0.06
         assert np.max(np.abs(ang_g - third)) < 0.06
-
-
-def test_report_refuses_a_minimum_that_is_not_positive():
-    report = minimize_slice(1.0)
-    assert report == ExtremalReport(*report)
-    with pytest.raises(ValueError, match="positive"):
-        ExtremalReport(*report._replace(min_value=0.0))

@@ -1,112 +1,141 @@
-"""Each link of the identity chain, proven once, symbolically.
+"""Each link of the identity chain, proven once, symbolically, as the package computes it.
 
-Every residual compares two expressions that must agree as rational
-functions of the vertex coordinates.  Here they are reduced with sympy on
+The shipped kernel runs on sympy objects: `geom.anchored_metrics` measures
 the general triangle A = (0, 0), B = (b, 0), Gamma = (p, q), with b, q > 0
-and p real: the derived area comes from `geom.derived_triangle` itself, the
-squared sides from `ratio.side_squares`, the cot terms' right sides from
-`ratio._term_norm` and the cotangent route from `ratio._square_routes`, all
-run on sympy objects as they are.  Each cotangent is dot / cross of the
-edges leaving its vertex, and E = b q / 2.
+and p real, `geom.derived_triangle` builds its derived triangle, and
+`ratio.identity_chain` forms every residual of CHECK_ORDER from the two.
+The chain takes `geom.NUMPY` for any input that is not a float, so `SYMPY`
+stands in for it during the run.  sympy writes cos(atan2(y, x)) as
+x / sqrt(x**2 + y**2) by itself, so each cotangent arrives as a function of
+the coordinates.
 
-The same links with free symbols for the squared sides, the cotangents and
-the areas show which links check arithmetic only: `squared_sum_expansion`
-holds for any three squared sides, and `chain_sum`'s right side is
-identically 0, so it reads `area_quadratic`'s residual.
+A residual is proven 0 when its numerator reduces to 0 with its binary64
+constants taken exactly and each absolute value read as its argument.  That reading
+is sound: the chain takes absolute values of residual numerators, which are
+0 exactly when their arguments are, of the cross b q > 0, and of the
+derived triangle's signed doubled area, which `area_ratio` proves equal to
+2 E (sum cot)**2 >= 0.  `half_angle_cots` compares square roots of
+expressions in the sides with the half-angle cotangents, and is reduced
+modulo the squares of the sides.
 
-`half_angle_cots` and `area_agreement` compare routes through square roots
-of the sides, which need the sides as symbols reduced modulo their squares;
-they are PENDING until then.  A new residual joins CHECK_ORDER with a proof.
+The same chain on free symbols for the metrics and the derived area shows
+which links check arithmetic only: `squared_sum_expansion` holds for any
+values, and `chain_sum` equals `area_quadratic`.
 """
 
 from types import SimpleNamespace
 
+import pytest
 import sympy as sp
 
-from perptri.geom import MATH, derived_triangle
-from perptri.ratio import CHECK_ORDER, _square_routes, _term_norm, side_squares
+from perptri import geom
+from perptri.geom import MATH, TriangleMetrics, anchored_metrics, angle_trig, derived_triangle
+from perptri.ratio import CHECK_ORDER, identity_chain
 
-#: Residuals of CHECK_ORDER whose routes need radicals of the sides.
-PENDING = {"half_angle_cots", "area_agreement"}
+#: `geom.Ops` on sympy objects.
+SYMPY = MATH._replace(hypot=lambda x, y: sp.sqrt(x * x + y * y), atan2=sp.atan2, cos=sp.cos,
+                      sin=sp.sin, sqrt=sp.sqrt, max=sp.Max, min=sp.Min)
 
-#: `geom.Ops` with sympy's sqrt and Max, for the routines that take one.
-SYMPY = MATH._replace(sqrt=sp.sqrt, max=sp.Max)
+#: The link whose residual compares square roots of the sides' expressions.
+RADICAL = "half_angle_cots"
 
-
-def zero(expr) -> bool:
-    """Whether expr, with its binary64 constants taken exactly, is identically 0."""
-    expr = sp.sympify(expr)
-    return sp.cancel(expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})) == 0
-
-
-def cot(ux, uy, vx, vy):
-    """cot of the angle from edge u to edge v leaving a vertex counterclockwise: dot / cross."""
-    return (ux * vx + uy * vy) / (ux * vy - uy * vx)
+b, q = sp.symbols("b q", positive=True)
+p = sp.Symbol("p", real=True)
 
 
-def general_triangle() -> SimpleNamespace:
-    """The values the chain reads, of A = (0, 0), B = (b, 0), Gamma = (p, q)."""
-    b, q = sp.symbols("b q", positive=True)
-    p = sp.Symbol("p", real=True)
-    # The shoelace area is 0.5 |x|; read as 0.5 x, it is proven equal to
-    # E (sum cot)^2 >= 0 (area_ratio), so the absolute value changes nothing.
-    derived = derived_triangle(b, 0.0, p, q, 0.0, 1.0)[1].replace(sp.Abs, lambda x: x)
-    return SimpleNamespace(
-        area=b * q / 2, derived=derived,
-        sq=side_squares(sp.sqrt((p - b) ** 2 + q ** 2), sp.sqrt(p ** 2 + q ** 2), b),
-        cot_a=cot(b, 0, p, q), cot_b=cot(p - b, q, -b, 0), cot_g=cot(-p, -q, b - p, -q))
+def exact(expr):
+    """expr with each absolute value read as its argument and its binary64 constants exact."""
+    expr = expr.replace(sp.Abs, lambda x: x)
+    return expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})
 
 
-def free_values() -> SimpleNamespace:
-    """The same values as free symbols: squared sides, cotangents and both areas."""
-    a2, b2, g2, area, derived = sp.symbols("a2 b2 g2 E D", positive=True)
-    cot_a, cot_b, cot_g = sp.symbols("cot_a cot_b cot_g", real=True)
-    return SimpleNamespace(area=area, derived=derived,
-                           sq=side_squares(sp.sqrt(a2), sp.sqrt(b2), sp.sqrt(g2)),
-                           cot_a=cot_a, cot_b=cot_b, cot_g=cot_g)
+def zero(expr, reduce=sp.cancel) -> bool:
+    """Whether reduce takes the numerator of expr, read by `exact`, to 0."""
+    return reduce(exact(sp.fraction(expr)[0])) == 0
 
 
-def links(v) -> dict:
-    """Each proven residual of CHECK_ORDER as (lhs, rhs), of the values v, as the chain forms it."""
-    a2, b2, g2, sum_sq, pairs, quads, sixteen = v.sq
-    area, csum = v.area, v.cot_a + v.cot_b + v.cot_g
-    cot_side_sum = g2 * v.cot_a + b2 * v.cot_g + a2 * v.cot_b
-    quadratic_lhs = 16 * area * area + 8 * area * cot_side_sum - sum_sq * sum_sq
-    # The triples identity_chain passes to _term_norm, with their left sides.
-    terms = {
-        "cot_term_a": (8 * area * g2 * v.cot_a, 2 * g2, b2, g2, a2),
-        "cot_term_g": (8 * area * b2 * v.cot_g, 2 * b2, a2, b2, g2),
-        "cot_term_b": (8 * area * a2 * v.cot_b, 2 * a2, g2, a2, b2),
-    }
-    terms = {name: (args[0], _term_norm(sp.Max, *args)[1]) for name, args in terms.items()}
-    chain_rhs = sixteen + sum(rhs for _, rhs in terms.values()) - 2 * pairs - quads
-    return {
-        "area_increment": (v.derived, area + cot_side_sum / 2),
-        "sixteen_area_sq": (sixteen, 16 * area * area),
-        **terms,
-        "squared_sum_expansion": (-sum_sq * sum_sq, -2 * pairs - quads),
-        "chain_sum": (quadratic_lhs, chain_rhs),
-        "area_quadratic": (quadratic_lhs, 0),
-        "area_from_cots": (_square_routes(SYMPY, v.sq, csum)[1], area),
-        "area_ratio": (v.derived / area, csum * csum),
-    }
+def is_root(e) -> bool:
+    """Whether e is a square root or its reciprocal."""
+    return e.is_Pow and abs(e.exp) == sp.S.Half
 
 
-def test_every_link_holds_on_the_general_triangle():
-    held = {name: zero(lhs - rhs) for name, (lhs, rhs) in links(general_triangle()).items()}
+def chain_of(area_derived, m) -> dict:
+    """identity_chain's residuals of sympy metrics m and derived area, by name."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "NUMPY", SYMPY, raising=False)
+        return identity_chain([area_derived, m]).residuals
+
+
+@pytest.fixture(scope="module")
+def general() -> SimpleNamespace:
+    """The general triangle's metrics and its chain's residuals."""
+    m = anchored_metrics(SYMPY, b, 0, p, q)
+    return SimpleNamespace(m=m, residuals=chain_of(derived_triangle(b, 0, p, q, 0, 1)[1], m))
+
+
+def test_every_link_holds_on_the_general_triangle(general):
+    residuals = general.residuals
+    # The five area routes reach one form, where Max and Min collapse, under simplify.
+    held = {name: zero(residuals[name], sp.simplify if name == "area_agreement" else sp.cancel)
+            for name in CHECK_ORDER if name != RADICAL}
     assert all(held.values()), held
 
 
+def test_every_residual_is_proven_or_pending(general):
+    # No link is pending: the chain forms exactly CHECK_ORDER, the test above
+    # proves each residual but RADICAL, and RADICAL has its own proof below.
+    assert list(general.residuals) == list(CHECK_ORDER)
+    assert RADICAL in CHECK_ORDER
+
+
+def test_half_angle_cots_holds_modulo_the_squared_sides(general):
+    # Each term is |sqrt(X) - Y| / (1 + |Y|).  With the sides alpha and beta
+    # off the axis as positive symbols, every other radical of the
+    # coordinates factors into them (sqrt(b**2 (p**2 + q**2)) = b beta).  Y
+    # is a half-angle cotangent, positive, so X = Y**2 modulo the sides'
+    # squares proves sqrt(X) = Y.
+    alpha, beta = sp.symbols("alpha beta", positive=True)
+    squares = {alpha: sp.expand(general.m.alpha ** 2), beta: sp.expand(general.m.beta ** 2)}
+    sides = {square: side for side, square in squares.items()}
+    relations = [side ** 2 - square for side, square in squares.items()]
+
+    def is_side(r) -> bool:
+        return is_root(r) and sp.expand(r.base) in sides
+
+    def as_sides(root):
+        split = sp.sqrt(sp.factor(root.base)).replace(is_side, lambda r: sides[sp.expand(r.base)])
+        return split ** (2 * root.exp)
+
+    terms = general.residuals[RADICAL].args
+    assert len(terms) == 3
+    for term in terms:
+        gap = exact(sp.fraction(term)[0]).replace(
+            lambda e: is_root(e) and e.base.free_symbols <= {b, p, q}, as_sides)
+        cot = -gap.xreplace({e: 0 for e in gap.atoms(sp.Pow) if is_root(e)})
+        numerator = sp.numer(sp.together(sp.expand((gap + cot) ** 2 - cot * cot)))
+        assert sp.reduced(sp.expand(numerator), relations, alpha, beta)[1] == 0, term
+
+
+def test_derived_triangle_is_similar_at_every_phi(general):
+    # The lines are turned by (c, s) = (cos phi, sin phi), taken as free
+    # symbols: a line depends only on its direction, so the cotangents hold
+    # for any (c, s) != 0 without c**2 + s**2 = 1.  B' and Gamma' are taken
+    # relative to A' in lowest terms.  Each cotangent is read with |cross| as
+    # cross: the signed cot sums then agree, and the original's is positive,
+    # so the derived triangle's cross is positive too.
+    c, s = sp.symbols("c s", real=True)
+    (apx, apy), (bpx, bpy), (gpx, gpy) = derived_triangle(b, 0, p, q, c, s)[0]
+    derived = anchored_metrics(SYMPY, *map(sp.cancel, (bpx - apx, bpy - apy, gpx - apx,
+                                                       gpy - apy)))
+    cot_a, cot_b, cot_g = (angle_trig(SYMPY, ang)[0] for ang in general.m[3:6])
+    derived_cots = (angle_trig(SYMPY, ang)[0] for ang in derived[3:6])
+    held = [zero(x - y) for x, y in zip(derived_cots, (cot_b, cot_g, cot_a))]
+    assert all(held), held
+
+
 def test_only_squared_sum_expansion_and_chain_sum_check_arithmetic_alone():
-    free = links(free_values())
-    assert {name for name, (lhs, rhs) in free.items() if zero(lhs - rhs)} == {
+    m = TriangleMetrics(*sp.symbols("alpha beta gamma A B G s E", positive=True))
+    residuals = chain_of(sp.Symbol("D", positive=True), m)
+    assert {name for name, residual in residuals.items() if zero(residual)} == {
         "squared_sum_expansion"}
-    # chain_sum compares area_quadratic's left side with a polynomial that is 0
-    # for any squared sides: its residual is area_quadratic's.
-    assert zero(free["chain_sum"][1])
-
-
-def test_every_residual_is_proven_or_pending():
-    proven = set(links(free_values()))
-    assert not proven & PENDING
-    assert proven | PENDING == set(CHECK_ORDER)
+    assert zero(residuals["chain_sum"] - residuals["area_quadratic"])
