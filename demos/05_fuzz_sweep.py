@@ -5,15 +5,12 @@ four decades -- are constructed geometrically (real line intersections,
 shoelace areas) and every identity residual is taken.  The point of the
 exercise: worst-case residuals sit at roundoff level, not merely below some
 generous tolerance.  Every triangle is judged against the one bound
-C eps / theta**2 of its smallest angle theta.  A second sweep pushes
-into sliver territory (angles down to 1e-4 rad) where conditioning honestly
-degrades, and the bound grows with it.
+C eps / theta**2 of its smallest angle theta.
 """
 
 import time
 
-from perptri.sampling import DELTA_STRESS, concat_corpora, sample_corpus
-from perptri.sweep import evaluate_corpus
+from perptri.sweep import run_sweep
 
 
 def summarize(title: str, result, elapsed: float) -> None:
@@ -35,17 +32,10 @@ def summarize(title: str, result, elapsed: float) -> None:
 def main() -> None:
     # An exactly-right angle A has probability zero under the simplex draw,
     # so the right stratum gets its own dedicated batch.
-    start = time.perf_counter()
-    corpus = concat_corpora(
-        sample_corpus(60_000, seed=[7, 0], stratum="all"),
-        sample_corpus(20_000, seed=[7, 1], stratum="right"),
-        sample_corpus(20_000, seed=[7, 2], stratum="obtuse"),
-    )
-    summarize("angles from 0.01 rad", evaluate_corpus(corpus), time.perf_counter() - start)
-
-    start = time.perf_counter()
-    slivers = evaluate_corpus(sample_corpus(20_000, seed=7, delta=DELTA_STRESS))
-    summarize("sliver angles, from 1e-4 rad", slivers, time.perf_counter() - start)
+    for i, (stratum, n) in enumerate((("all", 60_000), ("right", 20_000), ("obtuse", 20_000))):
+        start = time.perf_counter()
+        result = run_sweep(n, [7, i], stratum)
+        summarize(f"{stratum} stratum, angles from 0.01 rad", result, time.perf_counter() - start)
 
 
 if __name__ == "__main__":

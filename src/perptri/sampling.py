@@ -137,16 +137,6 @@ class TriangleCorpus(namedtuple("TriangleCorpus", "ang_b ang_g scale")):
         )
 
 
-def concat_corpora(*parts: TriangleCorpus) -> TriangleCorpus:
-    import numpy as np
-
-    return TriangleCorpus(
-        ang_b=np.concatenate([p.ang_b for p in parts]),
-        ang_g=np.concatenate([p.ang_g for p in parts]),
-        scale=np.concatenate([p.scale for p in parts]),
-    )
-
-
 def _fold(u, v, span: float, delta: float) -> tuple:
     """Draws u, v uniform on [0, span), folded into u + v <= span and shifted by delta.
 

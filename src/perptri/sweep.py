@@ -1,9 +1,9 @@
 """Vectorized residual sweeps over seeded corpora (the phi = pi/2 identity).
 
-`run_sweep` and `evaluate_corpus` run `ratio.identity_chain`, the kernel
-`perptri verify` also runs, in fixed chunks of `CHUNK` (2**14) triangles on
-one thread per CPU the process may use.  Each chunk's vertex arrays go through
-`geom.frame` and are measured there once (`geom.anchored_metrics`), as each
+`run_sweep` runs `ratio.identity_chain`, the kernel `perptri verify` also
+runs, in fixed chunks of `CHUNK` (2**14) triangles on one thread per CPU the
+process may use.  Each chunk's vertex arrays go through `geom.frame` and are
+measured there once (`geom.anchored_metrics`, in `_chain_inputs`), as each
 scalar `Triangle` is, for the chain, the case counts and the bound to read.
 Each chunk is reduced as it finishes -- case counts, the largest residuals,
 the number of triangles with a residual over the bound `perptri verify`
@@ -16,16 +16,15 @@ exactly.  About 10 ms per chunk on each of two cores (2-core Xeon, numpy 2.4),
 `run_sweep` streams every stratum: each worker draws its own chunk of the
 seeded corpus (`sampling.corpus_rows`), and at most two chunks per worker are
 in flight, so neither the corpus nor a list of every chunk's result is held.
-Each array of a chunk dies at its last use, in `_reduce_chunk`,
+Each array of a chunk dies at its last use, in `_chain_inputs`,
 `identity_chain` and `geom.derived_triangle`: the derived area is taken
 before the metrics are measured, and each residual is reduced as soon as
 the chain makes it, so a sweep needs under 3 MiB of chunk arrays per thread
 whatever its size and stratum: on two cores `perptri sweep` peaks at 41.2
 to 41.4 MiB in every stratum at n = 10**6 and 10**7, 34.8 of them the
-interpreter, numpy and the package (its peak at n = 0).  `evaluate_corpus`
-runs the same reducer over the slices of a held corpus.  The per-triangle
-arrays a chunk produces are not kept; `identity_chain` gives them for any
-corpus.
+interpreter, numpy and the package (its peak at n = 0).  The per-triangle
+arrays a chunk produces are not kept; `identity_chain` of `_chain_inputs`
+gives them for any corpus.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from .geom import NUMPY, AngleCase, anchored_metrics, angle_cases, derived_triangle, frame
 from .ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
-from .sampling import TriangleCorpus, corpus_rows
+from .sampling import corpus_rows
 
 #: Triangles per chunk.  Timed at n = 10**6 on two cores, 2**12 and 2**13 pay
 #: per-call overhead and 2**15 and up run slower again; a chunk's arrays peak
@@ -55,16 +54,15 @@ class SweepResult(SimpleNamespace):
     max_residuals and min_cot_sum are NaN when any triangle's value is (and
     for an empty corpus); argmin_index is the first index holding
     min_cot_sum and argmin_row that triangle's (ang_b, ang_g, scale) as
-    floats, both None for an empty corpus.  The row is got once from the
-    index after the last chunk, drawn again in a streamed sweep and read
-    from the corpus in `evaluate_corpus`, so no chunk keeps one.  over_bound
-    counts the triangles with a residual not within the bound
-    (`ratio.within_bound`; a NaN never is).  The corpus is not kept: a
-    streamed sweep never holds it, so a result is a few hundred bytes at any
-    n.  Equality compares every field.  The fields are instance attributes,
-    not class attributes (tuple getters or slots): the traced benchmark run
-    (perfbench/spans.py) wraps as a property any of max_residuals,
-    min_cot_sum and argmin_index it finds in the class.
+    floats, both None for an empty corpus.  The row is got again from the
+    index after the last chunk, so no chunk keeps one.  over_bound counts
+    the triangles with a residual not within the bound (`ratio.within_bound`;
+    a NaN never is).  The corpus is not kept: a sweep never holds it, so a
+    result is a few hundred bytes at any n.  Equality compares every field.
+    The fields are instance attributes, not class attributes (tuple getters
+    or slots): the traced benchmark run (perfbench/spans.py) wraps as a
+    property any of max_residuals, min_cot_sum and argmin_index it finds in
+    the class.
     """
 
     def __len__(self) -> int:
@@ -94,31 +92,37 @@ class _ChunkMaxima:
             np.maximum(self.worst, residual, out=self.worst)
 
 
+def _chain_inputs(rows) -> list:
+    """[area_derived, m] of rows (a `TriangleCorpus`): the list `identity_chain` empties.
+
+    The rows are laid out in the canonical frame, where A is the origin and
+    B lies on the x axis, so by stays the float 0.0 (`geom.frame`).  The
+    derived area is taken from the frame before the metrics are measured,
+    so that the frame dies before the chain starts.
+    """
+    bx, gx, gy = rows.vertex_arrays()
+    bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)[1:]
+    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
+    return [area_derived, anchored_metrics(NUMPY, bx, by, gx, gy)]
+
+
 def _reduce_chunk(rows_at, n: int, start: int):
     """Evaluate the chunk of an n-triangle corpus from start on, and keep only its reductions.
 
     rows_at(start, stop) gives the corpus's rows [start, stop) as a
-    `TriangleCorpus`.  The rows are got here and die once laid out.  The
-    derived area is taken from the frame before the metrics are measured,
-    so that the frame dies before the chain starts, and the derived area and
-    metrics go on to `identity_chain` in a list it empties, so that each
-    array of the chunk dies at its last use whatever the Python version
-    (3.10 keeps a call's arguments alive until it returns).  The chain
-    assigns each residual to a `_ChunkMaxima` as soon as it is made.
-    Workers return a fresh tuple (case counts, max residuals, min cot sum,
-    its corpus index, the count of triangles over the bound); they share no
-    mutable state, so no lock is needed.  In the canonical layout A is the
-    origin and B lies on the x axis: by stays the float 0.0 (`geom.frame`).
+    `TriangleCorpus`.  The rows are got here and die once laid out and
+    measured (`_chain_inputs`), and the derived area and metrics go on to
+    `identity_chain` in a list it empties, so that each array of the chunk
+    dies at its last use whatever the Python version (3.10 keeps a call's
+    arguments alive until it returns).  The chain assigns each residual to a
+    `_ChunkMaxima` as soon as it is made.  Workers return a fresh tuple
+    (case counts, max residuals, min cot sum, its corpus index, the count of
+    triangles over the bound); they share no mutable state, so no lock is
+    needed.
     """
-    bx, gx, gy = rows_at(start, min(start + CHUNK, n)).vertex_arrays()
-    bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)[1:]
-    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
-    m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    del bx, by, gx, gy
-    counts = [int(np.count_nonzero(mask)) for mask in angle_cases(m.ang_a)]
-    bound = residual_bound(smallest_angle(NUMPY, m))
-    inputs = [area_derived, m]
-    del area_derived, m
+    inputs = _chain_inputs(rows_at(start, min(start + CHUNK, n)))
+    counts = [int(np.count_nonzero(mask)) for mask in angle_cases(inputs[1].ang_a)]
+    bound = residual_bound(smallest_angle(NUMPY, inputs[1]))
     reduction = _ChunkMaxima()
     cot_sum = identity_chain(inputs, reduction).cot_sum
     argmin = int(np.argmin(cot_sum))
@@ -126,11 +130,6 @@ def _reduce_chunk(rows_at, n: int, start: int):
     over = worst.size - int(np.count_nonzero(within_bound(worst, bound)))
     maxima = [reduction.maxima[key] for key in CHECK_ORDER]
     return counts, maxima, float(cot_sum[argmin]), start + argmin, over
-
-
-def _held_rows(corpus: TriangleCorpus, start: int, stop: int) -> TriangleCorpus:
-    """corpus[start:stop], views of the held corpus."""
-    return TriangleCorpus(*(field[start:stop] for field in corpus))
 
 
 def _usable_cpus() -> int:
@@ -204,11 +203,6 @@ def _reduce_chunks(n: int, rows_at) -> SweepResult:
     return SweepResult(n=n, case_counts=dict(zip((case.value for case in AngleCase), counts)),
                        max_residuals=dict(zip(CHECK_ORDER, maxima)), min_cot_sum=minimum,
                        argmin_index=index, argmin_row=row, over_bound=over)
-
-
-def evaluate_corpus(corpus: TriangleCorpus) -> SweepResult:
-    """Run the identity chain over every triangle of a held corpus and reduce it."""
-    return _reduce_chunks(len(corpus), partial(_held_rows, corpus))
 
 
 def run_sweep(n: int, seed, stratum: str = "all") -> SweepResult:

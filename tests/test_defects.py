@@ -27,10 +27,10 @@ import perptri.geom as geom_mod
 import perptri.ratio as ratio_mod
 import perptri.sweep as sweep_mod
 from perptri.cli import main
-from perptri.geom import NUMPY, frame
+from perptri.geom import NUMPY
 from perptri.ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
 from perptri.sampling import sample_corpus
-from perptri.sweep import evaluate_corpus
+from perptri.sweep import _chain_inputs, run_sweep
 
 DELTA = 1e-6
 HALF_PI = 0.5 * math.pi
@@ -110,12 +110,9 @@ def corpus():
 
 def over_bound_shares(corpus) -> dict:
     """The share of the corpus over the bound, per residual, as the sweep measures it."""
-    bx, gx, gy = corpus.vertex_arrays()
-    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    area_derived = sweep_mod.derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
-    m = geom_mod.anchored_metrics(NUMPY, bx, by, gx, gy)
-    residuals = identity_chain([area_derived, m]).residuals
-    bound = residual_bound(smallest_angle(NUMPY, m))
+    inputs = _chain_inputs(corpus)
+    bound = residual_bound(smallest_angle(NUMPY, inputs[1]))
+    residuals = identity_chain(inputs).residuals
     return {name: float(np.mean(~within_bound(residuals[name], bound))) for name in CHECK_ORDER}
 
 
@@ -129,7 +126,7 @@ def verify_codes(monkeypatch) -> list:
 
 def test_without_a_defect_nothing_is_caught(corpus, monkeypatch, capsys):
     assert set(over_bound_shares(corpus).values()) == {0.0}
-    assert evaluate_corpus(corpus).over_bound == 0
+    assert run_sweep(len(corpus), 5).over_bound == 0
     assert verify_codes(monkeypatch) == [0, 0, 0]
     assert "FAIL" not in capsys.readouterr().out
 
@@ -140,7 +137,7 @@ def test_each_defect_is_caught_by_its_residuals(corpus, monkeypatch, capsys, nam
     inject(monkeypatch)
     shares = over_bound_shares(corpus)
     assert {residual for residual, share in shares.items() if share > 0.5} == catchers
-    assert evaluate_corpus(corpus).over_bound > len(corpus) // 2
+    assert run_sweep(len(corpus), 5).over_bound > len(corpus) // 2
     assert verify_codes(monkeypatch) == [1, 1, 1]
     assert capsys.readouterr().out.count("verdict: FAIL") == 3
 

@@ -23,10 +23,10 @@ from perptri.extremal import (
     slice_argmin,
     slice_min_value,
 )
-from perptri.geom import MATH, NUMPY, anchored_metrics, angle_trig, derived_triangle, frame
+from perptri.geom import MATH, angle_trig
 from perptri.ratio import identity_chain
 from perptri.sampling import sample_corpus
-from perptri.sweep import evaluate_corpus
+from perptri.sweep import _chain_inputs, run_sweep
 
 SQRT3 = math.sqrt(3.0)
 
@@ -269,13 +269,9 @@ def test_search_interval_is_inside_open_quadrant():
 # ---------------------------------------------------------------------------
 
 def test_cot_sum_bound_over_corpus():
+    assert run_sweep(2000, [2203, 1]).min_cot_sum >= SQRT3 - 1e-12
     corpus = sample_corpus(2000, seed=[2203, 1])
-    assert evaluate_corpus(corpus).min_cot_sum >= SQRT3 - 1e-12
-    bx, gx, gy = corpus.vertex_arrays()
-    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    area_derived = derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
-    m = anchored_metrics(NUMPY, bx, by, gx, gy)
-    near = identity_chain([area_derived, m]).cot_sum < SQRT3 + 1e-3
+    near = identity_chain(_chain_inputs(corpus)).cot_sum < SQRT3 + 1e-3
     if near.any():
         ang_b = corpus.ang_b[near]
         ang_g = corpus.ang_g[near]

@@ -19,7 +19,6 @@ from perptri.sampling import (
     STRATA,
     TriangleCorpus,
     canonical_triangle,
-    concat_corpora,
     corpus_rows,
     sample_corpus,
     triangle_from_angles,
@@ -247,15 +246,6 @@ def test_vertex_arrays_match_scalar_triangles():
         assert t.g.x == pytest.approx(float(gx[i]), rel=1e-12, abs=1e-12)
         assert t.g.y == pytest.approx(float(gy[i]), rel=1e-12)
         assert t.g.y > 0.0  # canonical layout is always counterclockwise
-
-
-def test_concat_corpora():
-    c1 = sample_corpus(10, seed=1)
-    c2 = sample_corpus(15, seed=2)
-    merged = concat_corpora(c1, c2)
-    assert len(merged) == 25
-    assert np.array_equal(merged.ang_b[:10], c1.ang_b)
-    assert np.array_equal(merged.scale[10:], c2.scale)
 
 
 def test_empty_corpus():

@@ -5,9 +5,9 @@ kernel, on arrays and on one triangle's floats; the bridge tests below pin
 the two entries together, and hold the per-triangle cot sum and the derived
 area the sweep takes against the independent routes (the cot sum of the
 corpus's sampled angles, `construction.construct`).  The chunked, threaded
-sweeps -- `evaluate_corpus` on a held corpus and the streamed `run_sweep` --
-are in turn pinned to np.max / np.argmin / np.count_nonzero of that chain
-over the whole corpus, exactly.
+sweep `run_sweep` is in turn pinned to np.max / np.argmin / np.count_nonzero
+of that chain over the whole corpus, exactly; where a test needs a corpus no
+seed draws, its reducer `_reduce_chunks` sweeps the slices of a held one.
 """
 
 import inspect
@@ -21,15 +21,7 @@ import pytest
 
 from perptri.construction import construct
 import perptri.geom as geom_mod
-from perptri.geom import (
-    MATH,
-    NUMPY,
-    anchored_metrics,
-    angle_cases,
-    angle_trig,
-    derived_triangle,
-    frame,
-)
+from perptri.geom import MATH, NUMPY, angle_cases, angle_trig
 import perptri.ratio as ratio_mod
 import perptri.sampling as sampling_mod
 import perptri.sweep as sweep_mod
@@ -41,26 +33,23 @@ from perptri.ratio import (
     smallest_angle,
     within_bound,
 )
-from perptri.sampling import STRATA, concat_corpora, corpus_rows, sample_corpus
-from perptri.sweep import CHUNK, _reduce_chunk, evaluate_corpus, run_sweep
+from perptri.sampling import STRATA, TriangleCorpus, corpus_rows, sample_corpus
+from perptri.sweep import CHUNK, _chain_inputs, _reduce_chunk, run_sweep
 
 BRIDGE_ABS = 1e-13
 
 
-def derived_and_metrics(corpus):
-    """The derived area and the metrics of a whole corpus, in the frame the sweep uses.
-
-    Both taken as the sweep takes them.
-    """
-    bx, gx, gy = corpus.vertex_arrays()
-    _, bx, by, gx, gy = frame(NUMPY, 0.0, 0.0, bx, 0.0, gx, gy)
-    return derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1], anchored_metrics(NUMPY, bx, by, gx, gy)
-
-
 def chain_of(corpus):
     """identity_chain over a whole corpus at once, and the metrics it reads."""
-    area_derived, m = derived_and_metrics(corpus)
-    return identity_chain([area_derived, m]), m
+    inputs = _chain_inputs(corpus)
+    m = inputs[1]
+    return identity_chain(inputs), m
+
+
+def held_sweep(corpus):
+    """The sweep of a held corpus, one no seed draws: the reducer over its slices."""
+    return sweep_mod._reduce_chunks(
+        len(corpus), lambda start, stop: TriangleCorpus(*(field[start:stop] for field in corpus)))
 
 
 def bound_of(m):
@@ -69,11 +58,11 @@ def bound_of(m):
 
 @pytest.fixture(scope="module")
 def bridge_corpus():
-    return concat_corpora(
+    return TriangleCorpus(*map(np.concatenate, zip(
         sample_corpus(150, seed=[11, 0]),
         sample_corpus(80, seed=[11, 1], stratum="right"),
         sample_corpus(80, seed=[11, 2], stratum="obtuse"),
-    )
+    )))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +72,7 @@ def bridge_chain(bridge_corpus):
 
 @pytest.fixture(scope="module")
 def bridge_result(bridge_corpus):
-    return evaluate_corpus(bridge_corpus)
+    return held_sweep(bridge_corpus)
 
 
 def test_residual_keys_complete(bridge_chain, bridge_result):
@@ -101,7 +90,7 @@ def test_bridge_residuals_match_scalar(bridge_corpus, bridge_chain):
 
 
 def test_bridge_values_match_scalar(bridge_corpus, bridge_chain):
-    area_derived, m = derived_and_metrics(bridge_corpus)
+    area_derived, m = _chain_inputs(bridge_corpus)
     ratio_geometric = area_derived / m.area
     for i in range(len(bridge_corpus)):
         d = construct(bridge_corpus.triangle(i))
@@ -160,15 +149,14 @@ def test_chunked_sweep_equals_one_shot_reduction(n, stratum):
         result = run_sweep(n, seed, stratum)
         corpus = sample_corpus(n, seed, stratum)
         _assert_whole_corpus_reductions(result, corpus)
-        assert result == evaluate_corpus(corpus)
 
 
 def test_chunk_merge_keeps_first_of_ties():
     # Every chunk repeats the first, so every extreme ties across chunks and
     # the earliest index must win, as np.argmin's does.
     base = sample_corpus(CHUNK, seed=43)
-    corpus = concat_corpora(base, base, base)
-    result = evaluate_corpus(corpus)
+    corpus = TriangleCorpus(*(np.tile(field, 3) for field in base))
+    result = held_sweep(corpus)
     _assert_whole_corpus_reductions(result, corpus)
     assert result.argmin_index < CHUNK
 
@@ -178,7 +166,7 @@ def test_chunk_merge_propagates_nan():
     scale = corpus.scale.copy()
     scale[2 * CHUNK + 5] = math.nan
     corpus = corpus._replace(scale=scale)
-    result = evaluate_corpus(corpus)
+    result = held_sweep(corpus)
     _assert_whole_corpus_reductions(result, corpus)
     assert result.argmin_index == 2 * CHUNK + 5
     assert all(math.isnan(value) for value in result.max_residuals.values())
@@ -192,7 +180,7 @@ def test_sweep_residuals_within_bound(bridge_result):
 def test_sweep_counts_residuals_over_the_bound(monkeypatch):
     # A negative constant puts every triangle over the bound.
     monkeypatch.setattr(ratio_mod, "BOUND_CONSTANT", -1.0)
-    assert evaluate_corpus(sample_corpus(CHUNK + 7, seed=45)).over_bound == CHUNK + 7
+    assert run_sweep(CHUNK + 7, 45).over_bound == CHUNK + 7
 
 
 @pytest.mark.parametrize("delta, seed, stratum", [
@@ -219,15 +207,14 @@ def test_min_cot_sum_and_argmin(bridge_chain, bridge_result):
 
 
 def test_right_stratum_gamma_prime_collapse():
+    assert run_sweep(500, 29, "right").case_counts == {"acute": 0, "right": 500, "obtuse": 0}
     corpus = sample_corpus(500, seed=29, stratum="right")
-    assert evaluate_corpus(corpus).case_counts == {"acute": 0, "right": 500, "obtuse": 0}
     assert max(construct(corpus.triangle(i)).gamma_prime_offset for i in range(500)) < 1e-12
 
 
 def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
     # The first chunk is interrupted while the others take 10 ms each: the
-    # sweep stops after the few chunks already running, not after all 200,
-    # whether its chunks are slices of a held corpus or drawn by the workers.
+    # sweep stops after the few chunks already running, not after all 200.
     started = []
 
     def reduce_chunk(rows_at, n, start):
@@ -238,16 +225,13 @@ def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "CHUNK", 1)
     monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)
-    for sweep in (lambda: evaluate_corpus(sample_corpus(200, seed=46)),
-                  lambda: run_sweep(200, 46)):
-        started.clear()
-        with pytest.raises(KeyboardInterrupt):
-            sweep()
-        assert 0 in started and len(started) < 20
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(200, 46)
+    assert 0 in started and len(started) < 20
 
 
 def test_empty_sweep():
-    result = evaluate_corpus(sample_corpus(0, seed=0))
+    result = run_sweep(0, 0)
     assert len(result) == 0
     assert result.argmin_index is None
     assert result.argmin_row is None
@@ -260,7 +244,7 @@ def test_empty_sweep():
 def test_ratio_geometric_at_least_three(bridge_corpus):
     # E'/E = (cot sum)^2 >= 3 everywhere; the geometric route the sweep takes
     # must land above the bound up to roundoff.
-    area_derived, m = derived_and_metrics(bridge_corpus)
+    area_derived, m = _chain_inputs(bridge_corpus)
     assert float((area_derived / m.area).min()) >= 3.0 - 1e-9
 
 
