@@ -122,27 +122,6 @@ def _rotated(dx: float, dy: float, phi: float) -> tuple[float, float]:
     return math.cos(phi) * dx - math.sin(phi) * dy, math.sin(phi) * dx + math.cos(phi) * dy
 
 
-def _distance_to_perpendicular(p: Point2, anchor: Point2, start: Point2, end: Point2) -> float:
-    # The perpendicular through `anchor` to the side from start to end has
-    # unit normal (end - start) / |end - start|.
-    sx, sy = end.x - start.x, end.y - start.y
-    return abs((p.x - anchor.x) * sx + (p.y - anchor.y) * sy) / math.hypot(sx, sy)
-
-
-def test_lines_pass_through_their_anchors(t345):
-    # At the default phi = pi/2 each line is the perpendicular to a side
-    # through its anchor; every derived vertex sits on both of its lines.
-    d = construct(t345)
-    scale = 5.0  # |B Gamma|, the longest side
-    a, b, g = t345.a, t345.b, t345.g
-    assert _distance_to_perpendicular(d.ap, b, a, b) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.ap, g, b, g) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.bp, g, b, g) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.bp, a, g, a) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.gp, a, g, a) < 1e-12 * scale
-    assert _distance_to_perpendicular(d.gp, b, a, b) < 1e-12 * scale
-
-
 def test_perpendicularity_at_phi_90(equilateral):
     # A' and Gamma' share the line anchored at B, which at phi = pi/2 is
     # perpendicular to AB.
@@ -210,6 +189,7 @@ def test_construct_refuses_a_sliver_too_thin_to_judge():
     # gives, before any derived vertex is made.
     x, h = 0.5992623340540111, 8.311044459826255e-09
     t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(x, h))
+    assert t.frame_metrics.area > 0.0
     with pytest.raises(GeometryError, match="^smallest angle .* reaches 1$") as report_info:
         identity_report(t)
     assert str(report_info.value) == (

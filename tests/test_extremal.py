@@ -246,6 +246,26 @@ def test_right_family_minimum():
     assert right_cot_sum(math.pi / 4.0) == pytest.approx(2.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("search, body, shifted, message", [
+    (global_cot_sum_min, "_slice", lambda bare: lambda k, x: bare(k, x) + 1e-5,
+     r"squared minimum 3\.0000\d+, expected 3"),
+    (global_cot_sum_min, "_slice", lambda bare: lambda k, x: bare(k + 1e-4, x),
+     r"k\* = 0\.577\d+, expected 1/sqrt\(3\)"),
+    (right_triangle_min, "_right_cot_sum", lambda bare: lambda b: bare(b) + 1e-5,
+     r"minimum 2\.0000\d+ strays from 2"),
+    (right_triangle_min, "_right_cot_sum", lambda bare: lambda b: bare(b + 1e-4),
+     r"argmin 0\.785\d+ strays from pi/4"),
+], ids=["global-minimum", "global-k-star", "right-minimum", "right-argmin"])
+def test_a_search_that_strays_from_its_closed_form_raises(monkeypatch, search, body, shifted,
+                                                          message):
+    # Each shift of the searched body moves the numeric minimum or argmin past
+    # its check's tolerance but by less than 1e-3, so a check that is dropped
+    # or loosened to 1e-3 lets the stray result through.
+    monkeypatch.setattr(extremal, body, shifted(getattr(extremal, body)))
+    with pytest.raises(RuntimeError, match=message):
+        search()
+
+
 def test_right_cot_sum_exceeds_two_off_center():
     for b in (0.3, 0.6, 1.0, 1.4):
         if abs(b - math.pi / 4.0) > 1e-3:

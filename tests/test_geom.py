@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import perptri.geom as geom_mod
-from perptri.construction import construct
 from perptri.errors import GeometryError
 from perptri.geom import (
     MATH,
@@ -129,18 +128,6 @@ def test_perpendicular_lines_cross_where_the_rotated_lines_do(monkeypatch, t345,
 # ---------------------------------------------------------------------------
 
 THIN = r"^smallest angle \S+ rad is too thin to verify in binary64: .* reaches 1$"
-
-
-def test_thin_sliver_is_kept_and_refused_on_the_bound():
-    # Height 1e-10 over a unit base: a valid triangle, which Triangle keeps,
-    # but theta = 4e-10 is too thin for binary64 to judge, so the bound
-    # refuses it wherever an angle would be read.
-    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-10))
-    assert t.frame_metrics.area > 0.0
-    for refuse in (lambda: judged_bound(t.frame_metrics), lambda: identity_report(t),
-                   lambda: construct(t), lambda: construct(t, 0.25 * math.pi)):
-        with pytest.raises(GeometryError, match=THIN):
-            refuse()
 
 
 def test_slivers_around_the_old_floor_are_kept_and_refused_on_the_bound():

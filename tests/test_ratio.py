@@ -14,7 +14,7 @@ import perptri.ratio as ratio_mod
 import perptri.geom as geom_mod
 from perptri.construction import construct, similarity_check
 from perptri.errors import GeometryError
-from perptri.geom import MATH, AngleCase, metrics
+from perptri.geom import MATH, AngleCase
 from perptri.geom import Point2, Triangle
 from perptri.ratio import (
     BOUND_CONSTANT,
@@ -143,18 +143,6 @@ def test_within_bound_on_floats_and_arrays():
 #   8 E alpha^2 cot B = 1600     = 2*25*(16 + 25 - 9)
 # and the quadratic closes: 576 + (0 + 324 + 1600) - 50^2 = 0.
 # ---------------------------------------------------------------------------
-
-def test_345_chain_values_are_exact(t345):
-    m = metrics(t345)
-    assert 16.0 * m.area**2 == 576.0
-    side_sum = (
-        m.gamma**2 * math.cos(m.ang_a) / math.sin(m.ang_a)
-        + m.beta**2 * math.cos(m.ang_g) / math.sin(m.ang_g)
-        + m.alpha**2 * math.cos(m.ang_b) / math.sin(m.ang_b)
-    )
-    assert 8.0 * m.area * side_sum == pytest.approx(1924.0, rel=1e-13)
-    assert 576.0 + 1924.0 - 50.0**2 == 0.0
-
 
 def test_cot_term_scaling_survives_large_right_triangles():
     # A near-degenerate right triangle at scale 100: both sides of the

@@ -12,7 +12,6 @@ seed draws, its reducer `_reduce_chunks` sweeps the slices of a held one.
 
 import inspect
 import math
-import time
 import tracemalloc
 from functools import partial
 
@@ -21,7 +20,7 @@ import pytest
 
 from perptri.construction import construct
 import perptri.geom as geom_mod
-from perptri.geom import MATH, NUMPY, angle_cases, angle_trig
+from perptri.geom import MATH, NUMPY, AngleCase, angle_cases, angle_trig
 import perptri.ratio as ratio_mod
 import perptri.sampling as sampling_mod
 import perptri.sweep as sweep_mod
@@ -129,6 +128,7 @@ def _assert_whole_corpus_reductions(result, corpus):
     all_within = np.logical_and.reduce(within)
     assert result.over_bound == len(corpus) - int(np.count_nonzero(all_within))
     if not len(corpus):
+        assert list(result.case_counts) == [case.value for case in AngleCase]
         assert result.argmin_index is None
         assert result.argmin_row is None
         assert math.isnan(result.min_cot_sum)
@@ -210,35 +210,6 @@ def test_right_stratum_gamma_prime_collapse():
     assert run_sweep(500, 29, "right").case_counts == {"acute": 0, "right": 500, "obtuse": 0}
     corpus = sample_corpus(500, seed=29, stratum="right")
     assert max(construct(corpus.triangle(i)).gamma_prime_offset for i in range(500)) < 1e-12
-
-
-def test_an_interrupt_drops_the_chunks_not_started(monkeypatch):
-    # The first chunk is interrupted while the others take 10 ms each: the
-    # sweep stops after the few chunks already running, not after all 200.
-    started = []
-
-    def reduce_chunk(rows_at, n, start):
-        started.append(start)
-        if start == 0:
-            raise KeyboardInterrupt
-        time.sleep(0.01)
-
-    monkeypatch.setattr(sweep_mod, "CHUNK", 1)
-    monkeypatch.setattr(sweep_mod, "_reduce_chunk", reduce_chunk)
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(200, 46)
-    assert 0 in started and len(started) < 20
-
-
-def test_empty_sweep():
-    result = run_sweep(0, 0)
-    assert len(result) == 0
-    assert result.argmin_index is None
-    assert result.argmin_row is None
-    assert math.isnan(result.min_cot_sum)
-    assert result.case_counts == {"acute": 0, "right": 0, "obtuse": 0}
-    assert list(result.max_residuals) == list(CHECK_ORDER)
-    assert all(math.isnan(value) for value in result.max_residuals.values())
 
 
 def test_ratio_geometric_at_least_three(bridge_corpus):
