@@ -31,7 +31,7 @@ CASES = {
 def main() -> None:
     for name, t in CASES.items():
         d = construct(t)
-        print(f"{name}: classified {d.case.value}")
+        print(f"{name}: classified {d.case}")
         print(f"    A'     = ({d.ap.x:+.9f}, {d.ap.y:+.9f})")
         print(f"    B'     = ({d.bp.x:+.9f}, {d.bp.y:+.9f})")
         print(f"    Gamma' = ({d.gp.x:+.9f}, {d.gp.y:+.9f})")

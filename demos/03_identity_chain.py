@@ -18,7 +18,7 @@ from perptri.sampling import sample_corpus
 def show(name: str, t: Triangle) -> None:
     report = identity_report(t)
     m = metrics(t)
-    print(f"{name}: case {report.case.value}, smallest angle {report.smallest_angle:.4g} rad, "
+    print(f"{name}: case {report.case}, smallest angle {report.smallest_angle:.4g} rad, "
           f"bound C eps/theta^2 = {report.bound:.2e}")
     print(f"    sides {m.alpha:.6g} / {m.beta:.6g} / {m.gamma:.6g}, area {m.area:.6g}")
     for key, value in report.residuals.items():
@@ -32,7 +32,7 @@ def main() -> None:
     show("right 3-4-5", Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3)))
 
     corpus = sample_corpus(5, seed=2024)
-    for i in range(len(corpus)):
+    for i in range(corpus.ang_b.size):
         show(f"random triangle #{i}", corpus.triangle(i))
 
 

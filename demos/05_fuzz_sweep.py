@@ -14,7 +14,7 @@ from perptri.sweep import run_sweep
 
 
 def summarize(title: str, result, elapsed: float) -> None:
-    print(f"{title}: {len(result)} triangles in {elapsed:.2f} s")
+    print(f"{title}: {result.n} triangles in {elapsed:.2f} s")
     counts = result.case_counts
     print(f"    cases: acute {counts['acute']}, right {counts['right']}, "
           f"obtuse {counts['obtuse']}")

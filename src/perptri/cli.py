@@ -175,7 +175,7 @@ def cmd_verify(args):
     t = load_triangle(args.spec)
     report = identity_report(t)
     return {
-        "case": report.case.value,
+        "case": report.case,
         "smallest_angle_rad": report.smallest_angle,
         "residuals": report.residuals,
         "bound": report.bound,
@@ -209,7 +209,7 @@ def cmd_construct(args):
     ap, bp, gp = d.ap, d.bp, d.gp
     return {
         "phi_deg": args.phi,
-        "case": d.case.value,
+        "case": d.case,
         "vertices": {"A_prime": [ap.x, ap.y], "B_prime": [bp.x, bp.y], "Gamma_prime": [gp.x, gp.y]},
         "area_source": metrics(t).area,
         "area_derived": d.area_derived,
@@ -437,7 +437,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # a defect of the package, not of the input
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,7 +24,6 @@ them judges thinness: every scalar command judges `ratio.judged_bound` first.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections import namedtuple
@@ -288,16 +287,15 @@ def metrics(t: Triangle) -> TriangleMetrics:
 CASE_BAND = 1e-9
 
 
-class AngleCase(enum.Enum):
-    """Qualitative picture, determined by angle A."""
-
-    ACUTE = "acute"      # derived triangle strictly contains the original
-    RIGHT = "right"      # at phi = 90 deg, Gamma' lands exactly on B
-    OBTUSE = "obtuse"    # partial overlap; cot A < 0 compensates in the ratio
+#: The names of the angle cases, by angle A, in the order `angle_cases` gives
+#: their masks: acute (the derived triangle strictly contains the original),
+#: right (at phi = 90 deg, Gamma' lands exactly on B) and obtuse (partial
+#: overlap; cot A < 0 compensates in the ratio).
+CASES = ("acute", "right", "obtuse")
 
 
 def angle_cases(ang_a):
-    """Masks (acute, right, obtuse) of angle A, a float or an array; NaN is in none."""
+    """Masks of angle A, a float or an array, in the order of `CASES`; NaN is in none."""
     off_right = abs(ang_a - 0.5 * math.pi)
     return (
         (ang_a < 0.5 * math.pi) & (off_right >= CASE_BAND),
@@ -306,9 +304,9 @@ def angle_cases(ang_a):
     )
 
 
-def classify_angle(ang_a: float) -> AngleCase:
-    """The case of one angle A; a NaN angle, which has none, raises GeometryError."""
-    acute, right, obtuse = angle_cases(ang_a)
-    if not (acute or right or obtuse):
-        raise GeometryError(f"angle A {ang_a!r} falls in no case")
-    return AngleCase.RIGHT if right else AngleCase.ACUTE if acute else AngleCase.OBTUSE
+def classify_angle(ang_a: float) -> str:
+    """The name in `CASES` of one angle A's case; a NaN angle, in none, raises GeometryError."""
+    for case, mask in zip(CASES, angle_cases(ang_a)):
+        if mask:
+            return case
+    raise GeometryError(f"angle A {ang_a!r} falls in no case")

@@ -329,7 +329,7 @@ def identity_chain(inputs: list, residuals=None) -> IdentityChain:
 class VerifyReport(namedtuple("VerifyReport", "case smallest_angle bound residuals within")):
     """One triangle's residuals, each judged against the one bound.
 
-    case is the triangle's `geom.AngleCase`, smallest_angle is theta
+    case names the triangle's angle case (`geom.CASES`), smallest_angle is theta
     (`smallest_angle`) and bound is the residual_bound it gives; residuals
     maps each name of CHECK_ORDER to its value, and within tells for each
     whether it is within the bound (a NaN never is).  The triangle's own

@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from . import geom
 from .errors import GeometryError
-from .geom import MATH, Ops, Point2, Triangle, frame_exponent
+from .geom import CASES, MATH, Ops, Point2, Triangle, frame_exponent
 
 #: Default sliver floor (radians): no sampled angle sits closer than this to
 #: 0, and A stays below pi minus this.  `perptri sweep` samples with it.
@@ -41,7 +41,7 @@ DELTA_STRESS = 1e-4
 #: Scale is 10**uniform(low, high): four decades centered on 1.
 SCALE_DECADES = (-2.0, 2.0)
 
-STRATA = ("all", "acute", "right", "obtuse")
+STRATA = ("all", *CASES)
 
 
 def triangle_from_sides(alpha: float, beta: float, gamma: float) -> Triangle:
@@ -110,18 +110,9 @@ def _layout(ops: Ops, ang_b, ang_g, scale):
 
 
 class TriangleCorpus(namedtuple("TriangleCorpus", "ang_b ang_g scale")):
-    """A vectorized batch of triangles: base angles plus scale (float64 arrays), canonical layout.
-
-    len() counts the triangles, not the fields.
-    """
+    """A vectorized batch of triangles: base angles plus scale (float64 arrays), canonical layout."""
 
     __slots__ = ()
-
-    # namedtuple's _make, which _replace calls, checks the field count by len().
-    _make = classmethod(tuple.__new__)
-
-    def __len__(self) -> int:
-        return int(self.ang_b.size)
 
     @property
     def ang_a(self):

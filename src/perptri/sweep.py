@@ -38,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geom import NUMPY, AngleCase, anchored_metrics, angle_cases, derived_triangle, frame
+from .geom import CASES, NUMPY, anchored_metrics, angle_cases, derived_triangle, frame
 from .ratio import CHECK_ORDER, identity_chain, residual_bound, smallest_angle, within_bound
 from .sampling import corpus_rows
 
@@ -64,9 +64,6 @@ class SweepResult(SimpleNamespace):
     property any of max_residuals, min_cot_sum and argmin_index it finds in
     the class.
     """
-
-    def __len__(self) -> int:
-        return self.n
 
 
 class _ChunkMaxima:
@@ -168,7 +165,7 @@ def _reduce_chunks(n: int, rows_at) -> SweepResult:
     row.
     """
     if not n:
-        return SweepResult(n=0, case_counts={case.value: 0 for case in AngleCase},
+        return SweepResult(n=0, case_counts=dict.fromkeys(CASES, 0),
                            max_residuals=dict.fromkeys(CHECK_ORDER, math.nan),
                            min_cot_sum=math.nan, argmin_index=None, argmin_row=None,
                            over_bound=0)
@@ -200,7 +197,7 @@ def _reduce_chunks(n: int, rows_at) -> SweepResult:
         # After an interrupt or a failed chunk, the chunks not yet started are dropped.
         pool.shutdown(cancel_futures=True)
     row = tuple(float(field[0]) for field in rows_at(index, index + 1))
-    return SweepResult(n=n, case_counts=dict(zip((case.value for case in AngleCase), counts)),
+    return SweepResult(n=n, case_counts=dict(zip(CASES, counts)),
                        max_residuals=dict(zip(CHECK_ORDER, maxima)), min_cot_sum=minimum,
                        argmin_index=index, argmin_row=row, over_bound=over)
 

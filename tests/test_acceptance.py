@@ -65,7 +65,7 @@ def timed_sweep(swept):
     parts, elapsed = swept
     results = list(parts.values())
     result = SweepResult(
-        n=sum(map(len, results)),
+        n=sum(r.n for r in results),
         case_counts={case: sum(r.case_counts[case] for r in results)
                      for case in results[0].case_counts},
         max_residuals={key: float(np.max([r.max_residuals[key] for r in results]))
@@ -79,7 +79,7 @@ def test_acceptance_1_ratio_identity(timed_sweep):
     worst = result.max_residuals["area_ratio"]
     counts = result.case_counts
     ok = (
-        len(result) == 100_000
+        result.n == 100_000
         and worst <= 1e-8
         and elapsed <= 10.0
         and all(counts[case] > 0 for case in ("acute", "right", "obtuse"))
@@ -182,7 +182,7 @@ def test_acceptance_7_similarity_for_all_phi():
     rng = np.random.default_rng([SEED, 77])
     phis = (1.0 - rng.uniform(0.0, 1.0, 10_000)) * HALF_PI  # in (0, pi/2]
     worst = 0.0
-    for i in range(len(corpus)):
+    for i in range(corpus.ang_b.size):
         t = corpus.triangle(i)
         disc = similarity_check(t, construct(t, float(phis[i])))
         worst = max(worst, max(disc))
@@ -196,7 +196,7 @@ def test_acceptance_8_figure_cases(swept):
     n, seed = PARTS["right"]
     right = sample_corpus(n, seed, "right")
     obtuse = swept[0]["obtuse"]
-    offset = max(construct(right.triangle(i)).gamma_prime_offset for i in range(len(right)))
+    offset = max(construct(right.triangle(i)).gamma_prime_offset for i in range(right.ang_b.size))
     obtuse_worst = obtuse.max_residuals["area_ratio"]
     ok = offset <= 1e-9 and obtuse_worst <= 1e-8
     detail = f"right-case offset {offset:.3e}, obtuse ratio residual {obtuse_worst:.3e}"

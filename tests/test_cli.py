@@ -135,6 +135,16 @@ def test_sides_form_takes_the_correctly_rounded_cosine():
     assert abs(Fraction(t.g.y) ** 2 - (b * b - x * x)) <= 2 * ulp * Fraction(t.g.y)
 
 
+def test_angles_below_one_degree_are_taken():
+    t = triangle_from_spec({"angles": {"B_deg": 0.5, "Gamma_deg": 0.25, "scale": 1}})
+    m = t.frame_metrics
+    assert (m.ang_b, m.ang_g) == pytest.approx((math.radians(0.5), math.radians(0.25)), rel=1e-9)
+
+
+def test_fmt_prints_negative_zero_as_zero():
+    assert fmt(-0.0) == fmt(0.0) == "0"
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 # ---------------------------------------------------------------------------
@@ -538,11 +548,13 @@ def test_render_draws_what_construct_cannot_print(tmp_path, capsys):
 
 
 def test_sweep_text_deterministic(capsys):
-    assert main(["sweep", "--n", "50", "--seed", "7"]) == 0
+    # With no options the sweep is that of --n 1000 --seed 0, byte for byte.
+    assert main(["sweep"]) == 0
     first = capsys.readouterr().out
-    assert main(["sweep", "--n", "50", "--seed", "7"]) == 0
+    assert main(["sweep", "--n", "1000", "--seed", "0"]) == 0
     second = capsys.readouterr().out
     assert first == second
+    assert first.startswith("sweep: n=1000 seed=0 stratum=all\n")
     assert "max residuals" in first
     assert "min cot sum" in first
 
@@ -631,14 +643,17 @@ def test_minimize_global(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["min_ratio"] == pytest.approx(3.0, abs=1e-12)
     assert payload["min_cot_sum"] == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert payload["argmin_angles_deg"]["B"] == pytest.approx(60.0, abs=1e-9)
+    assert payload["argmin_angles_deg"] == pytest.approx({"A": 60.0, "B": 60.0, "Gamma": 60.0},
+                                                         abs=1e-9)
+    assert payload["slice_check"]["k"] == 1.0 / math.sqrt(3.0)
 
 
 def test_minimize_right(capsys):
     assert main(["minimize", "--right", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["min_ratio"] == 4.0
-    assert payload["argmin_angles_deg"]["B"] == pytest.approx(45.0, abs=1e-9)
+    assert payload["argmin_angles_deg"] == pytest.approx({"A": 90.0, "B": 45.0, "Gamma": 45.0},
+                                                         abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

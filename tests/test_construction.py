@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from perptri.construction import construct, similarity_check
 from perptri.errors import GeometryError
 from perptri.geom import (
-    AngleCase,
+    CASES,
     Point2,
     Triangle,
     angle_cases,
@@ -29,10 +29,10 @@ EPS = sys.float_info.epsilon
 
 
 def test_classify_angle():
-    assert classify_angle(1.0) is AngleCase.ACUTE
-    assert classify_angle(HALF_PI) is AngleCase.RIGHT
-    assert classify_angle(HALF_PI + 1e-12) is AngleCase.RIGHT
-    assert classify_angle(2.0) is AngleCase.OBTUSE
+    assert classify_angle(1.0) == "acute"
+    assert classify_angle(HALF_PI) == "right"
+    assert classify_angle(HALF_PI + 1e-12) == "right"
+    assert classify_angle(2.0) == "obtuse"
 
 
 def test_angle_cases_arrays_match_classify_angle():
@@ -40,7 +40,7 @@ def test_angle_cases_arrays_match_classify_angle():
     masks = np.array(angle_cases(angles))
     assert (masks.sum(axis=0) == 1).all()
     for column, ang in zip(masks.T, angles):
-        assert list(AngleCase)[int(np.argmax(column))] is classify_angle(float(ang))
+        assert CASES[int(np.argmax(column))] == classify_angle(float(ang))
 
 
 def test_nan_angle_is_in_no_case():
@@ -62,7 +62,7 @@ def test_phi_out_of_range_raises(t345):
 
 def test_right_case_345(t345):
     d = construct(t345)
-    assert d.case is AngleCase.RIGHT
+    assert d.case == "right"
     assert d.ap.x == pytest.approx(4.0, abs=1e-12)
     assert d.ap.y == pytest.approx(25.0 / 3.0, abs=1e-12)
     assert d.bp.x == pytest.approx(-9.0 / 4.0, abs=1e-12)
@@ -93,7 +93,7 @@ def test_construct_at_phi_90_builds_the_exact_perpendiculars(t345):
 
 def test_acute_case_equilateral(equilateral):
     d = construct(equilateral)
-    assert d.case is AngleCase.ACUTE
+    assert d.case == "acute"
     assert d.ap.x == pytest.approx(1.0, abs=1e-13)
     assert d.ap.y == pytest.approx(2.0 * SQRT3 / 3.0, abs=1e-13)
     assert d.bp.x == pytest.approx(-0.5, abs=1e-13)
@@ -106,7 +106,7 @@ def test_acute_case_equilateral(equilateral):
 
 def test_obtuse_case_120_30_30(obtuse_iso):
     d = construct(obtuse_iso)
-    assert d.case is AngleCase.OBTUSE
+    assert d.case == "obtuse"
     assert d.ap.x == pytest.approx(1.0, abs=1e-12)
     assert d.ap.y == pytest.approx(2.0 * SQRT3, abs=1e-12)
     assert d.bp.x == pytest.approx(-1.5, abs=1e-12)
@@ -153,15 +153,18 @@ def test_derived_vertices_lie_on_their_rotated_lines(t345, equilateral, obtuse_i
 @pytest.mark.parametrize("phi", [math.pi / 3, HALF_PI])
 def test_construction_does_not_depend_on_position(phi):
     # Offsets are whole multiples of the base 4, so every shifted vertex is
-    # exact and the shifted triangles have exactly the same shape.
+    # exact and the shifted triangles have exactly the same shape; placed in
+    # the input's coordinates, A', B' and Gamma' move with the triangle.
     base = construct(Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 3.0)), phi)
     for k in (0.0, 1e6, 1e8, 1e12):
         dx, dy = 4.0 * k, -8.0 * k
         t = Triangle(Point2(dx, dy), Point2(dx + 4.0, dy), Point2(dx + 1.0, dy + 3.0))
         d = construct(t, phi)
-        for name in ("ap_rel", "bp_rel", "gp_rel"):
-            got, want = getattr(d, name), getattr(base, name)
+        for name in ("ap", "bp", "gp"):
+            got, want = getattr(d, name + "_rel"), getattr(base, name + "_rel")
             assert got.dist(want) <= 1e-12 * math.hypot(want.x, want.y)
+            placed = getattr(base, name)
+            assert getattr(d, name) == Point2(placed.x + dx, placed.y + dy)
         assert max(similarity_check(t, d)) < 1e-9
 
 
@@ -181,6 +184,17 @@ def test_similarity_all_cases(t345, equilateral, obtuse_iso, phi):
     for t in (t345, equilateral, obtuse_iso):
         disc = similarity_check(t, construct(t, phi))
         assert max(disc) < 1e-9
+
+
+def test_similarity_discrepancies_are_absolute(equilateral):
+    # Against another triangle's construction, whose derived angles A', B',
+    # Gamma' are its B, Gamma, A (50, 50, 80 degrees, then 70, 70, 40), the
+    # equilateral's discrepancies are 10, 10 and 20 degrees, whichever side of
+    # 60 each derived angle falls.
+    for ang in (50.0, 70.0):
+        other = triangle_from_angles(math.radians(ang), math.radians(ang), 1.0)
+        disc = similarity_check(equilateral, construct(other))
+        assert disc == pytest.approx(tuple(map(math.radians, (10.0, 10.0, 20.0))), abs=1e-12)
 
 
 def test_construct_refuses_a_sliver_too_thin_to_judge():
@@ -233,9 +247,9 @@ def test_gamma_prime_on_b_is_the_right_case_at_phi_90():
     for _ in range(500):
         ang_b = rng.uniform(0.05, HALF_PI - 0.05)
         d = construct(triangle_from_angles(ang_b, HALF_PI - ang_b - rng.uniform(-1e-8, 1e-8), 1.0))
-        assert d.gamma_prime_on_b == (d.case is AngleCase.RIGHT)
+        assert d.gamma_prime_on_b == (d.case == "right")
         cases.add(d.case)
-    assert cases == set(AngleCase)
+    assert cases == set(CASES)
 
 
 def test_small_phi_keeps_ratio_near_one(equilateral):

@@ -126,7 +126,7 @@ def verify_codes(monkeypatch) -> list:
 
 def test_without_a_defect_nothing_is_caught(corpus, monkeypatch, capsys):
     assert set(over_bound_shares(corpus).values()) == {0.0}
-    assert run_sweep(len(corpus), 5).over_bound == 0
+    assert run_sweep(corpus.ang_b.size, 5).over_bound == 0
     assert verify_codes(monkeypatch) == [0, 0, 0]
     assert "FAIL" not in capsys.readouterr().out
 
@@ -137,7 +137,7 @@ def test_each_defect_is_caught_by_its_residuals(corpus, monkeypatch, capsys, nam
     inject(monkeypatch)
     shares = over_bound_shares(corpus)
     assert {residual for residual, share in shares.items() if share > 0.5} == catchers
-    assert run_sweep(len(corpus), 5).over_bound > len(corpus) // 2
+    assert run_sweep(corpus.ang_b.size, 5).over_bound > corpus.ang_b.size // 2
     assert verify_codes(monkeypatch) == [1, 1, 1]
     assert capsys.readouterr().out.count("verdict: FAIL") == 3
 

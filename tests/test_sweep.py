@@ -20,7 +20,7 @@ import pytest
 
 from perptri.construction import construct
 import perptri.geom as geom_mod
-from perptri.geom import MATH, NUMPY, AngleCase, angle_cases, angle_trig
+from perptri.geom import CASES, MATH, NUMPY, angle_cases, angle_trig
 import perptri.ratio as ratio_mod
 import perptri.sampling as sampling_mod
 import perptri.sweep as sweep_mod
@@ -48,7 +48,7 @@ def chain_of(corpus):
 def held_sweep(corpus):
     """The sweep of a held corpus, one no seed draws: the reducer over its slices."""
     return sweep_mod._reduce_chunks(
-        len(corpus), lambda start, stop: TriangleCorpus(*(field[start:stop] for field in corpus)))
+        corpus.ang_b.size, lambda start, stop: TriangleCorpus(*(field[start:stop] for field in corpus)))
 
 
 def bound_of(m):
@@ -80,7 +80,7 @@ def test_residual_keys_complete(bridge_chain, bridge_result):
 
 
 def test_bridge_residuals_match_scalar(bridge_corpus, bridge_chain):
-    for i in range(len(bridge_corpus)):
+    for i in range(bridge_corpus.ang_b.size):
         report = identity_report(bridge_corpus.triangle(i))
         for key in CHECK_ORDER:
             scalar = report.residuals[key]
@@ -91,7 +91,7 @@ def test_bridge_residuals_match_scalar(bridge_corpus, bridge_chain):
 def test_bridge_values_match_scalar(bridge_corpus, bridge_chain):
     area_derived, m = _chain_inputs(bridge_corpus)
     ratio_geometric = area_derived / m.area
-    for i in range(len(bridge_corpus)):
+    for i in range(bridge_corpus.ang_b.size):
         d = construct(bridge_corpus.triangle(i))
         ang_b, ang_g = float(bridge_corpus.ang_b[i]), float(bridge_corpus.ang_g[i])
         total = sum(angle_trig(MATH, x)[0] for x in (math.pi - ang_b - ang_g, ang_b, ang_g))
@@ -101,8 +101,8 @@ def test_bridge_values_match_scalar(bridge_corpus, bridge_chain):
 
 def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_chain, bridge_result):
     counts = {"acute": 0, "right": 0, "obtuse": 0}
-    for i in range(len(bridge_corpus)):
-        counts[identity_report(bridge_corpus.triangle(i)).case.value] += 1
+    for i in range(bridge_corpus.ang_b.size):
+        counts[identity_report(bridge_corpus.triangle(i)).case] += 1
     masks = angle_cases(chain_of(bridge_corpus)[1].ang_a)
     assert [int(np.count_nonzero(mask)) for mask in masks] == list(counts.values())
     assert bridge_result.case_counts == counts
@@ -119,16 +119,16 @@ def _same(chunked: float, reference: float) -> bool:
 def _assert_whole_corpus_reductions(result, corpus):
     """The chunked result equals numpy's reductions of the chain over the whole corpus."""
     chain, m = chain_of(corpus)
-    assert len(result) == len(corpus)
+    assert result.n == corpus.ang_b.size
     masks = angle_cases(m.ang_a)
     assert list(result.case_counts.values()) == [int(np.count_nonzero(m)) for m in masks]
     assert list(result.max_residuals) == list(CHECK_ORDER)
     bound = bound_of(m)
     within = [within_bound(chain.residuals[key], bound) for key in CHECK_ORDER]
     all_within = np.logical_and.reduce(within)
-    assert result.over_bound == len(corpus) - int(np.count_nonzero(all_within))
-    if not len(corpus):
-        assert list(result.case_counts) == [case.value for case in AngleCase]
+    assert result.over_bound == corpus.ang_b.size - int(np.count_nonzero(all_within))
+    if not corpus.ang_b.size:
+        assert list(result.case_counts) == list(CASES)
         assert result.argmin_index is None
         assert result.argmin_row is None
         assert math.isnan(result.min_cot_sum)
