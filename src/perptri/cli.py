@@ -41,10 +41,13 @@ import math
 import os
 import sys
 
-from .errors import GeometryError, ParseError
-from .geom import MATH, Point2, Triangle, in_units, metrics
+from .geom import MATH, GeometryError, Point2, Triangle, in_units, metrics
 from .ratio import BOUND_CONSTANT, area_routes, identity_report, judged_bound
 from .sampling import STRATA, triangle_from_angles, triangle_from_sides
+
+
+class ParseError(ValueError):
+    """A command-line mistake, or a malformed or ambiguous triangle specification."""
 
 
 def fmt(value: float) -> str:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import GeometryError
 from .geom import (
     CASE_BAND,
     MATH,
+    GeometryError,
     Point2,
     Triangle,
     anchored_metrics,

@@ -23,10 +23,10 @@ only and the search would choose on noise.
 
 Arguments are checked once, at the public functions.  A search evaluates a
 bare objective, with no checks per probe: the slice `_slice` or the right
-family's `_right_cot_sum`.  `minimize_slice` checks k before it searches,
-the outer stage of `global_cot_sum_min` probes only k in [1e-3, 1e2], and
-`brent_min` probes only x inside its bracket [SEARCH_LO, SEARCH_HI], a
-subset of (0, pi/2).
+family's `_right_cot_sum`.  `minimize_slice` checks k, through
+`slice_argmin`, before it searches, the outer stage of `global_cot_sum_min`
+probes only k in [1e-3, 1e2], and `brent_min` probes only x inside its
+bracket [SEARCH_LO, SEARCH_HI], a subset of (0, pi/2).
 """
 
 from __future__ import annotations
@@ -210,9 +210,8 @@ def minimize_slice(k: float) -> ExtremalReport:
     left in the report for callers to judge (a search resolves the argmin of
     a flat quadratic bottom to about sqrt(eps) only).
     """
-    _check_k(k)
-    numeric_argmin, numeric_min = _numeric_slice_min(k)
     argmin = slice_argmin(k)
+    numeric_argmin, numeric_min = _numeric_slice_min(k)
     min_value = slice_min_value(k)
     return ExtremalReport(
         k=k,
@@ -276,7 +275,7 @@ def right_triangle_min() -> tuple[float, float]:
     return 4.0, 0.25 * math.pi
 
 
-def cot_sum_lattice_min(n: int = 2000) -> tuple[float, float, float]:
+def cot_sum_lattice_min(n: int) -> tuple[float, float, float]:
     """Brute-force minimum of the cotangent sum over an n x n angle lattice.
 
     Scans base angles (B, Gamma) on a regular open lattice of (LATTICE_MARGIN,

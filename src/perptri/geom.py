@@ -28,7 +28,10 @@ import functools
 import math
 from collections import namedtuple
 
-from .errors import GeometryError
+
+class GeometryError(ValueError):
+    """binary64 cannot take this triangle or this value; the message says why."""
+
 
 #: The elementary functions the float and array routines use beyond arithmetic
 #: operators; max and min are n-ary and elementwise.

@@ -48,10 +48,11 @@ its position or size.  `identity_report` takes the derived area from one
 triangle's stored frame and runs the chain on it and the stored metrics,
 and `sweep._reduce_chunk` does the same on each chunk's frame arrays before
 it measures them, so that the frame dies before the chain starts.  Both
-hand the two over in a list the chain empties.  The chain assigns each
-residual to a mapping as soon as it makes it: `identity_report`'s is a dict
-in CHECK_ORDER, and a sweep's reduces each residual and drops it, so that
-a chunk keeps only reductions of the per-triangle arrays.  The input's type
+hand the two over in a list the chain empties, with the mapping that
+takes each residual as soon as the chain makes it; the chain returns only
+the cot sum.  `identity_report`'s mapping is a dict in CHECK_ORDER, and a
+sweep's reduces each residual and drops it, so that a chunk keeps only
+reductions of the per-triangle arrays.  The input's type
 picks the elementary functions: a float (a numpy float64 is one) takes
 `geom.MATH`, anything else, in practice an array, takes `geom.NUMPY`.
 Neither serves the other's input: the chain on one triangle costs about
@@ -71,9 +72,9 @@ import sys
 from collections import namedtuple
 
 from . import geom
-from .errors import GeometryError
 from .geom import (
     MATH,
+    GeometryError,
     Ops,
     Triangle,
     TriangleMetrics,
@@ -160,18 +161,8 @@ def _term_norm(vmax, lhs, two_w2, p2, q2, r2):
     return abs(lhs - rhs) / (1.0 + dominant), rhs
 
 
-#: Every name of CHECK_ORDER, each None: the chain fills a copy by default, in that order.
+#: Every name of CHECK_ORDER, each None: `identity_report` fills a copy, in that order.
 _UNFILLED = dict.fromkeys(CHECK_ORDER)
-
-
-class IdentityChain(namedtuple("IdentityChain", "residuals cot_sum")):
-    """The chain on one triangle (floats) or many (arrays): its residuals and cot sum.
-
-    residuals is what `identity_chain` assigned each residual to, by default
-    a dict in CHECK_ORDER; cot_sum is a float or an array, as the metrics are.
-    """
-
-    __slots__ = ()
 
 
 def cot_sum(ops: Ops, m: TriangleMetrics):
@@ -230,8 +221,8 @@ def area_routes(ops: Ops, m: TriangleMetrics) -> dict:
             "cot_formula": cot, "sine_formula": sine}
 
 
-def identity_chain(inputs: list, residuals=None) -> IdentityChain:
-    """The identity chain at phi = pi/2 of a triangle's frame metrics and derived area.
+def identity_chain(inputs: list, residuals):
+    """The cot sum of a triangle's frame metrics; each identity residual goes to residuals.
 
     inputs is the list [area_derived, m]: the area the caller took from the
     triangle's frame (`geom.derived_triangle` at (cos phi, sin phi) =
@@ -242,22 +233,22 @@ def identity_chain(inputs: list, residuals=None) -> IdentityChain:
     as arguments they could not be freed before the call returns, since
     Python 3.10 keeps a call's arguments on the caller's stack until then.
 
-    Each residual is assigned to residuals[name] as soon as it is made, and
-    the chain keeps no reference to it.  By default residuals is a dict
-    keyed in CHECK_ORDER, so it lists them in that order whatever order they
-    are made in; a sweep's chunk passes an object that reduces each one as
-    it is assigned (`sweep._reduce_chunk`), so that it holds one residual at
-    a time.  The chain finishes the half-angle link, one angle at a time,
-    and the area-route residuals before it builds the side squares, which
-    the other links read.  Every result is in the frame's units.  It divides
-    by sines and by each s - x, so it needs a triangle `judged_bound`
-    accepts: a thinner one's floats may divide by zero, and its arrays carry
-    inf or NaN.
+    Each residual of the chain at phi = pi/2 is assigned to residuals[name]
+    as soon as it is made, and the chain keeps no reference to it.
+    `identity_report` passes a dict keyed in CHECK_ORDER, which lists them
+    in that order whatever order they are made in; a sweep's chunk passes
+    an object that reduces each one as it is assigned
+    (`sweep._reduce_chunk`), so that it holds one residual at a time.  The
+    return value is cot A + cot B + cot Gamma, a float or an array, as the
+    metrics are.  The chain finishes the half-angle link, one angle at a
+    time, and the area-route residuals before it builds the side squares,
+    which the other links read.  Every result is in the frame's units.  It
+    divides by sines and by each s - x, so it needs a triangle
+    `judged_bound` accepts: a thinner one's floats may divide by zero, and
+    its arrays carry inf or NaN.
     """
     area_derived, m = inputs
     inputs.clear()
-    if residuals is None:
-        residuals = _UNFILLED.copy()
     alpha, beta, gamma, ang_a, ang_b, ang_g, s, area = m
     del m
     ops = MATH if isinstance(area, float) else geom.NUMPY
@@ -323,7 +314,7 @@ def identity_chain(inputs: list, residuals=None) -> IdentityChain:
     residuals["chain_sum"] = abs(quadratic_lhs - chain_rhs) / sum_sq_sq
     del chain_rhs
     residuals["area_quadratic"] = abs(quadratic_lhs) / sum_sq_sq
-    return IdentityChain(residuals, csum)
+    return csum
 
 
 class VerifyReport(namedtuple("VerifyReport", "case smallest_angle bound residuals within")):
@@ -372,7 +363,8 @@ def identity_report(t: Triangle) -> VerifyReport:
     m = t.frame_metrics
     theta, bound = judged_bound(m)
     area_derived = derived_triangle(*t.frame[1:], 0.0, 1.0)[1]
-    residuals = identity_chain([area_derived, m]).residuals
+    residuals = _UNFILLED.copy()
+    identity_chain([area_derived, m], residuals)
     return VerifyReport(
         case=classify_angle(m.ang_a),
         smallest_angle=theta,

@@ -26,8 +26,7 @@ import sys
 from collections import namedtuple
 
 from . import geom
-from .errors import GeometryError
-from .geom import CASES, MATH, Ops, Point2, Triangle, frame_exponent
+from .geom import CASES, MATH, GeometryError, Ops, Point2, Triangle, frame_exponent
 
 #: Default sliver floor (radians): no sampled angle sits closer than this to
 #: 0, and A stays below pi minus this.  `perptri sweep` samples with it.

@@ -31,7 +31,7 @@ def _label(
     """A vertex label nudged away from the figure's interior."""
     dx = anchor[0] - away_from[0]
     dy = anchor[1] - away_from[1]
-    norm = math.hypot(dx, dy) or 1.0
+    norm = math.hypot(dx, dy)
     x = anchor[0] + 0.05 * size * dx / norm
     y = anchor[1] + 0.05 * size * dy / norm
     return (
@@ -48,7 +48,7 @@ def _dashed_line(
     """A construction line drawn past every point it is known to pass through."""
     far = max(through, key=lambda p: math.hypot(p[0] - anchor[0], p[1] - anchor[1]))
     dx, dy = far[0] - anchor[0], far[1] - anchor[1]
-    norm = math.hypot(dx, dy) or 1.0
+    norm = math.hypot(dx, dy)
     ux, uy = dx / norm, dy / norm
     ts = [0.0] + [
         (p[0] - anchor[0]) * ux + (p[1] - anchor[1]) * uy for p in through

@@ -121,7 +121,7 @@ def _reduce_chunk(rows_at, n: int, start: int):
     counts = [int(np.count_nonzero(mask)) for mask in angle_cases(inputs[1].ang_a)]
     bound = residual_bound(smallest_angle(NUMPY, inputs[1]))
     reduction = _ChunkMaxima()
-    cot_sum = identity_chain(inputs, reduction).cot_sum
+    cot_sum = identity_chain(inputs, reduction)
     argmin = int(np.argmin(cot_sum))
     worst = reduction.worst
     over = worst.size - int(np.count_nonzero(within_bound(worst, bound)))

@@ -254,10 +254,15 @@ verdict: PASS
 
 
 # B = 60 deg, scale 1.  Down to Gamma = 1e-5 deg (theta = 1.7e-7 rad, bound
-# 0.47) every residual stays within C eps / theta**2; below, the bound passes
-# 1 and verify refuses a verdict with one line, exit 2.
+# 0.47) every residual stays within C eps / theta**2; below, the bound reaches
+# 1 (1.3 at 6e-6 deg) and verify refuses a verdict with one line naming theta
+# and the bound, exit 2.
+THIN_REFUSALS = {6e-6: ("1.0471975516136119e-07", "1.3"), 3e-6: ("5.235987756427753e-08", "5.18"),
+                 1e-6: ("1.7453292543165527e-08", "46.7")}
+
+
 @pytest.mark.parametrize("gamma_deg, expected", [
-    (1e-3, 0), (1e-4, 0), (3e-5, 0), (1e-5, 0), (3e-6, 2), (1e-6, 2)])
+    (1e-3, 0), (1e-4, 0), (3e-5, 0), (1e-5, 0), (6e-6, 2), (3e-6, 2), (1e-6, 2)])
 def test_verify_thin_triangles(tmp_path, capsys, gamma_deg, expected):
     spec = {"angles": {"B_deg": 60, "Gamma_deg": gamma_deg, "scale": 1}}
     code = main(["verify", write_spec(tmp_path, spec)])
@@ -268,8 +273,9 @@ def test_verify_thin_triangles(tmp_path, capsys, gamma_deg, expected):
         assert "FAIL" not in captured.out
         return
     assert captured.out == ""
-    assert captured.err.startswith("error: smallest angle") and "too thin" in captured.err
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    theta, bound = THIN_REFUSALS[gamma_deg]
+    assert captured.err == (f"error: smallest angle {theta} rad is too thin to verify in binary64: "
+                            f"the bound 64 eps/theta^2 = {bound} reaches 1\n")
 
 
 def scaled_345(form, scale):
@@ -654,6 +660,24 @@ def test_minimize_right(capsys):
     assert payload["min_ratio"] == 4.0
     assert payload["argmin_angles_deg"] == pytest.approx({"A": 90.0, "B": 45.0, "Gamma": 45.0},
                                                          abs=1e-9)
+
+
+def test_json_layout_is_pinned_byte_for_byte(capsys):
+    # The whole stdout of one --json command: keys in the payload's order,
+    # indented by two spaces, and one newline at the end.
+    assert main(["minimize", "--right", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "family": "right",\n'
+        '  "min_ratio": 4.0,\n'
+        '  "min_cot_sum": 2.0,\n'
+        '  "argmin_angles_deg": {\n'
+        '    "A": 90.0,\n'
+        '    "B": 45.0,\n'
+        '    "Gamma": 45.0\n'
+        '  }\n'
+        '}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perptri.construction import construct, similarity_check
-from perptri.errors import GeometryError
 from perptri.geom import (
     CASES,
+    GeometryError,
     Point2,
     Triangle,
     angle_cases,
@@ -237,6 +237,13 @@ def test_gamma_prime_on_b_exactly_where_a_is_pi_minus_phi():
             if phi - ang_b - shift > 0.0:
                 moved = triangle_from_angles(ang_b, phi - ang_b - shift, 1.0)
                 assert not construct(moved, phi).gamma_prime_on_b
+
+
+def test_gamma_prime_offset_of_an_obtuse_triangle():
+    # B = (5, 0), Gamma = (-3, 4): Gamma' lies 3.75 from B, and the longest
+    # side, B Gamma, is sqrt(80).
+    t = Triangle(Point2(0.0, 0.0), Point2(5.0, 0.0), Point2(-3.0, 4.0))
+    assert construct(t).gamma_prime_offset == pytest.approx(3.75 / math.sqrt(80.0), rel=1e-15)
 
 
 def test_gamma_prime_on_b_is_the_right_case_at_phi_90():

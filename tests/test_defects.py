@@ -112,7 +112,8 @@ def over_bound_shares(corpus) -> dict:
     """The share of the corpus over the bound, per residual, as the sweep measures it."""
     inputs = _chain_inputs(corpus)
     bound = residual_bound(smallest_angle(NUMPY, inputs[1]))
-    residuals = identity_chain(inputs).residuals
+    residuals = {}
+    identity_chain(inputs, residuals)
     return {name: float(np.mean(~within_bound(residuals[name], bound))) for name in CHECK_ORDER}
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from perptri import extremal
 from perptri.extremal import (
+    LATTICE_MARGIN,
     SEARCH_HI,
     SEARCH_LO,
     ExtremalReport,
@@ -255,7 +256,12 @@ def test_right_family_minimum():
      r"minimum 2\.0000\d+ strays from 2"),
     (right_triangle_min, "_right_cot_sum", lambda bare: lambda b: bare(b + 1e-4),
      r"argmin 0\.785\d+ strays from pi/4"),
-], ids=["global-minimum", "global-k-star", "right-minimum", "right-argmin"])
+    (global_cot_sum_min, "_slice", lambda bare: lambda k, x: bare(k, x) - 1e-5,
+     r"squared minimum 2\.9999\d+, expected 3"),
+    (right_triangle_min, "_right_cot_sum", lambda bare: lambda b: bare(b) - 1e-5,
+     r"minimum 1\.9999\d+ strays from 2"),
+], ids=["global-minimum", "global-k-star", "right-minimum", "right-argmin",
+        "global-minimum-below", "right-minimum-below"])
 def test_a_search_that_strays_from_its_closed_form_raises(monkeypatch, search, body, shifted,
                                                           message):
     # Each shift of the searched body moves the numeric minimum or argmin past
@@ -280,6 +286,16 @@ def test_lattice_scan_small():
     assert best_g == pytest.approx(math.pi / 3.0, abs=0.01)
 
 
+def test_lattice_minimum_is_the_lattice_point_nearest_pi_over_3():
+    # At n = 2000 the minimum lies in the third chunk of rows, so B is read
+    # from its row within the chunk and Gamma from its column.
+    grid = np.linspace(LATTICE_MARGIN, math.pi - LATTICE_MARGIN, 2000)
+    nearest = float(grid[np.argmin(np.abs(grid - math.pi / 3.0))])
+    assert nearest == 1.046707057173988
+    _, best_b, best_g = cot_sum_lattice_min(2000)
+    assert best_b == best_g == nearest
+
+
 def test_search_interval_is_inside_open_quadrant():
     assert 0.0 < SEARCH_LO < SEARCH_HI < math.pi / 2.0
 
@@ -291,7 +307,7 @@ def test_search_interval_is_inside_open_quadrant():
 def test_cot_sum_bound_over_corpus():
     assert run_sweep(2000, [2203, 1]).min_cot_sum >= SQRT3 - 1e-12
     corpus = sample_corpus(2000, seed=[2203, 1])
-    near = identity_chain(_chain_inputs(corpus)).cot_sum < SQRT3 + 1e-3
+    near = identity_chain(_chain_inputs(corpus), {}) < SQRT3 + 1e-3
     if near.any():
         ang_b = corpus.ang_b[near]
         ang_g = corpus.ang_g[near]

@@ -14,10 +14,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from perptri.cli import triangle_from_spec
+from perptri.cli import ParseError, triangle_from_spec
 from perptri.construction import construct, similarity_check
-from perptri.errors import GeometryError, ParseError
-from perptri.geom import MATH, NUMPY, Point2, Triangle, frame, frame_exponent, in_units
+from perptri.geom import (
+    MATH,
+    NUMPY,
+    GeometryError,
+    Point2,
+    Triangle,
+    frame,
+    frame_exponent,
+    in_units,
+)
 from perptri.ratio import identity_report
 
 HALF_PI = 0.5 * math.pi

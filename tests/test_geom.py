@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import perptri.geom as geom_mod
-from perptri.errors import GeometryError
 from perptri.geom import (
     MATH,
     NUMPY,
+    GeometryError,
     Point2,
     Triangle,
     anchored_metrics,
@@ -38,6 +38,12 @@ def test_point_rejects_non_finite():
         Point2(math.nan, 0.0)
     with pytest.raises(GeometryError):
         Point2(0.0, math.inf)
+
+
+def test_points_are_equal_only_where_both_coordinates_are():
+    assert Point2(1.0, 2.0) == Point2(1.0, 2.0)
+    assert Point2(1.0, 2.0) != Point2(1.0, 3.0)
+    assert Point2(1.0, 2.0) != Point2(3.0, 2.0)
 
 
 def test_point_distance():

@@ -13,10 +13,10 @@ import pytest
 
 from perptri.cli import triangle_from_spec
 from perptri.construction import construct
-from perptri.errors import GeometryError
 from perptri.geom import (
     MATH,
     NUMPY,
+    GeometryError,
     Point2,
     Triangle,
     anchored_metrics,
@@ -37,8 +37,9 @@ from perptri.sampling import sample_corpus
 SQRT3 = math.sqrt(3.0)
 
 
-def chain(t: Triangle):
-    return identity_chain([derived_triangle(*t.frame[1:], 0.0, 1.0)[1], t.frame_metrics])
+def chain_cot_sum(t: Triangle) -> float:
+    """The cot sum identity_chain returns for t."""
+    return identity_chain([derived_triangle(*t.frame[1:], 0.0, 1.0)[1], t.frame_metrics], {})
 
 
 def routes_of(ops, m) -> dict:
@@ -177,13 +178,13 @@ def test_needle_is_refused_by_the_bound_before_the_radicands():
 
 class TestCotSum:
     def test_equilateral(self, equilateral):
-        assert chain(equilateral).cot_sum == pytest.approx(SQRT3, abs=1e-15)
+        assert chain_cot_sum(equilateral) == pytest.approx(SQRT3, abs=1e-15)
 
     def test_right_345(self, t345):
-        assert chain(t345).cot_sum == pytest.approx(25.0 / 12.0, abs=1e-14)
+        assert chain_cot_sum(t345) == pytest.approx(25.0 / 12.0, abs=1e-14)
 
     def test_obtuse(self, obtuse_iso):
-        assert chain(obtuse_iso).cot_sum == pytest.approx(5.0 / SQRT3, abs=1e-14)
+        assert chain_cot_sum(obtuse_iso) == pytest.approx(5.0 / SQRT3, abs=1e-14)
 
 
 def test_law_of_cosines_in_cot_form_over_corpus():

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 import perptri.ratio as ratio_mod
 import perptri.geom as geom_mod
 from perptri.construction import construct, similarity_check
-from perptri.errors import GeometryError
 from perptri.geom import MATH
-from perptri.geom import Point2, Triangle
+from perptri.geom import GeometryError, Point2, Triangle
 from perptri.ratio import (
     BOUND_CONSTANT,
     CHECK_ORDER,
     area_routes,
+    cot_sum,
     identity_chain,
     identity_report,
     judged_bound,
@@ -56,20 +56,21 @@ def test_chain_reads_the_routes_of_area_routes_bit_for_bit(t345, equilateral, ob
     def check(ops, bx, by, gx, gy, m):
         made.clear()
         area_derived = geom_mod.derived_triangle(bx, by, gx, gy, 0.0, 1.0)[1]
-        chain = identity_chain([area_derived, m])
+        residuals = {}
+        csum = identity_chain([area_derived, m], residuals)
         (heron, sine), (poly, cot) = made
         routes = area_routes(ops, m)
         assert list(routes) == ["shoelace", "heron", "sixteen_sq_poly", "cot_formula",
                                 "sine_formula"]
         largest = ops.max(*routes.values())
-        ratio_formula = chain.cot_sum * chain.cot_sum
+        ratio_formula = csum * csum
         expected = {
             "heron": heron, "sixteen_sq_poly": poly, "cot_formula": cot, "sine_formula": sine,
             "area_from_cots": abs(routes["cot_formula"] - m.area) / (1.0 + abs(m.area)),
             "area_agreement": (largest - ops.min(*routes.values())) / largest,
             "area_ratio": abs(area_derived / m.area - ratio_formula) / (1.0 + ratio_formula),
         }
-        got = {**routes, **chain.residuals}
+        got = {**routes, **residuals}
         for name, value in expected.items():
             assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
 
@@ -93,7 +94,8 @@ def test_chain_assigns_each_residual_once_and_reports_list_them_in_check_order(t
 
     recorder = Recorder()
     area_derived = geom_mod.derived_triangle(*t345.frame[1:], 0.0, 1.0)[1]
-    assert identity_chain([area_derived, t345.frame_metrics], recorder).residuals is recorder
+    csum = identity_chain([area_derived, t345.frame_metrics], recorder)
+    assert csum == cot_sum(MATH, t345.frame_metrics)
     assert sorted(recorder.names) == sorted(CHECK_ORDER)
     assert list(identity_report(t345).residuals) == list(CHECK_ORDER)
 
@@ -355,9 +357,10 @@ def test_every_triangle_the_bound_accepts_runs_without_a_guard():
 def _with_residuals(monkeypatch, **values):
     real = ratio_mod.identity_chain
 
-    def patched(*coords):
-        chain = real(*coords)
-        return chain._replace(residuals={**chain.residuals, **values})
+    def patched(inputs, residuals):
+        csum = real(inputs, residuals)
+        residuals.update(values)
+        return csum
 
     monkeypatch.setattr(ratio_mod, "identity_chain", patched)
 

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from perptri import geom
-from perptri.errors import GeometryError
-from perptri.geom import Point2
+from perptri.geom import GeometryError, Point2
 from perptri.sampling import (
     DELTA_MAIN,
     DELTA_STRESS,

@@ -3,6 +3,7 @@
 import math
 import xml.etree.ElementTree as ET
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,21 @@ def test_viewbox_covers_all_vertices(obtuse_iso):
     for x, y in [(0.0, 0.0), (bx, by), (gx, gy), *derived]:
         assert x0 <= x <= x0 + w
         assert y0 <= -y <= y0 + h
+
+
+def test_phi_arc_turns_ab_by_phi_where_ab_is_not_horizontal():
+    # A 3-4-5 with AB along (0.6, 0.8): the arc starts r from B along AB
+    # and ends r from B along AB turned by phi, in the flipped frame.
+    t = Triangle(Point2(0.0, 0.0), Point2(3.0, 4.0), Point2(-4.0, 3.0))
+    phi = math.radians(60.0)
+    root = ET.fromstring(svg_document(construct(t, phi)))
+    arc = next(el for el in root if el.attrib.get("class") == "phi-arc")
+    _, sx, sy, _, r, _, _, _, _, ex, ey = arc.attrib["d"].split()
+    r, bx, by = float(r), *t.frame[1:3]
+    ux, uy = 0.6, 0.8
+    vx, vy = math.cos(phi) * ux - math.sin(phi) * uy, math.sin(phi) * ux + math.cos(phi) * uy
+    assert (float(sx), -float(sy)) == pytest.approx((bx + r * ux, by + r * uy), abs=1e-5)
+    assert (float(ex), -float(ey)) == pytest.approx((bx + r * vx, by + r * vy), abs=1e-5)
 
 
 # A dyadic triangle: its coordinates, moved by integers up to 2**40 and scaled

@@ -39,10 +39,11 @@ BRIDGE_ABS = 1e-13
 
 
 def chain_of(corpus):
-    """identity_chain over a whole corpus at once, and the metrics it reads."""
+    """identity_chain over a whole corpus at once: its residuals by name, cot sum and metrics."""
     inputs = _chain_inputs(corpus)
     m = inputs[1]
-    return identity_chain(inputs), m
+    residuals = {}
+    return residuals, identity_chain(inputs, residuals), m
 
 
 def held_sweep(corpus):
@@ -66,7 +67,8 @@ def bridge_corpus():
 
 @pytest.fixture(scope="module")
 def bridge_chain(bridge_corpus):
-    return chain_of(bridge_corpus)[0]
+    """The bridge corpus's residuals by name and its cot sums."""
+    return chain_of(bridge_corpus)[:2]
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +77,17 @@ def bridge_result(bridge_corpus):
 
 
 def test_residual_keys_complete(bridge_chain, bridge_result):
-    assert set(bridge_chain.residuals) == set(CHECK_ORDER)
+    assert set(bridge_chain[0]) == set(CHECK_ORDER)
     assert list(bridge_result.max_residuals) == list(CHECK_ORDER)
 
 
 def test_bridge_residuals_match_scalar(bridge_corpus, bridge_chain):
+    residuals = bridge_chain[0]
     for i in range(bridge_corpus.ang_b.size):
         report = identity_report(bridge_corpus.triangle(i))
         for key in CHECK_ORDER:
             scalar = report.residuals[key]
-            vector = float(bridge_chain.residuals[key][i])
+            vector = float(residuals[key][i])
             assert abs(scalar - vector) < BRIDGE_ABS, (i, key)
 
 
@@ -95,7 +98,7 @@ def test_bridge_values_match_scalar(bridge_corpus, bridge_chain):
         d = construct(bridge_corpus.triangle(i))
         ang_b, ang_g = float(bridge_corpus.ang_b[i]), float(bridge_corpus.ang_g[i])
         total = sum(angle_trig(MATH, x)[0] for x in (math.pi - ang_b - ang_g, ang_b, ang_g))
-        assert float(bridge_chain.cot_sum[i]) == pytest.approx(total, rel=1e-12)
+        assert float(bridge_chain[1][i]) == pytest.approx(total, rel=1e-12)
         assert float(ratio_geometric[i]) == pytest.approx(d.ratio_geometric, rel=1e-12)
 
 
@@ -103,7 +106,7 @@ def test_bridge_case_counts_match_scalar(bridge_corpus, bridge_chain, bridge_res
     counts = {"acute": 0, "right": 0, "obtuse": 0}
     for i in range(bridge_corpus.ang_b.size):
         counts[identity_report(bridge_corpus.triangle(i)).case] += 1
-    masks = angle_cases(chain_of(bridge_corpus)[1].ang_a)
+    masks = angle_cases(chain_of(bridge_corpus)[2].ang_a)
     assert [int(np.count_nonzero(mask)) for mask in masks] == list(counts.values())
     assert bridge_result.case_counts == counts
 
@@ -118,13 +121,13 @@ def _same(chunked: float, reference: float) -> bool:
 
 def _assert_whole_corpus_reductions(result, corpus):
     """The chunked result equals numpy's reductions of the chain over the whole corpus."""
-    chain, m = chain_of(corpus)
+    residuals, cot_sum, m = chain_of(corpus)
     assert result.n == corpus.ang_b.size
     masks = angle_cases(m.ang_a)
     assert list(result.case_counts.values()) == [int(np.count_nonzero(m)) for m in masks]
     assert list(result.max_residuals) == list(CHECK_ORDER)
     bound = bound_of(m)
-    within = [within_bound(chain.residuals[key], bound) for key in CHECK_ORDER]
+    within = [within_bound(residuals[key], bound) for key in CHECK_ORDER]
     all_within = np.logical_and.reduce(within)
     assert result.over_bound == corpus.ang_b.size - int(np.count_nonzero(all_within))
     if not corpus.ang_b.size:
@@ -134,12 +137,12 @@ def _assert_whole_corpus_reductions(result, corpus):
         assert math.isnan(result.min_cot_sum)
         assert all(math.isnan(value) for value in result.max_residuals.values())
         return
-    assert result.argmin_index == int(np.argmin(chain.cot_sum))
+    assert result.argmin_index == int(np.argmin(cot_sum))
     row = (float(field[result.argmin_index]) for field in corpus)
     assert all(map(_same, result.argmin_row, row))
-    assert _same(result.min_cot_sum, float(np.min(chain.cot_sum)))
+    assert _same(result.min_cot_sum, float(np.min(cot_sum)))
     for key in CHECK_ORDER:
-        assert _same(result.max_residuals[key], float(np.max(chain.residuals[key]))), key
+        assert _same(result.max_residuals[key], float(np.max(residuals[key]))), key
 
 
 @pytest.mark.parametrize("stratum", STRATA)
@@ -194,15 +197,15 @@ def test_bound_keeps_an_eightfold_margin(delta, seed, stratum):
     # within an eighth of the bound; BOUND_CONSTANT was set with that margin.
     # The obtuse stratum holds angles near pi, where 1 + cos x in the
     # half-angle cotangent (1 + cos x) / sin x cancels.
-    chain, m = chain_of(sample_corpus(10**5, seed=seed, stratum=stratum, delta=delta))
+    residuals, _, m = chain_of(sample_corpus(10**5, seed=seed, stratum=stratum, delta=delta))
     eighth = bound_of(m) / 8
-    assert max(float(np.max(chain.residuals[key] / eighth)) for key in CHECK_ORDER) <= 1.0
+    assert max(float(np.max(residuals[key] / eighth)) for key in CHECK_ORDER) <= 1.0
 
 
 def test_min_cot_sum_and_argmin(bridge_chain, bridge_result):
     idx = bridge_result.argmin_index
     assert idx is not None
-    assert float(bridge_chain.cot_sum[idx]) == bridge_result.min_cot_sum
+    assert float(bridge_chain[1][idx]) == bridge_result.min_cot_sum
     assert bridge_result.min_cot_sum >= math.sqrt(3.0) - 1e-12
 
 
